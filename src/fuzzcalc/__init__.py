@@ -10,7 +10,6 @@ from .core import (
     TriangularSpec,
     add,
     approx_equal,
-    core,
     defuzz_triplet,
     div,
     from_alpha_grid,
@@ -22,7 +21,6 @@ from .core import (
     resample,
     scalar_mul,
     singleton,
-    support,
 )
 from .errors import (
     Crossed,
@@ -41,7 +39,7 @@ from .errors import (
     UnknownFunction,
 )
 from .expr import Env, Expr, differentiate, evaluate, free_variables, parse_expr, to_text
-from .ivp import IvpProblem, IvpSolution, solve, taylor_step, total_derivatives
+from .ivp import IvpProblem, IvpSolution, solve, total_derivatives
 from .series import (
     CoefficientRule,
     FuzzyPowerSeries,

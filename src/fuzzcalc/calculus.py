@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlphaGrid, FuzzyNumber, _nested, hausdorff_distance
+from .core import FuzzyNumber, _order_normalized, hausdorff_distance
 from .errors import ImproperOperand, NotDifferentiable
 from .expr import Env, Expr, evaluate
 
@@ -104,12 +104,6 @@ def _envelope_distance(alo, ahi, blo, bhi) -> float:
     return float(max(np.max(np.abs(alo - blo)), np.max(np.abs(ahi - bhi))))
 
 
-def _assemble(grid: AlphaGrid, lo: np.ndarray, hi: np.ndarray) -> FuzzyNumber:
-    lo2 = np.minimum(lo, hi)
-    hi2 = np.maximum(lo, hi)
-    return FuzzyNumber(grid, lo2, hi2, proper=_nested(lo2, hi2))
-
-
 def mh_derivative(
     f: Expr,
     var: str,
@@ -159,7 +153,7 @@ def mh_derivative(
                 right.extrap_lo, right.extrap_hi, prev_value_lo, prev_value_hi
             )
             if gap <= sched.tol and step <= sched.tol:
-                value = _assemble(grid, right.extrap_lo, right.extrap_hi)
+                value = _order_normalized(grid, right.extrap_lo, right.extrap_hi)
                 if not value.proper:
                     raise ImproperOperand(
                         "difference quotient stayed improper through convergence"
@@ -167,7 +161,7 @@ def mh_derivative(
                 return DerivativeEstimate(
                     value=value,
                     right_value=value,
-                    left_value=_assemble(grid, left.extrap_lo, left.extrap_hi),
+                    left_value=_order_normalized(grid, left.extrap_lo, left.extrap_hi),
                     h_final=h,
                     gap=gap,
                     converged=True,

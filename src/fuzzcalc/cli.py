@@ -30,7 +30,7 @@ from .errors import (
     NoLimit,
     ProblemFileError,
 )
-from .expr import Env, evaluate, parse_expr
+from .expr import Env, FuzzyConst, evaluate, parse_expr
 from .ivp import IvpProblem, solve
 from .series import (
     FuzzyPowerSeries,
@@ -96,8 +96,6 @@ def _parse_fuzzy_value(text: str, grid: AlphaGrid) -> FuzzyNumber:
     text = text.strip()
     if text.startswith("T"):
         node = parse_expr(text, grid)
-        from .expr import FuzzyConst
-
         if not isinstance(node, FuzzyConst):
             raise ProblemFileError(f"expected a triplet literal, got {text!r}")
         return node.value
@@ -160,12 +158,12 @@ def _summary(value: FuzzyNumber, label: str = "value") -> list[str]:
     ]
 
 
-def _emit(value: FuzzyNumber, args, command: str, extra_meta: dict | None = None):
-    if args.out:
+def _emit(value: FuzzyNumber, out, command: str, extra_meta: dict | None = None):
+    if out:
         meta = {"command": command, "generated": datetime.now().isoformat(timespec="seconds")}
         meta.update(extra_meta or {})
-        write_alpha_csv(value, args.out, meta)
-        print(f"alpha table written to {args.out}")
+        write_alpha_csv(value, out, meta)
+        print(f"alpha table written to {out}")
 
 
 # -- commands ------------------------------------------------------------------------------
@@ -180,7 +178,7 @@ def _cmd_eval(args) -> int:
     print(f"expression: {args.expr}")
     for line in _summary(value):
         print(line)
-    _emit(value, args, "eval", {"expression": args.expr})
+    _emit(value, args.out, "eval", {"expression": args.expr})
     return 0
 
 
@@ -200,7 +198,7 @@ def _cmd_derive(args) -> int:
     print(f"converged: {est.converged}")
     print(f"one-sided gap: {_fmt(est.gap)}")
     print(f"final step: {_fmt(est.h_final)}")
-    _emit(est.value, args, "derive", {"expression": args.expr, "var": args.var})
+    _emit(est.value, args.out, "derive", {"expression": args.expr, "var": args.var})
     return 0
 
 
@@ -258,7 +256,7 @@ def _cmd_series(args) -> int:
             print(f"ratio test converges: {check.converges}")
         except NoLimit:
             print("ratio test: no limit declared at the probe indices")
-    _emit(result.R, args, "series", {"radius_mode": result.mode})
+    _emit(result.R, args.out, "series", {"radius_mode": result.mode})
     return 0
 
 
@@ -280,20 +278,13 @@ def _cmd_solve_ivp(args) -> int:
         steps = int(settings.get("steps", 1))
     except ValueError as exc:
         raise ProblemFileError(f"bad integer field: {exc}") from None
-    if not 1 <= order <= 4:
-        raise ProblemFileError("order must be between 1 and 4")
-    if steps < 1:
-        raise ProblemFileError("steps must be at least 1")
     grid = _grid_from(alphas)
-
-    problem = IvpProblem(
-        rhs=parse_expr(settings["rhs"], grid),
-        x0=_parse_fuzzy_value(settings["x0"], grid),
-        y0=_parse_fuzzy_value(settings["y0"], grid),
-        h=_parse_fuzzy_value(settings["h"], grid),
-        order=order,
-        steps=steps,
-    )
+    rhs = parse_expr(settings["rhs"], grid)
+    x0, y0, h = (_parse_fuzzy_value(settings[k], grid) for k in ("x0", "y0", "h"))
+    try:
+        problem = IvpProblem(rhs=rhs, x0=x0, y0=y0, h=h, order=order, steps=steps)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from None
     solution = solve(problem)
     x_final, y_final = solution.final
     print("command: solve-ivp")
@@ -305,15 +296,7 @@ def _cmd_solve_ivp(args) -> int:
         print(line)
     for line in _summary(y_final, "y"):
         print(line)
-    out = settings.get("out")
-    if out:
-        meta = {
-            "command": "solve-ivp",
-            "rhs": settings["rhs"],
-            "generated": datetime.now().isoformat(timespec="seconds"),
-        }
-        write_alpha_csv(y_final, out, meta)
-        print(f"alpha table written to {out}")
+    _emit(y_final, settings.get("out"), "solve-ivp", {"rhs": settings["rhs"]})
     return 0
 
 
@@ -360,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--x0", help="initial point, T(d,e,f) or number")
     pi.add_argument("--y0", help="initial value")
     pi.add_argument("--h", help="fuzzy step")
-    pi.add_argument("--order", type=int, choices=(1, 2, 3, 4))
+    pi.add_argument("--order", type=int)
     pi.add_argument("--steps", type=int)
     pi.add_argument("--alphas", type=int)
     pi.add_argument("--out", help="alpha-cut CSV path for the final value")

@@ -212,6 +212,13 @@ class FuzzyNumber:
         return scalar_mul(-1.0, self)
 
 
+def _order_normalized(grid: AlphaGrid, a: np.ndarray, b: np.ndarray) -> FuzzyNumber:
+    """Per-level [min(a, b), max(a, b)]; proper only if the cuts still nest."""
+    lower = np.minimum(a, b)
+    upper = np.maximum(a, b)
+    return FuzzyNumber(grid, lower, upper, proper=_nested(lower, upper))
+
+
 # -- guards ------------------------------------------------------------------
 
 
@@ -361,11 +368,7 @@ def gh_difference(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """
     _require_proper(a, b)
     _require_same_grid(a, b)
-    dl = a.lower - b.lower
-    du = a.upper - b.upper
-    lower = np.minimum(dl, du)
-    upper = np.maximum(dl, du)
-    return FuzzyNumber(a.grid, lower, upper, proper=_nested(lower, upper))
+    return _order_normalized(a.grid, a.lower - b.lower, a.upper - b.upper)
 
 
 # -- metric and summaries ------------------------------------------------------
@@ -382,16 +385,6 @@ def hausdorff_distance(a: FuzzyNumber, b: FuzzyNumber) -> float:
 def approx_equal(a: FuzzyNumber, b: FuzzyNumber, tol: float = 1e-9) -> bool:
     """Equality up to ``tol`` in Hausdorff distance (test helper)."""
     return hausdorff_distance(a, b) <= tol
-
-
-def support(a: FuzzyNumber) -> Interval:
-    _require_proper(a)
-    return a.support
-
-
-def core(a: FuzzyNumber) -> Interval:
-    _require_proper(a)
-    return a.core
 
 
 def defuzz_triplet(a: FuzzyNumber) -> TriangularSpec:

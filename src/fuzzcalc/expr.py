@@ -138,8 +138,10 @@ class Env:
 
 # -- parsing -------------------------------------------------------------------
 
+# '!' is lexed for coefficient-rule text (series.parse_coeff_rule); the
+# expression grammar never consumes it.
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^(),])"
+    r"(?P<ws>\s+)|(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^(),!])"
 )
 
 _FUNCTIONS = {"exp": Exp, "sin": Sin, "cos": Cos}
@@ -210,10 +212,7 @@ class _Parser:
         base = self.atom()
         if self.at_op("^"):
             self.take()
-            kind, val, pos = self.take()
-            if kind != "num" or "." in val:
-                raise ExprSyntaxError("integer exponent expected after '^'", pos)
-            return PowInt(base, int(val))
+            return PowInt(base, self.uint())
         return base
 
     def atom(self) -> Expr:
@@ -249,6 +248,12 @@ class _Parser:
         f = self.signed_number()
         self.expect_op(")")
         return (d, e, f)
+
+    def uint(self) -> int:
+        kind, val, pos = self.take()
+        if kind != "num" or "." in val:
+            raise ExprSyntaxError("nonnegative integer expected", pos)
+        return int(val)
 
     def signed_number(self) -> float:
         sign = 1.0

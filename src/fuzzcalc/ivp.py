@@ -98,15 +98,6 @@ def _step(
     return x_next, y_next, last
 
 
-def taylor_step(
-    x: FuzzyNumber, y: FuzzyNumber, problem: IvpProblem
-) -> tuple[FuzzyNumber, FuzzyNumber]:
-    """One Taylor step from (x, y) using the problem's step, order, and rhs."""
-    derivs = total_derivatives(problem.rhs, problem.order)
-    x_next, y_next, _ = _step(x, y, problem, derivs)
-    return x_next, y_next
-
-
 def solve(problem: IvpProblem) -> IvpSolution:
     """Iterate the Taylor step; deterministic, no step-size control."""
     derivs = total_derivatives(problem.rhs, problem.order)

@@ -26,7 +26,6 @@ infinity, anything else raises NoLimit.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ from .core import (
     AlphaGrid,
     FuzzyNumber,
     _nested,
+    _order_normalized,
     add,
     div,
     gh_difference,
@@ -45,7 +45,7 @@ from .core import (
     singleton,
 )
 from .errors import ExprSyntaxError, GridMismatch, ImproperOperand, NoLimit, NotSimplifiable
-from .expr import Env, Expr, differentiate, evaluate
+from .expr import Env, Expr, _Parser, differentiate, evaluate
 
 _AGREE_RTOL = 1e-6
 _DECAY_FACTOR = 0.75
@@ -327,11 +327,7 @@ def convergence_interval(
     b_lo_lower = center.lower - R.upper
     b_lo_upper = center.upper - R.lower
     b_lo = FuzzyNumber(g, b_lo_lower, b_lo_upper, proper=_nested(b_lo_lower, b_lo_upper))
-    inner1 = center.upper + R.lower
-    inner2 = center.lower + R.upper
-    b_hi_lower = np.minimum(inner1, inner2)
-    b_hi_upper = np.maximum(inner1, inner2)
-    b_hi = FuzzyNumber(g, b_hi_lower, b_hi_upper, proper=_nested(b_hi_lower, b_hi_upper))
+    b_hi = _order_normalized(g, center.upper + R.lower, center.lower + R.upper)
     return b_lo, b_hi
 
 
@@ -359,137 +355,95 @@ def taylor_series_of(
 
 # -- coefficient-rule text format ---------------------------------------------------
 
-_RULE_TOKEN = re.compile(
-    r"\s*(?:(?P<fact>n!)|(?P<n>n)|(?P<num>\d+\.\d*|\.\d+|\d+)"
-    r"|(?P<trip>T\(\s*-?(?:\d+\.\d*|\.\d+|\d+)\s*,\s*-?(?:\d+\.\d*|\.\d+|\d+)\s*,"
-    r"\s*-?(?:\d+\.\d*|\.\d+|\d+)\s*\))|(?P<op>[*/^()+-]))"
-)
+
+class _RuleParser(_Parser):
+    """Coefficient-rule text on the expression tokenizer, for the grammar
+
+        rule     := factor (('*'|'/') factor)*
+        factor   := number ('^' uint)? | 'n' '!' | 'n' ('^' uint)?
+                  | 'T(' num ',' num ',' num ')' ('^' exponent)?
+        exponent := uint | '(' ['-'] 'n' (('+'|'-') uint)? ')'
+
+    A factor after '/' enters the rule inverted.  At most one triplet (the
+    fuzzy base c) may appear; a bare triplet is the constant factor c^1.
+    """
+
+    def rule(self) -> CoefficientRule:
+        coeff_num = coeff_den = 1.0
+        deg_num = deg_den = factorial = 0
+        base = None
+        sigma = shift = 0
+        side = 1
+        while True:
+            kind, val, pos = self.take()
+            if kind == "num":
+                c = float(val) ** self.power_suffix()
+                if side > 0:
+                    coeff_num *= c
+                else:
+                    coeff_den *= c
+            elif kind == "ident" and val == "n":
+                if self.at_op("!"):
+                    self.take()
+                    factorial += side
+                elif side > 0:
+                    deg_num += self.power_suffix()
+                else:
+                    deg_den += self.power_suffix()
+            elif kind == "ident" and val == "T" and self.at_op("("):
+                spec = self.triplet()
+                if base is not None:
+                    raise NotSimplifiable("rule supports a single fuzzy base factor")
+                base = make_triangular(spec, self.grid)
+                sigma, shift = self.base_exponent()
+                sigma, shift = sigma * side, shift * side
+            else:
+                raise ExprSyntaxError(f"unexpected token {val!r} in rule", pos)
+            if not self.at_op("*", "/"):
+                break
+            side = 1 if self.take()[1] == "*" else -1
+        kind, val, pos = self.peek()
+        if kind != "eof":
+            raise ExprSyntaxError(f"unexpected trailing input {val!r} in rule", pos)
+        return CoefficientRule(
+            poly_num=(0.0,) * deg_num + (coeff_num,),
+            poly_den=(0.0,) * deg_den + (coeff_den,),
+            factorial_power=factorial,
+            base=base,
+            base_coeff=sigma,
+            base_shift=shift,
+        )
+
+    def power_suffix(self) -> int:
+        if not self.at_op("^"):
+            return 1
+        self.take()
+        return self.uint()
+
+    def base_exponent(self) -> tuple[int, int]:
+        """(sigma, t) of the base power c^(sigma*n + t)."""
+        if not self.at_op("^"):
+            return 0, 1
+        self.take()
+        if self.peek()[0] == "num":
+            return 0, self.uint()
+        self.expect_op("(")
+        sign = 1
+        if self.at_op("-"):
+            self.take()
+            sign = -1
+        kind, val, pos = self.take()
+        if kind != "ident" or val != "n":
+            raise ExprSyntaxError("'n' expected in rule exponent", pos)
+        shift = 0
+        if self.at_op("+", "-"):
+            shift = self.uint() if self.take()[1] == "+" else -self.uint()
+        self.expect_op(")")
+        return sign, shift
 
 
 def parse_coeff_rule(text: str, grid: AlphaGrid | None = None) -> CoefficientRule:
-    """Parse rule text like ``n / T(4,5,6)^(n-1)`` or ``1/n!`` or ``T(1,2,3)``.
-
-    Factors (numbers, n, n^k, n!, triplets with an optional integer or
-    linear-in-n exponent) combine with '*' and '/'.
-    """
-    if grid is None:
-        grid = AlphaGrid.uniform()
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _RULE_TOKEN.match(text, pos)
-        if m is None or m.lastgroup is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r} in rule", pos)
-        tokens.append((m.lastgroup, m.group().strip(), m.start()))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-
-    state = {
-        "i": 0,
-        "coeff_num": 1.0,
-        "deg_num": 0,
-        "coeff_den": 1.0,
-        "deg_den": 0,
-        "factorial": 0,
-        "base": None,
-        "sigma": 0,
-        "shift": 0,
-    }
-
-    def peek():
-        return tokens[state["i"]]
-
-    def take():
-        tok = tokens[state["i"]]
-        state["i"] += 1
-        return tok
-
-    def take_op(op):
-        kind, val, p = peek()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r} in rule", p)
-        return take()
-
-    def parse_uint():
-        kind, val, p = take()
-        if kind != "num" or "." in val:
-            raise ExprSyntaxError("integer expected in rule exponent", p)
-        return int(val)
-
-    def parse_triplet_exponent():
-        # uint | '(' ['-'] 'n' (('+'|'-') uint)? ')'
-        kind, val, p = peek()
-        if kind == "num":
-            return 0, parse_uint()  # constant exponent k: c^(0*n + k)
-        take_op("(")
-        sign = 1
-        kind, val, p = peek()
-        if kind == "op" and val == "-":
-            take()
-            sign = -1
-        kind, val, p = take()
-        if kind != "n":
-            raise ExprSyntaxError("'n' expected in rule exponent", p)
-        shift = 0
-        kind, val, p = peek()
-        if kind == "op" and val in "+-":
-            take()
-            shift = parse_uint() * (1 if val == "+" else -1)
-        take_op(")")
-        return sign, shift
-
-    def apply_factor(side: int):
-        kind, val, p = take()
-        if kind == "num":
-            power = 1
-            if peek()[0] == "op" and peek()[1] == "^":
-                take()
-                power = parse_uint()
-            c = float(val) ** power
-            if side > 0:
-                state["coeff_num"] *= c
-            else:
-                state["coeff_den"] *= c
-        elif kind == "n":
-            power = 1
-            if peek()[0] == "op" and peek()[1] == "^":
-                take()
-                power = parse_uint()
-            if side > 0:
-                state["deg_num"] += power
-            else:
-                state["deg_den"] += power
-        elif kind == "fact":
-            state["factorial"] += side
-        elif kind == "trip":
-            if state["base"] is not None:
-                raise NotSimplifiable("rule supports a single fuzzy base factor")
-            nums = [float(x) for x in re.findall(r"-?(?:\d+\.\d*|\.\d+|\d+)", val)]
-            state["base"] = make_triangular(tuple(nums), grid)
-            sigma, shift = 0, 1  # bare triplet: constant fuzzy factor c^1
-            if peek()[0] == "op" and peek()[1] == "^":
-                take()
-                sigma, shift = parse_triplet_exponent()
-            state["sigma"] = sigma * side
-            state["shift"] = shift * side
-        else:
-            raise ExprSyntaxError(f"unexpected token {val!r} in rule", p)
-
-    apply_factor(+1)
-    while peek()[0] == "op" and peek()[1] in "*/":
-        _, op, _ = take()
-        apply_factor(+1 if op == "*" else -1)
-    kind, val, p = peek()
-    if kind != "eof":
-        raise ExprSyntaxError(f"unexpected trailing input {val!r} in rule", p)
-
-    poly_num = (0.0,) * state["deg_num"] + (state["coeff_num"],)
-    poly_den = (0.0,) * state["deg_den"] + (state["coeff_den"],)
-    return CoefficientRule(
-        poly_num=poly_num,
-        poly_den=poly_den,
-        factorial_power=state["factorial"],
-        base=state["base"],
-        base_coeff=state["sigma"],
-        base_shift=state["shift"],
-    )
+    """Parse rule text like ``n / T(4,5,6)^(n-1)`` or ``1/n!`` or ``T(1,2,3)``
+    (grammar in :class:`_RuleParser`); the base is sampled on ``grid``
+    (default 101 uniform levels)."""
+    return _RuleParser(text, grid if grid is not None else AlphaGrid.uniform()).rule()

@@ -203,6 +203,12 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
     bad.write_text("rhs = y\nwhat = ever\n")
     assert run(["solve-ivp", "--file", str(bad)]) == 2
     assert "ProblemFileError" in capsys.readouterr().err
+    fields = ["--rhs", "y", "--x0", "0", "--y0", "1", "--h", "0.1"]
+    assert run(["solve-ivp", *fields, "--order", "7"]) == 2
+    for line in ("order = 7", "steps = 0"):
+        bad.write_text(f"rhs = y\nx0 = 0\ny0 = 1\nh = 0.1\n{line}\n")
+        assert run(["solve-ivp", "--file", str(bad)]) == 2
+        assert "ProblemFileError" in capsys.readouterr().err
 
 
 def test_exit_2_on_bad_binding(capsys):

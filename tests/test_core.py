@@ -1,5 +1,7 @@
 """Alpha-cut arithmetic: worked examples plus randomized property checks."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from fuzzcalc.core import (
     TriangularSpec,
     add,
     approx_equal,
-    core,
     defuzz_triplet,
     div,
     from_alpha_grid,
@@ -23,7 +24,6 @@ from fuzzcalc.core import (
     resample,
     scalar_mul,
     singleton,
-    support,
 )
 from fuzzcalc.errors import (
     Crossed,
@@ -273,7 +273,6 @@ def test_improper_result_flagged_and_rejected():
                lambda: pow_int(bad, 2),
                lambda: div(good, bad),
                lambda: hausdorff_distance(bad, good),
-               lambda: support(bad),
                lambda: resample(bad, SMALL)):
         with pytest.raises(ImproperOperand):
             op()
@@ -303,10 +302,16 @@ def test_hausdorff_scaling():
 # -- summaries ----------------------------------------------------------------------
 
 
+def test_core_submodule_is_not_shadowed():
+    import fuzzcalc.core as m
+
+    assert m is sys.modules["fuzzcalc.core"]
+
+
 def test_support_core_defuzz():
     a = tri(2.1, 2.3, 2.5)
-    assert support(a).lo == pytest.approx(2.1) and support(a).hi == pytest.approx(2.5)
-    assert core(a).lo == pytest.approx(2.3) and core(a).hi == pytest.approx(2.3)
+    assert a.support.lo == pytest.approx(2.1) and a.support.hi == pytest.approx(2.5)
+    assert a.core.lo == pytest.approx(2.3) and a.core.hi == pytest.approx(2.3)
     t = defuzz_triplet(a)
     assert t.astuple() == pytest.approx((2.1, 2.3, 2.5))
 

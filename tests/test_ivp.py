@@ -1,6 +1,7 @@
 """Fully fuzzy Taylor solver: worked single-step case, crisp-slice oracle,
 parametric envelope regression."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from fuzzcalc.core import (
     singleton,
 )
 from fuzzcalc.expr import CrispConst, Env, Var, evaluate, parse_expr
-from fuzzcalc.ivp import IvpProblem, IvpSolution, solve, taylor_step, total_derivatives
+from fuzzcalc.ivp import IvpProblem, IvpSolution, solve, total_derivatives
 
 GRID = AlphaGrid.uniform()
 
@@ -38,6 +39,10 @@ def worked_problem(**overrides):
     )
     kwargs.update(overrides)
     return IvpProblem(**kwargs)
+
+
+def step_once(p):
+    return solve(dataclasses.replace(p, steps=1)).final
 
 
 # -- total derivatives -------------------------------------------------------------
@@ -73,8 +78,11 @@ def test_total_derivatives_of_pure_x():
 
 
 def test_step_reproduces_worked_solution():
-    problem = worked_problem()
-    x1, y1 = taylor_step(problem.x0, problem.y0, problem)
+    sol = solve(worked_problem())
+    assert len(sol.trajectory) == 2
+    assert len(sol.truncation_magnitudes) == 1
+    assert sol.truncation_magnitudes[0] == pytest.approx(0.29412, abs=1e-6)
+    x1, y1 = sol.final
     assert y1.support.lo == pytest.approx(2.496851, abs=1e-9)
     assert y1.core.midpoint == pytest.approx(3.08367, abs=1e-9)
     assert y1.support.hi == pytest.approx(3.71692, abs=1e-9)
@@ -105,7 +113,7 @@ def test_step_second_order_term_values():
 
 def test_zero_step_is_identity():
     p = worked_problem(h=singleton(0.0, GRID))
-    x1, y1 = taylor_step(p.x0, p.y0, p)
+    x1, y1 = step_once(p)
     assert hausdorff_distance(x1, p.x0) == 0.0
     assert hausdorff_distance(y1, p.y0) == 0.0
 
@@ -120,18 +128,6 @@ def test_gh_identity_for_step_offset():
 
 
 # -- solve -----------------------------------------------------------------------------
-
-
-def test_solve_single_step_matches_taylor_step():
-    p = worked_problem()
-    sol = solve(p)
-    assert len(sol.trajectory) == 2
-    x1, y1 = sol.final
-    sx1, sy1 = taylor_step(p.x0, p.y0, p)
-    assert hausdorff_distance(x1, sx1) == 0.0
-    assert hausdorff_distance(y1, sy1) == 0.0
-    assert len(sol.truncation_magnitudes) == 1
-    assert sol.truncation_magnitudes[0] == pytest.approx(0.29412, abs=1e-6)
 
 
 def test_solve_two_steps_advances_fuzzy_x():
@@ -191,7 +187,7 @@ def test_first_order_term_envelope_polynomials():
 
 def test_final_envelopes_match_displayed_sum():
     p = worked_problem()
-    _, y1 = taylor_step(p.x0, p.y0, p)
+    _, y1 = step_once(p)
     al = GRID.levels
     first_lo = 2.1 + 0.2 * al
     first_hi = 2.5 - 0.2 * al

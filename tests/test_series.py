@@ -289,6 +289,12 @@ def test_taylor_cos_core_slice():
 def test_parse_rule_geometric_decay_form():
     rule = parse_coeff_rule("n / T(4,5,6)^(n-1)", GRID)
     assert rule.base_coeff == -1 and rule.base_shift == 1
+    for text, base, sigma, shift in (("T(-1,2,3)^(-n+2)", (-1, 2, 3), -1, 2),
+                                     ("T(1,2,3)^2", (1, 2, 3), 0, 2),
+                                     ("1/T(1,2,3)^(n)", (1, 2, 3), -1, 0)):
+        parsed = parse_coeff_rule(text, GRID)
+        assert parsed.base == tri(*base)
+        assert (parsed.base_coeff, parsed.base_shift) == (sigma, shift)
     # a_1 = 1 * c^0 = 1, a_2 = 2 / c
     assert approx_equal(rule.value(1, GRID), singleton(1.0, GRID))
     two_over_c = scalar_mul(2.0, singleton(1.0, GRID) / tri(4, 5, 6))
@@ -303,6 +309,11 @@ def test_parse_rule_factorial_and_constant():
     const = parse_coeff_rule("T(1,2,3)", GRID)
     assert approx_equal(const.value(7, GRID), tri(1, 2, 3))
 
+    mixed = parse_coeff_rule("2^3*n!/n^2", GRID)
+    assert mixed.poly_num == (8.0,) and mixed.poly_den == (0.0, 0.0, 1.0)
+    assert mixed.factorial_power == 1 and mixed.base is None
+    assert approx_equal(mixed.value(3, GRID), singleton(8.0 * 6 / 9, GRID))
+
 
 def test_parse_rule_monomial_powers():
     rule = parse_coeff_rule("3 * n^2 / 2", GRID)
@@ -314,6 +325,11 @@ def test_parse_rule_rejects_garbage():
         parse_coeff_rule("n ? 2", GRID)
     with pytest.raises(ExprSyntaxError):
         parse_coeff_rule("n / T(4,5,6)^(m-1)", GRID)
+    for text in ("n^1.5", "nn", "2n", "T(1,2,3)^(n-1"):
+        with pytest.raises(ExprSyntaxError):
+            parse_coeff_rule(text, GRID)
+    with pytest.raises(NotSimplifiable):
+        parse_coeff_rule("T(1,2,3)*T(1,2,3)", GRID)
 
 
 def test_infinite_radius_marker():
