@@ -52,10 +52,10 @@ class LimitSchedule:
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
-    """Converged two-sided estimate; ``value`` is the forward extrapolant."""
+    """Converged two-sided estimate; ``value`` is the forward extrapolant,
+    ``left_value`` the backward one."""
 
     value: FuzzyNumber
-    right_value: FuzzyNumber
     left_value: FuzzyNumber
     h_final: float
     gap: float
@@ -66,42 +66,9 @@ def _shift(x: FuzzyNumber, h: float) -> FuzzyNumber:
     return FuzzyNumber(x.grid, x.lower + h, x.upper + h)
 
 
-def _quotient(num_lo: np.ndarray, num_hi: np.ndarray, h: float):
-    """gH difference of envelope deltas scaled by 1/h, plus the branch
-    pattern (True where the lower-envelope delta is the smaller one)."""
-    pattern = num_lo <= num_hi
-    lo = np.minimum(num_lo, num_hi) / h
-    hi = np.maximum(num_lo, num_hi) / h
-    return lo, hi, pattern
-
-
-class _Side:
-    """Richardson state for one side of the limit."""
-
-    def __init__(self, shrink: float):
-        self.shrink = shrink
-        self.prev_lo = None
-        self.prev_hi = None
-        self.prev_pattern = None
-        self.extrap_lo = None
-        self.extrap_hi = None
-
-    def update(self, lo, hi, pattern):
-        if self.prev_lo is None:
-            ex_lo, ex_hi = lo, hi
-        else:
-            # two-point Richardson for a leading O(h) error term, restarted
-            # per level where the branch pattern switched
-            s = self.shrink
-            stable = pattern == self.prev_pattern
-            ex_lo = np.where(stable, (lo - s * self.prev_lo) / (1.0 - s), lo)
-            ex_hi = np.where(stable, (hi - s * self.prev_hi) / (1.0 - s), hi)
-        self.prev_lo, self.prev_hi, self.prev_pattern = lo, hi, pattern
-        self.extrap_lo, self.extrap_hi = ex_lo, ex_hi
-
-
-def _envelope_distance(alo, ahi, blo, bhi) -> float:
-    return float(max(np.max(np.abs(alo - blo)), np.max(np.abs(ahi - bhi))))
+def _envelope_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest deviation between two stacked [lower, upper] envelope pairs."""
+    return float(max(np.max(np.abs(a[0] - b[0])), np.max(np.abs(a[1] - b[1]))))
 
 
 def mh_derivative(
@@ -134,40 +101,45 @@ def mh_derivative(
     if h0 is None:
         h0 = 0.125 * (1.0 + abs(x0.support.midpoint))
 
-    right = _Side(sched.shrink)
-    left = _Side(sched.shrink)
-    prev_value_lo = prev_value_hi = None
+    s = sched.shrink
+    prev_q = prev_pattern = prev_ex = None
     h = h0
     gap = np.inf
     for _ in range(sched.max_iters):
         fwd = f_at(h)
         bwd = f_at(-h)
-        right.update(*_quotient(fwd.lower - center.lower, fwd.upper - center.upper, h))
-        left.update(*_quotient(center.lower - bwd.lower, center.upper - bwd.upper, h))
+        # rows 0 and 1 are the forward and the backward side of the limit
+        d_lo = np.stack((fwd.lower - center.lower, center.lower - bwd.lower))
+        d_hi = np.stack((fwd.upper - center.upper, center.upper - bwd.upper))
+        # per side, the gH quotient as a [lower, upper] envelope pair, and the
+        # branch pattern (True where the lower-envelope delta is the smaller)
+        q = np.stack((np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)), axis=1) / h
+        pattern = (d_lo <= d_hi)[:, None]
+        if prev_q is None:
+            ex = q
+        else:
+            # two-point Richardson for a leading O(h) error term, restarted
+            # per level where the branch pattern switched
+            ex = np.where(pattern == prev_pattern, (q - s * prev_q) / (1.0 - s), q)
 
-        gap = _envelope_distance(
-            right.extrap_lo, right.extrap_hi, left.extrap_lo, left.extrap_hi
-        )
-        if prev_value_lo is not None:
-            step = _envelope_distance(
-                right.extrap_lo, right.extrap_hi, prev_value_lo, prev_value_hi
-            )
+        gap = _envelope_distance(ex[0], ex[1])
+        if prev_ex is not None:
+            step = _envelope_distance(ex[0], prev_ex[0])
             if gap <= sched.tol and step <= sched.tol:
-                value = _order_normalized(grid, right.extrap_lo, right.extrap_hi)
+                value = _order_normalized(grid, *ex[0])
                 if not value.proper:
                     raise ImproperOperand(
                         "difference quotient stayed improper through convergence"
                     )
                 return DerivativeEstimate(
                     value=value,
-                    right_value=value,
-                    left_value=_order_normalized(grid, left.extrap_lo, left.extrap_hi),
+                    left_value=_order_normalized(grid, *ex[1]),
                     h_final=h,
                     gap=gap,
                     converged=True,
                 )
-        prev_value_lo, prev_value_hi = right.extrap_lo, right.extrap_hi
-        h *= sched.shrink
+        prev_q, prev_pattern, prev_ex = q, pattern, ex
+        h *= s
 
     raise NotDifferentiable(
         f"one-sided quotients did not settle within {sched.max_iters} iterations"

@@ -188,9 +188,8 @@ def _cmd_derive(args) -> int:
     if args.var not in env.bindings:
         raise ProblemFileError(f"--var {args.var}: no binding given for it")
     x0 = env.bindings[args.var]
-    rest = {k: v for k, v in env.bindings.items() if k != args.var}
     node = parse_expr(args.expr, grid)
-    est = mh_derivative(node, args.var, x0, Env(rest, grid), LimitSchedule(tol=args.tol))
+    est = mh_derivative(node, args.var, x0, env, LimitSchedule(tol=args.tol))
     print("command: derive")
     print(f"expression: {args.expr}  (d/d{args.var})")
     for line in _summary(est.value, "derivative"):
@@ -374,10 +373,7 @@ def run(argv: list[str]) -> int:
     except (ExprSyntaxError, ProblemFileError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FuzzyError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (FuzzyError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

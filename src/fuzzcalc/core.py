@@ -260,7 +260,7 @@ def singleton(value: float, grid: AlphaGrid | None = None) -> FuzzyNumber:
     if grid is None:
         grid = AlphaGrid.uniform()
     flat = np.full(len(grid), float(value))
-    return FuzzyNumber(grid, flat, flat.copy())
+    return FuzzyNumber(grid, flat, flat)
 
 
 def from_alpha_grid(lower, upper, grid: AlphaGrid) -> FuzzyNumber:
@@ -269,16 +269,14 @@ def from_alpha_grid(lower, upper, grid: AlphaGrid) -> FuzzyNumber:
     Raises Crossed when lower > upper at some level (equality is fine) and
     NotNested when either envelope is not monotone in alpha.
     """
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if lo.shape != grid.levels.shape or hi.shape != grid.levels.shape:
-        raise ValueError("envelope arrays must match the grid resolution")
-    if np.any(lo > hi):
-        k = int(np.argmax(lo > hi))
+    out = FuzzyNumber(grid, lower, upper)
+    crossed = out.lower > out.upper
+    if np.any(crossed):
+        k = int(np.argmax(crossed))
         raise Crossed(f"lower exceeds upper at alpha={grid.levels[k]:.6g}")
-    if not _nested(lo, hi):
+    if not _nested(out.lower, out.upper):
         raise NotNested("alpha-cuts must shrink as alpha grows")
-    return FuzzyNumber(grid, lo, hi)
+    return out
 
 
 def resample(a: FuzzyNumber, grid: AlphaGrid) -> FuzzyNumber:

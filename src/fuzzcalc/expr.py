@@ -124,16 +124,30 @@ class Cos(Expr):
 
 
 class Env:
-    """Variable bindings for evaluation; every number on one shared grid."""
+    """Variable bindings for evaluation, each checked once, when bound, to be
+    proper and on the one shared grid: ``grid`` if given, else the first
+    binding's."""
 
     def __init__(self, bindings=None, grid: AlphaGrid | None = None):
-        self.bindings: dict[str, FuzzyNumber] = dict(bindings or {})
+        self.bindings: dict[str, FuzzyNumber] = {}
         self.grid = grid
+        for name, value in (bindings or {}).items():
+            self._bind(name, value)
+
+    def _bind(self, name: str, value: FuzzyNumber) -> None:
+        if self.grid is None:
+            self.grid = value.grid
+        elif value.grid != self.grid:
+            raise GridMismatch(f"binding for {name!r} sampled on a different grid")
+        if not value.proper:
+            raise ImproperOperand(f"binding for {name!r} is improper")
+        self.bindings[name] = value
 
     def with_binding(self, name: str, value: FuzzyNumber) -> "Env":
-        merged = dict(self.bindings)
-        merged[name] = value
-        return Env(merged, self.grid)
+        env = Env(grid=self.grid)
+        env.bindings.update(self.bindings)  # already checked
+        env._bind(name, value)
+        return env
 
 
 # -- parsing -------------------------------------------------------------------
@@ -318,14 +332,12 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 def evaluate(e: Expr, env: Env | None = None) -> FuzzyNumber:
     """Evaluate level-wise over the environment's grid.
 
-    The grid is taken from the environment, else from the first bound
-    number, else from a fuzzy constant in the tree, else the default grid.
-    Mixing grids raises GridMismatch (resample explicitly).
+    The grid is the environment's, else a fuzzy constant's in the tree,
+    else the default grid.  Mixing grids raises GridMismatch (resample
+    explicitly).
     """
     env = env if env is not None else Env()
     grid = env.grid
-    if grid is None and env.bindings:
-        grid = next(iter(env.bindings.values())).grid
     if grid is None:
         grid = _find_const_grid(e)
     if grid is None:
@@ -344,14 +356,9 @@ def _ev(e: Expr, bindings: dict, grid: AlphaGrid) -> FuzzyNumber:
         return e.value
     if isinstance(e, Var):
         try:
-            v = bindings[e.name]
+            return bindings[e.name]
         except KeyError:
             raise UnboundVariable(f"variable {e.name!r} is not bound") from None
-        if v.grid != grid:
-            raise GridMismatch(f"binding for {e.name!r} sampled on a different grid")
-        if not v.proper:
-            raise ImproperOperand(f"binding for {e.name!r} is improper")
-        return v
     if isinstance(e, Add):
         return add(_ev(e.left, bindings, grid), _ev(e.right, bindings, grid))
     if isinstance(e, GhSub):

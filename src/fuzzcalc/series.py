@@ -119,10 +119,6 @@ class FuzzyPowerSeries:
     def is_rule(self) -> bool:
         return isinstance(self.coeffs, CoefficientRule)
 
-    @property
-    def max_index(self) -> int | None:
-        return None if self.is_rule else len(self.coeffs) - 1
-
     def coefficient(self, n: int) -> FuzzyNumber:
         if self.is_rule:
             return self.coeffs.value(n, self.center.grid)
@@ -185,8 +181,7 @@ class RadiusResult:
 
 def infinite_radius(grid: AlphaGrid) -> FuzzyNumber:
     """Distinguished marker: both envelopes +inf at every level."""
-    arr = np.full(len(grid), np.inf)
-    return FuzzyNumber(grid, arr, arr.copy())
+    return singleton(np.inf, grid)
 
 
 def _backward_quartet(s: FuzzyPowerSeries, n: int) -> np.ndarray:

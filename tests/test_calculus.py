@@ -32,6 +32,7 @@ def test_square_matches_closed_form():
     assert est.gap <= TOL
     assert np.allclose(est.value.lower, 2 * (1 + al), atol=1e-6)
     assert np.allclose(est.value.upper, 2 * (3 - al), atol=1e-6)
+    assert hausdorff_distance(est.value, est.left_value) <= est.gap
 
 
 def test_cubic_monomial_matches_closed_form():

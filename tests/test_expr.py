@@ -8,6 +8,7 @@ import pytest
 from fuzzcalc.core import (
     AlphaGrid,
     approx_equal,
+    gh_difference,
     hausdorff_distance,
     make_triangular,
     mul,
@@ -18,6 +19,7 @@ from fuzzcalc.errors import (
     DivisorStraddlesZero,
     ExprSyntaxError,
     GridMismatch,
+    ImproperOperand,
     UnboundVariable,
     UnknownFunction,
 )
@@ -160,6 +162,13 @@ def test_eval_errors():
             parse_expr("T(1,2,3) + x", GRID),
             Env({"x": tri(0, 1, 2, AlphaGrid.uniform(11))}),
         )
+    # bindings are checked when bound, whether or not the tree reads them
+    with pytest.raises(ImproperOperand):
+        Env({"x": tri(0, 1, 2), "z": gh_difference(tri(0, 1, 1), tri(0, 0.5, 2))})
+    with pytest.raises(GridMismatch):
+        Env({"x": tri(0, 1, 2), "z": tri(0, 1, 2, AlphaGrid.uniform(11))})
+    with pytest.raises(GridMismatch):
+        Env(grid=AlphaGrid.uniform(11)).with_binding("z", tri(0, 1, 2))
 
 
 def test_eval_crisp_expression_without_bindings():
