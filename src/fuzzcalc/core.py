@@ -68,6 +68,8 @@ class AlphaGrid:
         return int(self.levels.size)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, AlphaGrid):
             return NotImplemented
         return self.levels.shape == other.levels.shape and bool(

@@ -17,12 +17,25 @@ Evaluation is level-wise: the arithmetic nodes delegate to the interval
 operations in :mod:`fuzzcalc.core`, and exp/sin/cos produce the exact range
 of the function over each alpha-cut (sin and cos account for interior
 critical points, not just endpoint values).
+
+Nodes are hashable and compare structurally, with bit-exact leaves: a crisp
+constant compares by its float's bits (``0.0 != -0.0``) and a fuzzy
+constant by its grid, envelope bytes and properness.  Equal nodes therefore
+evaluate to bitwise-identical results, so ``evaluate`` evaluates equal
+subtrees once per call and ``differentiate`` differentiates them once per
+call, returning a DAG in which they share one derivative.  Repeated
+derivatives stay small this way: the expanded tree of the k-th derivative
+of ``sin(x)*exp(x)`` doubles with k, its distinct subtrees grow about
+quadratically.  The walk that finds the distinct subtrees is done once per
+root node and cached on it, so a tree evaluated many times (as by
+``mh_derivative`` or ``solve``) is walked once.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,51 +62,83 @@ from .errors import (
 
 
 class Expr:
-    """Immutable expression node; subclasses compare structurally."""
+    """Immutable expression node; subclasses compare structurally, leaves
+    bit-exactly (see the module docstring)."""
 
     __slots__ = ()
 
+    def _key(self) -> tuple:
+        # what equality compares; leaves override it with bit-exact keys
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
-@dataclass(frozen=True)
+    def __post_init__(self):
+        # cached at birth, when the children's hashes are cached already;
+        # computed on demand it would recurse down the whole tree
+        self.__dict__["_hash"] = hash((type(self), self._key()))
+
+    def __hash__(self) -> int:
+        return self.__dict__["_hash"]
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return hash(self) == hash(other) and self._key() == other._key()
+
+    def __reduce__(self):
+        # rebuilt from its fields through the constructor: the cached hash is
+        # only valid in the process that computed it (str hashes are salted)
+        return type(self), Expr._key(self)
+
+
+@dataclass(frozen=True, eq=False)
 class CrispConst(Expr):
     value: float
 
+    def _key(self) -> tuple:
+        return (struct.pack("d", self.value),)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class FuzzyConst(Expr):
     value: FuzzyNumber
 
+    def _key(self) -> tuple:
+        v = self.value
+        return (v.grid.levels.tobytes(), v.lower.tobytes(), v.upper.tobytes(), v.proper)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GhSub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowInt(Expr):
     base: Expr
     exponent: int
@@ -101,24 +146,25 @@ class PowInt(Expr):
     def __post_init__(self):
         if self.exponent < 0 or int(self.exponent) != self.exponent:
             raise ValueError("power exponent must be a nonnegative integer")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exp(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sin(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cos(Expr):
     operand: Expr
 
@@ -309,16 +355,6 @@ def _sin_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out_lo, out_hi
 
 
-def _find_const_grid(e: Expr) -> AlphaGrid | None:
-    if isinstance(e, FuzzyConst):
-        return e.value.grid
-    for child in _children(e):
-        found = _find_const_grid(child)
-        if found is not None:
-            return found
-    return None
-
-
 def _children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, (Add, GhSub, Mul, Div)):
         return (e.left, e.right)
@@ -329,23 +365,79 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
+def _plan(root: Expr) -> tuple[list[Expr], list[list[Expr]], AlphaGrid | None]:
+    """The hash-consed form of the DAG under ``root``, computed once per
+    root node and cached on it (it depends on the structure alone).
+
+    Returns the distinct subtrees, each as one node whose children are again
+    such nodes, in evaluation order: children first, left to right, each
+    where a walk of the expanded tree first completes it, so the root comes
+    last.  Next, for each of them, the children it reads for the last time.
+    Last, the grid of the first fuzzy constant in depth-first order.  Each
+    node object is walked once, and since children are shared first, equal
+    nodes compare without descending into them.
+    """
+    cached = root.__dict__.get("_plan") if isinstance(root, Expr) else None
+    if cached is not None:
+        return cached
+    distinct: dict[Expr, Expr] = {}
+    canon: dict[int, Expr | None] = {}  # id of each node reached -> its distinct node
+    order: list[Expr] = []
+    const_grid = None
+    stack = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if children_done:
+            fields = Expr._key(node)
+            shared = tuple(canon[id(f)] if isinstance(f, Expr) else f for f in fields)
+            if any(s is not f for s, f in zip(shared, fields)):
+                shared_node = type(node)(*shared)
+            else:
+                shared_node = node
+            canon[id(node)] = unique = distinct.setdefault(shared_node, shared_node)
+            if unique is shared_node:
+                order.append(unique)
+        elif id(node) not in canon:
+            if not isinstance(node, Expr):
+                raise TypeError(f"not an expression node: {node!r}")
+            canon[id(node)] = None
+            if const_grid is None and isinstance(node, FuzzyConst):
+                const_grid = node.value.grid
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+    last_reader = {child: i for i, node in enumerate(order) for child in _children(node)}
+    last_reads: list[list[Expr]] = [[] for _ in order]
+    for child, i in last_reader.items():
+        last_reads[i].append(child)
+    plan = root.__dict__["_plan"] = (order, last_reads, const_grid)
+    return plan
+
+
 def evaluate(e: Expr, env: Env | None = None) -> FuzzyNumber:
     """Evaluate level-wise over the environment's grid.
 
     The grid is the environment's, else a fuzzy constant's in the tree,
     else the default grid.  Mixing grids raises GridMismatch (resample
-    explicitly).
+    explicitly).  Each distinct subtree is evaluated once, in the order a
+    left-to-right walk of the expanded tree would first complete it, and
+    its value is dropped after its last use.
     """
     env = env if env is not None else Env()
-    grid = env.grid
-    if grid is None:
-        grid = _find_const_grid(e)
+    order, last_reads, grid = _plan(e)
+    if env.grid is not None:
+        grid = env.grid
     if grid is None:
         grid = AlphaGrid.uniform()
-    return _ev(e, env.bindings, grid)
+    values: dict[Expr, FuzzyNumber] = {}
+    for node, done in zip(order, last_reads):
+        values[node] = _ev(node, values.__getitem__, env.bindings, grid)
+        for child in done:
+            del values[child]
+    return values[order[-1]]
 
 
-def _ev(e: Expr, bindings: dict, grid: AlphaGrid) -> FuzzyNumber:
+def _ev(e: Expr, value, bindings: dict, grid: AlphaGrid) -> FuzzyNumber:
+    """The value of one node; ``value(child)`` gives a child's."""
     if isinstance(e, CrispConst):
         return singleton(e.value, grid)
     if isinstance(e, FuzzyConst):
@@ -360,19 +452,19 @@ def _ev(e: Expr, bindings: dict, grid: AlphaGrid) -> FuzzyNumber:
         except KeyError:
             raise UnboundVariable(f"variable {e.name!r} is not bound") from None
     if isinstance(e, Add):
-        return add(_ev(e.left, bindings, grid), _ev(e.right, bindings, grid))
+        return add(value(e.left), value(e.right))
     if isinstance(e, GhSub):
-        return gh_difference(_ev(e.left, bindings, grid), _ev(e.right, bindings, grid))
+        return gh_difference(value(e.left), value(e.right))
     if isinstance(e, Mul):
-        return mul(_ev(e.left, bindings, grid), _ev(e.right, bindings, grid))
+        return mul(value(e.left), value(e.right))
     if isinstance(e, Div):
-        return div(_ev(e.left, bindings, grid), _ev(e.right, bindings, grid))
+        return div(value(e.left), value(e.right))
     if isinstance(e, PowInt):
-        return pow_int(_ev(e.base, bindings, grid), e.exponent)
+        return pow_int(value(e.base), e.exponent)
     if isinstance(e, Neg):
-        return scalar_mul(-1.0, _ev(e.operand, bindings, grid))
+        return scalar_mul(-1.0, value(e.operand))
     if isinstance(e, (Exp, Sin, Cos)):
-        v = _ev(e.operand, bindings, grid)
+        v = value(e.operand)
         if not v.proper:
             raise ImproperOperand("function argument is improper")
         if isinstance(e, Exp):
@@ -452,48 +544,48 @@ def _fneg(u: Expr) -> Expr:
 
 def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic derivative with the crisp sum/product/chain rules applied
-    formally; the power rule is d(u^n) = n*u^(n-1)*du."""
+    formally; the power rule is d(u^n) = n*u^(n-1)*du.  Equal subtrees are
+    differentiated once and share one derivative node."""
+    derivatives: dict[Expr, Expr] = {}
+    order = _plan(e)[0]
+    for node in order:
+        derivatives[node] = _derivative(node, var, derivatives.__getitem__)
+    return derivatives[order[-1]]
+
+
+def _derivative(e: Expr, var: str, d) -> Expr:
+    """The derivative of one node; ``d(child)`` gives a child's."""
     if isinstance(e, (CrispConst, FuzzyConst)):
         return CrispConst(0.0)
     if isinstance(e, Var):
         return CrispConst(1.0 if e.name == var else 0.0)
     if isinstance(e, Add):
-        return _fadd(differentiate(e.left, var), differentiate(e.right, var))
+        return _fadd(d(e.left), d(e.right))
     if isinstance(e, GhSub):
-        return _fsub(differentiate(e.left, var), differentiate(e.right, var))
+        return _fsub(d(e.left), d(e.right))
     if isinstance(e, Mul):
-        dl = differentiate(e.left, var)
-        dr = differentiate(e.right, var)
-        return _fadd(_fmul(dl, e.right), _fmul(e.left, dr))
+        return _fadd(_fmul(d(e.left), e.right), _fmul(e.left, d(e.right)))
     if isinstance(e, Div):
-        dl = differentiate(e.left, var)
-        dr = differentiate(e.right, var)
-        num = _fsub(_fmul(dl, e.right), _fmul(e.left, dr))
+        num = _fsub(_fmul(d(e.left), e.right), _fmul(e.left, d(e.right)))
         return _fdiv(num, _fpow(e.right, 2))
     if isinstance(e, PowInt):
-        du = differentiate(e.base, var)
         if e.exponent == 0:
             return CrispConst(0.0)
         rule = _fmul(CrispConst(float(e.exponent)), _fpow(e.base, e.exponent - 1))
-        return _fmul(rule, du)
+        return _fmul(rule, d(e.base))
     if isinstance(e, Neg):
-        return _fneg(differentiate(e.operand, var))
+        return _fneg(d(e.operand))
     if isinstance(e, Exp):
-        return _fmul(Exp(e.operand), differentiate(e.operand, var))
+        return _fmul(e, d(e.operand))
     if isinstance(e, Sin):
-        return _fmul(Cos(e.operand), differentiate(e.operand, var))
+        return _fmul(Cos(e.operand), d(e.operand))
     if isinstance(e, Cos):
-        return _fneg(_fmul(Sin(e.operand), differentiate(e.operand, var)))
+        return _fneg(_fmul(Sin(e.operand), d(e.operand)))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def free_variables(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    out: set[str] = set()
-    for child in _children(e):
-        out |= free_variables(child)
-    return out
+    return {node.name for node in _plan(e)[0] if isinstance(node, Var)}
 
 
 def to_text(e: Expr) -> str:

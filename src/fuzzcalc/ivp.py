@@ -7,8 +7,9 @@ Solves y' = F(x, y) with fuzzy initial point, initial value, and step:
 
 where D_1 = F and D_(k+1) = dD_k/dx (+) dD_k/dy (x) F is the symbolic
 total-derivative tower, built with the expression-level derivative rules.
-The order is capped at 4: the towers grow combinatorially and nothing in
-the method needs more.
+The order is capped at 4, the highest order the tests check.  The tower is
+a DAG of shared subexpressions (see :mod:`fuzzcalc.expr`), so its size is
+not what sets the cap.
 
 Multi-step mode compounds the fuzzy step into x (x <- x (+) h), so the
 x-uncertainty accumulates step over step; single-step is the default.

@@ -1,12 +1,21 @@
 """Expression parsing, range evaluation, and symbolic differentiation."""
 
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fuzzcalc
+import fuzzcalc.expr
 from fuzzcalc.core import (
     AlphaGrid,
+    FuzzyNumber,
+    add,
     approx_equal,
     gh_difference,
     hausdorff_distance,
@@ -30,6 +39,7 @@ from fuzzcalc.expr import (
     Div,
     Env,
     Exp,
+    Expr,
     FuzzyConst,
     GhSub,
     Mul,
@@ -105,6 +115,34 @@ def test_to_text_round_trips():
 
 def test_free_variables():
     assert free_variables(parse_expr("x^2 + y*z - exp(w)")) == {"x", "y", "z", "w"}
+
+
+def test_nodes_hash_structurally_with_bit_exact_leaves():
+    assert hash(parse_expr("T(1,2,3)*x", GRID)) == hash(parse_expr("T(1,2,3)*x", GRID))
+    assert parse_expr("T(1,2,3)*x", GRID) == parse_expr("T(1,2,3)*x", GRID)
+    # leaves that can evaluate to different bits are different nodes
+    assert CrispConst(0.0) != CrispConst(-0.0)
+    assert differentiate(parse_expr("cos(x)"), "y") != CrispConst(0.0)  # it is -0.0
+    assert parse_expr("T(1,2,3)", GRID) != parse_expr("T(1,2,3)", AlphaGrid.uniform(11))
+    improper = gh_difference(tri(0, 1, 1), tri(0, 0.5, 2))
+    assert not improper.proper
+    as_proper = FuzzyNumber(GRID, improper.lower, improper.upper)
+    assert FuzzyConst(improper) != FuzzyConst(as_proper)
+    assert Add(Var("x"), Var("y")) != Mul(Var("x"), Var("y"))
+
+
+def test_nodes_unpickle_with_another_hash_seed():
+    # the cached hash is per process (str hashes are salted), so a node
+    # pickled elsewhere must still equal and hash like a node built here
+    src = os.path.dirname(os.path.dirname(fuzzcalc.__file__))
+    code = "import pickle, sys; from fuzzcalc.expr import parse_expr; " \
+        "sys.stdout.write(pickle.dumps(parse_expr('sin(x)*y + x')).hex())"
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                         timeout=60, check=True, text=True).stdout
+    node = pickle.loads(bytes.fromhex(out))
+    assert node == parse_expr("sin(x)*y + x")
+    assert hash(node) == hash(parse_expr("sin(x)*y + x"))
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -199,6 +237,43 @@ def test_eval_improper_at_root_is_returned_not_raised():
         evaluate(parse_expr("(x - y) + x"), env)
 
 
+def _counting_mul(monkeypatch) -> list[int]:
+    calls = [0]
+    real = fuzzcalc.expr.mul
+
+    def counting(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(fuzzcalc.expr, "mul", counting)
+    return calls
+
+
+def test_eval_evaluates_equal_subtrees_once(monkeypatch):
+    u = "(sin(x)*exp(x))"
+    expr = parse_expr(f"{u}*{u} + {u}*{u}")
+    x = tri(0.2, 0.4, 0.5)
+    uu = evaluate(parse_expr(f"{u}*{u}"), Env({"x": x}))
+    calls = _counting_mul(monkeypatch)
+    out = evaluate(expr, Env({"x": x}))
+    assert calls[0] == 2
+    expect = add(uu, uu)
+    assert out.lower.tobytes() == expect.lower.tobytes()
+    assert out.upper.tobytes() == expect.upper.tobytes()
+
+
+def test_eval_keeps_signed_zero_leaves_apart():
+    # were CrispConst(-0.0) and CrispConst(0.0) one node, the right operand
+    # would be evaluated as the left and the sum's upper[0] would be -0.0;
+    # the expected bytes are those of the unshared evaluation
+    grid = AlphaGrid.uniform(3)
+    x = Var("x")
+    expr = Add(GhSub(CrispConst(-0.0), x), GhSub(CrispConst(0.0), x))
+    out = evaluate(expr, Env({"x": tri(0, 1, 2, grid)}))
+    assert out.lower.tobytes() == np.array([-4.0, -3.0, -2.0]).tobytes()
+    assert out.upper.tobytes() == np.array([0.0, -1.0, -2.0]).tobytes()
+
+
 def test_eval_monotone_inclusion():
     # wider inputs produce enclosing outputs for gH-free expressions
     expr = parse_expr("x^2 + exp(x)*cos(x)")
@@ -260,3 +335,32 @@ def test_second_derivative_of_cubic():
     d2 = differentiate(d1, "x")
     out = evaluate(d2, Env({"x": singleton(2.0, GRID)}))
     assert out.core.midpoint == pytest.approx(12.0)
+
+
+def _distinct_nodes(root) -> set:
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            children = (getattr(node, f.name) for f in dataclasses.fields(node))
+            stack.extend(c for c in children if isinstance(c, Expr))
+    return seen
+
+
+def test_repeated_derivative_work_is_bounded_by_distinct_nodes(monkeypatch):
+    # the 20th derivative of sin(x)*exp(x) is about 11 million nodes as a
+    # tree but a few hundred distinct ones; each distinct product is
+    # evaluated once
+    grid = AlphaGrid.uniform(11)
+    node = parse_expr("sin(x)*exp(x)")
+    for _ in range(20):
+        node = differentiate(node, "x")
+    distinct = _distinct_nodes(node)
+    assert len(distinct) <= 300
+    assert free_variables(node) == {"x"}
+    calls = _counting_mul(monkeypatch)
+    out = evaluate(node, Env({"x": tri(0.1, 0.2, 0.3, grid)}))
+    assert calls[0] == sum(isinstance(n, Mul) for n in distinct)
+    # the alpha = 1 core is the crisp 20th derivative, -2^10 * e^x * sin(x)
+    assert out.core.midpoint == pytest.approx(-(2**10) * math.exp(0.2) * math.sin(0.2), rel=1e-9)
