@@ -18,17 +18,16 @@ operations in :mod:`fuzzcalc.core`, and exp/sin/cos produce the exact range
 of the function over each alpha-cut (sin and cos account for interior
 critical points, not just endpoint values).
 
-Nodes are hashable and compare structurally, with bit-exact leaves: a crisp
-constant compares by its float's bits (``0.0 != -0.0``) and a fuzzy
-constant by its grid, envelope bytes and properness.  Equal nodes therefore
-evaluate to bitwise-identical results, so ``evaluate`` evaluates equal
-subtrees once per call and ``differentiate`` differentiates them once per
-call, returning a DAG in which they share one derivative.  Repeated
-derivatives stay small this way: the expanded tree of the k-th derivative
-of ``sin(x)*exp(x)`` doubles with k, its distinct subtrees grow about
-quadratically.  The walk that finds the distinct subtrees is done once per
-root node and cached on it, so a tree evaluated many times (as by
-``mh_derivative`` or ``solve``) is walked once.
+Nodes are interned when built, so equal nodes are one object and compare
+and hash by identity.  Leaves are equal bit-exactly: a crisp constant by its
+float's bits (``0.0`` and ``-0.0`` are two nodes), a fuzzy constant by its
+grid, envelope bytes and properness.  ``evaluate`` and ``differentiate``
+handle each distinct node once per call, and ``differentiate`` returns a DAG
+in which equal subtrees share one derivative: the expanded tree of the k-th
+derivative of ``sin(x)*exp(x)`` doubles with k, its distinct nodes grow
+about quadratically.  The distinct nodes are listed once per root node and
+cached on it, so a tree evaluated many times (as by ``mh_derivative`` or
+``solve``) is walked once.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,109 +62,115 @@ from .errors import (
 
 
 class Expr:
-    """Immutable expression node; subclasses compare structurally, leaves
-    bit-exactly (see the module docstring)."""
+    """Immutable expression node, interned when built (see the module
+    docstring).  Construction is a lookup then an insert, with no lock: two
+    threads racing to build one node can leave two equal nodes that compare
+    unequal, which loses sharing but never changes a value."""
 
     __slots__ = ()
 
-    def _key(self) -> tuple:
-        # what equality compares; leaves override it with bit-exact keys
-        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+    def __new__(cls, *fields):
+        names = cls.__dataclass_fields__
+        if len(fields) != len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} positional fields")
+        key = cls._intern_key(*fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            node.__dict__.update(zip(names, fields))
+        return node
 
-    def __post_init__(self):
-        # cached at birth, when the children's hashes are cached already;
-        # computed on demand it would recurse down the whole tree
-        self.__dict__["_hash"] = hash((type(self), self._key()))
-
-    def __hash__(self) -> int:
-        return self.__dict__["_hash"]
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return hash(self) == hash(other) and self._key() == other._key()
+    @classmethod
+    def _intern_key(cls, *fields) -> tuple:
+        # children by id: the entry's live node holds them, so the ids stay
+        # theirs; keys holding the children would free a dropped DAG a layer
+        # per gc.collect()
+        return (cls, *(id(f) if isinstance(f, Expr) else f for f in fields))
 
     def __reduce__(self):
-        # rebuilt from its fields through the constructor: the cached hash is
-        # only valid in the process that computed it (str hashes are salted)
-        return type(self), Expr._key(self)
+        # through the constructor, so an unpickled node is the interned one
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
 
-@dataclass(frozen=True, eq=False)
+# every live node, by the key of its class's _intern_key
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CrispConst(Expr):
     value: float
 
-    def _key(self) -> tuple:
-        return (struct.pack("d", self.value),)
+    @classmethod
+    def _intern_key(cls, value) -> tuple:
+        return (cls, struct.pack("d", value))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FuzzyConst(Expr):
     value: FuzzyNumber
 
-    def _key(self) -> tuple:
-        v = self.value
-        return (v.grid.levels.tobytes(), v.lower.tobytes(), v.upper.tobytes(), v.proper)
+    @classmethod
+    def _intern_key(cls, v) -> tuple:
+        return (cls, v.grid.levels.tobytes(), v.lower.tobytes(), v.upper.tobytes(), v.proper)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GhSub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PowInt(Expr):
     base: Expr
     exponent: int
 
-    def __post_init__(self):
-        if self.exponent < 0 or int(self.exponent) != self.exponent:
+    @classmethod
+    def _intern_key(cls, base, exponent) -> tuple:
+        if exponent < 0 or int(exponent) != exponent:
             raise ValueError("power exponent must be a nonnegative integer")
-        super().__post_init__()
+        return super()._intern_key(base, exponent)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Exp(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Sin(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Cos(Expr):
     operand: Expr
 
@@ -206,6 +212,9 @@ _TOKEN = re.compile(
 
 _FUNCTIONS = {"exp": Exp, "sin": Sin, "cos": Cos}
 
+# nesting levels (parentheses, calls, unary minus) the recursive parser takes
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     out = []
@@ -226,6 +235,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.grid = grid
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -263,10 +273,17 @@ class _Parser:
         return node
 
     def factor(self) -> Expr:
+        # every nesting level passes through here
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExprSyntaxError("expression nested too deeply", self.peek()[2])
         if self.at_op("-"):
             self.take()
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -366,41 +383,31 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 
 
 def _plan(root: Expr) -> tuple[list[Expr], list[list[Expr]], AlphaGrid | None]:
-    """The hash-consed form of the DAG under ``root``, computed once per
-    root node and cached on it (it depends on the structure alone).
+    """The DAG under ``root``, computed once per root node and cached on it
+    (it depends on the structure alone).
 
-    Returns the distinct subtrees, each as one node whose children are again
-    such nodes, in evaluation order: children first, left to right, each
-    where a walk of the expanded tree first completes it, so the root comes
-    last.  Next, for each of them, the children it reads for the last time.
-    Last, the grid of the first fuzzy constant in depth-first order.  Each
-    node object is walked once, and since children are shared first, equal
-    nodes compare without descending into them.
+    Returns the distinct nodes in evaluation order: children first, left to
+    right, each where a walk of the expanded tree first completes it, so the
+    root comes last.  Next, for each of them, the children it reads for the
+    last time.  Last, the grid of the first fuzzy constant in depth-first
+    order.  Equal nodes are one object (nodes are interned when built), so
+    the walk visits each node object once.
     """
     cached = root.__dict__.get("_plan") if isinstance(root, Expr) else None
     if cached is not None:
         return cached
-    distinct: dict[Expr, Expr] = {}
-    canon: dict[int, Expr | None] = {}  # id of each node reached -> its distinct node
+    seen: set[int] = set()
     order: list[Expr] = []
     const_grid = None
     stack = [(root, False)]
     while stack:
         node, children_done = stack.pop()
         if children_done:
-            fields = Expr._key(node)
-            shared = tuple(canon[id(f)] if isinstance(f, Expr) else f for f in fields)
-            if any(s is not f for s, f in zip(shared, fields)):
-                shared_node = type(node)(*shared)
-            else:
-                shared_node = node
-            canon[id(node)] = unique = distinct.setdefault(shared_node, shared_node)
-            if unique is shared_node:
-                order.append(unique)
-        elif id(node) not in canon:
+            order.append(node)
+        elif id(node) not in seen:
             if not isinstance(node, Expr):
                 raise TypeError(f"not an expression node: {node!r}")
-            canon[id(node)] = None
+            seen.add(id(node))
             if const_grid is None and isinstance(node, FuzzyConst):
                 const_grid = node.value.grid
             stack.append((node, True))
@@ -588,51 +595,43 @@ def free_variables(e: Expr) -> set[str]:
     return {node.name for node in _plan(e)[0] if isinstance(node, Var)}
 
 
+# each binary operator's text and precedence, and each function's name
+_BINARY_TEXT = {Add: (" + ", 1), GhSub: (" - ", 1), Mul: ("*", 2), Div: ("/", 2)}
+_FUNCTION_NAMES = {cls: name for name, cls in _FUNCTIONS.items()}
+
+
 def to_text(e: Expr) -> str:
     """Render back into the input grammar (used for display only)."""
-
-    def prec(node: Expr) -> int:
-        if isinstance(node, (Add, GhSub)):
-            return 1
-        if isinstance(node, (Mul, Div)):
-            return 2
-        if isinstance(node, Neg):
-            return 3
-        if isinstance(node, PowInt):
-            return 4
-        return 5
+    rendered: dict[Expr, tuple[str, int]] = {}
 
     def wrap(child: Expr, parent_prec: int) -> str:
-        text = go(child)
-        return f"({text})" if prec(child) < parent_prec else text
+        text, prec = rendered[child]
+        return f"({text})" if prec < parent_prec else text
 
-    def go(node: Expr) -> str:
-        if isinstance(node, CrispConst):
-            v = node.value
-            return str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
-        if isinstance(node, FuzzyConst):
-            s, c = node.value.support, node.value.core
-            return f"T({s.lo:g},{c.midpoint:g},{s.hi:g})"
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Add):
-            return f"{wrap(node.left, 1)} + {wrap(node.right, 2)}"
-        if isinstance(node, GhSub):
-            return f"{wrap(node.left, 1)} - {wrap(node.right, 2)}"
-        if isinstance(node, Mul):
-            return f"{wrap(node.left, 2)}*{wrap(node.right, 3)}"
-        if isinstance(node, Div):
-            return f"{wrap(node.left, 2)}/{wrap(node.right, 3)}"
-        if isinstance(node, Neg):
-            return f"-{wrap(node.operand, 3)}"
-        if isinstance(node, PowInt):
-            return f"{wrap(node.base, 5)}^{node.exponent}"
-        if isinstance(node, Exp):
-            return f"exp({go(node.operand)})"
-        if isinstance(node, Sin):
-            return f"sin({go(node.operand)})"
-        if isinstance(node, Cos):
-            return f"cos({go(node.operand)})"
-        raise TypeError(f"not an expression node: {node!r}")
+    order = _plan(e)[0]
+    for node in order:
+        rendered[node] = _render(node, wrap)
+    return rendered[order[-1]][0]
 
-    return go(e)
+
+def _render(e: Expr, wrap) -> tuple[str, int]:
+    """The text of one node and its precedence; ``wrap(child, prec)`` gives
+    a child's text, parenthesised if it binds looser than ``prec``."""
+    if isinstance(e, CrispConst):
+        v = e.value
+        return (str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)), 5
+    if isinstance(e, FuzzyConst):
+        s, c = e.value.support, e.value.core
+        return f"T({s.lo:g},{c.midpoint:g},{s.hi:g})", 5
+    if isinstance(e, Var):
+        return e.name, 5
+    if isinstance(e, (Add, GhSub, Mul, Div)):
+        op, prec = _BINARY_TEXT[type(e)]
+        return f"{wrap(e.left, prec)}{op}{wrap(e.right, prec + 1)}", prec
+    if isinstance(e, Neg):
+        return f"-{wrap(e.operand, 3)}", 3
+    if isinstance(e, PowInt):
+        return f"{wrap(e.base, 5)}^{e.exponent}", 4
+    if isinstance(e, (Exp, Sin, Cos)):
+        return f"{_FUNCTION_NAMES[type(e)]}({wrap(e.operand, 0)})", 5
+    raise TypeError(f"not an expression node: {e!r}")

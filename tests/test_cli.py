@@ -1,11 +1,13 @@
 """CLI surface: subcommands, alpha-cut CSV format, exit codes, parser fuzzing."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fuzzcalc
 from fuzzcalc.cli import read_alpha_csv, run, write_alpha_csv
 from fuzzcalc.core import (
     AlphaGrid,
@@ -209,6 +211,11 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
         bad.write_text(f"rhs = y\nx0 = 0\ny0 = 1\nh = 0.1\n{line}\n")
         assert run(["solve-ivp", "--file", str(bad)]) == 2
         assert "ProblemFileError" in capsys.readouterr().err
+    # nesting past the parser's bound is a usage error, not a RecursionError
+    for text in ("(" * 250 + "x" + ")" * 250, "sin(" * 300 + "x" + ")" * 300, "-" * 1500 + "x"):
+        assert run(["eval", f"--expr={text}", "--bind", "x=T(1,2,3)"]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
 
 
 def test_exit_2_on_bad_binding(capsys):
@@ -231,8 +238,11 @@ def test_parser_fuzz_never_crashes(capsys):
 
 
 def test_module_entry_point_help():
+    # the child process imports the package this test imported
+    src = os.path.dirname(os.path.dirname(fuzzcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "fuzzcalc", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "fuzzcalc", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "solve-ivp" in proc.stdout

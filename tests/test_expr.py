@@ -1,6 +1,7 @@
 """Expression parsing, range evaluation, and symbolic differentiation."""
 
 import dataclasses
+import gc
 import math
 import os
 import pickle
@@ -108,7 +109,8 @@ def test_parse_errors_carry_position():
 
 
 def test_to_text_round_trips():
-    for text in ("x^2 + y^2", "T(1,2,3)*sin(x)", "-x^2", "(x - y)/z", "exp(x)*cos(x)"):
+    long_sum = " + ".join(f"x{i}" for i in range(600))
+    for text in ("x^2 + y^2", "T(1,2,3)*sin(x)", "-x^2", "(x - y)/z", "exp(x)*cos(x)", long_sum):
         node = parse_expr(text, GRID)
         assert parse_expr(to_text(node), GRID) == node
 
@@ -118,10 +120,19 @@ def test_free_variables():
 
 
 def test_nodes_hash_structurally_with_bit_exact_leaves():
-    assert hash(parse_expr("T(1,2,3)*x", GRID)) == hash(parse_expr("T(1,2,3)*x", GRID))
-    assert parse_expr("T(1,2,3)*x", GRID) == parse_expr("T(1,2,3)*x", GRID)
+    # nodes are interned, so equal nodes are one object; both are kept alive,
+    # since a node's hash is its identity's
+    first, second = parse_expr("T(1,2,3)*x", GRID), parse_expr("T(1,2,3)*x", GRID)
+    assert hash(first) == hash(second)
+    assert first == second
+    assert first is second
+    long_sum = " + ".join(f"x{i}" for i in range(400))
+    first, second = parse_expr(long_sum), parse_expr(long_sum)
+    assert first == second
+    assert first is second
     # leaves that can evaluate to different bits are different nodes
     assert CrispConst(0.0) != CrispConst(-0.0)
+    assert CrispConst(0.0) is not CrispConst(-0.0)
     assert differentiate(parse_expr("cos(x)"), "y") != CrispConst(0.0)  # it is -0.0
     assert parse_expr("T(1,2,3)", GRID) != parse_expr("T(1,2,3)", AlphaGrid.uniform(11))
     improper = gh_difference(tri(0, 1, 1), tri(0, 0.5, 2))
@@ -132,8 +143,8 @@ def test_nodes_hash_structurally_with_bit_exact_leaves():
 
 
 def test_nodes_unpickle_with_another_hash_seed():
-    # the cached hash is per process (str hashes are salted), so a node
-    # pickled elsewhere must still equal and hash like a node built here
+    # str hashes are salted per process, so a node pickled elsewhere must
+    # still unpickle as the node built here
     src = os.path.dirname(os.path.dirname(fuzzcalc.__file__))
     code = "import pickle, sys; from fuzzcalc.expr import parse_expr; " \
         "sys.stdout.write(pickle.dumps(parse_expr('sin(x)*y + x')).hex())"
@@ -142,6 +153,7 @@ def test_nodes_unpickle_with_another_hash_seed():
                          timeout=60, check=True, text=True).stdout
     node = pickle.loads(bytes.fromhex(out))
     assert node == parse_expr("sin(x)*y + x")
+    assert node is parse_expr("sin(x)*y + x")
     assert hash(node) == hash(parse_expr("sin(x)*y + x"))
 
 
@@ -364,3 +376,19 @@ def test_repeated_derivative_work_is_bounded_by_distinct_nodes(monkeypatch):
     assert calls[0] == sum(isinstance(n, Mul) for n in distinct)
     # the alpha = 1 core is the crisp 20th derivative, -2^10 * e^x * sin(x)
     assert out.core.midpoint == pytest.approx(-(2**10) * math.exp(0.2) * math.sin(0.2), rel=1e-9)
+
+
+def test_dropped_derivative_leaves_the_intern_table_in_one_collection():
+    # each cached plan makes its root a reference cycle; were nodes interned
+    # under keys holding their children, one collection would free only the
+    # top layer of the DAG
+    gc.collect()
+    before = len(fuzzcalc.expr._NODES)
+    node = parse_expr("sin(x)*exp(x)")
+    for _ in range(20):
+        node = differentiate(node, "x")
+    evaluate(node, Env({"x": tri(0.1, 0.2, 0.3, AlphaGrid.uniform(11))}))
+    assert len(fuzzcalc.expr._NODES) > before + 200
+    del node
+    gc.collect()
+    assert len(fuzzcalc.expr._NODES) == before
