@@ -10,13 +10,25 @@ once per level:
     div:  [a, b] * [min(1/c, 1/d), max(1/c, 1/d)]   (0 outside [c, d])
     gh-difference: [min(a - c, b - d), max(a - c, b - d)]
 
+``mul``, ``scalar_mul`` and the reciprocal in ``div`` choose their kernel
+by sign class (``_sign_class``).  When both operands are strictly positive
+or strictly negative at every level, Moore's case table names the two
+endpoint products that are the bounds, and only those are formed; rounding
+is monotone, so the result equals the four-product (or min/max) result bit
+for bit.  Any other operand, such as one holding a zero of either sign or
+a NaN, takes the general formula.
+
 The gH-difference is the one operation that can break nestedness (alpha-cuts
 must shrink as alpha grows); such results carry ``proper=False`` and every
 other operation rejects them with :class:`ImproperOperand`.
+
+Operation results wrap the arrays they have just computed without a copy
+(``_fresh``); only :class:`FuzzyNumber` called directly copies its inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -214,11 +226,46 @@ class FuzzyNumber:
         return scalar_mul(-1.0, self)
 
 
+def _fresh(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray, proper: bool = True) -> FuzzyNumber:
+    """Wrap envelope arrays that were just computed on ``grid``.
+
+    Unlike ``FuzzyNumber(...)`` this neither copies nor checks shapes, so
+    the arrays must have the grid's shape and be new: nothing else may hold
+    them.  They are marked read-only here.
+    """
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    out = object.__new__(FuzzyNumber)
+    out.grid = grid
+    out.lower = lower
+    out.upper = upper
+    out.proper = proper
+    return out
+
+
 def _order_normalized(grid: AlphaGrid, a: np.ndarray, b: np.ndarray) -> FuzzyNumber:
     """Per-level [min(a, b), max(a, b)]; proper only if the cuts still nest."""
     lower = np.minimum(a, b)
     upper = np.maximum(a, b)
-    return FuzzyNumber(grid, lower, upper, proper=_nested(lower, upper))
+    return _fresh(grid, lower, upper, _nested(lower, upper))
+
+
+def _sign_class(v: FuzzyNumber) -> int:
+    """+1 when every lower and upper value is > 0, -1 when every one is < 0,
+    else 0.
+
+    Read from the whole envelopes, not from the support alone: inner cuts
+    may sit a few ulps outside it (``_NEST_SLACK``).  A zero of either sign
+    gives 0, and so does a NaN: ``argmin`` and ``argmax`` point at the
+    first NaN, and every comparison with it is false.  On short envelopes
+    they cost about a third of ``min`` and ``max``.
+    """
+    lo, hi = v.lower, v.upper
+    if lo[lo.argmin()] > 0.0 and hi[hi.argmin()] > 0.0:
+        return 1
+    if hi[hi.argmax()] < 0.0 and lo[lo.argmax()] < 0.0:
+        return -1
+    return 0
 
 
 # -- guards ------------------------------------------------------------------
@@ -262,7 +309,7 @@ def singleton(value: float, grid: AlphaGrid | None = None) -> FuzzyNumber:
     if grid is None:
         grid = AlphaGrid.uniform()
     flat = np.full(len(grid), float(value))
-    return FuzzyNumber(grid, flat, flat)
+    return _fresh(grid, flat, flat)
 
 
 def from_alpha_grid(lower, upper, grid: AlphaGrid) -> FuzzyNumber:
@@ -300,35 +347,57 @@ def add(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """Level-wise endpoint sums."""
     _require_proper(a, b)
     _require_same_grid(a, b)
-    return FuzzyNumber(a.grid, a.lower + b.lower, a.upper + b.upper)
+    return _fresh(a.grid, a.lower + b.lower, a.upper + b.upper)
 
 
 def scalar_mul(k: float, a: FuzzyNumber) -> FuzzyNumber:
     """Scale by a crisp real; endpoints are order-normalized so a negative
-    factor flips the envelopes instead of producing an inverted interval."""
+    factor flips the envelopes instead of producing an inverted interval.
+
+    A finite nonzero ``k`` on a strictly signed ``a`` skips the min/max:
+    the sign of ``k`` says which product is the lower bound.
+    """
     _require_proper(a)
+    if k != 0.0 and math.isfinite(k) and _sign_class(a):
+        lo, hi = (a.lower, a.upper) if k > 0.0 else (a.upper, a.lower)
+        return _fresh(a.grid, k * lo, k * hi)
     x = k * a.lower
     y = k * a.upper
-    return FuzzyNumber(a.grid, np.minimum(x, y), np.maximum(x, y))
+    return _fresh(a.grid, np.minimum(x, y), np.maximum(x, y))
 
 
 def mul(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
-    """Level-wise interval product (min/max over the four endpoint products)."""
+    """Level-wise interval product (min/max over the four endpoint products).
+
+    The kernel is chosen by sign class: two strictly signed operands need
+    only two of the four products (lower times lower and upper times upper
+    when both are positive), and the result equals the four-product result
+    bit for bit.
+    """
     _require_proper(a, b)
     _require_same_grid(a, b)
+    sa = _sign_class(a)
+    sb = _sign_class(b) if sa else 0
+    if sb:
+        # a negative factor swaps which endpoint of the other one is extreme
+        a_lo, a_hi = (a.lower, a.upper) if sb > 0 else (a.upper, a.lower)
+        b_lo, b_hi = (b.lower, b.upper) if sa > 0 else (b.upper, b.lower)
+        return _fresh(a.grid, a_lo * b_lo, a_hi * b_hi)
     p1 = a.lower * b.lower
     p2 = a.lower * b.upper
     p3 = a.upper * b.lower
     p4 = a.upper * b.upper
     lower = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
     upper = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return FuzzyNumber(a.grid, lower, upper)
+    return _fresh(a.grid, lower, upper)
 
 
 def pow_int(a: FuzzyNumber, n: int) -> FuzzyNumber:
     """Repeated interval multiplication; n = 0 gives the crisp 1.
 
-    For positive-support numbers this reduces to endpoint powers.
+    Each product is a ``mul``, whose kernel is chosen by sign class; the
+    result equals the four-product result bit for bit, and for positive
+    numbers it is the endpoint powers.
     """
     if n < 0 or int(n) != n:
         raise ValueError("exponent must be a nonnegative integer")
@@ -352,9 +421,13 @@ def div(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
         raise DivisorStraddlesZero(
             f"divisor support [{b.lower[0]:.6g}, {b.upper[0]:.6g}] contains zero"
         )
-    r1 = 1.0 / b.lower
-    r2 = 1.0 / b.upper
-    recip = FuzzyNumber(b.grid, np.minimum(r1, r2), np.maximum(r1, r2))
+    if _sign_class(b):
+        # 1/x decreases on each side of zero, so the envelopes swap
+        recip = _fresh(b.grid, 1.0 / b.upper, 1.0 / b.lower)
+    else:
+        r1 = 1.0 / b.lower
+        r2 = 1.0 / b.upper
+        recip = _fresh(b.grid, np.minimum(r1, r2), np.maximum(r1, r2))
     return mul(a, recip)
 
 

@@ -43,6 +43,7 @@ import numpy as np
 from .core import (
     AlphaGrid,
     FuzzyNumber,
+    _fresh,
     add,
     div,
     gh_difference,
@@ -475,12 +476,12 @@ def _ev(e: Expr, value, bindings: dict, grid: AlphaGrid) -> FuzzyNumber:
         if not v.proper:
             raise ImproperOperand("function argument is improper")
         if isinstance(e, Exp):
-            return FuzzyNumber(grid, np.exp(v.lower), np.exp(v.upper))
+            return _fresh(grid, np.exp(v.lower), np.exp(v.upper))
         if isinstance(e, Sin):
             lo, hi = _sin_range(v.lower, v.upper)
         else:  # cos(x) = sin(x + pi/2)
             lo, hi = _sin_range(v.lower + _HALF_PI, v.upper + _HALF_PI)
-        return FuzzyNumber(grid, lo, hi)
+        return _fresh(grid, lo, hi)
     raise TypeError(f"not an expression node: {e!r}")
 
 

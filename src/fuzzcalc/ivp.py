@@ -89,14 +89,12 @@ def _step(
     env = Env({"x": x, "y": y}, x.grid)
     y_next = y
     h_pow = None
-    last = 0.0
     for k, dk in enumerate(derivs, start=1):
         h_pow = problem.h if k == 1 else mul(h_pow, problem.h)
         term = scalar_mul(1.0 / math.factorial(k), mul(h_pow, evaluate(dk, env)))
         y_next = add(y_next, term)
-        last = _magnitude(term)
     x_next = add(x, problem.h)
-    return x_next, y_next, last
+    return x_next, y_next, _magnitude(term)
 
 
 def solve(problem: IvpProblem) -> IvpSolution:

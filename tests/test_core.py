@@ -362,6 +362,86 @@ def test_prop_mul_four_product_oracle(a, b):
     assert np.all(prods <= out.upper + 1e-9)
 
 
+# Envelope pairs (lower, upper) on a 5-level grid, ordered at every level,
+# for the sign-class kernels: strictly positive, strictly negative, and
+# class 0 (zeros of either sign, NaN, straddling, or a support of one sign
+# around an inner cut that leaves it).
+_TINY = 5e-324
+_SIGNED = {
+    "pos": ([1.0, 1.5, 2.0, 2.5, 3.0], [5.0, 4.5, 4.0, 3.5, 3.0]),
+    "pos-subnormal": ([_TINY, 2 * _TINY, 1e-310, 1e-300, 1e-200], [1e-160, 1e-170, 1e-180, 1e-190, 1e-200]),
+    "pos-inf": ([1.0, 1.0, 2.0, 2.0, 3.0], [np.inf, np.inf, 10.0, 5.0, 3.0]),
+    "pos-slack": ([1.0, np.nextafter(1.0, 0.0), 1.5, 2.0, 2.0], [3.0, np.nextafter(3.0, 4.0), 2.5, 2.0, 2.0]),
+}
+_SIGNED.update({
+    "neg" + name[3:]: ([-h for h in hi], [-l for l in lo]) for name, (lo, hi) in list(_SIGNED.items())
+})
+_CLASS_ZERO = {
+    "straddle": ([-1.0, -0.5, 0.0, 0.5, 1.0], [2.0, 1.5, 1.2, 1.1, 1.0]),
+    "zero-lower": ([0.0, 0.5, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 1.5, 1.0]),
+    "negzero-lower": ([-0.0, 0.5, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 1.5, 1.0]),
+    "zero-upper": ([-2.0, -2.0, -1.5, -1.0, -1.0], [0.0, -0.5, -1.0, -1.0, -1.0]),
+    "negzero-upper": ([-2.0, -2.0, -1.5, -1.0, -1.0], [-0.0, -0.5, -1.0, -1.0, -1.0]),
+    "signed-zeros": ([-0.0, -0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0]),
+    "pos-support-inner-zeros": ([1.0, -0.0, 1.0, 1.0, 1.0], [3.0, 0.0, 2.0, 2.0, 1.0]),
+    "pos-support-inner-subnormal": ([1e-300, -_TINY, 1e-300, 1e-300, 1e-300], [1.0, 1.0, 1.0, 1.0, 1.0]),
+    "neg-support-inner-zero": ([-3.0, -2.0, -2.0, -2.0, -1.0], [-1.0, 0.0, -1.0, -1.0, -1.0]),
+    "neg-support-inner-straddle": ([-4.0, -3.0, -2.0, -2.0, -2.0], [-1.0, 2.0, -1.0, -1.0, -1.0]),
+    "pos-nan-lower": ([1.0, np.nan, 2.0, 2.0, 3.0], [5.0, 4.0, 4.0, 3.0, 3.0]),
+    "pos-nan-upper": ([1.0, 1.0, 2.0, 2.0, 3.0], [5.0, np.nan, 4.0, 3.0, 3.0]),
+    "neg-nan-lower": ([-5.0, np.nan, -4.0, -3.0, -3.0], [-1.0, -1.0, -2.0, -2.0, -3.0]),
+    "neg-nan-upper": ([-5.0, -4.0, -4.0, -3.0, -3.0], [-1.0, np.nan, -2.0, -2.0, -3.0]),
+    "real-line": ([-np.inf, -np.inf, -1.0, 0.0, 0.0], [np.inf, np.inf, 1.0, 0.0, 0.0]),
+}
+_GRID5 = AlphaGrid.uniform(5)
+_OPERANDS = {name: FuzzyNumber(_GRID5, lo, hi) for name, (lo, hi) in {**_SIGNED, **_CLASS_ZERO}.items()}
+
+
+def _four_product(a_lo, a_hi, b_lo, b_hi):
+    # the general formula, in the order core evaluates it
+    p1, p2, p3, p4 = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi
+    return (np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
+            np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
+
+
+def _same_bytes(out, lower, upper):
+    return out.lower.tobytes() == lower.tobytes() and out.upper.tobytes() == upper.tobytes()
+
+
+@pytest.mark.parametrize("a_name", sorted(_OPERANDS))
+def test_sign_class_kernels_match_min_max_formulas_bitwise(a_name):
+    a = _OPERANDS[a_name]
+    with np.errstate(all="ignore"):
+        for b_name, b in _OPERANDS.items():
+            assert _same_bytes(mul(a, b), *_four_product(a.lower, a.upper, b.lower, b.upper)), b_name
+            if b.lower[0] <= 0.0 <= b.upper[0]:
+                with pytest.raises(DivisorStraddlesZero):
+                    div(a, b)
+                continue
+            r1, r2 = 1.0 / b.lower, 1.0 / b.upper
+            want = _four_product(a.lower, a.upper, np.minimum(r1, r2), np.maximum(r1, r2))
+            assert _same_bytes(div(a, b), *want), b_name
+        for k in (2.5, -2.5, 0.0, -0.0, np.inf, -np.inf):
+            x, y = k * a.lower, k * a.upper
+            assert _same_bytes(scalar_mul(k, a), np.minimum(x, y), np.maximum(x, y)), k
+
+
+def test_op_results_are_read_only_and_the_constructor_copies():
+    lo = np.linspace(1.0, 2.0, len(SMALL))
+    hi = lo + 1.0
+    a = FuzzyNumber(SMALL, lo, hi)
+    lo[:] = 0.0
+    hi[:] = 0.0
+    assert a.lower[0] == 1.0 and a.upper[0] == 2.0
+    results = (a, add(a, a), mul(a, a), mul(a, scalar_mul(-1.0, a)), scalar_mul(2.5, a),
+               scalar_mul(0.0, a), div(a, a), pow_int(a, 3), gh_difference(a, a), singleton(1.0, SMALL))
+    for out in results:
+        for env in (out.lower, out.upper):
+            assert not env.flags.writeable
+            with pytest.raises(ValueError):
+                env[0] = 0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(triangulars(positive=True), triangulars(positive=True))
 def test_prop_positive_mul_is_endpointwise(a, b):

@@ -172,6 +172,7 @@ def test_eval_exp_envelopes_order_correct():
     al = GRID.levels
     assert np.allclose(out.lower, np.exp(al - 1), atol=1e-14)
     assert np.allclose(out.upper, np.exp(1 - al), atol=1e-14)
+    assert not out.lower.flags.writeable and not out.upper.flags.writeable
 
 
 def sin_range_oracle(lo, hi, n=20001):
@@ -200,6 +201,8 @@ def test_sin_cos_range_against_dense_sampling(lo, hi):
     xs = np.linspace(lo, hi, 20001)
     assert c.support.lo == pytest.approx(float(np.cos(xs).min()), abs=1e-6)
     assert c.support.hi == pytest.approx(float(np.cos(xs).max()), abs=1e-6)
+    for out in (s, c):
+        assert not out.lower.flags.writeable and not out.upper.flags.writeable
 
 
 def test_eval_errors():
