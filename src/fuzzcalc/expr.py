@@ -25,9 +25,16 @@ grid, envelope bytes and properness.  ``evaluate`` and ``differentiate``
 handle each distinct node once per call, and ``differentiate`` returns a DAG
 in which equal subtrees share one derivative: the expanded tree of the k-th
 derivative of ``sin(x)*exp(x)`` doubles with k, its distinct nodes grow
-about quadratically.  The distinct nodes are listed once per root node and
-cached on it, so a tree evaluated many times (as by ``mh_derivative`` or
-``solve``) is walked once.
+about quadratically.
+
+A derivative tower (Taylor coefficients, the IVP terms ``D_k``) is handled
+as one DAG with many roots.  Its members are differentiated with one shared
+memo, so each distinct node's rule runs once per tower, and evaluated in one
+walk over their union, so a subtree the members share is computed once.
+The walk is planned once per root family (one root, for ``evaluate``) and
+cached on the family's last root, so a family evaluated many times (as by
+``mh_derivative`` or ``solve``) is walked once.  Pickling writes a node's
+DAG flat, without recursion, and unpickling re-interns it.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import math
 import re
 import struct
 import weakref
+from collections.abc import Container
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +97,16 @@ class Expr:
         return (cls, *(id(f) if isinstance(f, Expr) else f for f in fields))
 
     def __reduce__(self):
-        # through the constructor, so an unpickled node is the interned one
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+        # the DAG flat, in walk order, with each child named by its index,
+        # so a deep tree pickles without recursion
+        order = _walk((self,))
+        index = {node: i for i, node in enumerate(order)}
+        records = []
+        for node in order:
+            values = (getattr(node, name) for name in node.__dataclass_fields__)
+            kids = _CHILD_FIELDS[type(node)]
+            records.append((type(node), *(index[v] if kid else v for v, kid in zip(values, kids))))
+        return _rebuild, (tuple(records),)
 
 
 # every live node, by the key of its class's _intern_key
@@ -174,6 +190,23 @@ class Sin(Expr):
 @dataclass(frozen=True, eq=False, init=False)
 class Cos(Expr):
     operand: Expr
+
+
+# for each node class, which of its fields hold child nodes
+_CHILD_FIELDS = {
+    cls: tuple(f.type == "Expr" for f in cls.__dataclass_fields__.values())
+    for cls in Expr.__subclasses__()
+}
+
+
+def _rebuild(records: tuple) -> Expr:
+    """The node :meth:`Expr.__reduce__` flattened, built back through the
+    constructors, so that it is the interned node."""
+    nodes: list[Expr] = []
+    for cls, *args in records:
+        kids = _CHILD_FIELDS[cls]
+        nodes.append(cls(*(nodes[a] if kid else a for a, kid in zip(args, kids))))
+    return nodes[-1]
 
 
 class Env:
@@ -383,41 +416,53 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def _plan(root: Expr) -> tuple[list[Expr], list[list[Expr]], AlphaGrid | None]:
-    """The DAG under ``root``, computed once per root node and cached on it
-    (it depends on the structure alone).
-
-    Returns the distinct nodes in evaluation order: children first, left to
-    right, each where a walk of the expanded tree first completes it, so the
-    root comes last.  Next, for each of them, the children it reads for the
-    last time.  Last, the grid of the first fuzzy constant in depth-first
-    order.  Equal nodes are one object (nodes are interned when built), so
-    the walk visits each node object once.
-    """
-    cached = root.__dict__.get("_plan") if isinstance(root, Expr) else None
-    if cached is not None:
-        return cached
+def _walk(roots: tuple[Expr, ...], known: Container[Expr] = ()) -> list[Expr]:
+    """The distinct nodes under ``roots``, children first, left to right,
+    each where a walk of the expanded trees, one root after the other,
+    first completes it.  The walk does not enter nodes in ``known``.  Equal
+    nodes are one object (nodes are interned when built), so the walk
+    visits each node object once."""
     seen: set[int] = set()
     order: list[Expr] = []
-    const_grid = None
-    stack = [(root, False)]
+    stack = [(root, False) for root in reversed(roots)]
     while stack:
         node, children_done = stack.pop()
         if children_done:
             order.append(node)
-        elif id(node) not in seen:
+        elif id(node) not in seen and node not in known:
             if not isinstance(node, Expr):
                 raise TypeError(f"not an expression node: {node!r}")
             seen.add(id(node))
-            if const_grid is None and isinstance(node, FuzzyConst):
-                const_grid = node.value.grid
             stack.append((node, True))
             stack.extend((child, False) for child in reversed(_children(node)))
+    return order
+
+
+def _plan(roots: tuple[Expr, ...]) -> tuple[list[Expr], list[list[Expr]], AlphaGrid | None]:
+    """How to evaluate a family of roots: their union walked once.
+
+    Returns the distinct nodes in the order of :func:`_walk`.  Next, for
+    each of them, the children it reads for the last time; a root is never
+    among them, so every root's value lasts to the end.  Last, the grid of
+    the first fuzzy constant in that order.  The plan depends on the
+    structure alone, so it is cached in one slot on the last root, keyed by
+    the roots: a tower evaluated at many points (as by ``solve``) is walked
+    once.
+    """
+    last = roots[-1]
+    cached = last.__dict__.get("_plan") if isinstance(last, Expr) else None
+    if cached is not None and cached[0] == roots:
+        return cached[1]
+    order = _walk(roots)
+    const_grid = next((n.value.grid for n in order if isinstance(n, FuzzyConst)), None)
+    kept = set(roots)
     last_reader = {child: i for i, node in enumerate(order) for child in _children(node)}
     last_reads: list[list[Expr]] = [[] for _ in order]
     for child, i in last_reader.items():
-        last_reads[i].append(child)
-    plan = root.__dict__["_plan"] = (order, last_reads, const_grid)
+        if child not in kept:
+            last_reads[i].append(child)
+    plan = (order, last_reads, const_grid)
+    last.__dict__["_plan"] = (roots, plan)
     return plan
 
 
@@ -430,18 +475,28 @@ def evaluate(e: Expr, env: Env | None = None) -> FuzzyNumber:
     left-to-right walk of the expanded tree would first complete it, and
     its value is dropped after its last use.
     """
+    return _evaluate((e,), env)[e]
+
+
+def _evaluate(roots: tuple[Expr, ...], env: Env | None) -> dict[Expr, FuzzyNumber]:
+    """The value of each root, by root, from one walk over their union (see
+    :func:`evaluate`, with the family's first fuzzy constant in place of the
+    tree's).  Every node runs the op a loop of ``evaluate`` over the roots
+    would run on it, on the same inputs, and the first error raised is that
+    loop's first."""
     env = env if env is not None else Env()
-    order, last_reads, grid = _plan(e)
+    order, last_reads, grid = _plan(roots)
     if env.grid is not None:
         grid = env.grid
     if grid is None:
         grid = AlphaGrid.uniform()
     values: dict[Expr, FuzzyNumber] = {}
+    value, bindings = values.__getitem__, env.bindings
     for node, done in zip(order, last_reads):
-        values[node] = _ev(node, values.__getitem__, env.bindings, grid)
+        values[node] = _ev(node, value, bindings, grid)
         for child in done:
             del values[child]
-    return values[order[-1]]
+    return values
 
 
 def _ev(e: Expr, value, bindings: dict, grid: AlphaGrid) -> FuzzyNumber:
@@ -554,11 +609,17 @@ def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic derivative with the crisp sum/product/chain rules applied
     formally; the power rule is d(u^n) = n*u^(n-1)*du.  Equal subtrees are
     differentiated once and share one derivative node."""
-    derivatives: dict[Expr, Expr] = {}
-    order = _plan(e)[0]
-    for node in order:
-        derivatives[node] = _derivative(node, var, derivatives.__getitem__)
-    return derivatives[order[-1]]
+    return _differentiate(e, var, {})
+
+
+def _differentiate(e: Expr, var: str, memo: dict[Expr, Expr]) -> Expr:
+    """The derivative of ``e``, adding the derivative of each node under it
+    to ``memo``.  The walk stops at nodes already in ``memo`` (their
+    children are there too), so the members of a derivative tower, built
+    with one memo, run each distinct node's rule once between them."""
+    for node in _walk((e,), memo):
+        memo[node] = _derivative(node, var, memo.__getitem__)
+    return memo[e]
 
 
 def _derivative(e: Expr, var: str, d) -> Expr:
@@ -593,7 +654,7 @@ def _derivative(e: Expr, var: str, d) -> Expr:
 
 
 def free_variables(e: Expr) -> set[str]:
-    return {node.name for node in _plan(e)[0] if isinstance(node, Var)}
+    return {node.name for node in _walk((e,)) if isinstance(node, Var)}
 
 
 # each binary operator's text and precedence, and each function's name
@@ -609,7 +670,7 @@ def to_text(e: Expr) -> str:
         text, prec = rendered[child]
         return f"({text})" if prec < parent_prec else text
 
-    order = _plan(e)[0]
+    order = _walk((e,))
     for node in order:
         rendered[node] = _render(node, wrap)
     return rendered[order[-1]][0]

@@ -9,7 +9,9 @@ where D_1 = F and D_(k+1) = dD_k/dx (+) dD_k/dy (x) F is the symbolic
 total-derivative tower, built with the expression-level derivative rules.
 The order is capped at 4, the highest order the tests check.  The tower is
 a DAG of shared subexpressions (see :mod:`fuzzcalc.expr`), so its size is
-not what sets the cap.
+not what sets the cap.  Each step evaluates all of D_1 ... D_order in one
+walk over the tower's distinct nodes, planned once per solve, and the
+powers h^k are formed once per solve.
 
 Multi-step mode compounds the fuzzy step into x (x <- x (+) h), so the
 x-uncertainty accumulates step over step; single-step is the default.
@@ -24,7 +26,7 @@ import numpy as np
 
 from .core import FuzzyNumber, add, mul, scalar_mul
 from .errors import FuzzyError, ImproperOperand
-from .expr import Env, Expr, _fadd, _fmul, differentiate, evaluate, free_variables
+from .expr import Env, Expr, _differentiate, _evaluate, _fadd, _fmul, free_variables
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,16 @@ class IvpSolution:
 
 
 def total_derivatives(rhs: Expr, order: int) -> list[Expr]:
-    """[D_1, ..., D_order] with D_1 = F and D_(k+1) = dD_k/dx + dD_k/dy * F."""
+    """[D_1, ..., D_order] with D_1 = F and D_(k+1) = dD_k/dx + dD_k/dy * F,
+    differentiated with one memo per variable, so each distinct node's rule
+    runs once per tower."""
     derivs = [rhs]
+    by_x: dict[Expr, Expr] = {}
+    by_y: dict[Expr, Expr] = {}
     for _ in range(order - 1):
         current = derivs[-1]
-        dx = differentiate(current, "x")
-        dy = differentiate(current, "y")
+        dx = _differentiate(current, "x", by_x)
+        dy = _differentiate(current, "y", by_y)
         derivs.append(_fadd(dx, _fmul(dy, rhs)))
     return derivs
 
@@ -84,14 +90,12 @@ def _magnitude(v: FuzzyNumber) -> float:
 
 
 def _step(
-    x: FuzzyNumber, y: FuzzyNumber, problem: IvpProblem, derivs: list[Expr]
+    x: FuzzyNumber, y: FuzzyNumber, problem: IvpProblem, derivs: tuple[Expr, ...], h_pows: list
 ) -> tuple[FuzzyNumber, FuzzyNumber, float]:
-    env = Env({"x": x, "y": y}, x.grid)
+    values = _evaluate(derivs, Env({"x": x, "y": y}, x.grid))
     y_next = y
-    h_pow = None
-    for k, dk in enumerate(derivs, start=1):
-        h_pow = problem.h if k == 1 else mul(h_pow, problem.h)
-        term = scalar_mul(1.0 / math.factorial(k), mul(h_pow, evaluate(dk, env)))
+    for k, (h_pow, dk) in enumerate(zip(h_pows, derivs), start=1):
+        term = scalar_mul(1.0 / math.factorial(k), mul(h_pow, values[dk]))
         y_next = add(y_next, term)
     x_next = add(x, problem.h)
     return x_next, y_next, _magnitude(term)
@@ -99,13 +103,16 @@ def _step(
 
 def solve(problem: IvpProblem) -> IvpSolution:
     """Iterate the Taylor step; deterministic, no step-size control."""
-    derivs = total_derivatives(problem.rhs, problem.order)
+    derivs = tuple(total_derivatives(problem.rhs, problem.order))
+    h_pows = [problem.h]
+    for _ in range(problem.order - 1):
+        h_pows.append(mul(h_pows[-1], problem.h))
     x, y = problem.x0, problem.y0
     trajectory = [(x, y)]
     magnitudes = []
     for i in range(problem.steps):
         try:
-            x, y, mag = _step(x, y, problem, derivs)
+            x, y, mag = _step(x, y, problem, derivs, h_pows)
         except FuzzyError as exc:
             if exc.args:
                 exc.args = (f"step {i + 1}: {exc.args[0]}",) + exc.args[1:]

@@ -45,7 +45,7 @@ from .core import (
     singleton,
 )
 from .errors import ExprSyntaxError, GridMismatch, ImproperOperand, NoLimit, NotSimplifiable
-from .expr import Env, Expr, _Parser, differentiate, evaluate
+from .expr import Env, Expr, _differentiate, _evaluate, _Parser
 
 _AGREE_RTOL = 1e-6
 _DECAY_FACTOR = 0.75
@@ -334,17 +334,18 @@ def taylor_series_of(
     env: Env | None = None,
 ) -> FuzzyPowerSeries:
     """Series with coefficients f^(k)(x0) / k! for k = 0..order, centered at
-    x0; derivatives are symbolic, evaluation is level-wise."""
+    x0; derivatives are symbolic, evaluation is level-wise.  The tower
+    f, f', ..., f^(order) is built first, with one derivative memo, then
+    evaluated in one walk over its distinct nodes."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    base = Env(env.bindings if env is not None else {}, x0.grid)
-    coeffs = []
-    g = f
-    for k in range(order + 1):
-        value = evaluate(g, base.with_binding(var, x0))
-        coeffs.append(scalar_mul(1.0 / math.factorial(k), value))
-        if k < order:
-            g = differentiate(g, var)
+    at_x0 = Env(env.bindings if env is not None else {}, x0.grid).with_binding(var, x0)
+    tower = [f]
+    memo: dict[Expr, Expr] = {}
+    for _ in range(order):
+        tower.append(_differentiate(tower[-1], var, memo))
+    values = _evaluate(tuple(tower), at_x0)
+    coeffs = [scalar_mul(1.0 / math.factorial(k), values[g]) for k, g in enumerate(tower)]
     return FuzzyPowerSeries(x0, coeffs)
 
 

@@ -1,6 +1,5 @@
 """Expression parsing, range evaluation, and symbolic differentiation."""
 
-import dataclasses
 import gc
 import math
 import os
@@ -28,6 +27,7 @@ from fuzzcalc.core import (
 from fuzzcalc.errors import (
     DivisorStraddlesZero,
     ExprSyntaxError,
+    FuzzyError,
     GridMismatch,
     ImproperOperand,
     UnboundVariable,
@@ -48,12 +48,15 @@ from fuzzcalc.expr import (
     PowInt,
     Sin,
     Var,
+    _evaluate,
     differentiate,
     evaluate,
     free_variables,
     parse_expr,
     to_text,
 )
+from fuzzcalc.ivp import IvpProblem, solve
+from fuzzcalc.series import taylor_series_of
 
 GRID = AlphaGrid.uniform()
 
@@ -157,6 +160,22 @@ def test_nodes_unpickle_with_another_hash_seed():
     assert hash(node) == hash(parse_expr("sin(x)*y + x"))
 
 
+def test_deep_nodes_pickle_flat_and_unpickle_as_the_interned_node():
+    # children are named by index in one flat record list, so depth costs
+    # the pickler no recursion
+    long_sum = parse_expr(" + ".join(f"x{i}" for i in range(700)))
+    assert pickle.loads(pickle.dumps(long_sum)) is long_sum
+    node = parse_expr("sin(x)*exp(x)")
+    for _ in range(20):
+        node = differentiate(node, "x")
+    assert pickle.loads(pickle.dumps(node)) is node
+    # every leaf kind, an integer field that is not a child, a shared child
+    cube = PowInt(FuzzyConst(tri(1, 2, 3)), 3)
+    mixed = Add(Mul(cube, cube), GhSub(CrispConst(-0.0), Neg(Sin(Var("x")))))
+    assert pickle.loads(pickle.dumps(mixed)) is mixed
+    assert pickle.loads(pickle.dumps([cube, mixed])) == [cube, mixed]
+
+
 # -- evaluation -------------------------------------------------------------------
 
 
@@ -252,29 +271,51 @@ def test_eval_improper_at_root_is_returned_not_raised():
         evaluate(parse_expr("(x - y) + x"), env)
 
 
-def _counting_mul(monkeypatch) -> list[int]:
-    calls = [0]
-    real = fuzzcalc.expr.mul
-
-    def counting(a, b):
-        calls[0] += 1
-        return real(a, b)
-
-    monkeypatch.setattr(fuzzcalc.expr, "mul", counting)
-    return calls
-
-
-def test_eval_evaluates_equal_subtrees_once(monkeypatch):
+def test_eval_evaluates_equal_subtrees_once(count_calls):
     u = "(sin(x)*exp(x))"
     expr = parse_expr(f"{u}*{u} + {u}*{u}")
     x = tri(0.2, 0.4, 0.5)
     uu = evaluate(parse_expr(f"{u}*{u}"), Env({"x": x}))
-    calls = _counting_mul(monkeypatch)
+    calls = count_calls(fuzzcalc.expr, "mul")
     out = evaluate(expr, Env({"x": x}))
     assert calls[0] == 2
     expect = add(uu, uu)
     assert out.lower.tobytes() == expect.lower.tobytes()
     assert out.upper.tobytes() == expect.upper.tobytes()
+
+
+def test_family_walks_its_union_once_and_keeps_every_root(count_calls, distinct_nodes, same_bytes):
+    # roots that share subtrees, a root under another root, a repeated root
+    # and an improper root; each value is the one evaluate gives it alone
+    u = parse_expr("sin(x)*exp(x)")
+    family = (u, Mul(u, u), Add(Mul(u, u), Var("x")), GhSub(Mul(u, u), Var("x")), u)
+    env = Env({"x": tri(0.2, 0.4, 0.5)})
+    loop = [evaluate(root, env) for root in family]
+    assert not loop[3].proper
+    calls = count_calls(fuzzcalc.expr, "_ev")
+    values = _evaluate(family, env)
+    assert calls[0] == len(distinct_nodes(*family))
+    assert all(same_bytes(values[root], w) for root, w in zip(family, loop))
+    # another family that ends in the same root gets its own plan
+    values = _evaluate((CrispConst(2.0), u), env)
+    assert same_bytes(values[CrispConst(2.0)], singleton(2.0, GRID))
+    assert same_bytes(values[u], loop[0])
+
+
+def test_family_raises_the_first_error_of_the_per_root_loop():
+    shared = parse_expr("x + 1")
+    straddles = Div(shared, Var("x"))
+    unbound = Mul(shared, Var("y"))
+    env = Env({"x": tri(-1, 0, 1)})
+    for family, first in (((straddles, unbound), DivisorStraddlesZero),
+                          ((unbound, straddles), UnboundVariable)):
+        with pytest.raises(FuzzyError) as loop:
+            [evaluate(root, env) for root in family]
+        with pytest.raises(FuzzyError) as walk:
+            _evaluate(family, env)
+        assert type(loop.value) is first
+        assert type(walk.value) is first
+        assert str(walk.value) == str(loop.value)
 
 
 def test_eval_keeps_signed_zero_leaves_apart():
@@ -352,18 +393,7 @@ def test_second_derivative_of_cubic():
     assert out.core.midpoint == pytest.approx(12.0)
 
 
-def _distinct_nodes(root) -> set:
-    seen, stack = set(), [root]
-    while stack:
-        node = stack.pop()
-        if node not in seen:
-            seen.add(node)
-            children = (getattr(node, f.name) for f in dataclasses.fields(node))
-            stack.extend(c for c in children if isinstance(c, Expr))
-    return seen
-
-
-def test_repeated_derivative_work_is_bounded_by_distinct_nodes(monkeypatch):
+def test_repeated_derivative_work_is_bounded_by_distinct_nodes(count_calls, distinct_nodes):
     # the 20th derivative of sin(x)*exp(x) is about 11 million nodes as a
     # tree but a few hundred distinct ones; each distinct product is
     # evaluated once
@@ -371,10 +401,10 @@ def test_repeated_derivative_work_is_bounded_by_distinct_nodes(monkeypatch):
     node = parse_expr("sin(x)*exp(x)")
     for _ in range(20):
         node = differentiate(node, "x")
-    distinct = _distinct_nodes(node)
+    distinct = distinct_nodes(node)
     assert len(distinct) <= 300
     assert free_variables(node) == {"x"}
-    calls = _counting_mul(monkeypatch)
+    calls = count_calls(fuzzcalc.expr, "mul")
     out = evaluate(node, Env({"x": tri(0.1, 0.2, 0.3, grid)}))
     assert calls[0] == sum(isinstance(n, Mul) for n in distinct)
     # the alpha = 1 core is the crisp 20th derivative, -2^10 * e^x * sin(x)
@@ -382,9 +412,9 @@ def test_repeated_derivative_work_is_bounded_by_distinct_nodes(monkeypatch):
 
 
 def test_dropped_derivative_leaves_the_intern_table_in_one_collection():
-    # each cached plan makes its root a reference cycle; were nodes interned
-    # under keys holding their children, one collection would free only the
-    # top layer of the DAG
+    # each cached plan makes the last root of its family a reference cycle
+    # that holds the other roots; were nodes interned under keys holding
+    # their children, one collection would free only the top layer of the DAG
     gc.collect()
     before = len(fuzzcalc.expr._NODES)
     node = parse_expr("sin(x)*exp(x)")
@@ -393,5 +423,13 @@ def test_dropped_derivative_leaves_the_intern_table_in_one_collection():
     evaluate(node, Env({"x": tri(0.1, 0.2, 0.3, AlphaGrid.uniform(11))}))
     assert len(fuzzcalc.expr._NODES) > before + 200
     del node
+    gc.collect()
+    assert len(fuzzcalc.expr._NODES) == before
+    grid = AlphaGrid.uniform(11)
+    taylor_series_of(parse_expr("cos(x)*exp(x)"), "x", tri(0.1, 0.2, 0.3, grid), 12)
+    problem = IvpProblem(parse_expr("x*y^2 + 0.25", grid), tri(0.7, 1, 1.2, grid),
+                         tri(2.1, 2.3, 2.5, grid), tri(0.07, 0.1, 0.12, grid), order=4, steps=2)
+    solve(problem)
+    del problem
     gc.collect()
     assert len(fuzzcalc.expr._NODES) == before

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import fuzzcalc.expr
+import fuzzcalc.ivp
 from fuzzcalc.core import (
     AlphaGrid,
     add,
@@ -18,7 +20,7 @@ from fuzzcalc.core import (
     scalar_mul,
     singleton,
 )
-from fuzzcalc.expr import CrispConst, Env, Var, evaluate, parse_expr
+from fuzzcalc.expr import CrispConst, Env, Var, _evaluate, evaluate, parse_expr
 from fuzzcalc.ivp import IvpProblem, IvpSolution, solve, total_derivatives
 
 GRID = AlphaGrid.uniform()
@@ -72,6 +74,78 @@ def test_total_derivatives_of_pure_x():
     d1, d2, d3 = total_derivatives(parse_expr("x"), 3)
     assert d2 == CrispConst(1.0)
     assert d3 == CrispConst(0.0)
+
+
+# the right-hand sides of perfbench's ivp-wide workload, with fixed coefficients
+WIDE_FORMS = (
+    "x^2 + y^2",
+    "0.4*x*y + 0.3*y",
+    "exp(0.5*x)*y",
+    "sin(x) + 0.6*y^2",
+    "cos(x)*y + 0.3*x",
+    "0.7*y^3 + x",
+    "x*y^2 + 0.25",
+)
+
+
+def _reference_solve(p: IvpProblem) -> list:
+    # the per-root reference: one evaluate per D_k, and h^k formed again in
+    # each step
+    derivs = total_derivatives(p.rhs, p.order)
+    x, y = p.x0, p.y0
+    trajectory = [(x, y)]
+    for _ in range(p.steps):
+        env = Env({"x": x, "y": y}, x.grid)
+        y_next, h_pow = y, None
+        for k, dk in enumerate(derivs, start=1):
+            h_pow = p.h if k == 1 else mul(h_pow, p.h)
+            term = scalar_mul(1.0 / math.factorial(k), mul(h_pow, evaluate(dk, env)))
+            y_next = add(y_next, term)
+        x, y = add(x, p.h), y_next
+        trajectory.append((x, y))
+    return trajectory
+
+
+@pytest.mark.parametrize("form", WIDE_FORMS)
+def test_tower_in_one_walk_matches_the_per_root_loop(form, same_bytes):
+    grid = AlphaGrid.uniform(101)
+    p = worked_problem(rhs=parse_expr(form, grid), x0=tri(0.7, 1, 1.2, grid), y0=tri(1.5, 1.7, 2.0, grid),
+                       h=tri(0.08, 0.1, 0.11, grid), order=4, steps=3)
+    env = Env({"x": p.x0, "y": p.y0})
+    derivs = total_derivatives(p.rhs, p.order)
+    loop = [evaluate(dk, env) for dk in derivs]
+    family = _evaluate(tuple(derivs), env)
+    assert all(same_bytes(family[dk], w) for dk, w in zip(derivs, loop))
+    got = solve(p).trajectory
+    expect = _reference_solve(p)
+    assert all(same_bytes(a, b) for pair, ref in zip(got, expect) for a, b in zip(pair, ref))
+
+
+def test_solve_runs_each_tower_node_once_per_step(count_calls, distinct_nodes):
+    # a loop of evaluate per D_k runs 112 node evaluations here
+    p = worked_problem(order=4, steps=2)
+    derivs = total_derivatives(p.rhs, p.order)
+    evals = count_calls(fuzzcalc.expr, "_ev")
+    solve(p)
+    assert evals[0] == p.steps * len(distinct_nodes(*derivs)) == 64
+
+
+def test_solve_plans_its_tower_once_and_forms_step_powers_once(count_calls, monkeypatch):
+    # a constant no other test uses, so no plan for this tower is cached yet
+    p = worked_problem(rhs=parse_expr("x^2 + y^2 + 0.4375"), order=4, steps=3)
+    walked = []
+    real_walk = fuzzcalc.expr._walk
+
+    def walk(roots, *rest):
+        walked.append(roots)
+        return real_walk(roots, *rest)
+
+    monkeypatch.setattr(fuzzcalc.expr, "_walk", walk)
+    products = count_calls(fuzzcalc.ivp, "mul")
+    solve(p)
+    assert walked.count(tuple(total_derivatives(p.rhs, p.order))) == 1
+    # h^2, h^3, h^4 once, then h^k (x) D_k for each k in each step
+    assert products[0] == (p.order - 1) + p.order * p.steps
 
 
 # -- single step --------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import fuzzcalc.expr
+
 from fuzzcalc.core import (
     AlphaGrid,
     approx_equal,
@@ -14,7 +16,7 @@ from fuzzcalc.core import (
     singleton,
 )
 from fuzzcalc.errors import ExprSyntaxError, ImproperOperand, NoLimit, NotSimplifiable
-from fuzzcalc.expr import Env, parse_expr
+from fuzzcalc.expr import Env, _evaluate, differentiate, evaluate, parse_expr
 from fuzzcalc.series import (
     CoefficientRule,
     FuzzyPowerSeries,
@@ -281,6 +283,66 @@ def test_taylor_cos_core_slice():
     expect = [1, 0, -1 / 2, 0, 1 / 24, 0, -1 / 720]
     for k, val in enumerate(expect):
         assert s.coefficient(k).core.midpoint == pytest.approx(val, abs=1e-12)
+
+
+# perfbench's taylor-swell shapes (exp/sin/cos products and compositions),
+# at orders where the members of a tower share most of their nodes
+SWELL_SHAPES = (
+    ("1.37*sin(x)*exp(x)", 8),
+    ("1.37*cos(x)*exp(x)", 8),
+    ("1.37*exp(x)*sin(x)", 10),
+    ("1.37*exp(x)*cos(x)", 10),
+    ("1.37*sin(x)^2*exp(x)", 7),
+    ("1.37*cos(x)^2*exp(x)", 7),
+    ("1.37*sin(x)*cos(x)*exp(x)", 6),
+    ("1.37*exp(sin(x))", 7),
+    ("1.37*exp(cos(x))", 7),
+    ("1.37*sin(exp(x))", 7),
+    ("1.37*cos(exp(x))", 7),
+)
+
+
+def _tower(f, order: int) -> list:
+    tower = [f]
+    for _ in range(order):
+        tower.append(differentiate(tower[-1], "x"))
+    return tower
+
+
+@pytest.mark.parametrize("text, order", SWELL_SHAPES)
+def test_taylor_tower_in_one_walk_matches_the_per_root_loop(text, order, same_bytes):
+    # the loop of evaluate over f, f', ..., f^(order) is the reference
+    grid = AlphaGrid.uniform(11)
+    f = parse_expr(text, grid)
+    tower = _tower(f, order)
+    for centre in ((0.1, 0.2, 0.3), (-0.9, -0.7, -0.6)):
+        x0 = tri(*centre, grid)
+        env = Env({"x": x0})
+        loop = [evaluate(g, env) for g in tower]
+        family = _evaluate(tuple(tower), env)
+        s = taylor_series_of(f, "x", x0, order)
+        for k, (g, w, c) in enumerate(zip(tower, loop, s.coeffs)):
+            assert same_bytes(family[g], w)
+            assert same_bytes(c, scalar_mul(1.0 / math.factorial(k), w))
+
+
+@pytest.mark.parametrize(
+    "text, order, evaluated, differentiated",
+    [("sin(x)*exp(x)", 10, 79, 67), ("exp(sin(x))", 7, 94, 65)],
+)
+def test_taylor_tower_runs_each_distinct_node_once(
+    text, order, evaluated, differentiated, count_calls, distinct_nodes
+):
+    # one derivative memo for the tower and one walk over its union; a loop
+    # of evaluate and differentiate per member runs 374 and 295 (sin*exp)
+    grid = AlphaGrid.uniform(11)
+    f = parse_expr(text, grid)
+    tower = _tower(f, order)
+    evals = count_calls(fuzzcalc.expr, "_ev")
+    rules = count_calls(fuzzcalc.expr, "_derivative")
+    taylor_series_of(f, "x", tri(0.1, 0.2, 0.3, grid), order)
+    assert evals[0] == len(distinct_nodes(*tower)) == evaluated
+    assert rules[0] == len(distinct_nodes(*tower[:-1])) == differentiated
 
 
 # -- rule text parsing --------------------------------------------------------------------------
