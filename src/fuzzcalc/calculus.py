@@ -59,7 +59,6 @@ class DerivativeEstimate:
     left_value: FuzzyNumber
     h_final: float
     gap: float
-    converged: bool
 
 
 def _shift(x: FuzzyNumber, h: float) -> FuzzyNumber:
@@ -136,7 +135,6 @@ def mh_derivative(
                     left_value=_order_normalized(grid, *ex[1]),
                     h_final=h,
                     gap=gap,
-                    converged=True,
                 )
         prev_q, prev_pattern, prev_ex = q, pattern, ex
         h *= s

@@ -147,6 +147,9 @@ def _truncate2(x: float) -> float:
 
 
 def _summary(value: FuzzyNumber, label: str = "value") -> list[str]:
+    """The lines that print ``value``; the one check that it is proper."""
+    if not value.proper:
+        raise ImproperOperand(f"{label} is an improper fuzzy number (its alpha-cuts do not nest)")
     s, c = value.support, value.core
     full = (s.lo, c.midpoint, s.hi)
     rounded = tuple(_truncate2(v) for v in full)
@@ -194,7 +197,6 @@ def _cmd_derive(args) -> int:
     print(f"expression: {args.expr}  (d/d{args.var})")
     for line in _summary(est.value, "derivative"):
         print(line)
-    print(f"converged: {est.converged}")
     print(f"one-sided gap: {_fmt(est.gap)}")
     print(f"final step: {_fmt(est.h_final)}")
     _emit(est.value, args.out, "derive", {"expression": args.expr, "var": args.var})

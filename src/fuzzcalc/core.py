@@ -10,13 +10,13 @@ once per level:
     div:  [a, b] * [min(1/c, 1/d), max(1/c, 1/d)]   (0 outside [c, d])
     gh-difference: [min(a - c, b - d), max(a - c, b - d)]
 
-``mul``, ``scalar_mul`` and the reciprocal in ``div`` choose their kernel
-by sign class (``_sign_class``).  When both operands are strictly positive
-or strictly negative at every level, Moore's case table names the two
-endpoint products that are the bounds, and only those are formed; rounding
-is monotone, so the result equals the four-product (or min/max) result bit
-for bit.  Any other operand, such as one holding a zero of either sign or
-a NaN, takes the general formula.
+Each operation has the one formula above except ``mul``, the only one
+that chooses its kernel by sign class (``_sign_class``).  When both
+operands are strictly positive or strictly negative at every level, Moore's
+case table names the two endpoint products that are the bounds, and only
+those are formed; rounding is monotone, so the result equals the
+four-product result bit for bit.  Any other pair, such as one holding a zero
+of either sign or a NaN, takes the four products.
 
 The gH-difference is the one operation that can break nestedness (alpha-cuts
 must shrink as alpha grows); such results carry ``proper=False`` and every
@@ -28,7 +28,6 @@ Operation results wrap the arrays they have just computed without a copy
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -352,15 +351,8 @@ def add(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
 
 def scalar_mul(k: float, a: FuzzyNumber) -> FuzzyNumber:
     """Scale by a crisp real; endpoints are order-normalized so a negative
-    factor flips the envelopes instead of producing an inverted interval.
-
-    A finite nonzero ``k`` on a strictly signed ``a`` skips the min/max:
-    the sign of ``k`` says which product is the lower bound.
-    """
+    factor flips the envelopes instead of producing an inverted interval."""
     _require_proper(a)
-    if k != 0.0 and math.isfinite(k) and _sign_class(a):
-        lo, hi = (a.lower, a.upper) if k > 0.0 else (a.upper, a.lower)
-        return _fresh(a.grid, k * lo, k * hi)
     x = k * a.lower
     y = k * a.upper
     return _fresh(a.grid, np.minimum(x, y), np.maximum(x, y))
@@ -421,14 +413,9 @@ def div(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
         raise DivisorStraddlesZero(
             f"divisor support [{b.lower[0]:.6g}, {b.upper[0]:.6g}] contains zero"
         )
-    if _sign_class(b):
-        # 1/x decreases on each side of zero, so the envelopes swap
-        recip = _fresh(b.grid, 1.0 / b.upper, 1.0 / b.lower)
-    else:
-        r1 = 1.0 / b.lower
-        r2 = 1.0 / b.upper
-        recip = _fresh(b.grid, np.minimum(r1, r2), np.maximum(r1, r2))
-    return mul(a, recip)
+    r1 = 1.0 / b.lower
+    r2 = 1.0 / b.upper
+    return mul(a, _fresh(b.grid, np.minimum(r1, r2), np.maximum(r1, r2)))
 
 
 def gh_difference(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:

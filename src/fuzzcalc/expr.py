@@ -87,6 +87,8 @@ class Expr:
         if node is None:
             node = _NODES[key] = object.__new__(cls)
             node.__dict__.update(zip(names, fields))
+            # the child nodes, in field order, for every walk
+            node.__dict__["_kids"] = fields[: _N_KIDS[cls]]
         return node
 
     @classmethod
@@ -94,7 +96,8 @@ class Expr:
         # children by id: the entry's live node holds them, so the ids stay
         # theirs; keys holding the children would free a dropped DAG a layer
         # per gc.collect()
-        return (cls, *(id(f) if isinstance(f, Expr) else f for f in fields))
+        n = _N_KIDS[cls]
+        return (cls, *map(id, fields[:n]), *fields[n:])
 
     def __reduce__(self):
         # the DAG flat, in walk order, with each child named by its index,
@@ -103,9 +106,9 @@ class Expr:
         index = {node: i for i, node in enumerate(order)}
         records = []
         for node in order:
-            values = (getattr(node, name) for name in node.__dataclass_fields__)
-            kids = _CHILD_FIELDS[type(node)]
-            records.append((type(node), *(index[v] if kid else v for v, kid in zip(values, kids))))
+            rest = list(node.__dataclass_fields__)[len(node._kids):]
+            records.append((type(node), *(index[k] for k in node._kids),
+                            *(getattr(node, name) for name in rest)))
         return _rebuild, (tuple(records),)
 
 
@@ -192,9 +195,9 @@ class Cos(Expr):
     operand: Expr
 
 
-# for each node class, which of its fields hold child nodes
-_CHILD_FIELDS = {
-    cls: tuple(f.type == "Expr" for f in cls.__dataclass_fields__.values())
+# for each node class, how many of its fields hold child nodes (its first ones)
+_N_KIDS = {
+    cls: sum(f.type == "Expr" for f in cls.__dataclass_fields__.values())
     for cls in Expr.__subclasses__()
 }
 
@@ -204,8 +207,8 @@ def _rebuild(records: tuple) -> Expr:
     constructors, so that it is the interned node."""
     nodes: list[Expr] = []
     for cls, *args in records:
-        kids = _CHILD_FIELDS[cls]
-        nodes.append(cls(*(nodes[a] if kid else a for a, kid in zip(args, kids))))
+        n = _N_KIDS[cls]
+        nodes.append(cls(*(nodes[a] for a in args[:n]), *args[n:]))
     return nodes[-1]
 
 
@@ -406,16 +409,6 @@ def _sin_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out_lo, out_hi
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Add, GhSub, Mul, Div)):
-        return (e.left, e.right)
-    if isinstance(e, PowInt):
-        return (e.base,)
-    if isinstance(e, (Neg, Exp, Sin, Cos)):
-        return (e.operand,)
-    return ()
-
-
 def _walk(roots: tuple[Expr, ...], known: Container[Expr] = ()) -> list[Expr]:
     """The distinct nodes under ``roots``, children first, left to right,
     each where a walk of the expanded trees, one root after the other,
@@ -434,7 +427,7 @@ def _walk(roots: tuple[Expr, ...], known: Container[Expr] = ()) -> list[Expr]:
                 raise TypeError(f"not an expression node: {node!r}")
             seen.add(id(node))
             stack.append((node, True))
-            stack.extend((child, False) for child in reversed(_children(node)))
+            stack.extend((child, False) for child in reversed(node._kids))
     return order
 
 
@@ -456,7 +449,7 @@ def _plan(roots: tuple[Expr, ...]) -> tuple[list[Expr], list[list[Expr]], AlphaG
     order = _walk(roots)
     const_grid = next((n.value.grid for n in order if isinstance(n, FuzzyConst)), None)
     kept = set(roots)
-    last_reader = {child: i for i, node in enumerate(order) for child in _children(node)}
+    last_reader = {child: i for i, node in enumerate(order) for child in node._kids}
     last_reads: list[list[Expr]] = [[] for _ in order]
     for child, i in last_reader.items():
         if child not in kept:

@@ -85,12 +85,14 @@ class CoefficientRule:
             if grid is None:
                 grid = AlphaGrid.uniform()
             return singleton(crisp, grid)
-        expo = self.base_coeff * n + self.base_shift
-        if expo >= 0:
-            fuzzy = pow_int(self.base, expo)
-        else:
-            fuzzy = div(singleton(1.0, self.base.grid), pow_int(self.base, -expo))
-        return scalar_mul(crisp, fuzzy)
+        return scalar_mul(crisp, _int_power(self.base, self.base_coeff * n + self.base_shift))
+
+
+def _int_power(c: FuzzyNumber, e: int) -> FuzzyNumber:
+    """c^e for an integer e; a negative power is 1 / c^(-e)."""
+    if e >= 0:
+        return pow_int(c, e)
+    return div(singleton(1.0, c.grid), pow_int(c, -e))
 
 
 class FuzzyPowerSeries:
@@ -172,7 +174,6 @@ class RadiusResult:
     mode: str  # "four-quotient" | "symbolic-ratio"
     L_lower: float
     L_upper: float
-    n_used: int
 
     @property
     def is_infinite(self) -> bool:
@@ -222,7 +223,6 @@ def radius_four_quotient(s: FuzzyPowerSeries, n_probe: int = 16) -> RadiusResult
         mode="four-quotient",
         L_lower=float(fwd_limits.min()),
         L_upper=float(fwd_limits.max()),
-        n_used=n_probe,
     )
 
 
@@ -244,9 +244,9 @@ def radius_symbolic_ratio(s: FuzzyPowerSeries) -> RadiusResult:
     grid = s.center.grid
 
     if rule.factorial_power < 0:
-        return RadiusResult(infinite_radius(grid), "symbolic-ratio", 0.0, 0.0, 0)
+        return RadiusResult(infinite_radius(grid), "symbolic-ratio", 0.0, 0.0)
     if rule.factorial_power > 0:
-        return RadiusResult(singleton(0.0, grid), "symbolic-ratio", np.inf, np.inf, 0)
+        return RadiusResult(singleton(0.0, grid), "symbolic-ratio", np.inf, np.inf)
 
     sigma = rule.base_coeff
     if rule.base is None:
@@ -256,14 +256,9 @@ def radius_symbolic_ratio(s: FuzzyPowerSeries) -> RadiusResult:
         R = div(rule.base, rule.base)
         fwd = R
     else:
-        if sigma < 0:
-            R = pow_int(rule.base, -sigma)
-            fwd = div(singleton(1.0, grid), R)
-        else:
-            R = div(singleton(1.0, grid), pow_int(rule.base, sigma))
-            fwd = pow_int(rule.base, sigma)
+        R, fwd = _int_power(rule.base, -sigma), _int_power(rule.base, sigma)
     ends = (abs(fwd.lower[0]), abs(fwd.upper[0]))
-    return RadiusResult(R, "symbolic-ratio", min(ends), max(ends), 0)
+    return RadiusResult(R, "symbolic-ratio", min(ends), max(ends))
 
 
 @dataclass(frozen=True)

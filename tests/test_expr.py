@@ -176,6 +176,20 @@ def test_deep_nodes_pickle_flat_and_unpickle_as_the_interned_node():
     assert pickle.loads(pickle.dumps([cube, mixed])) == [cube, mixed]
 
 
+def test_nodes_record_their_leading_child_fields_once():
+    # a node's children are its first fields, recorded when it is built;
+    # every walk reads that record
+    for cls in Expr.__subclasses__():
+        is_child = [f.type == "Expr" for f in cls.__dataclass_fields__.values()]
+        assert is_child == sorted(is_child, reverse=True), cls
+    sum_ = Add(Var("x"), CrispConst(2.0))
+    assert PowInt(sum_, 3)._kids == (sum_,)
+    assert sum_._kids == (Var("x"), CrispConst(2.0))
+    assert Var("x")._kids == () and CrispConst(2.0)._kids == ()
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate(Add(Var("x"), 5), Env({"x": tri(1, 2, 3)}))
+
+
 # -- evaluation -------------------------------------------------------------------
 
 
