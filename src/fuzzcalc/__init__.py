@@ -1,7 +1,7 @@
 """fuzzcalc: alpha-cut fuzzy arithmetic, Hukuhara calculus, fuzzy power
 series, and a Taylor-method solver for fully fuzzy initial value problems."""
 
-from .calculus import DerivativeEstimate, LimitSchedule, continuity_probe, mh_derivative
+from .calculus import DerivativeEstimate, continuity_probe, mh_derivative
 from .core import (
     DEFAULT_RESOLUTION,
     AlphaGrid,

@@ -6,48 +6,30 @@ backward gH difference quotients
     (f(x0 + h) gH- f(x0)) / h      and      (f(x0) gH- f(x0 - h)) / h
 
 where h is a crisp positive scalar added to both envelope endpoints.  The
-limit is discretized on a shrinking schedule h_k = h0 * shrink^k with
-two-point Richardson extrapolation per envelope sample; plain quotients
-converge only linearly once the min/max branches of the gH difference get
-close, so extrapolation is what reaches tight tolerances in few halvings.
-Where the min/max branch assignment switches between iterations the
-extrapolation restarts at that level (extrapolating across a branch switch
-is invalid).
+limit is discretized on the fixed schedule h_k = 0.125 * (1 + |support
+midpoint|) * 0.5^k, k < 40, with two-point Richardson extrapolation per
+envelope sample; plain quotients converge only linearly once the min/max
+branches of the gH difference get close, so extrapolation is what reaches
+tight tolerances in few halvings.  Where the min/max branch assignment
+switches between iterations the extrapolation restarts at that level
+(extrapolating across a branch switch is invalid).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FuzzyNumber, _order_normalized, hausdorff_distance
+from .core import FuzzyNumber, _fresh, _order_normalized, hausdorff_distance
 from .errors import ImproperOperand, NotDifferentiable
 from .expr import Env, Expr, evaluate
 
-
-@dataclass(frozen=True)
-class LimitSchedule:
-    """Discretization of the one-sided limit h -> 0+.
-
-    ``h0=None`` scales the initial step to the point: 2**-3 * (1 + |support
-    midpoint|).
-    """
-
-    h0: float | None = None
-    shrink: float = 0.5
-    max_iters: int = 40
-    tol: float = 1e-7
-
-    def __post_init__(self):
-        if self.h0 is not None and not self.h0 > 0:
-            raise ValueError("h0 must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+_H0_SCALE = 0.125
+_SHRINK = 0.5
+_MAX_ITERS = 40
+DEFAULT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -62,7 +44,7 @@ class DerivativeEstimate:
 
 
 def _shift(x: FuzzyNumber, h: float) -> FuzzyNumber:
-    return FuzzyNumber(x.grid, x.lower + h, x.upper + h)
+    return _fresh(x.grid, x.lower + h, x.upper + h)
 
 
 def _envelope_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -75,36 +57,31 @@ def mh_derivative(
     var: str,
     x0: FuzzyNumber,
     env: Env | None = None,
-    sched: LimitSchedule | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> DerivativeEstimate:
     """Estimate the modified Hukuhara derivative of ``f`` at ``x0``.
 
-    Iterates both one-sided quotients down the schedule until the two
-    extrapolants agree within ``sched.tol`` in Hausdorff distance and the
-    forward extrapolant has stopped moving by more than ``sched.tol``.
-    Raises NotDifferentiable when the gap never closes, ImproperOperand when
-    the converged quotient is not a fuzzy number (nestedness lost).
+    Iterates both one-sided quotients down the fixed schedule until the two
+    extrapolants agree within ``tol`` (positive, finite) in Hausdorff distance
+    and the forward one has stopped moving by more than ``tol``.  Raises
+    NotDifferentiable when the gap never closes within the 40 steps,
+    ImproperOperand when the converged quotient is not a fuzzy number.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if not x0.proper:
         raise ImproperOperand("expansion point is improper")
-    sched = sched if sched is not None else LimitSchedule()
-    env = env if env is not None else Env()
     grid = x0.grid
-    base = Env(env.bindings, grid)
+    base = Env(env.bindings if env is not None else {}, grid)
 
     def f_at(offset: float) -> FuzzyNumber:
         return evaluate(f, base.with_binding(var, _shift(x0, offset)))
 
     center = f_at(0.0)
-    h0 = sched.h0
-    if h0 is None:
-        h0 = 0.125 * (1.0 + abs(x0.support.midpoint))
-
-    s = sched.shrink
     prev_q = prev_pattern = prev_ex = None
-    h = h0
+    h = _H0_SCALE * (1.0 + abs(x0.support.midpoint))
     gap = np.inf
-    for _ in range(sched.max_iters):
+    for _ in range(_MAX_ITERS):
         fwd = f_at(h)
         bwd = f_at(-h)
         # rows 0 and 1 are the forward and the backward side of the limit
@@ -119,12 +96,12 @@ def mh_derivative(
         else:
             # two-point Richardson for a leading O(h) error term, restarted
             # per level where the branch pattern switched
-            ex = np.where(pattern == prev_pattern, (q - s * prev_q) / (1.0 - s), q)
+            ex = np.where(pattern == prev_pattern, (q - _SHRINK * prev_q) / (1.0 - _SHRINK), q)
 
         gap = _envelope_distance(ex[0], ex[1])
         if prev_ex is not None:
             step = _envelope_distance(ex[0], prev_ex[0])
-            if gap <= sched.tol and step <= sched.tol:
+            if gap <= tol and step <= tol:
                 value = _order_normalized(grid, *ex[0])
                 if not value.proper:
                     raise ImproperOperand(
@@ -137,11 +114,11 @@ def mh_derivative(
                     gap=gap,
                 )
         prev_q, prev_pattern, prev_ex = q, pattern, ex
-        h *= s
+        h *= _SHRINK
 
     raise NotDifferentiable(
-        f"one-sided quotients did not settle within {sched.max_iters} iterations"
-        f" (last gap {gap:.3g}, tol {sched.tol:.3g})"
+        f"one-sided quotients did not settle within {_MAX_ITERS} iterations"
+        f" (last gap {gap:.3g}, tol {tol:.3g})"
     )
 
 
@@ -166,8 +143,7 @@ def continuity_probe(
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    env = env if env is not None else Env()
-    base = Env(env.bindings, x0.grid)
+    base = Env(env.bindings if env is not None else {}, x0.grid)
     f0 = evaluate(f, base.with_binding(var, x0))
     for delta in sorted(trial_deltas, reverse=True):
         ok = True

@@ -13,14 +13,12 @@ import math
 import sys
 from datetime import datetime
 
-import numpy as np
-
-from .calculus import LimitSchedule, mh_derivative
+from .calculus import DEFAULT_TOL, mh_derivative
 from .core import (
+    DEFAULT_RESOLUTION,
     AlphaGrid,
     FuzzyNumber,
     from_alpha_grid,
-    make_triangular,
     singleton,
 )
 from .errors import (
@@ -92,7 +90,7 @@ def read_alpha_csv(path) -> FuzzyNumber:
 
 
 def _parse_fuzzy_value(text: str, grid: AlphaGrid) -> FuzzyNumber:
-    """Parse "T(d,e,f)" or a crisp number into a fuzzy number on ``grid``."""
+    """Parse "T(d,e,f)" or a finite crisp number into a fuzzy number on ``grid``."""
     text = text.strip()
     if text.startswith("T"):
         node = parse_expr(text, grid)
@@ -100,9 +98,12 @@ def _parse_fuzzy_value(text: str, grid: AlphaGrid) -> FuzzyNumber:
             raise ProblemFileError(f"expected a triplet literal, got {text!r}")
         return node.value
     try:
-        return singleton(float(text), grid)
+        value = float(text)
     except ValueError:
         raise ProblemFileError(f"expected T(d,e,f) or a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ProblemFileError(f"expected a finite number, got {text!r}")
+    return singleton(value, grid)
 
 
 def _parse_bindings(pairs: list[str], grid: AlphaGrid) -> Env:
@@ -192,7 +193,7 @@ def _cmd_derive(args) -> int:
         raise ProblemFileError(f"--var {args.var}: no binding given for it")
     x0 = env.bindings[args.var]
     node = parse_expr(args.expr, grid)
-    est = mh_derivative(node, args.var, x0, env, LimitSchedule(tol=args.tol))
+    est = mh_derivative(node, args.var, x0, env, args.tol)
     print("command: derive")
     print(f"expression: {args.expr}  (d/d{args.var})")
     for line in _summary(est.value, "derivative"):
@@ -274,23 +275,22 @@ def _cmd_solve_ivp(args) -> int:
         raise ProblemFileError(f"missing problem fields: {', '.join(missing)}")
 
     try:
-        alphas = int(settings.get("alphas", 101))
-        order = int(settings.get("order", 2))
-        steps = int(settings.get("steps", 1))
+        alphas = int(settings.get("alphas", DEFAULT_RESOLUTION))
+        counts = {k: int(settings[k]) for k in ("order", "steps") if k in settings}
     except ValueError as exc:
         raise ProblemFileError(f"bad integer field: {exc}") from None
     grid = _grid_from(alphas)
     rhs = parse_expr(settings["rhs"], grid)
     x0, y0, h = (_parse_fuzzy_value(settings[k], grid) for k in ("x0", "y0", "h"))
     try:
-        problem = IvpProblem(rhs=rhs, x0=x0, y0=y0, h=h, order=order, steps=steps)
+        problem = IvpProblem(rhs=rhs, x0=x0, y0=y0, h=h, **counts)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
     solution = solve(problem)
     x_final, y_final = solution.final
     print("command: solve-ivp")
     print(f"rhs: {settings['rhs']}")
-    print(f"order: {order}  steps: {steps}")
+    print(f"order: {problem.order}  steps: {problem.steps}")
     for i, mag in enumerate(solution.truncation_magnitudes, start=1):
         print(f"step {i} truncation magnitude: {_fmt(mag)}")
     for line in _summary(x_final, "x"):
@@ -302,6 +302,13 @@ def _cmd_solve_ivp(args) -> int:
 
 
 # -- entry points ------------------------------------------------------------------------
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,15 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--expr", required=True, help="expression text")
     pe.add_argument("--bind", action="append", default=[], metavar="NAME=T(d,e,f)|V",
                     help="variable binding (repeatable)")
-    pe.add_argument("--alphas", type=int, default=101, help="grid resolution")
+    pe.add_argument("--alphas", type=int, default=DEFAULT_RESOLUTION, help="grid resolution")
     pe.add_argument("--out", help="alpha-cut CSV path")
 
     pd = sub.add_parser("derive", help="numerical mH-derivative at a fuzzy point")
     pd.add_argument("--expr", required=True)
     pd.add_argument("--var", required=True, help="differentiation variable")
     pd.add_argument("--bind", action="append", default=[], metavar="NAME=T(d,e,f)|V")
-    pd.add_argument("--tol", type=float, default=1e-7, help="limit tolerance")
-    pd.add_argument("--alphas", type=int, default=101)
+    pd.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="limit tolerance")
+    pd.add_argument("--alphas", type=int, default=DEFAULT_RESOLUTION)
     pd.add_argument("--out", help="alpha-cut CSV path")
 
     ps = sub.add_parser("series", help="Taylor coefficients and convergence radius")
@@ -335,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--coeff-rule", dest="coeff_rule",
                     help="closed-form coefficients, e.g. 'n / T(4,5,6)^(n-1)'")
     ps.add_argument("--radius-mode", choices=("four-quotient", "symbolic"))
-    ps.add_argument("--alphas", type=int, default=101)
+    ps.add_argument("--alphas", type=int, default=DEFAULT_RESOLUTION)
     ps.add_argument("--out", help="alpha-cut CSV path for the radius")
 
     pi = sub.add_parser("solve-ivp", help="Taylor-method fully fuzzy IVP")

@@ -23,7 +23,7 @@ must shrink as alpha grows); such results carry ``proper=False`` and every
 other operation rejects them with :class:`ImproperOperand`.
 
 Operation results wrap the arrays they have just computed without a copy
-(``_fresh``); only :class:`FuzzyNumber` called directly copies its inputs.
+(``_fresh``); only :class:`FuzzyNumber` called directly copies and checks.
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ class AlphaGrid:
         return f"AlphaGrid(resolution={self.resolution})"
 
 
+DEFAULT_GRID = AlphaGrid.uniform()
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed real interval [lo, hi]."""
@@ -118,7 +121,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class TriangularSpec:
-    """Triangular fuzzy number as the triplet (d, e, f) with d <= e <= f.
+    """Triangular fuzzy number as the finite triplet (d, e, f), d <= e <= f.
 
     The alpha-cut is affine in alpha: [d + (e - d) * a, f - (f - e) * a].
     """
@@ -130,6 +133,8 @@ class TriangularSpec:
     def __post_init__(self):
         if not (self.d <= self.e <= self.f):
             raise MalformedTriplet(f"need d <= e <= f, got ({self.d}, {self.e}, {self.f})")
+        if not (-np.inf < self.d and self.f < np.inf):
+            raise MalformedTriplet(f"need finite d, e, f, got ({self.d}, {self.e}, {self.f})")
 
     def astuple(self) -> tuple[float, float, float]:
         return (self.d, self.e, self.f)
@@ -146,9 +151,9 @@ class FuzzyNumber:
     """Sampled alpha-cut envelopes on a shared grid.
 
     ``lower[i]`` and ``upper[i]`` are the endpoints of the alpha-cut at
-    ``grid.levels[i]``.  ``proper`` is False only for gH-difference results
-    whose envelopes lost nestedness; every operation other than the
-    gH-difference refuses improper inputs.
+    ``grid.levels[i]``; lower never exceeds upper.  ``proper`` is False only
+    for gH-difference results whose envelopes lost nestedness; every
+    operation other than the gH-difference refuses improper inputs.
 
     Instances are immutable; operators delegate to the module functions
     (``-`` is the gH-difference, ``*`` multiplies by a fuzzy number or
@@ -157,17 +162,21 @@ class FuzzyNumber:
 
     __slots__ = ("grid", "lower", "upper", "proper")
 
-    def __init__(self, grid: AlphaGrid, lower, upper, proper: bool = True):
+    def __init__(self, grid: AlphaGrid, lower, upper):
         lo = np.array(lower, dtype=float)
         hi = np.array(upper, dtype=float)
         if lo.shape != grid.levels.shape or hi.shape != grid.levels.shape:
             raise ValueError("envelope arrays must match the grid resolution")
+        crossed = lo > hi
+        if np.any(crossed):
+            k = int(np.argmax(crossed))
+            raise Crossed(f"lower exceeds upper at alpha={grid.levels[k]:.6g}")
         lo.flags.writeable = False
         hi.flags.writeable = False
         self.grid = grid
         self.lower = lo
         self.upper = hi
-        self.proper = bool(proper)
+        self.proper = True
 
     # -- inspection ---------------------------------------------------------
 
@@ -284,7 +293,7 @@ def _require_same_grid(a: FuzzyNumber, b: FuzzyNumber) -> None:
 # -- constructors -------------------------------------------------------------
 
 
-def make_triangular(spec, grid: AlphaGrid | None = None) -> FuzzyNumber:
+def make_triangular(spec, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
     """Build the triangular number (d, e, f) sampled on ``grid``.
 
     The envelopes are affine in alpha, so the sampled representation is exact
@@ -292,8 +301,6 @@ def make_triangular(spec, grid: AlphaGrid | None = None) -> FuzzyNumber:
     """
     if not isinstance(spec, TriangularSpec):
         spec = TriangularSpec(*spec)
-    if grid is None:
-        grid = AlphaGrid.uniform()
     a = grid.levels
     lower = spec.d + (spec.e - spec.d) * a
     upper = spec.f - (spec.f - spec.e) * a
@@ -303,10 +310,8 @@ def make_triangular(spec, grid: AlphaGrid | None = None) -> FuzzyNumber:
     return FuzzyNumber(grid, lower, upper)
 
 
-def singleton(value: float, grid: AlphaGrid | None = None) -> FuzzyNumber:
+def singleton(value: float, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
     """Crisp real embedded as a fuzzy number (both envelopes constant)."""
-    if grid is None:
-        grid = AlphaGrid.uniform()
     flat = np.full(len(grid), float(value))
     return _fresh(grid, flat, flat)
 
@@ -318,10 +323,6 @@ def from_alpha_grid(lower, upper, grid: AlphaGrid) -> FuzzyNumber:
     NotNested when either envelope is not monotone in alpha.
     """
     out = FuzzyNumber(grid, lower, upper)
-    crossed = out.lower > out.upper
-    if np.any(crossed):
-        k = int(np.argmax(crossed))
-        raise Crossed(f"lower exceeds upper at alpha={grid.levels[k]:.6g}")
     if not _nested(out.lower, out.upper):
         raise NotNested("alpha-cuts must shrink as alpha grows")
     return out

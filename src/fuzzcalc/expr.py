@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_GRID,
     AlphaGrid,
     FuzzyNumber,
     _fresh,
@@ -380,10 +381,9 @@ class _Parser:
         return sign * float(val)
 
 
-def parse_expr(text: str, grid: AlphaGrid | None = None) -> Expr:
-    """Parse expression text; T(d, e, f) literals are sampled on ``grid``
-    (default 101 uniform levels)."""
-    parser = _Parser(text, grid if grid is not None else AlphaGrid.uniform())
+def parse_expr(text: str, grid: AlphaGrid = DEFAULT_GRID) -> Expr:
+    """Parse expression text; T(d, e, f) literals are sampled on ``grid``."""
+    parser = _Parser(text, grid)
     node = parser.expr()
     kind, val, pos = parser.peek()
     if kind != "eof":
@@ -431,23 +431,23 @@ def _walk(roots: tuple[Expr, ...], known: Container[Expr] = ()) -> list[Expr]:
     return order
 
 
-def _plan(roots: tuple[Expr, ...]) -> tuple[list[Expr], list[list[Expr]], AlphaGrid | None]:
+def _plan(roots: tuple[Expr, ...]) -> tuple[list[Expr], list[list[Expr]], AlphaGrid]:
     """How to evaluate a family of roots: their union walked once.
 
     Returns the distinct nodes in the order of :func:`_walk`.  Next, for
     each of them, the children it reads for the last time; a root is never
     among them, so every root's value lasts to the end.  Last, the grid of
-    the first fuzzy constant in that order.  The plan depends on the
-    structure alone, so it is cached in one slot on the last root, keyed by
-    the roots: a tower evaluated at many points (as by ``solve``) is walked
-    once.
+    the first fuzzy constant in that order, else the default grid.  The
+    plan depends on the structure alone, so it is cached in one slot on the
+    last root, keyed by the roots: a tower evaluated at many points (as by
+    ``solve``) is walked once.
     """
     last = roots[-1]
     cached = last.__dict__.get("_plan") if isinstance(last, Expr) else None
     if cached is not None and cached[0] == roots:
         return cached[1]
     order = _walk(roots)
-    const_grid = next((n.value.grid for n in order if isinstance(n, FuzzyConst)), None)
+    const_grid = next((n.value.grid for n in order if isinstance(n, FuzzyConst)), DEFAULT_GRID)
     kept = set(roots)
     last_reader = {child: i for i, node in enumerate(order) for child in node._kids}
     last_reads: list[list[Expr]] = [[] for _ in order]
@@ -481,8 +481,6 @@ def _evaluate(roots: tuple[Expr, ...], env: Env | None) -> dict[Expr, FuzzyNumbe
     order, last_reads, grid = _plan(roots)
     if env.grid is not None:
         grid = env.grid
-    if grid is None:
-        grid = AlphaGrid.uniform()
     values: dict[Expr, FuzzyNumber] = {}
     value, bindings = values.__getitem__, env.bindings
     for node, done in zip(order, last_reads):

@@ -31,8 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_GRID,
     AlphaGrid,
     FuzzyNumber,
+    _fresh,
     _nested,
     _order_normalized,
     add,
@@ -73,7 +75,7 @@ class CoefficientRule:
     base_coeff: int = 0
     base_shift: int = 0
 
-    def value(self, n: int, grid: AlphaGrid | None = None) -> FuzzyNumber:
+    def value(self, n: int, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
         num = _polyval(self.poly_num, n)
         den = _polyval(self.poly_den, n)
         if den == 0.0:
@@ -82,8 +84,6 @@ class CoefficientRule:
         if self.factorial_power:
             crisp *= float(math.factorial(n)) ** self.factorial_power
         if self.base is None:
-            if grid is None:
-                grid = AlphaGrid.uniform()
             return singleton(crisp, grid)
         return scalar_mul(crisp, _int_power(self.base, self.base_coeff * n + self.base_shift))
 
@@ -213,7 +213,7 @@ def radius_four_quotient(s: FuzzyPowerSeries, n_probe: int = 16) -> RadiusResult
     if np.isinf(limits).all():
         R = infinite_radius(grid)
     else:
-        R = FuzzyNumber(grid, lower, upper, proper=_nested(lower, upper))
+        R = _fresh(grid, lower, upper, _nested(lower, upper))
 
     fwd_half = 1.0 / q_half[:, 0]
     fwd_full = 1.0 / q_full[:, 0]
@@ -316,7 +316,7 @@ def convergence_interval(
     g = center.grid
     b_lo_lower = center.lower - R.upper
     b_lo_upper = center.upper - R.lower
-    b_lo = FuzzyNumber(g, b_lo_lower, b_lo_upper, proper=_nested(b_lo_lower, b_lo_upper))
+    b_lo = _fresh(g, b_lo_lower, b_lo_upper, _nested(b_lo_lower, b_lo_upper))
     b_hi = _order_normalized(g, center.upper + R.lower, center.lower + R.upper)
     return b_lo, b_hi
 
@@ -433,8 +433,7 @@ class _RuleParser(_Parser):
         return sign, shift
 
 
-def parse_coeff_rule(text: str, grid: AlphaGrid | None = None) -> CoefficientRule:
+def parse_coeff_rule(text: str, grid: AlphaGrid = DEFAULT_GRID) -> CoefficientRule:
     """Parse rule text like ``n / T(4,5,6)^(n-1)`` or ``1/n!`` or ``T(1,2,3)``
-    (grammar in :class:`_RuleParser`); the base is sampled on ``grid``
-    (default 101 uniform levels)."""
-    return _RuleParser(text, grid if grid is not None else AlphaGrid.uniform()).rule()
+    (grammar in :class:`_RuleParser`); the base is sampled on ``grid``."""
+    return _RuleParser(text, grid).rule()

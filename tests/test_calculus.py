@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzcalc.calculus import LimitSchedule, continuity_probe, mh_derivative
+from fuzzcalc.calculus import continuity_probe, mh_derivative
 from fuzzcalc.core import (
     AlphaGrid,
     add,
@@ -93,9 +93,15 @@ def test_symbolic_agreement(text, x0):
 
 
 def test_not_differentiable_when_budget_too_small():
-    sched = LimitSchedule(h0=1.0, shrink=0.5, max_iters=3, tol=1e-12)
+    # no estimate settles to 1e-300 within the fixed 40-step schedule
     with pytest.raises(NotDifferentiable):
-        mh_derivative(parse_expr("exp(x)"), "x", tri(0, 1, 2), sched=sched)
+        mh_derivative(parse_expr("exp(x)"), "x", tri(0, 1, 2), tol=1e-300)
+
+
+def test_tol_must_be_positive_and_finite():
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mh_derivative(parse_expr("x^2"), "x", tri(1, 2, 3), tol=tol)
 
 
 def test_estimate_uses_env_for_other_bindings():

@@ -192,9 +192,12 @@ def test_exit_1_on_domain_error(capsys):
         (["eval", "--expr", "x - y", "--bind", "x=T(0,1,2)", "--bind", "y=T(0,0.5,3)"],
          "ImproperOperand"),
     )
+    # a literal that overflows to inf would give a NaN envelope
+    cases += ((["eval", "--expr", "T(1,2," + "9" * 400 + ")"], "MalformedTriplet"),)
     for argv, error in cases:
         assert run(argv) == 1
-        assert error in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert error in err and "Traceback" not in err
 
 
 def test_exit_1_on_unbound_variable(capsys):
@@ -217,6 +220,22 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
         bad.write_text(f"rhs = y\nx0 = 0\ny0 = 1\nh = 0.1\n{line}\n")
         assert run(["solve-ivp", "--file", str(bad)]) == 2
         assert "ProblemFileError" in capsys.readouterr().err
+    # a non-finite crisp value is a usage error wherever it is given
+    for argv in (
+        ["eval", "--expr", "x^2", "--bind", "x=inf"],
+        ["eval", "--expr", "x^2", "--bind", "x=1e400"],
+        ["eval", "--expr", "x^2", "--bind", "x=nan"],
+        ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "nan", "--order", "4"],
+        ["solve-ivp", "--rhs", "x+y", "--x0", "0", "--y0", "inf", "--h", "0.1"],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "ProblemFileError" in err and "Traceback" not in err
+    for tol in ("-1", "nan", "inf"):
+        argv = ["derive", "--expr", "x^2", "--var", "x", "--bind", "x=T(1,2,3)", "--tol", tol]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "Traceback" not in err
     # nesting past the parser's bound is a usage error, not a RecursionError
     for text in ("(" * 250 + "x" + ")" * 250, "sin(" * 300 + "x" + ")" * 300, "-" * 1500 + "x"):
         assert run(["eval", f"--expr={text}", "--bind", "x=T(1,2,3)"]) == 2

@@ -81,6 +81,14 @@ def test_malformed_triplet():
         TriangularSpec(1.0, 0.5, 2.0)
     with pytest.raises(MalformedTriplet):
         make_triangular((3, 2, 1), GRID)
+    # inf - inf * alpha would leave a NaN upper envelope
+    with pytest.raises(MalformedTriplet):
+        make_triangular((1, 2, float("inf")), GRID)
+
+
+def test_constructor_refuses_crossed_envelopes():
+    with pytest.raises(Crossed):
+        FuzzyNumber(AlphaGrid([0.0, 1.0]), [3, 3], [1, 1])
 
 
 def test_from_alpha_grid_two_level():

@@ -37,6 +37,17 @@ def tri(d, e, f, grid=GRID):
     return make_triangular((d, e, f), grid)
 
 
+def test_defaults_share_one_grid():
+    grids = (
+        make_triangular((1, 2, 3)).grid,
+        singleton(1.0).grid,
+        parse_expr("T(1,2,3)").value.grid,
+        parse_coeff_rule("n / T(4,5,6)^(n-1)").base.grid,
+        evaluate(parse_expr("1 + 2")).grid,
+    )
+    assert all(g is grids[0] for g in grids)
+
+
 def constant_series(coefficient, n_max=40):
     return FuzzyPowerSeries(singleton(0.0, coefficient.grid), [coefficient] * n_max)
 
