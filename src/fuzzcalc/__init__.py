@@ -12,7 +12,6 @@ from .core import (
     approx_equal,
     defuzz_triplet,
     div,
-    from_alpha_grid,
     gh_difference,
     hausdorff_distance,
     make_triangular,

@@ -2,8 +2,10 @@
 analyze power series, and solve fully fuzzy IVPs, emitting alpha-cut CSV
 tables and human-readable summaries.
 
-Exit codes: 0 success, 1 domain error (error name on stderr), 2 usage or
-parse error.
+Each command handler computes its result and returns a report; ``run``
+alone writes the table and prints.  Exit codes: 0 success, with the
+summary on stdout; 1 domain error, 2 usage or parse error, each with
+nothing on stdout and one ``Name: message`` line on stderr.
 """
 
 from __future__ import annotations
@@ -11,14 +13,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from datetime import datetime
+
+import numpy as np
 
 from .calculus import DEFAULT_TOL, mh_derivative
 from .core import (
     DEFAULT_RESOLUTION,
     AlphaGrid,
     FuzzyNumber,
-    from_alpha_grid,
     singleton,
 )
 from .errors import (
@@ -53,7 +55,7 @@ def _fmt(x: float) -> str:
 def write_alpha_csv(value: FuzzyNumber, path, metadata: dict | None = None) -> None:
     """Write ``alpha,lower,upper`` rows in ascending alpha, LF-terminated.
 
-    Metadata (command, inputs, timestamp) goes into leading '#' comment
+    Metadata (the command and its inputs) goes into leading '#' comment
     lines, which golden comparisons and the reader ignore.
     """
     if not value.proper:
@@ -83,7 +85,7 @@ def read_alpha_csv(path) -> FuzzyNumber:
             levels.append(a)
             lows.append(lo)
             highs.append(hi)
-    return from_alpha_grid(lows, highs, AlphaGrid(levels))
+    return FuzzyNumber(AlphaGrid(levels), lows, highs)
 
 
 # -- shared parsing helpers ------------------------------------------------------------
@@ -162,31 +164,22 @@ def _summary(value: FuzzyNumber, label: str = "value") -> list[str]:
     ]
 
 
-def _emit(value: FuzzyNumber, out, command: str, extra_meta: dict | None = None):
-    if out:
-        meta = {"command": command, "generated": datetime.now().isoformat(timespec="seconds")}
-        meta.update(extra_meta or {})
-        write_alpha_csv(value, out, meta)
-        print(f"alpha table written to {out}")
-
-
 # -- commands ------------------------------------------------------------------------------
+#
+# Each handler returns its report: (summary lines after the command name, the
+# value for the table, the table path or None, the table metadata).
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     grid = _grid_from(args.alphas)
     env = _parse_bindings(args.bind, grid)
     node = parse_expr(args.expr, grid)
     value = evaluate(node, env)
-    print("command: eval")
-    print(f"expression: {args.expr}")
-    for line in _summary(value):
-        print(line)
-    _emit(value, args.out, "eval", {"expression": args.expr})
-    return 0
+    lines = [f"expression: {args.expr}", *_summary(value)]
+    return lines, value, args.out, {"expression": args.expr}
 
 
-def _cmd_derive(args) -> int:
+def _cmd_derive(args):
     grid = _grid_from(args.alphas)
     env = _parse_bindings(args.bind, grid)
     if args.var not in env.bindings:
@@ -194,14 +187,9 @@ def _cmd_derive(args) -> int:
     x0 = env.bindings[args.var]
     node = parse_expr(args.expr, grid)
     est = mh_derivative(node, args.var, x0, env, args.tol)
-    print("command: derive")
-    print(f"expression: {args.expr}  (d/d{args.var})")
-    for line in _summary(est.value, "derivative"):
-        print(line)
-    print(f"one-sided gap: {_fmt(est.gap)}")
-    print(f"final step: {_fmt(est.h_final)}")
-    _emit(est.value, args.out, "derive", {"expression": args.expr, "var": args.var})
-    return 0
+    lines = [f"expression: {args.expr}  (d/d{args.var})", *_summary(est.value, "derivative"),
+             f"one-sided gap: {_fmt(est.gap)}", f"final step: {_fmt(est.h_final)}"]
+    return lines, est.value, args.out, {"expression": args.expr, "var": args.var}
 
 
 def _taylor_probe(order: int) -> int:
@@ -213,23 +201,23 @@ def _taylor_probe(order: int) -> int:
     return (avail // 2) * 2
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args):
     grid = _grid_from(args.alphas)
     if bool(args.taylor_of) == bool(args.coeff_rule):
         raise ProblemFileError("give exactly one of --taylor-of or --coeff-rule")
 
-    print("command: series")
+    lines = []
     if args.taylor_of:
         if not (args.var and args.center and args.order is not None):
             raise ProblemFileError("--taylor-of needs --var, --center, and --order")
         center = _parse_fuzzy_value(args.center, grid)
         node = parse_expr(args.taylor_of, grid)
         s = taylor_series_of(node, args.var, center, args.order)
-        print(f"taylor expansion of: {args.taylor_of}  (order {args.order})")
+        lines.append(f"taylor expansion of: {args.taylor_of}  (order {args.order})")
         for k in range(min(args.order, 6) + 1):
             c = s.coefficient(k)
-            print(f"  a_{k} triplet: ({_fmt(c.support.lo)}, {_fmt(c.core.midpoint)},"
-                  f" {_fmt(c.support.hi)})")
+            lines.append(f"  a_{k} triplet: ({_fmt(c.support.lo)}, {_fmt(c.core.midpoint)},"
+                         f" {_fmt(c.support.hi)})")
         mode = args.radius_mode or "four-quotient"
         n_probe = _taylor_probe(args.order)
         if mode == "four-quotient" and n_probe < 2:
@@ -237,7 +225,7 @@ def _cmd_series(args) -> int:
     else:
         rule = parse_coeff_rule(args.coeff_rule, grid)
         s = FuzzyPowerSeries(singleton(0.0, grid), rule)
-        print(f"coefficient rule: {args.coeff_rule}")
+        lines.append(f"coefficient rule: {args.coeff_rule}")
         mode = args.radius_mode or "symbolic"
         n_probe = 16
 
@@ -245,24 +233,21 @@ def _cmd_series(args) -> int:
         result = radius_symbolic_ratio(s)
     else:
         result = radius_four_quotient(s, n_probe)
-    print(f"radius mode: {result.mode}")
+    lines.append(f"radius mode: {result.mode}")
     if result.is_infinite:
-        print("radius: infinite")
+        lines.append("radius: infinite")
     else:
-        for line in _summary(result.R, "radius"):
-            print(line)
-    print(f"ratio-test values: L_lower={_fmt(result.L_lower)} L_upper={_fmt(result.L_upper)}")
+        lines += _summary(result.R, "radius")
+    lines.append(f"ratio-test values: L_lower={_fmt(result.L_lower)} L_upper={_fmt(result.L_upper)}")
     if n_probe >= 2:
         try:
-            check = ratio_test(s, n_probe)
-            print(f"ratio test converges: {check.converges}")
+            lines.append(f"ratio test converges: {ratio_test(s, n_probe).converges}")
         except NoLimit:
-            print("ratio test: no limit declared at the probe indices")
-    _emit(result.R, args.out, "series", {"radius_mode": result.mode})
-    return 0
+            lines.append("ratio test: no limit declared at the probe indices")
+    return lines, result.R, args.out, {"radius_mode": result.mode}
 
 
-def _cmd_solve_ivp(args) -> int:
+def _cmd_solve_ivp(args):
     settings = read_problem_file(args.file) if args.file else {}
     if settings.get("command", "solve-ivp") != "solve-ivp":
         raise ProblemFileError(f"problem file is for {settings['command']!r}, not solve-ivp")
@@ -288,17 +273,11 @@ def _cmd_solve_ivp(args) -> int:
         raise ProblemFileError(str(exc)) from None
     solution = solve(problem)
     x_final, y_final = solution.final
-    print("command: solve-ivp")
-    print(f"rhs: {settings['rhs']}")
-    print(f"order: {problem.order}  steps: {problem.steps}")
-    for i, mag in enumerate(solution.truncation_magnitudes, start=1):
-        print(f"step {i} truncation magnitude: {_fmt(mag)}")
-    for line in _summary(x_final, "x"):
-        print(line)
-    for line in _summary(y_final, "y"):
-        print(line)
-    _emit(y_final, settings.get("out"), "solve-ivp", {"rhs": settings["rhs"]})
-    return 0
+    steps = enumerate(solution.truncation_magnitudes, start=1)
+    lines = [f"rhs: {settings['rhs']}", f"order: {problem.order}  steps: {problem.steps}",
+             *(f"step {i} truncation magnitude: {_fmt(mag)}" for i, mag in steps),
+             *_summary(x_final, "x"), *_summary(y_final, "y")]
+    return lines, y_final, settings.get("out"), {"rhs": settings["rhs"]}
 
 
 # -- entry points ------------------------------------------------------------------------
@@ -368,8 +347,13 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    """Execute one command; returns the process exit code, never raises for
-    malformed input."""
+    """Execute one command and return the process exit code; the only code
+    that prints or writes a table.  Malformed input never raises.
+
+    numpy's floating-point warnings are silenced, as they would name package
+    source lines ahead of the error; ``_summary`` refuses every non-finite
+    value it prints.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -378,13 +362,16 @@ def run(argv: list[str]) -> int:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
-    except (ExprSyntaxError, ProblemFileError) as exc:
+        with np.errstate(all="ignore"):
+            lines, value, out, meta = _HANDLERS[args.command](args)
+            if out:
+                write_alpha_csv(value, out, {"command": args.command, **meta})
+                lines.append(f"alpha table written to {out}")
+    except (FuzzyError, ValueError, ArithmeticError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (FuzzyError, ValueError, ZeroDivisionError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ExprSyntaxError, ProblemFileError)) else 1
+    print("\n".join([f"command: {args.command}", *lines]))
+    return 0
 
 
 def main() -> None:

@@ -155,9 +155,11 @@ class FuzzyNumber:
     for gH-difference results whose envelopes lost nestedness; every
     operation other than the gH-difference refuses improper inputs.
 
-    Instances are immutable; operators delegate to the module functions
-    (``-`` is the gH-difference, ``*`` multiplies by a fuzzy number or
-    scales by a crisp one).
+    The constructor copies the envelopes and raises ``Crossed`` when lower
+    exceeds upper at some level (equality is fine) and ``NotNested`` when
+    the cuts do not shrink as alpha grows.  Instances are immutable;
+    operators delegate to the module functions (``-`` is the gH-difference,
+    ``*`` multiplies by a fuzzy number or scales by a crisp one).
     """
 
     __slots__ = ("grid", "lower", "upper", "proper")
@@ -171,6 +173,8 @@ class FuzzyNumber:
         if np.any(crossed):
             k = int(np.argmax(crossed))
             raise Crossed(f"lower exceeds upper at alpha={grid.levels[k]:.6g}")
+        if not _nested(lo, hi):
+            raise NotNested("alpha-cuts must shrink as alpha grows")
         lo.flags.writeable = False
         hi.flags.writeable = False
         self.grid = grid
@@ -314,18 +318,6 @@ def singleton(value: float, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
     """Crisp real embedded as a fuzzy number (both envelopes constant)."""
     flat = np.full(len(grid), float(value))
     return _fresh(grid, flat, flat)
-
-
-def from_alpha_grid(lower, upper, grid: AlphaGrid) -> FuzzyNumber:
-    """Validate raw envelope samples and assemble a proper fuzzy number.
-
-    Raises Crossed when lower > upper at some level (equality is fine) and
-    NotNested when either envelope is not monotone in alpha.
-    """
-    out = FuzzyNumber(grid, lower, upper)
-    if not _nested(out.lower, out.upper):
-        raise NotNested("alpha-cuts must shrink as alpha grows")
-    return out
 
 
 def resample(a: FuzzyNumber, grid: AlphaGrid) -> FuzzyNumber:

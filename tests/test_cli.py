@@ -1,6 +1,7 @@
 """CLI surface: subcommands, alpha-cut CSV format, exit codes, parser fuzzing."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -33,6 +34,15 @@ steps = 1
 def data_rows(path):
     with open(path) as fh:
         return [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+
+
+def error_line(capsys) -> str:
+    """The report of a command that failed inside its handler: nothing on
+    stdout and one ``Name: message`` line on stderr."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"[A-Za-z]\w*: .*\n", err), err
+    return err
 
 
 # -- alpha tables -------------------------------------------------------------------
@@ -96,6 +106,15 @@ def test_eval_writes_table(tmp_path, capsys):
     assert value.grid.resolution == 11
     assert value.support.lo == pytest.approx(1.0)
     assert value.support.hi == pytest.approx(9.0)
+
+
+def test_table_metadata_names_the_command_and_inputs_only(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    assert run(["eval", "--expr", "x^2", "--bind", "x=T(1,2,3)", "--out", str(out)]) == 0
+    with open(out) as fh:
+        meta = [ln.rstrip("\n") for ln in fh if ln.startswith("#")]
+    assert meta == ["# command: eval", "# expression: x^2"]
+    assert capsys.readouterr().out.endswith(f"alpha table written to {out}\n")
 
 
 def test_derive_square(capsys):
@@ -176,12 +195,12 @@ def test_solve_ivp_flags_override_file(tmp_path, capsys):
 
 def test_exit_2_on_bad_expression(capsys):
     assert run(["eval", "--expr", "x + * y"]) == 2
-    assert "ExprSyntaxError" in capsys.readouterr().err
+    assert "ExprSyntaxError" in error_line(capsys)
 
 
 def test_exit_2_on_unknown_function(capsys):
     assert run(["eval", "--expr", "tan(x)", "--bind", "x=1"]) == 2
-    assert "UnknownFunction" in capsys.readouterr().err
+    assert "UnknownFunction" in error_line(capsys)
 
 
 def test_exit_1_on_domain_error(capsys):
@@ -194,42 +213,57 @@ def test_exit_1_on_domain_error(capsys):
     )
     # a literal that overflows to inf would give a NaN envelope
     cases += ((["eval", "--expr", "T(1,2," + "9" * 400 + ")"], "MalformedTriplet"),)
+    # numpy's overflow warnings must not reach stderr ahead of the error
+    cases += ((["eval", "--expr", "exp(x) - exp(x)", "--bind", "x=T(700,800,900)"], "ImproperOperand"),)
+    # arithmetic overflow; the package does not name these errors yet
+    cases += tuple((argv, "") for argv in (
+        ["solve-ivp", "--rhs", "x^2 + y^2", "--x0", "T(0.7,1,1.2)", "--y0", "T(2.1,2.3,2.5)",
+         "--h", "T(0.07,0.1,0.12)", "--order", "4", "--steps", "40"],
+        ["eval", "--expr", "exp(x)", "--bind", "x=T(700,800,900)"],
+        ["eval", "--expr", "9" * 400 + " + x", "--bind", "x=1"],
+        ["series", "--taylor-of", "exp(x)/" + "9" * 201, "--var", "x", "--center", "T(-1,0,1)",
+         "--order", "4"],
+    ))
     for argv, error in cases:
         assert run(argv) == 1
-        err = capsys.readouterr().err
+        err = error_line(capsys)
         assert error in err and "Traceback" not in err
 
 
 def test_exit_1_on_unbound_variable(capsys):
     assert run(["eval", "--expr", "x + 1"]) == 1
-    assert "UnboundVariable" in capsys.readouterr().err
+    assert "UnboundVariable" in error_line(capsys)
 
 
 def test_exit_2_on_usage_errors(tmp_path, capsys):
     assert run(["eval"]) == 2  # missing --expr
     assert run(["no-such-command"]) == 2
-    assert run(["solve-ivp", "--rhs", "y"]) == 2  # missing fields
     capsys.readouterr()
+    assert run(["solve-ivp", "--rhs", "y"]) == 2  # missing fields
+    assert "ProblemFileError" in error_line(capsys)
     bad = tmp_path / "bad.txt"
     bad.write_text("rhs = y\nwhat = ever\n")
     assert run(["solve-ivp", "--file", str(bad)]) == 2
-    assert "ProblemFileError" in capsys.readouterr().err
+    assert "ProblemFileError" in error_line(capsys)
     fields = ["--rhs", "y", "--x0", "0", "--y0", "1", "--h", "0.1"]
     assert run(["solve-ivp", *fields, "--order", "7"]) == 2
+    assert "ProblemFileError" in error_line(capsys)
     for line in ("order = 7", "steps = 0"):
         bad.write_text(f"rhs = y\nx0 = 0\ny0 = 1\nh = 0.1\n{line}\n")
         assert run(["solve-ivp", "--file", str(bad)]) == 2
-        assert "ProblemFileError" in capsys.readouterr().err
-    # a non-finite crisp value is a usage error wherever it is given
+        assert "ProblemFileError" in error_line(capsys)
+    # a non-finite crisp value is a usage error wherever it is given, and a
+    # series order too small to probe fails before any coefficient is printed
     for argv in (
         ["eval", "--expr", "x^2", "--bind", "x=inf"],
         ["eval", "--expr", "x^2", "--bind", "x=1e400"],
         ["eval", "--expr", "x^2", "--bind", "x=nan"],
         ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "nan", "--order", "4"],
         ["solve-ivp", "--rhs", "x+y", "--x0", "0", "--y0", "inf", "--h", "0.1"],
+        ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "2"],
     ):
         assert run(argv) == 2
-        err = capsys.readouterr().err
+        err = error_line(capsys)
         assert "ProblemFileError" in err and "Traceback" not in err
     for tol in ("-1", "nan", "inf"):
         argv = ["derive", "--expr", "x^2", "--var", "x", "--bind", "x=T(1,2,3)", "--tol", tol]
@@ -239,13 +273,15 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
     # nesting past the parser's bound is a usage error, not a RecursionError
     for text in ("(" * 250 + "x" + ")" * 250, "sin(" * 300 + "x" + ")" * 300, "-" * 1500 + "x"):
         assert run(["eval", f"--expr={text}", "--bind", "x=T(1,2,3)"]) == 2
-        err = capsys.readouterr().err
+        err = error_line(capsys)
         assert "nested too deeply" in err and "Traceback" not in err
 
 
 def test_exit_2_on_bad_binding(capsys):
     assert run(["eval", "--expr", "x", "--bind", "x:T(1,2,3)"]) == 2
+    assert "ProblemFileError" in error_line(capsys)
     assert run(["eval", "--expr", "x", "--bind", "x=T(3,2,1)"]) == 1  # malformed triplet
+    assert "MalformedTriplet" in error_line(capsys)
 
 
 def test_parser_fuzz_never_crashes(capsys):

@@ -11,11 +11,11 @@ from fuzzcalc.core import (
     AlphaGrid,
     FuzzyNumber,
     TriangularSpec,
+    _fresh,
     add,
     approx_equal,
     defuzz_triplet,
     div,
-    from_alpha_grid,
     gh_difference,
     hausdorff_distance,
     make_triangular,
@@ -91,26 +91,32 @@ def test_constructor_refuses_crossed_envelopes():
         FuzzyNumber(AlphaGrid([0.0, 1.0]), [3, 3], [1, 1])
 
 
-def test_from_alpha_grid_two_level():
+def test_constructor_refuses_envelopes_that_do_not_nest():
+    # nothing crosses, but the core [0, 10] is wider than the support [5, 6]
+    with pytest.raises(NotNested):
+        FuzzyNumber(AlphaGrid([0.0, 0.5, 1.0]), [5, 3, 0], [6, 8, 10])
+
+
+def test_constructor_two_level():
     g = AlphaGrid([0.0, 1.0])
-    a = from_alpha_grid([0.0, 1.0], [2.0, 1.0], g)
+    a = FuzzyNumber(g, [0.0, 1.0], [2.0, 1.0])
     assert a.core.lo == 1.0 and a.core.hi == 1.0
 
     with pytest.raises(NotNested):
-        from_alpha_grid([1.0, 0.0], [2.0, 3.0], g)  # decreasing lower envelope
+        FuzzyNumber(g, [1.0, 0.0], [2.0, 3.0])  # decreasing lower envelope
 
 
-def test_from_alpha_grid_touching_envelopes_allowed():
+def test_constructor_touching_envelopes_allowed():
     # lower(1) == upper(1) == 2 is a legal (crisp-core) configuration:
     # equality never counts as crossing
     g = AlphaGrid([0.0, 1.0])
-    a = from_alpha_grid([0.0, 2.0], [2.0, 2.0], g)
+    a = FuzzyNumber(g, [0.0, 2.0], [2.0, 2.0])
     assert a.proper
     assert a.core.lo == 2.0 and a.core.hi == 2.0
     # ... but an upper envelope that grows with alpha is still rejected:
     # the core [2, 2] would escape the support [0, 1]
     with pytest.raises(NotNested):
-        from_alpha_grid([0.0, 2.0], [1.0, 2.0], g)
+        FuzzyNumber(g, [0.0, 2.0], [1.0, 2.0])
 
 
 # -- addition ------------------------------------------------------------------
@@ -266,8 +272,8 @@ def test_gh_inverts_addition():
 def test_gh_of_constant_intervals():
     # [5, 7] minus [2, 3] per level: [min(3, 4), max(3, 4)] = [3, 4]
     g = AlphaGrid.uniform(5)
-    a = from_alpha_grid(np.full(5, 5.0), np.full(5, 7.0), g)
-    b = from_alpha_grid(np.full(5, 2.0), np.full(5, 3.0), g)
+    a = FuzzyNumber(g, np.full(5, 5.0), np.full(5, 7.0))
+    b = FuzzyNumber(g, np.full(5, 2.0), np.full(5, 3.0))
     out = gh_difference(a, b)
     assert np.all(out.lower == 3.0) and np.all(out.upper == 4.0)
 
@@ -402,7 +408,9 @@ _CLASS_ZERO = {
     "real-line": ([-np.inf, -np.inf, -1.0, 0.0, 0.0], [np.inf, np.inf, 1.0, 0.0, 0.0]),
 }
 _GRID5 = AlphaGrid.uniform(5)
-_OPERANDS = {name: FuzzyNumber(_GRID5, lo, hi) for name, (lo, hi) in {**_SIGNED, **_CLASS_ZERO}.items()}
+# built through _fresh: several of these do not nest, and the constructor refuses them
+_OPERANDS = {name: _fresh(_GRID5, np.array(lo), np.array(hi))
+             for name, (lo, hi) in {**_SIGNED, **_CLASS_ZERO}.items()}
 
 
 def _four_product(a_lo, a_hi, b_lo, b_hi):
@@ -436,7 +444,7 @@ def test_sign_class_kernels_match_min_max_formulas_bitwise(a_name):
 
 def test_op_results_are_read_only_and_the_constructor_copies():
     lo = np.linspace(1.0, 2.0, len(SMALL))
-    hi = lo + 1.0
+    hi = np.full(len(SMALL), 2.0)
     a = FuzzyNumber(SMALL, lo, hi)
     lo[:] = 0.0
     hi[:] = 0.0

@@ -14,7 +14,7 @@ import fuzzcalc
 import fuzzcalc.expr
 from fuzzcalc.core import (
     AlphaGrid,
-    FuzzyNumber,
+    _fresh,
     add,
     approx_equal,
     gh_difference,
@@ -140,7 +140,7 @@ def test_nodes_hash_structurally_with_bit_exact_leaves():
     assert parse_expr("T(1,2,3)", GRID) != parse_expr("T(1,2,3)", AlphaGrid.uniform(11))
     improper = gh_difference(tri(0, 1, 1), tri(0, 0.5, 2))
     assert not improper.proper
-    as_proper = FuzzyNumber(GRID, improper.lower, improper.upper)
+    as_proper = _fresh(GRID, improper.lower.copy(), improper.upper.copy())
     assert FuzzyConst(improper) != FuzzyConst(as_proper)
     assert Add(Var("x"), Var("y")) != Mul(Var("x"), Var("y"))
 

@@ -1,0 +1,360 @@
+"""Differential check: run one fixed corpus against two source trees and
+name every entry whose output moved.
+
+    python3 tools/diffcheck.py PARENT_TREE CHANGE_TREE [--json PATH]
+
+Each tree is a source checkout; its ``src/`` is imported in a subprocess of
+its own, and both subprocesses run the same corpus, taken from this
+checkout.  The corpus draws its inputs from the benchmark's builders in
+``perfbench/`` (imported read-only) with fixed seeds:
+
+* every taylor-swell shape at two centres: coefficients and partial sum;
+* every ivp-wide form at order 4 and 3 steps, on 10001 levels;
+* the derive-fine texts at 16 points, through ``mh_derivative`` and
+  ``continuity_probe``;
+* ``radius_four_quotient``, ``radius_symbolic_ratio``, ``ratio_test`` and
+  ``convergence_interval`` on the demo and test coefficient rules;
+* the cli-oneshot argvs and the error argvs of the failure contract,
+  each through ``cli.run`` in-process: exit code, stdout, stderr and the
+  table it writes;
+* the constructor's refusals and the package's exported names.
+
+Each entry records its result (envelope digests, properness, scalars) or
+its error class and message.  Envelopes are compared by a digest of their
+bytes, taken afresh in each run; none is committed, because numpy's bits
+depend on the CPU's SIMD dispatch, so compare two trees on one host.
+
+The JSON summary (stdout, or ``--json PATH``) names every moved entry, the
+fields that moved (its kinds) and both sides' values of those fields.  Exit
+status: 0 when no entry moved, 1 when some did.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import traceback
+import warnings
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_NINES = "9" * 400
+# argvs outside cli-oneshot: the failure contract's error inputs, a table,
+# and inputs whose report changed in earlier changes
+EXTRA_ARGVS = (
+    ["solve-ivp", "--rhs", "x^2 + y^2", "--x0", "T(0.7,1,1.2)", "--y0", "T(2.1,2.3,2.5)",
+     "--h", "T(0.07,0.1,0.12)", "--order", "4", "--steps", "40"],
+    ["eval", "--expr", "exp(x)", "--bind", "x=T(700,800,900)"],
+    ["eval", "--expr", _NINES + " + x", "--bind", "x=1"],
+    ["series", "--taylor-of", "exp(x)/" + _NINES[:201], "--var", "x", "--center", "T(-1,0,1)",
+     "--order", "4"],
+    ["series", "--taylor-of", "x^2*" + _NINES[:201] + "^2", "--var", "x", "--center", "T(-1,0,1)",
+     "--order", "4"],
+    ["eval", "--expr", "exp(x) - exp(x)", "--bind", "x=T(700,800,900)"],
+    ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "2"],
+    ["eval", "--expr", "x - y", "--bind", "x=T(0,1,2)", "--bind", "y=T(0,0.5,3)"],
+    ["eval", "--expr", "x^2", "--bind", "x=T(1,2,3)", "--out", "{tmp}/eval.csv"],
+    ["eval", "--expr", "x^2", "--bind", "x=inf"],
+    ["derive", "--expr", "x^2", "--var", "x", "--bind", "x=T(1,2,3)", "--tol", "-1"],
+)
+RULES = ("n / T(4,5,6)^(n-1)", "1/n!", "T(1,2,3)", "2^3*n!/n^2", "3 * n^2 / 2")
+_ENVELOPE = re.compile(r"\.(lower|upper)$")
+
+
+def _short(text: str) -> str:
+    return re.sub(r"9{20,}", lambda m: f"<{len(m.group())} nines>", text)
+
+
+def _digest(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()[:20]
+
+
+# -- one tree: run the corpus ---------------------------------------------------------
+
+
+def _library_entries(workloads, fc):
+    """(id, thunk) pairs; a thunk returns a dict of named results."""
+    import fuzzcalc
+
+    core, series = fc.core, fc.series
+    taylor = workloads.LIBRARY["taylor-swell"]
+    for seed in (1, 2):
+        for task in taylor.build(seed):
+            def run(task=task):
+                s, total = taylor.run(task)
+                return {**{f"a_{k}": s.coefficient(k) for k in range(task["order"] + 1)}, "sum": total}
+            yield f"taylor-swell:{seed}:{task['text']} at T{task['centre']}", run
+
+    for task in workloads.LIBRARY["ivp-wide"].build(1):
+        p = task["problem"]
+
+        def run(p=p):
+            sol = fc.ivp.solve(fc.ivp.IvpProblem(rhs=p.rhs, x0=p.x0, y0=p.y0, h=p.h, order=4, steps=3))
+            out = {"truncation": sol.truncation_magnitudes}
+            for k, (x, y) in enumerate(sol.trajectory):
+                out.update({f"x{k}": x, f"y{k}": y})
+            return out
+        yield f"ivp-wide:1:y' = {task['rhs']}", run
+
+    derive = workloads.LIBRARY["derive-fine"]
+    batch = derive.build(1)[0]
+    for point, x0 in zip(batch["points"], batch["x0"]):
+        for text, expr in zip(derive.texts, batch["exprs"]):
+            def mh(expr=expr, x0=x0):
+                est = fc.calculus.mh_derivative(expr, "x", x0)
+                return {"value": est.value, "h_final": est.h_final, "gap": est.gap}
+            yield f"derive-fine:1:mh_derivative of {text} at T{point}", mh
+            yield (f"derive-fine:1:continuity_probe of {text} at T{point}",
+                   lambda expr=expr, x0=x0: {"delta": fc.calculus.continuity_probe(expr, "x", x0)})
+
+    grid = core.AlphaGrid.uniform(101)
+    zero = core.singleton(0.0, grid)
+    tri = [core.make_triangular(t, grid) for t in ((1, 2, 3), (-1, 0, 1))]
+    cases = {"[T(1,2,3)] * 40": lambda: series.FuzzyPowerSeries(zero, [tri[0]] * 40)}
+    for rule in RULES:
+        cases[f"rule {rule}"] = lambda rule=rule: series.FuzzyPowerSeries(
+            zero, series.parse_coeff_rule(rule, grid))
+    for text in ("exp(x)", "sin(x)", "cos(x)"):
+        cases[f"taylor of {text} at T(-1,0,1), order 10"] = lambda text=text: series.taylor_series_of(
+            fc.expr.parse_expr(text, grid), "x", tri[1], 10)
+    for name, make in cases.items():
+        def radius(how, make=make):
+            r = how(make())
+            return {"R": "infinite" if r.is_infinite else r.R, "mode": r.mode,
+                    "L_lower": r.L_lower, "L_upper": r.L_upper}
+        for n in (8, 16):
+            yield (f"radius:four-quotient n={n}:{name}",
+                   lambda n=n, radius=radius: radius(lambda s: series.radius_four_quotient(s, n)))
+        yield f"radius:symbolic:{name}", lambda radius=radius: radius(series.radius_symbolic_ratio)
+        yield (f"radius:ratio-test n=8:{name}",
+               lambda make=make: vars(series.ratio_test(make(), 8)))
+
+    radii = {
+        "symbolic radius of n / T(4,5,6)^(n-1)":
+            lambda: series.radius_symbolic_ratio(cases["rule n / T(4,5,6)^(n-1)"]()).R,
+        "symbolic radius of T(1,2,3)": lambda: series.radius_symbolic_ratio(cases["rule T(1,2,3)"]()).R,
+        "four-quotient radius of [T(1,2,3)] * 40":
+            lambda: series.radius_four_quotient(cases["[T(1,2,3)] * 40"](), 16).R,
+        "0": lambda: zero,
+        "1": lambda: core.singleton(1.0, grid),
+    }
+    centres = {"0": zero, "-T(1,2,3)": core.scalar_mul(-1.0, tri[0]), "T(-1,0,1)": tri[1]}
+    for radius_name, radius in radii.items():
+        for centre_name, centre in centres.items():
+            def interval(radius=radius, centre=centre):
+                b_lo, b_hi = series.convergence_interval(centre, radius())
+                return {"b_lo": b_lo, "b_hi": b_hi}
+            yield f"convergence-interval:{radius_name} about {centre_name}", interval
+
+    g3 = core.AlphaGrid([0.0, 0.5, 1.0])
+    yield "core:crossed envelopes", lambda: {"value": core.FuzzyNumber(g3, [3, 3, 3], [1, 1, 1])}
+    yield "core:core wider than support", lambda: {"value": core.FuzzyNumber(g3, [5, 3, 0], [6, 8, 10])}
+    yield "core:non-finite triplet", lambda: {"value": core.make_triangular((1, 2, float("inf")), grid)}
+    yield "api:package exports", lambda: {n: "exported" for n in dir(fuzzcalc) if n[0] != "_"}
+
+
+def _fields(results: dict, workloads, fuzzy_number: type) -> tuple[dict, str | None]:
+    """Comparable fields of one entry's results, and its contract breach."""
+    fields, breach = {}, None
+    for name, v in results.items():
+        if isinstance(v, fuzzy_number):
+            fields[f"{name}.lower"] = _digest(v.lower)
+            fields[f"{name}.upper"] = _digest(v.upper)
+            fields[f"{name}.proper"] = bool(v.proper)
+            ends = [float(e) for e in (v.lower[0], v.upper[0], v.lower[-1], v.upper[-1])]
+            fields[f"{name}.cuts"] = "support [{!r}, {!r}] core [{!r}, {!r}]".format(*ends)
+            # an improper flag is a legitimate result (a gH-difference); a
+            # proper flag on envelopes that cross or do not nest is not
+            finite = np.isfinite(v.lower).all() and np.isfinite(v.upper).all()
+            bad = "non-finite envelope" if not finite else v.proper and workloads.proper_finite(v)
+            if bad and breach is None:
+                breach = f"{name}: {bad}"
+        else:
+            fields[name] = repr(v)
+    return fields, breach
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def _run_cli(cli, errors, argv: list[str]) -> tuple[dict, str | None]:
+    """One argv as a fresh ``python -m fuzzcalc`` process would end it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # a fresh process prints each warning once per source line
+        warnings.simplefilter("default")
+        warnings.showwarning = _show_warning
+        try:
+            code = cli.run(list(argv))
+        except Exception as exc:  # the interpreter prints a traceback and exits 1
+            code = 1
+            err.write("Traceback (most recent call last):\n  ...\n")
+            err.write("".join(traceback.format_exception_only(type(exc), exc)))
+    fields = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    table = argv[argv.index("--out") + 1] if "--out" in argv else None
+    if table and os.path.exists(table):
+        with open(table) as fh:
+            rows = fh.read().splitlines()
+        os.remove(table)
+        meta = [re.sub(r"^# generated: .*", "# generated: <time>", r) for r in rows if r.startswith("#")]
+        fields["table.meta"] = "\n".join(meta)
+        data = "\n".join(r for r in rows if not r.startswith("#"))
+        fields["table.rows"] = hashlib.sha256(data.encode()).hexdigest()[:20]
+    return fields, _cli_breach(errors, code, fields["stdout"], fields["stderr"])
+
+
+def _cli_breach(errors, code, out: str, err: str) -> str | None:
+    """Why a command broke the exit-code contract, or None."""
+    if "Traceback" in err:
+        return "traceback"
+    if code == 0:
+        return None
+    if code not in (1, 2):
+        return f"exit {code}"
+    if code == 2 and err.startswith("usage:"):
+        return None  # argparse's own usage error
+    lines = err.splitlines()
+    cls = getattr(errors, lines[-1].split(":", 1)[0], None) if lines else None
+    if not (isinstance(cls, type) and issubclass(cls, errors.FuzzyError)):
+        return f"error not named by the package: {lines[-1] if lines else ''!r}"
+    if out or len(lines) != 1:
+        return "a failing command printed more than its one error line"
+    return None
+
+
+def collect(tmp: str) -> dict:
+    """Run the corpus against the imported ``fuzzcalc``: entry id ->
+    {"fields": ..., "breach": why it broke the failure contract, or None}.
+
+    ``tmp`` is an empty directory for the problem file and tables."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import cli_workload
+        import workloads
+    finally:
+        sys.path.remove(os.path.join(ROOT, "perfbench"))
+    import fuzzcalc.cli
+    import fuzzcalc.core
+    import fuzzcalc.errors
+
+    tree = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(fuzzcalc.__file__))))
+    records = {}
+    for entry_id, thunk in _library_entries(workloads, workloads._fc()):
+        try:
+            with np.errstate(all="ignore"):
+                fields, breach = _fields(thunk(), workloads, fuzzcalc.core.FuzzyNumber)
+        except Exception as exc:
+            fields = {"error": f"{type(exc).__name__}: {exc}"}
+            breach = None if isinstance(exc, fuzzcalc.errors.FuzzyError) else f"raises {type(exc).__name__}"
+        records[entry_id] = {"fields": fields, "breach": breach}
+
+    argvs = [task["argv"] for task in cli_workload.build(1, tmp)]
+    argvs += [[a.format(tmp=tmp) for a in argv] for argv in EXTRA_ARGVS]
+    for argv in argvs:
+        entry_id = "cli:" + _short(" ".join(argv)).replace(tmp, "<tmp>")
+        fields, breach = _run_cli(fuzzcalc.cli, fuzzcalc.errors, argv)
+        for key in ("stdout", "stderr"):
+            text = fields[key].replace(tmp, "<tmp>").replace(tree, "<tree>")
+            # a warning names its source line, which moves with unrelated edits
+            fields[key] = re.sub(r"(<tree>\S*\.py):\d+:", r"\1:<line>:", text)
+        records[entry_id] = {"fields": fields, "breach": breach}
+    return records
+
+
+# -- two trees: compare ------------------------------------------------------------
+
+
+def _collect_in(tree: str) -> dict:
+    src = os.path.join(os.path.abspath(tree), "src")
+    if not os.path.isfile(os.path.join(src, "fuzzcalc", "__init__.py")):
+        raise SystemExit(f"diffcheck: no fuzzcalc sources under {src}")
+    tmp = tempfile.mkdtemp(prefix="diffcheck-")
+    try:
+        out = os.path.join(tmp, "records.json")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, os.path.abspath(__file__), "--collect", src, out],
+                       cwd=tmp, env=env, check=True)
+        with open(out) as fh:
+            return json.load(fh)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _kind(field: str) -> str:
+    return "envelope" if _ENVELOPE.search(field) else field.rsplit(".", 1)[-1]
+
+
+def _side(record: dict, fields: list[str]) -> dict:
+    return {k: record["breach"] if k == "breach" else record["fields"].get(k) for k in fields}
+
+
+def compare(parent: dict, change: dict) -> dict:
+    moved = []
+    for entry_id in parent.keys() & change.keys():
+        a, b = parent[entry_id], change[entry_id]
+        fields = sorted(k for k in a["fields"].keys() | b["fields"].keys()
+                        if a["fields"].get(k) != b["fields"].get(k))
+        if a["breach"] != b["breach"]:
+            fields.append("breach")
+        if fields:
+            moved.append({"id": entry_id, "kinds": sorted({_kind(f) for f in fields}),
+                          "parent": _side(a, fields), "change": _side(b, fields)})
+    moved.sort(key=lambda m: m["id"])
+    by_kind = {}
+    for m in moved:
+        for kind in m["kinds"]:
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+    return {
+        "entries": len(parent.keys() & change.keys()),
+        "errors": {side: sum("error" in r["fields"] or r["fields"].get("exit", 0) != 0
+                             for r in recs.values()) for side, recs in (("parent", parent), ("change", change))},
+        "breaches": {side: sorted(k for k, r in recs.items() if r["breach"])
+                     for side, recs in (("parent", parent), ("change", change))},
+        "only_in_parent": sorted(parent.keys() - change.keys()),
+        "only_in_change": sorted(change.keys() - parent.keys()),
+        "moved_by_kind": dict(sorted(by_kind.items())),
+        "moved": moved,
+    }
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--collect"]:
+        src, out = argv[1:3]
+        import fuzzcalc
+        if not os.path.abspath(fuzzcalc.__file__).startswith(src + os.sep):
+            raise SystemExit(f"diffcheck: imported {fuzzcalc.__file__}, not the tree under {src}")
+        with open(out, "w") as fh:
+            json.dump(collect(os.path.dirname(out)), fh)
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="source tree of the parent commit")
+    ap.add_argument("change", help="source tree of the change")
+    ap.add_argument("--json", help="write the summary here instead of stdout")
+    args = ap.parse_args(argv)
+    summary = {"parent": args.parent, "change": args.change,
+               **compare(_collect_in(args.parent), _collect_in(args.change))}
+    text = json.dumps(summary, indent=1)
+    if args.json:
+        with open(args.json, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    print(f"diffcheck: {summary['entries']} entries, {len(summary['moved'])} moved "
+          f"{summary['moved_by_kind']}", file=sys.stderr)
+    return 1 if summary["moved"] or summary["only_in_parent"] or summary["only_in_change"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
