@@ -24,6 +24,17 @@ other operation rejects them with :class:`ImproperOperand`.
 
 Operation results wrap the arrays they have just computed without a copy
 (``_fresh``); only :class:`FuzzyNumber` called directly copies and checks.
+
+Envelopes may also be stacks: (rows, levels) arrays holding one fuzzy
+number per row, which the operations broadcast against plain envelopes.
+Stacks are internal: only :mod:`fuzzcalc.calculus` builds them, with
+``_fresh``, to evaluate many points at once, and every public result is
+one fuzzy number.  Each row's result equals the one-row result bit for
+bit.  Where an operation decides, it decides per row: ``div`` raises when
+some row's divisor support holds zero, naming the first such row;
+``_nested`` checks each row at its own scale, and a stack is proper only
+if every row is; ``_sign_class`` reads the stack flat, so a stack whose
+rows differ in sign takes ``mul``'s four products.
 """
 
 from __future__ import annotations
@@ -141,8 +152,17 @@ class TriangularSpec:
 
 
 def _nested(lower: np.ndarray, upper: np.ndarray) -> bool:
+    """Whether the cuts shrink as alpha grows, up to ``_NEST_SLACK`` times
+    the envelopes' largest magnitude (at least 1).  A stack nests only if
+    every row does, each row at its own scale, so that a large row cannot
+    hide a small row's defect."""
     with np.errstate(invalid="ignore"):
-        scale = max(1.0, float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
+        if lower.ndim == 1:
+            scale = max(1.0, float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
+        else:
+            # fmax skips NaN as max() does above
+            scale = np.fmax(np.fmax(1.0, np.max(np.abs(lower), axis=-1)),
+                            np.max(np.abs(upper), axis=-1))[..., None]
         tol = _NEST_SLACK * scale
         return bool(np.all(np.diff(lower) >= -tol) and np.all(np.diff(upper) <= tol))
 
@@ -242,8 +262,9 @@ def _fresh(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray, proper: bool =
     """Wrap envelope arrays that were just computed on ``grid``.
 
     Unlike ``FuzzyNumber(...)`` this neither copies nor checks shapes, so
-    the arrays must have the grid's shape and be new: nothing else may hold
-    them.  They are marked read-only here.
+    the arrays must have the grid's shape, or be (rows, levels) stacks of
+    it, and be new: nothing else may hold them.  They are marked read-only
+    here.
     """
     lower.setflags(write=False)
     upper.setflags(write=False)
@@ -273,6 +294,8 @@ def _sign_class(v: FuzzyNumber) -> int:
     they cost about a third of ``min`` and ``max``.
     """
     lo, hi = v.lower, v.upper
+    if lo.ndim != 1:  # a stack is read flat
+        lo, hi = lo.ravel(), hi.ravel()
     if lo[lo.argmin()] > 0.0 and hi[hi.argmin()] > 0.0:
         return 1
     if hi[hi.argmax()] < 0.0 and lo[lo.argmax()] < 0.0:
@@ -402,10 +425,15 @@ def div(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """
     _require_proper(a, b)
     _require_same_grid(a, b)
-    if b.lower[0] <= 0.0 <= b.upper[0]:
-        raise DivisorStraddlesZero(
-            f"divisor support [{b.lower[0]:.6g}, {b.upper[0]:.6g}] contains zero"
-        )
+    if b.lower.ndim == 1:
+        lo, hi = b.lower[0], b.upper[0]
+    else:
+        # a stack is tested per row: the first row whose support holds zero
+        # (row 0 when none does)
+        k = np.argmax((b.lower[:, 0] <= 0.0) & (0.0 <= b.upper[:, 0]))
+        lo, hi = b.lower[k, 0], b.upper[k, 0]
+    if lo <= 0.0 <= hi:
+        raise DivisorStraddlesZero(f"divisor support [{lo:.6g}, {hi:.6g}] contains zero")
     r1 = 1.0 / b.lower
     r2 = 1.0 / b.upper
     return mul(a, _fresh(b.grid, np.minimum(r1, r2), np.maximum(r1, r2)))

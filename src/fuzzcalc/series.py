@@ -204,6 +204,11 @@ def radius_four_quotient(s: FuzzyPowerSeries, n_probe: int = 16) -> RadiusResult
     """
     if n_probe < 2:
         raise ValueError("n_probe must be at least 2")
+    if not s.is_rule and n_probe + 1 >= len(s.coeffs):
+        raise NoLimit(
+            f"n_probe {n_probe} needs {n_probe + 2} coefficients;"
+            f" the series has {len(s.coeffs)} explicit coefficients"
+        )
     q_half = _backward_quartet(s, n_probe // 2)
     q_full = _backward_quartet(s, n_probe)
     limits = _declared_limits(q_half, q_full)  # 4 x L

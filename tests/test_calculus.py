@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import fuzzcalc.calculus
 from fuzzcalc.calculus import continuity_probe, mh_derivative
 from fuzzcalc.core import (
     AlphaGrid,
     add,
+    gh_difference,
     hausdorff_distance,
     make_triangular,
     scalar_mul,
     singleton,
 )
-from fuzzcalc.errors import NotDifferentiable
+from fuzzcalc.errors import DivisorStraddlesZero, ImproperOperand, NotDifferentiable
 from fuzzcalc.expr import Env, evaluate, differentiate, parse_expr
 
 GRID = AlphaGrid.uniform()
@@ -147,3 +149,85 @@ def test_probe_failure_is_none():
         parse_expr("1000 * x"), "x", tri(0, 1, 2), eps=1e-6, trial_deltas=[1.0, 0.5]
     )
     assert got is None
+
+
+# -- blocks: one stacked evaluation, errors in point-by-point order -----------------
+
+# 0*(1/x) adds nothing, but raises once a point's support holds zero
+GUARDED = "x + 0*(1/x)"
+
+
+def test_block_is_one_evaluation(count_calls):
+    calls = count_calls(fuzzcalc.calculus, "evaluate")
+    f, x0 = parse_expr("sin(x)*exp(x)"), tri(0.6, 0.8, 1.0)
+    mh_derivative(f, "x", x0)
+    assert calls[0] == 1
+    continuity_probe(f, "x", x0)
+    assert calls[0] == 2
+
+
+def test_estimate_converges_before_the_step_whose_points_straddle_zero(count_calls):
+    # h0 / 4 shifts x0 - h across zero, but the estimate settles at h0 / 2;
+    # the block raises, and the redo evaluates x0 and two steps' points
+    calls = count_calls(fuzzcalc.calculus, "evaluate")
+    est = mh_derivative(parse_expr(GUARDED), "x", tri(0.02, 0.03, 0.05))
+    assert est.h_final == 0.0646875
+    assert hausdorff_distance(est.value, singleton(1.0, GRID)) <= 1e-15
+    assert calls[0] == 1 + 5
+
+
+def test_estimate_raises_the_first_point_by_point_error():
+    with pytest.raises(DivisorStraddlesZero) as err:
+        mh_derivative(parse_expr(GUARDED), "x", tri(0.005, 0.03, 0.2))
+    assert str(err.value) == "divisor support [-0.132812, 0.0621875] contains zero"
+
+
+def test_probe_accepts_before_the_shift_whose_point_straddles_zero():
+    got = continuity_probe(parse_expr(GUARDED), "x", tri(0.02, 0.03, 0.05), eps=1.0)
+    assert got == 1.0
+
+
+def test_probe_raises_the_first_point_by_point_error():
+    # x0 - 0.75 is the first shift tried whose support holds zero; x0 - 0.95
+    # holds it too, later
+    with pytest.raises(DivisorStraddlesZero) as err:
+        continuity_probe(parse_expr("1/x"), "x", tri(0.6, 0.8, 1.0), eps=10)
+    assert str(err.value) == "divisor support [-0.15, 0.25] contains zero"
+
+
+def test_not_differentiable_reports_the_last_gap():
+    with pytest.raises(NotDifferentiable, match="last gap 0.5,"):
+        mh_derivative(parse_expr("exp(x)"), "x", tri(6, 7, 8))
+
+
+def test_probe_checks_only_the_values_it_reaches():
+    # x^2 gH- T(0,1,1.5) loses nestedness at some shifts.  At T(-1.6,-1.5,-1.4)
+    # only shifts the probe never tries do, so it answers; at T(0.5,1,1.2) the
+    # first shift does, so the probe raises as hausdorff_distance does
+    f = parse_expr("x^2 - T(0,1,1.5)")
+    assert continuity_probe(f, "x", tri(-1.6, -1.5, -1.4), eps=1.0) == 0.1
+    with pytest.raises(ImproperOperand):
+        continuity_probe(f, "x", tri(0.5, 1, 1.2), eps=10)
+
+
+def test_probe_rejects_an_improper_point():
+    x0 = gh_difference(tri(0, 1, 1), tri(0, 0.5, 2))
+    assert not x0.proper
+    for eps in (1e-3, 10):
+        with pytest.raises(ImproperOperand, match="binding for 'x' is improper"):
+            continuity_probe(parse_expr("x"), "x", x0, eps=eps)
+
+
+def test_underflow_leaves_a_block_whole_unless_the_caller_raises_on_it(count_calls):
+    # exp underflows to zero on this support: numpy ignores that by default,
+    # and so does a block; a caller who raises on it gets the error at f(x0)
+    calls = count_calls(fuzzcalc.calculus, "evaluate")
+    f, x0 = parse_expr("exp(x)"), tri(-760, -750, -740)
+    est = mh_derivative(f, "x", x0)
+    assert est.h_final == 46.9375
+    assert continuity_probe(f, "x", x0) == 1.0
+    assert calls[0] == 2
+    with np.errstate(under="raise"):
+        for estimate in (mh_derivative, continuity_probe):
+            with pytest.raises(FloatingPointError, match="underflow encountered in exp"):
+                estimate(f, "x", x0)

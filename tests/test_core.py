@@ -12,6 +12,7 @@ from fuzzcalc.core import (
     FuzzyNumber,
     TriangularSpec,
     _fresh,
+    _nested,
     add,
     approx_equal,
     defuzz_triplet,
@@ -250,6 +251,19 @@ def test_div_straddling_zero():
         div(tri(1, 2, 3), tri(-1, 0, 1))
     with pytest.raises(DivisorStraddlesZero):
         div(tri(1, 2, 3), tri(0, 1, 2))  # touching zero is still undefined
+
+
+def stack(*numbers: FuzzyNumber) -> FuzzyNumber:
+    """The numbers as the rows of one (rows, levels) stack."""
+    return _fresh(numbers[0].grid, np.stack([n.lower for n in numbers]), np.stack([n.upper for n in numbers]))
+
+
+def test_div_by_a_stack_names_its_first_straddling_row():
+    rows = stack(tri(1, 2, 3), tri(-1, 0.5, 2), tri(0, 1, 2))
+    with pytest.raises(DivisorStraddlesZero, match=r"support \[-1, 2\]"):
+        div(tri(1, 2, 3), rows)
+    out = div(tri(1, 2, 3), stack(tri(1, 2, 3), tri(-3, -2, -1)))
+    assert out.lower.shape == (2, len(GRID))
 
 
 # -- gH-difference ----------------------------------------------------------------
@@ -525,3 +539,15 @@ def test_prop_metric_subadditivity(u, v, w, e):
     lhs = hausdorff_distance(add(u, v), add(w, e))
     rhs = hausdorff_distance(u, w) + hausdorff_distance(v, e)
     assert lhs <= rhs + 1e-9
+
+
+def test_stack_nests_only_if_every_row_does_at_its_own_scale():
+    levels = np.linspace(0.0, 1.0, 11)
+    big_lo, big_hi = 1e6 - 1.0 + levels, 1e6 + 1.0 - levels
+    # a small row whose lower envelope dips by 1e-8: beyond its own slack
+    # (1e-12), within the big row's (1e-6)
+    small_lo, small_hi = levels.copy(), 2.0 - levels
+    small_lo[5] = small_lo[4] - 1e-8
+    assert _nested(big_lo, big_hi) and not _nested(small_lo, small_hi)
+    assert not _nested(np.stack((big_lo, small_lo)), np.stack((big_hi, small_hi)))
+    assert _nested(np.stack((big_lo, levels)), np.stack((big_hi, small_hi)))

@@ -9,9 +9,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Corpus entries that still break the contract.  Mending one fails this test
 # until its entry is removed here.
 KNOWN_DEFECTS = {
-    # radius_four_quotient indexes past an explicit coefficient list
-    "radius:four-quotient n=16:taylor of exp(x) at T(-1,0,1), order 10",
-    "radius:four-quotient n=16:taylor of sin(x) at T(-1,0,1), order 10",
     # the crisp zeros of sin's even coefficients give an improper radius with
     # an infinite support instead of NoLimit
     "radius:four-quotient n=8:taylor of sin(x) at T(-1,0,1), order 10",

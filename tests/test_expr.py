@@ -447,3 +447,56 @@ def test_dropped_derivative_leaves_the_intern_table_in_one_collection():
     del problem
     gc.collect()
     assert len(fuzzcalc.expr._NODES) == before
+
+
+# -- stacks: envelopes with a leading row axis --------------------------------------
+
+POS, NEG, STRADDLE, WIDE = (0.5, 0.8, 1.2), (-2.0, -1.5, -0.7), (-0.5, 0.2, 1.0), (-4.0, 1.0, 7.0)
+
+
+def stack_and_rows(text: str, rows):
+    """``text`` evaluated once with x bound to a (rows, levels) stack of the
+    triangular ``rows``, and once per row: (stacked envelopes broadcast to
+    the stack's shape, its properness, the per-row values)."""
+    f = parse_expr(text)
+    xs = [tri(*r) for r in rows]
+    got = evaluate(f, Env({"x": _fresh(GRID, np.stack([x.lower for x in xs]), np.stack([x.upper for x in xs]))}))
+    shape = (len(xs), len(GRID))
+    envelopes = (np.broadcast_to(got.lower, shape), np.broadcast_to(got.upper, shape))
+    return envelopes, got.proper, [evaluate(f, Env({"x": x})) for x in xs]
+
+
+@pytest.mark.parametrize(
+    "text,rows",
+    [
+        ("2.5", [POS, NEG]),
+        ("T(1,2,3)", [POS, NEG]),
+        ("x", [POS, NEG, STRADDLE]),
+        ("x + T(1,2,3)", [POS, NEG, STRADDLE]),
+        ("-x", [POS, NEG, STRADDLE]),
+        ("x^3", [POS, NEG, STRADDLE]),
+        ("x * x", [POS, NEG, STRADDLE]),
+        ("x * T(-1,0.5,2)", [POS, NEG]),
+        ("x * T(-3,-2,-1)", [POS, (1, 2, 3)]),  # every row signed: two products
+        ("x * T(1,2,3)", [POS, NEG]),  # rows of both signs: four products
+        ("x / T(1,2,3)", [POS, NEG, STRADDLE]),
+        ("T(1,2,3) / x", [POS, NEG, (0.1, 2.0, 9.0)]),
+        ("exp(x)", [POS, NEG, WIDE]),
+        ("sin(x)", [POS, NEG, WIDE]),
+        ("cos(x)", [POS, NEG, WIDE]),
+    ],
+)
+def test_stack_evaluates_each_row_bit_for_bit(text, rows):
+    (lower, upper), proper, want = stack_and_rows(text, rows)
+    assert lower.tobytes() == np.stack([w.lower for w in want]).tobytes()
+    assert upper.tobytes() == np.stack([w.upper for w in want]).tobytes()
+    assert proper and all(w.proper for w in want)
+
+
+def test_stack_of_gh_differences_is_improper_iff_some_row_is():
+    (lower, upper), proper, want = stack_and_rows("x - T(0,0.5,2)", [(0, 1, 1), (0, 1, 3), (-1, 1, 4)])
+    assert [w.proper for w in want] == [False, True, True]
+    assert lower.tobytes() == np.stack([w.lower for w in want]).tobytes()
+    assert upper.tobytes() == np.stack([w.upper for w in want]).tobytes()
+    assert not proper
+    assert stack_and_rows("x - T(0,0.5,2)", [(0, 1, 3), (-1, 1, 4)])[1]

@@ -167,6 +167,16 @@ def test_radius_four_quotient_no_limit_for_growing_rule():
         radius_four_quotient(s, n_probe=16)
 
 
+def test_radius_four_quotient_names_a_series_too_short_for_its_probe():
+    # the probe at n reads a_n and a_(n+1)
+    s = taylor_series_of(parse_expr("exp(x)"), "x", tri(-1, 0, 1), 10)
+    with pytest.raises(NoLimit, match="n_probe 16 needs 18 coefficients; the series has 11 explicit"):
+        radius_four_quotient(s, 16)
+    with pytest.raises(NoLimit, match="n_probe 10 needs 12 coefficients"):
+        radius_four_quotient(s, 10)
+    assert radius_four_quotient(s, 9).mode == "four-quotient"
+
+
 def test_radius_four_quotient_infinite_for_factorial_decay():
     rule = parse_coeff_rule("1/n!", GRID)
     s = FuzzyPowerSeries(singleton(0.0, GRID), rule)

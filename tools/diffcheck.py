@@ -10,8 +10,11 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
 
 * every taylor-swell shape at two centres: coefficients and partial sum;
 * every ivp-wide form at order 4 and 3 steps, on 10001 levels;
-* the derive-fine texts at 16 points, through ``mh_derivative`` and
-  ``continuity_probe``;
+* the derive-fine texts at 16 points, through ``mh_derivative`` at three
+  tolerances and ``continuity_probe``;
+* estimator inputs that stop just before, or raise at, a point whose
+  support holds zero or whose value does not nest, one that does not
+  converge and one whose values underflow;
 * ``radius_four_quotient``, ``radius_symbolic_ratio``, ``ratio_test`` and
   ``convergence_interval`` on the demo and test coefficient rules;
 * the cli-oneshot argvs and the error argvs of the failure contract,
@@ -68,6 +71,23 @@ EXTRA_ARGVS = (
     ["eval", "--expr", "x^2", "--bind", "x=inf"],
     ["derive", "--expr", "x^2", "--var", "x", "--bind", "x=T(1,2,3)", "--tol", "-1"],
 )
+# estimator inputs whose stopping point or first error a blocked evaluation
+# could move: 0*(1/x) adds nothing but raises once a point's support holds
+# zero, so the loop must stop before the points that raise, and the probe
+# must check only the values it reaches
+ESTIMATOR_INPUTS = (
+    ("x + 0*(1/x)", (0.02, 0.03, 0.05), "mh_derivative", {}),
+    ("x + 0*(1/x)", (0.005, 0.03, 0.2), "mh_derivative", {}),
+    ("x + 0*(1/x)", (0.02, 0.03, 0.05), "continuity_probe", {"eps": 1.0}),
+    ("1/x", (0.6, 0.8, 1.0), "continuity_probe", {"eps": 10}),
+    ("exp(x)", (6, 7, 8), "mh_derivative", {}),
+    # some shifts lose nestedness: ones never tried, then the first tried
+    ("x^2 - T(0,1,1.5)", (-1.6, -1.5, -1.4), "continuity_probe", {"eps": 1.0}),
+    ("x^2 - T(0,1,1.5)", (0.5, 1, 1.2), "continuity_probe", {"eps": 10}),
+    # exp underflows to zero, which numpy ignores by default
+    ("exp(x)", (-760, -750, -740), "mh_derivative", {}),
+    ("exp(x)", (-760, -750, -740), "continuity_probe", {}),
+)
 RULES = ("n / T(4,5,6)^(n-1)", "1/n!", "T(1,2,3)", "2^3*n!/n^2", "3 * n^2 / 2")
 _ENVELOPE = re.compile(r"\.(lower|upper)$")
 
@@ -107,18 +127,31 @@ def _library_entries(workloads, fc):
             return out
         yield f"ivp-wide:1:y' = {task['rhs']}", run
 
+    def mh(expr, x0, **kw):
+        est = fc.calculus.mh_derivative(expr, "x", x0, **kw)
+        return {"value": est.value, "left_value": est.left_value, "h_final": est.h_final, "gap": est.gap}
+
     derive = workloads.LIBRARY["derive-fine"]
     batch = derive.build(1)[0]
     for point, x0 in zip(batch["points"], batch["x0"]):
         for text, expr in zip(derive.texts, batch["exprs"]):
-            def mh(expr=expr, x0=x0):
-                est = fc.calculus.mh_derivative(expr, "x", x0)
-                return {"value": est.value, "h_final": est.h_final, "gap": est.gap}
-            yield f"derive-fine:1:mh_derivative of {text} at T{point}", mh
+            yield f"derive-fine:1:mh_derivative of {text} at T{point}", lambda expr=expr, x0=x0: mh(expr, x0)
+            for tol in (1e-5, 1e-9):
+                yield (f"derive-fine:1:mh_derivative tol={tol:g} of {text} at T{point}",
+                       lambda expr=expr, x0=x0, tol=tol: mh(expr, x0, tol=tol))
             yield (f"derive-fine:1:continuity_probe of {text} at T{point}",
                    lambda expr=expr, x0=x0: {"delta": fc.calculus.continuity_probe(expr, "x", x0)})
 
+    # where the estimators stop, and which error they raise first
     grid = core.AlphaGrid.uniform(101)
+    for text, triplet, how, kw in ESTIMATOR_INPUTS:
+        f, x0 = fc.expr.parse_expr(text, grid), core.make_triangular(triplet, grid)
+        if how == "mh_derivative":
+            run = lambda f=f, x0=x0, kw=kw: mh(f, x0, **kw)
+        else:
+            run = lambda f=f, x0=x0, kw=kw: {"delta": fc.calculus.continuity_probe(f, "x", x0, **kw)}
+        yield f"estimator:{how} of {text} at T{triplet} {kw}", run
+
     zero = core.singleton(0.0, grid)
     tri = [core.make_triangular(t, grid) for t in ((1, 2, 3), (-1, 0, 1))]
     cases = {"[T(1,2,3)] * 40": lambda: series.FuzzyPowerSeries(zero, [tri[0]] * 40)}
