@@ -16,7 +16,8 @@ operands are strictly positive or strictly negative at every level, Moore's
 case table names the two endpoint products that are the bounds, and only
 those are formed; rounding is monotone, so the result equals the
 four-product result bit for bit.  Any other pair, such as one holding a zero
-of either sign or a NaN, takes the four products.
+of either sign or a NaN, takes the four products.  A value's sign class is
+read once, in place, and kept on the value: its envelopes never change.
 
 The gH-difference is the one operation that can break nestedness (alpha-cuts
 must shrink as alpha grows); such results carry ``proper=False`` and every
@@ -39,6 +40,7 @@ rows differ in sign takes ``mul``'s four products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -124,7 +126,12 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        total = self.lo + self.hi
+        if math.isfinite(total):
+            return 0.5 * total
+        # the sum overflows near the float limit; halving first does not, but
+        # it would move subnormal midpoints, so it is the fallback only
+        return 0.5 * self.lo + 0.5 * self.hi
 
     def __contains__(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -155,16 +162,14 @@ def _nested(lower: np.ndarray, upper: np.ndarray) -> bool:
     """Whether the cuts shrink as alpha grows, up to ``_NEST_SLACK`` times
     the envelopes' largest magnitude (at least 1).  A stack nests only if
     every row does, each row at its own scale, so that a large row cannot
-    hide a small row's defect."""
+    hide a small row's defect.  A NaN never nests: its steps compare false."""
     with np.errstate(invalid="ignore"):
-        if lower.ndim == 1:
-            scale = max(1.0, float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
-        else:
-            # fmax skips NaN as max() does above
-            scale = np.fmax(np.fmax(1.0, np.max(np.abs(lower), axis=-1)),
-                            np.max(np.abs(upper), axis=-1))[..., None]
+        # fmax skips a NaN maximum, keeping the scale of the other envelope
+        scale = np.fmax(np.fmax(1.0, np.maximum.reduce(np.abs(lower), axis=-1)),
+                        np.maximum.reduce(np.abs(upper), axis=-1))
         tol = _NEST_SLACK * scale
-        return bool(np.all(np.diff(lower) >= -tol) and np.all(np.diff(upper) <= tol))
+        return bool((np.minimum.reduce(lower[..., 1:] - lower[..., :-1], axis=-1) >= -tol).all()
+                    and (np.maximum.reduce(upper[..., 1:] - upper[..., :-1], axis=-1) <= tol).all())
 
 
 class FuzzyNumber:
@@ -182,7 +187,7 @@ class FuzzyNumber:
     ``*`` multiplies by a fuzzy number or scales by a crisp one).
     """
 
-    __slots__ = ("grid", "lower", "upper", "proper")
+    __slots__ = ("grid", "lower", "upper", "proper", "_sign")
 
     def __init__(self, grid: AlphaGrid, lower, upper):
         lo = np.array(lower, dtype=float)
@@ -201,6 +206,7 @@ class FuzzyNumber:
         self.lower = lo
         self.upper = hi
         self.proper = True
+        self._sign = None
 
     # -- inspection ---------------------------------------------------------
 
@@ -273,6 +279,7 @@ def _fresh(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray, proper: bool =
     out.lower = lower
     out.upper = upper
     out.proper = proper
+    out._sign = None
     return out
 
 
@@ -285,22 +292,26 @@ def _order_normalized(grid: AlphaGrid, a: np.ndarray, b: np.ndarray) -> FuzzyNum
 
 def _sign_class(v: FuzzyNumber) -> int:
     """+1 when every lower and upper value is > 0, -1 when every one is < 0,
-    else 0.
+    else 0; read once per value and kept in its ``_sign`` slot.
 
     Read from the whole envelopes, not from the support alone: inner cuts
-    may sit a few ulps outside it (``_NEST_SLACK``).  A zero of either sign
-    gives 0, and so does a NaN: ``argmin`` and ``argmax`` point at the
-    first NaN, and every comparison with it is false.  On short envelopes
-    they cost about a third of ``min`` and ``max``.
+    may sit a few ulps outside it (``_NEST_SLACK``), and a stack is read
+    flat.  A zero of either sign gives 0, and so does a NaN: ``minimum`` and
+    ``maximum`` propagate it, and every comparison with it is false.  The
+    reductions read the envelopes in place; ``argmin`` and ``argmax`` would
+    first copy them, because numpy copies a read-only array before either.
     """
-    lo, hi = v.lower, v.upper
-    if lo.ndim != 1:  # a stack is read flat
-        lo, hi = lo.ravel(), hi.ravel()
-    if lo[lo.argmin()] > 0.0 and hi[hi.argmin()] > 0.0:
-        return 1
-    if hi[hi.argmax()] < 0.0 and lo[lo.argmax()] < 0.0:
-        return -1
-    return 0
+    s = getattr(v, "_sign", None)  # a value pickled before the slot lacks it
+    if s is None:
+        lo, hi = v.lower, v.upper
+        if np.minimum.reduce(lo, axis=None) > 0.0 and np.minimum.reduce(hi, axis=None) > 0.0:
+            s = 1
+        elif np.maximum.reduce(hi, axis=None) < 0.0 and np.maximum.reduce(lo, axis=None) < 0.0:
+            s = -1
+        else:
+            s = 0
+        v._sign = s
+    return s
 
 
 # -- guards ------------------------------------------------------------------

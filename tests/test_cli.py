@@ -152,6 +152,17 @@ def test_series_taylor_exp_is_everywhere_convergent(capsys):
     assert "ratio test converges: True" in out
 
 
+def test_series_triplets_stay_finite_near_the_float_limit(capsys):
+    # the core of a_0 and a_1 is exp(709.5), whose lo + hi overflows
+    code = run(["series", "--taylor-of", "exp(x)", "--var", "x",
+                "--center", "T(709,709.5,709.7)", "--order", "5"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "a_0 triplet: (8.218407461554972e+307, 1.3549863193146328e+308, 1.6549840276802644e+308)" in out
+    triplets = [line for line in out.splitlines() if "triplet" in line]
+    assert len(triplets) == 6 and not any("inf" in line for line in triplets)
+
+
 # -- solve-ivp ---------------------------------------------------------------------------
 
 

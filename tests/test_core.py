@@ -1,6 +1,9 @@
 """Alpha-cut arithmetic: worked examples plus randomized property checks."""
 
+import math
+import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzcalc.core import (
+    _NEST_SLACK,
     AlphaGrid,
     FuzzyNumber,
+    Interval,
     TriangularSpec,
     _fresh,
     _nested,
+    _sign_class,
     add,
     approx_equal,
     defuzz_triplet,
@@ -456,6 +462,114 @@ def test_sign_class_kernels_match_min_max_formulas_bitwise(a_name):
             assert _same_bytes(scalar_mul(k, a), np.minimum(x, y), np.maximum(x, y)), k
 
 
+def _argmin_sign_class(lo, hi):
+    # the classification as first written: argmin/argmax on the flat envelopes
+    lo, hi = lo.ravel(), hi.ravel()
+    if lo[lo.argmin()] > 0.0 and hi[hi.argmin()] > 0.0:
+        return 1
+    if hi[hi.argmax()] < 0.0 and lo[lo.argmax()] < 0.0:
+        return -1
+    return 0
+
+
+def test_sign_class_matches_an_argmin_reference():
+    envelopes = [(np.array(lo), np.array(hi)) for lo, hi in {**_SIGNED, **_CLASS_ZERO}.values()]
+    # two-row stacks of every ordered pair: rows of one sign, of mixed signs,
+    # or holding a zero, a NaN or an infinity
+    envelopes += [(np.stack((a_lo, b_lo)), np.stack((a_hi, b_hi)))
+                  for a_lo, a_hi in envelopes for b_lo, b_hi in envelopes]
+    classes = set()
+    for lo, hi in envelopes:
+        want = _argmin_sign_class(lo, hi)
+        assert _sign_class(_fresh(_GRID5, lo.copy(), hi.copy())) == want, (lo, hi)
+        classes.add((lo.ndim, want))
+    assert classes == {(ndim, s) for ndim in (1, 2) for s in (-1, 0, 1)}
+
+
+class _CountedEnvelope(np.ndarray):
+    """An envelope that counts how often it is read whole, by a ufunc
+    reduction or by ``argmin``/``argmax``."""
+
+    reads = 0
+
+    def _read(self):
+        type(self).reads += 1
+        return self.view(np.ndarray)
+
+    def argmin(self, *args, **kwargs):
+        return self._read().argmin(*args, **kwargs)
+
+    def argmax(self, *args, **kwargs):
+        return self._read().argmax(*args, **kwargs)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [v._read() if isinstance(v, _CountedEnvelope) and method == "reduce"
+                 else np.asarray(v) for v in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_a_value_multiplied_three_times_is_classified_once(monkeypatch):
+    monkeypatch.setattr(_CountedEnvelope, "reads", 0)
+    a = make_triangular((1, 2, 3), SMALL)
+    x = _fresh(SMALL, a.lower.copy().view(_CountedEnvelope), a.upper.copy().view(_CountedEnvelope))
+    for y in (make_triangular((0.5, 1, 4), SMALL), scalar_mul(-1.0, a), a):
+        assert _same_bytes(mul(x, y), *_four_product(a.lower, a.upper, y.lower, y.upper))
+    # a positive value is classified by the minimum of each envelope
+    assert _CountedEnvelope.reads == 2
+
+
+def test_a_value_unpickled_without_a_sign_slot_is_classified_on_use():
+    # a pickle made before values kept their sign class restores no _sign
+    a = make_triangular((1, 2, 3), SMALL)
+    old = make_triangular((1, 2, 3), SMALL)
+    del old._sign
+    old = pickle.loads(pickle.dumps(old))
+    assert mul(old, a) == mul(a, a) and _sign_class(old) == 1
+
+
+def _bytes_allocated(fn):
+    """``fn()`` and the bytes it allocates, freed or not: tracemalloc's peak
+    above the current size, summed over the stretches between profile events
+    (calls and returns, of C functions too)."""
+    total = 0
+
+    def stretch(frame, event, arg):
+        nonlocal total
+        current, peak = tracemalloc.get_traced_memory()
+        total += peak - current
+        tracemalloc.reset_peak()
+
+    previous = sys.getprofile()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sys.setprofile(stretch)
+        try:
+            out = fn()
+        finally:
+            sys.setprofile(previous)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, total + peak - start
+
+
+def test_mul_allocates_only_its_result_envelopes_whatever_the_length():
+    def allocated(resolution):
+        a = make_triangular((1, 2, 3), AlphaGrid.uniform(resolution))
+        x, y = add(a, a), add(a, a)
+        out, total = _bytes_allocated(lambda: mul(x, y))
+        assert _same_bytes(out, x.lower * y.lower, x.upper * y.upper)
+        return total
+
+    allocated(11)  # numpy and the profile hook set up on first use
+    grown = allocated(10001) - allocated(11)
+    # what numpy's reductions take as workspace does not grow with the
+    # length; an envelope read by argmin would, as it is copied first
+    assert abs(grown - 2 * (10001 - 11) * 8) < 1024
+
+
 def test_op_results_are_read_only_and_the_constructor_copies():
     lo = np.linspace(1.0, 2.0, len(SMALL))
     hi = np.full(len(SMALL), 2.0)
@@ -551,3 +665,58 @@ def test_stack_nests_only_if_every_row_does_at_its_own_scale():
     assert _nested(big_lo, big_hi) and not _nested(small_lo, small_hi)
     assert not _nested(np.stack((big_lo, small_lo)), np.stack((big_hi, small_hi)))
     assert _nested(np.stack((big_lo, levels)), np.stack((big_hi, small_hi)))
+
+
+def _nested_reference(lower, upper):
+    # _nested as first written, with numpy's np.diff, np.all and np.max
+    with np.errstate(invalid="ignore"):
+        if lower.ndim == 1:
+            scale = max(1.0, float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
+        else:
+            scale = np.fmax(np.fmax(1.0, np.max(np.abs(lower), axis=-1)),
+                            np.max(np.abs(upper), axis=-1))[..., None]
+        tol = _NEST_SLACK * scale
+        return bool(np.all(np.diff(lower) >= -tol) and np.all(np.diff(upper) <= tol))
+
+
+@pytest.mark.parametrize("resolution", [11, 101])
+def test_nested_matches_the_numpy_wrapper_formula(resolution):
+    levels = np.linspace(0.0, 1.0, resolution)
+    k = resolution // 2
+    cases = []
+    for scale in (1.0, 1e-3, 1e6, 1e300):
+        lo, hi = scale * levels, scale * (2.0 - levels)
+        cases.append((lo, hi))
+        tol = _NEST_SLACK * max(1.0, 2.0 * scale)
+        # dips just inside, at and just beyond the slack
+        for dip in (tol * (1 - 2**-20), tol, tol * (1 + 2**-20), 2 * tol):
+            dipped_lo, risen_hi = lo.copy(), hi.copy()
+            dipped_lo[k] = dipped_lo[k - 1] - dip
+            risen_hi[k] = risen_hi[k - 1] + dip
+            cases += [(dipped_lo, hi), (lo, risen_hi)]
+    lo, hi = levels, 2.0 - levels
+    for where, value in ((0, np.nan), (k, np.nan), (0, -np.inf), (-1, np.inf), (0, np.inf)):
+        bad_lo, bad_hi = lo.copy(), hi.copy()
+        bad_lo[where] = value
+        bad_hi[where] = value
+        cases += [(bad_lo, hi), (lo, bad_hi), (bad_lo, bad_hi)]
+    cases.append((np.full(resolution, -np.inf), np.full(resolution, np.inf)))
+    cases.append((np.where(levels < 0.5, -np.inf, 0.0), np.where(levels < 0.5, np.inf, 0.0)))
+    # stacks of two rows, each row checked at its own scale
+    stacks = [(np.stack((a_lo, b_lo)), np.stack((a_hi, b_hi))) for a_lo, a_hi in cases for b_lo, b_hi in cases]
+    got = []
+    for lo, hi in cases + stacks:
+        want = _nested_reference(lo, hi)
+        assert _nested(lo, hi) is want, (lo, hi)
+        got.append((lo.ndim, want))
+    assert set(got) == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def test_midpoint_halves_the_sum_unless_it_overflows():
+    assert Interval(1.0, 2.0).midpoint == 1.5
+    # halving first would round each subnormal end to zero
+    assert Interval(5e-324, 5e-324).midpoint == 5e-324
+    assert Interval(1.5e308, 1.7e308).midpoint == 1.6e308
+    assert Interval(-1.7e308, -1.5e308).midpoint == -1.6e308
+    assert Interval(1.0, np.inf).midpoint == np.inf
+    assert math.isnan(Interval(-np.inf, np.inf).midpoint)

@@ -19,6 +19,9 @@ KNOWN_DEFECTS = {
     "cli:eval --expr <400 nines> + x --bind x=1",
     "cli:series --taylor-of exp(x)/<201 nines> --var x --center T(-1,0,1) --order 4",
     "cli:series --taylor-of x^2*<201 nines>^2 --var x --center T(-1,0,1) --order 4",
+    "kernel:infinite envelopes",
+    "kernel:NaN-bearing values",
+    "kernel:T(1,2,3) with a NaN in its lower envelope",
 }
 
 

@@ -15,6 +15,9 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
 * estimator inputs that stop just before, or raise at, a point whose
   support holds zero or whose value does not nest, one that does not
   converge and one whose values underflow;
+* ``mul``, ``div`` and ``pow_int`` on operands whose sign class picks the
+  kernel: zeros of either sign, infinite envelopes, NaN-bearing values and
+  stacks whose rows share a sign or do not;
 * ``radius_four_quotient``, ``radius_symbolic_ratio``, ``ratio_test`` and
   ``convergence_interval`` on the demo and test coefficient rules;
 * the cli-oneshot argvs and the error argvs of the failure contract,
@@ -70,6 +73,9 @@ EXTRA_ARGVS = (
     ["eval", "--expr", "x^2", "--bind", "x=T(1,2,3)", "--out", "{tmp}/eval.csv"],
     ["eval", "--expr", "x^2", "--bind", "x=inf"],
     ["derive", "--expr", "x^2", "--var", "x", "--bind", "x=T(1,2,3)", "--tol", "-1"],
+    # the core's midpoint, exp(709.5), overflows when summed as lo + hi
+    ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(709,709.5,709.7)",
+     "--order", "5"],
 )
 # estimator inputs whose stopping point or first error a blocked evaluation
 # could move: 0*(1/x) adds nothing but raises once a point's support holds
@@ -88,6 +94,18 @@ ESTIMATOR_INPUTS = (
     ("exp(x)", (-760, -750, -740), "mh_derivative", {}),
     ("exp(x)", (-760, -750, -740), "continuity_probe", {}),
 )
+# operands whose sign class picks mul's kernel, and so div's and pow_int's,
+# bound as x = T(0,1,2), y = T(700,705,720) and w = T(700,800,900): zeros of
+# either sign (-x has -0.0 atop its support), envelopes that exp overflows
+# to inf, and values marked proper that hold NaN (0 * inf); where a zero
+# meets an infinity only the four products give NaN
+KERNEL_BINDINGS = {"x": (0, 1, 2), "y": (700, 705, 720), "w": (700, 800, 900)}
+KERNEL_INPUTS = {
+    "signed zeros": ("(-x)*T(1,2,3)", "x*(-x)", "(-x)/T(1,2,3)", "(-x)^3", "x^3"),
+    "infinite envelopes": ("exp(y)*y", "exp(y)*(-y)", "y/exp(y)", "exp(y)^2", "x*exp(y)", "(-x)*exp(y)"),
+    "NaN-bearing values": ("(exp(y)*0)*y", "y/(exp(y)*0)", "(exp(y)*0)^3",
+                           "(exp(w)*0)*w", "(exp(w)*0)/w", "(exp(w)*0)^2"),
+}
 RULES = ("n / T(4,5,6)^(n-1)", "1/n!", "T(1,2,3)", "2^3*n!/n^2", "3 * n^2 / 2")
 _ENVELOPE = re.compile(r"\.(lower|upper)$")
 
@@ -151,6 +169,36 @@ def _library_entries(workloads, fc):
         else:
             run = lambda f=f, x0=x0, kw=kw: {"delta": fc.calculus.continuity_probe(f, "x", x0, **kw)}
         yield f"estimator:{how} of {text} at T{triplet} {kw}", run
+
+    env = fc.expr.Env({v: core.make_triangular(t, grid) for v, t in KERNEL_BINDINGS.items()}, grid)
+    for label, texts in KERNEL_INPUTS.items():
+        yield (f"kernel:{label}",
+               lambda texts=texts: {t: fc.expr.evaluate(fc.expr.parse_expr(t, grid), env) for t in texts})
+
+    # operands only the core builds: stacks, read flat (rows of one sign take
+    # two products, mixed rows four), and a NaN in one envelope, which the
+    # two products would keep out of the other
+    pos, wide = core.make_triangular((1, 2, 3), grid), core.make_triangular((0.5, 1, 4), grid)
+    nan_lower = pos.lower.copy()
+    nan_lower[50] = np.nan
+    operands = {
+        "positive stack of T(1,2,3) and T(0.5,1,4)": (np.stack((pos.lower, wide.lower)),
+                                                      np.stack((pos.upper, wide.upper))),
+        "mixed-sign stack of T(1,2,3) and -T(0.5,1,4)": (np.stack((pos.lower, -wide.upper)),
+                                                         np.stack((pos.upper, -wide.lower))),
+        "T(1,2,3) with a NaN in its lower envelope": (nan_lower, pos.upper),
+    }
+    for label, (lower, upper) in operands.items():
+        def kernel_ops(lower=lower, upper=upper):
+            s = core._fresh(grid, lower.copy(), upper.copy())
+            outs = {"s*T": core.mul(s, pos), "T*s": core.mul(pos, s), "s*s": core.mul(s, s),
+                    "s/T": core.div(s, pos), "T/s": core.div(pos, s), "s^3": core.pow_int(s, 3)}
+            rows = {}
+            for name, v in outs.items():  # one result per row of a stack
+                for k, (lo, hi) in enumerate(zip(np.atleast_2d(v.lower), np.atleast_2d(v.upper))):
+                    rows[f"{name}[{k}]"] = core._fresh(grid, lo, hi, v.proper)
+            return rows
+        yield f"kernel:{label}", kernel_ops
 
     zero = core.singleton(0.0, grid)
     tri = [core.make_triangular(t, grid) for t in ((1, 2, 3), (-1, 0, 1))]
