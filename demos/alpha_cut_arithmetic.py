@@ -10,8 +10,6 @@ refuses to touch.
 Run: python demos/alpha_cut_arithmetic.py
 """
 
-import numpy as np
-
 from fuzzcalc import (
     AlphaGrid,
     add,

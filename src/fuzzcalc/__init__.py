@@ -9,7 +9,6 @@ from .core import (
     Interval,
     TriangularSpec,
     add,
-    approx_equal,
     defuzz_triplet,
     div,
     gh_difference,

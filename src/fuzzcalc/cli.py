@@ -146,7 +146,10 @@ def read_problem_file(path) -> dict:
 
 def _truncate2(x: float) -> float:
     # absorb float dust (1.2 + 0.12 = 1.3199999...) before chopping to 2dp
-    return math.trunc(round(x, 9) * 100.0) / 100.0
+    scaled = round(x, 9) * 100.0
+    if math.isinf(scaled) and math.isfinite(x):
+        return x  # too large to scale, and so already an integer
+    return math.trunc(scaled) / 100.0
 
 
 def _summary(value: FuzzyNumber, label: str = "value") -> list[str]:
@@ -239,11 +242,10 @@ def _cmd_series(args):
     else:
         lines += _summary(result.R, "radius")
     lines.append(f"ratio-test values: L_lower={_fmt(result.L_lower)} L_upper={_fmt(result.L_upper)}")
-    if n_probe >= 2:
-        try:
-            lines.append(f"ratio test converges: {ratio_test(s, n_probe).converges}")
-        except NoLimit:
-            lines.append("ratio test: no limit declared at the probe indices")
+    try:
+        lines.append(f"ratio test converges: {ratio_test(s, n_probe).converges}")
+    except NoLimit:
+        lines.append("ratio test: no limit declared at the probe indices")
     return lines, result.R, args.out, {"radius_mode": result.mode}
 
 

@@ -84,10 +84,6 @@ class AlphaGrid:
             raise ValueError("grid resolution must be >= 2")
         return cls(np.linspace(0.0, 1.0, resolution))
 
-    @property
-    def resolution(self) -> int:
-        return int(self.levels.size)
-
     def __len__(self) -> int:
         return int(self.levels.size)
 
@@ -103,7 +99,7 @@ class AlphaGrid:
     __hash__ = None  # arrays inside; identity is by level values
 
     def __repr__(self) -> str:
-        return f"AlphaGrid(resolution={self.resolution})"
+        return f"AlphaGrid(resolution={len(self)})"
 
 
 DEFAULT_GRID = AlphaGrid.uniform()
@@ -121,10 +117,6 @@ class Interval:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def midpoint(self) -> float:
         total = self.lo + self.hi
         if math.isfinite(total):
@@ -132,9 +124,6 @@ class Interval:
         # the sum overflows near the float limit; halving first does not, but
         # it would move subnormal midpoints, so it is the fallback only
         return 0.5 * self.lo + 0.5 * self.hi
-
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
 
 @dataclass(frozen=True)
@@ -153,9 +142,6 @@ class TriangularSpec:
             raise MalformedTriplet(f"need d <= e <= f, got ({self.d}, {self.e}, {self.f})")
         if not (-np.inf < self.d and self.f < np.inf):
             raise MalformedTriplet(f"need finite d, e, f, got ({self.d}, {self.e}, {self.f})")
-
-    def astuple(self) -> tuple[float, float, float]:
-        return (self.d, self.e, self.f)
 
 
 def _nested(lower: np.ndarray, upper: np.ndarray) -> bool:
@@ -182,9 +168,7 @@ class FuzzyNumber:
 
     The constructor copies the envelopes and raises ``Crossed`` when lower
     exceeds upper at some level (equality is fine) and ``NotNested`` when
-    the cuts do not shrink as alpha grows.  Instances are immutable;
-    operators delegate to the module functions (``-`` is the gH-difference,
-    ``*`` multiplies by a fuzzy number or scales by a crisp one).
+    the cuts do not shrink as alpha grows.  Instances are immutable.
     """
 
     __slots__ = ("grid", "lower", "upper", "proper", "_sign")
@@ -230,6 +214,11 @@ class FuzzyNumber:
 
     __hash__ = None
 
+    def __reduce__(self):
+        # pickles and copies are rebuilt by _fresh: read-only, with no sign
+        # class kept (a shallow copy shares envelopes that are read-only)
+        return _fresh, (self.grid, self.lower, self.upper, self.proper)
+
     def __repr__(self) -> str:
         s, c = self.support, self.core
         flag = "" if self.proper else ", improper"
@@ -237,31 +226,6 @@ class FuzzyNumber:
             f"FuzzyNumber(support=[{s.lo:.6g}, {s.hi:.6g}],"
             f" core=[{c.lo:.6g}, {c.hi:.6g}]{flag})"
         )
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other: "FuzzyNumber") -> "FuzzyNumber":
-        return add(self, other)
-
-    def __sub__(self, other: "FuzzyNumber") -> "FuzzyNumber":
-        return gh_difference(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, FuzzyNumber):
-            return mul(self, other)
-        return scalar_mul(float(other), self)
-
-    def __rmul__(self, k) -> "FuzzyNumber":
-        return scalar_mul(float(k), self)
-
-    def __truediv__(self, other: "FuzzyNumber") -> "FuzzyNumber":
-        return div(self, other)
-
-    def __pow__(self, n: int) -> "FuzzyNumber":
-        return pow_int(self, n)
-
-    def __neg__(self) -> "FuzzyNumber":
-        return scalar_mul(-1.0, self)
 
 
 def _fresh(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray, proper: bool = True) -> FuzzyNumber:
@@ -301,7 +265,7 @@ def _sign_class(v: FuzzyNumber) -> int:
     reductions read the envelopes in place; ``argmin`` and ``argmax`` would
     first copy them, because numpy copies a read-only array before either.
     """
-    s = getattr(v, "_sign", None)  # a value pickled before the slot lacks it
+    s = v._sign
     if s is None:
         lo, hi = v.lower, v.upper
         if np.minimum.reduce(lo, axis=None) > 0.0 and np.minimum.reduce(hi, axis=None) > 0.0:
@@ -472,11 +436,6 @@ def hausdorff_distance(a: FuzzyNumber, b: FuzzyNumber) -> float:
     _require_same_grid(a, b)
     dev = np.maximum(np.abs(a.lower - b.lower), np.abs(a.upper - b.upper))
     return float(np.max(dev))
-
-
-def approx_equal(a: FuzzyNumber, b: FuzzyNumber, tol: float = 1e-9) -> bool:
-    """Equality up to ``tol`` in Hausdorff distance (test helper)."""
-    return hausdorff_distance(a, b) <= tol
 
 
 def defuzz_triplet(a: FuzzyNumber) -> TriangularSpec:

@@ -100,6 +100,10 @@ class Expr:
         n = _N_KIDS[cls]
         return (cls, *map(id, fields[:n]), *fields[n:])
 
+    def __repr__(self) -> str:
+        # the walk in to_text; a generated repr would recurse once per level
+        return f"{type(self).__name__}({to_text(self)})"
+
     def __reduce__(self):
         # the DAG flat, in walk order, with each child named by its index,
         # so a deep tree pickles without recursion
@@ -117,7 +121,7 @@ class Expr:
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class CrispConst(Expr):
     value: float
 
@@ -126,7 +130,7 @@ class CrispConst(Expr):
         return (cls, struct.pack("d", value))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class FuzzyConst(Expr):
     value: FuzzyNumber
 
@@ -135,36 +139,36 @@ class FuzzyConst(Expr):
         return (cls, v.grid.levels.tobytes(), v.lower.tobytes(), v.upper.tobytes(), v.proper)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GhSub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class PowInt(Expr):
     base: Expr
     exponent: int
@@ -176,22 +180,22 @@ class PowInt(Expr):
         return super()._intern_key(base, exponent)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Exp(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Sin(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Cos(Expr):
     operand: Expr
 

@@ -14,6 +14,7 @@ from fuzzcalc.core import (
     AlphaGrid,
     hausdorff_distance,
     make_triangular,
+    mul,
     singleton,
 )
 
@@ -66,7 +67,7 @@ def test_write_triangular_midrow_formatting(tmp_path):
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    a = make_triangular((0.7, 1.0, 1.2), GRID) * make_triangular((2.1, 2.3, 2.5), GRID)
+    a = mul(make_triangular((0.7, 1.0, 1.2), GRID), make_triangular((2.1, 2.3, 2.5), GRID))
     out = tmp_path / "prod.csv"
     write_alpha_csv(a, out, metadata={"command": "test", "generated": "whenever"})
     b = read_alpha_csv(out)
@@ -97,13 +98,20 @@ def test_eval_addition(capsys):
     assert "value triplet (2dp): (2.00, 4.00, 6.00)" in out
 
 
+def test_eval_prints_a_value_too_large_to_scale_to_2dp(capsys):
+    # 1e307 * 100 overflows, but a double that large is already an integer
+    assert run(["eval", "--expr", "x", "--bind", "x=1e307"]) == 0
+    out = capsys.readouterr().out
+    assert f"value triplet (2dp): ({1e307:.2f}, {1e307:.2f}, {1e307:.2f})" in out
+
+
 def test_eval_writes_table(tmp_path, capsys):
     out = tmp_path / "v.csv"
     code = run(["eval", "--expr", "x^2", "--bind", "x=T(1,2,3)",
                 "--alphas", "11", "--out", str(out)])
     assert code == 0
     value = read_alpha_csv(out)
-    assert value.grid.resolution == 11
+    assert len(value.grid) == 11
     assert value.support.lo == pytest.approx(1.0)
     assert value.support.hi == pytest.approx(9.0)
 

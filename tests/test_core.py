@@ -1,5 +1,6 @@
 """Alpha-cut arithmetic: worked examples plus randomized property checks."""
 
+import copy
 import math
 import pickle
 import sys
@@ -20,7 +21,6 @@ from fuzzcalc.core import (
     _nested,
     _sign_class,
     add,
-    approx_equal,
     defuzz_triplet,
     div,
     gh_difference,
@@ -66,7 +66,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         AlphaGrid([0.0, 0.5, 0.4, 1.0])
     g = AlphaGrid.uniform(11)
-    assert g.resolution == 11 and g.levels[0] == 0.0 and g.levels[-1] == 1.0
+    assert len(g) == 11 and g.levels[0] == 0.0 and g.levels[-1] == 1.0
 
 
 def test_triangular_support_and_core():
@@ -347,7 +347,7 @@ def test_support_core_defuzz():
     assert a.support.lo == pytest.approx(2.1) and a.support.hi == pytest.approx(2.5)
     assert a.core.lo == pytest.approx(2.3) and a.core.hi == pytest.approx(2.3)
     t = defuzz_triplet(a)
-    assert t.astuple() == pytest.approx((2.1, 2.3, 2.5))
+    assert (t.d, t.e, t.f) == pytest.approx((2.1, 2.3, 2.5))
 
 
 def test_resample_affine_exact():
@@ -518,13 +518,16 @@ def test_a_value_multiplied_three_times_is_classified_once(monkeypatch):
     assert _CountedEnvelope.reads == 2
 
 
-def test_a_value_unpickled_without_a_sign_slot_is_classified_on_use():
-    # a pickle made before values kept their sign class restores no _sign
+def test_pickled_and_copied_values_are_read_only_and_unclassified():
+    # a writable copy that kept the original's sign class would let a write
+    # send mul to the wrong kernel
     a = make_triangular((1, 2, 3), SMALL)
-    old = make_triangular((1, 2, 3), SMALL)
-    del old._sign
-    old = pickle.loads(pickle.dumps(old))
-    assert mul(old, a) == mul(a, a) and _sign_class(old) == 1
+    assert _sign_class(a) == 1
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert b == a and b._sign is None
+        assert not (b.lower.flags.writeable or b.upper.flags.writeable)
+        with pytest.raises(ValueError):
+            b.lower[0] = -1.0
 
 
 def _bytes_allocated(fn):

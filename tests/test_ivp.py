@@ -21,7 +21,7 @@ from fuzzcalc.core import (
     singleton,
 )
 from fuzzcalc.expr import CrispConst, Env, Var, _evaluate, evaluate, parse_expr
-from fuzzcalc.ivp import IvpProblem, IvpSolution, solve, total_derivatives
+from fuzzcalc.ivp import IvpProblem, solve, total_derivatives
 
 GRID = AlphaGrid.uniform()
 
@@ -241,7 +241,7 @@ def test_solve_crisp_exponential_matches_oracle(order):
 
 def test_support_width_nondecreasing_for_monotone_rhs():
     sol = solve(worked_problem(steps=3))
-    widths = [y.support.width for _, y in sol.trajectory]
+    widths = [y.support.hi - y.support.lo for _, y in sol.trajectory]
     assert all(b >= a for a, b in zip(widths, widths[1:]))
 
 

@@ -9,7 +9,7 @@ import fuzzcalc.expr
 
 from fuzzcalc.core import (
     AlphaGrid,
-    approx_equal,
+    div,
     hausdorff_distance,
     make_triangular,
     scalar_mul,
@@ -379,28 +379,28 @@ def test_parse_rule_geometric_decay_form():
         assert parsed.base == tri(*base)
         assert (parsed.base_coeff, parsed.base_shift) == (sigma, shift)
     # a_1 = 1 * c^0 = 1, a_2 = 2 / c
-    assert approx_equal(rule.value(1, GRID), singleton(1.0, GRID))
-    two_over_c = scalar_mul(2.0, singleton(1.0, GRID) / tri(4, 5, 6))
-    assert approx_equal(rule.value(2, GRID), two_over_c)
+    assert hausdorff_distance(rule.value(1, GRID), singleton(1.0, GRID)) <= 1e-9
+    two_over_c = scalar_mul(2.0, div(singleton(1.0, GRID), tri(4, 5, 6)))
+    assert hausdorff_distance(rule.value(2, GRID), two_over_c) <= 1e-9
 
 
 def test_parse_rule_factorial_and_constant():
     rule = parse_coeff_rule("1/n!", GRID)
     assert rule.factorial_power == -1
-    assert approx_equal(rule.value(3, GRID), singleton(1 / 6, GRID))
+    assert hausdorff_distance(rule.value(3, GRID), singleton(1 / 6, GRID)) <= 1e-9
 
     const = parse_coeff_rule("T(1,2,3)", GRID)
-    assert approx_equal(const.value(7, GRID), tri(1, 2, 3))
+    assert hausdorff_distance(const.value(7, GRID), tri(1, 2, 3)) <= 1e-9
 
     mixed = parse_coeff_rule("2^3*n!/n^2", GRID)
     assert mixed.poly_num == (8.0,) and mixed.poly_den == (0.0, 0.0, 1.0)
     assert mixed.factorial_power == 1 and mixed.base is None
-    assert approx_equal(mixed.value(3, GRID), singleton(8.0 * 6 / 9, GRID))
+    assert hausdorff_distance(mixed.value(3, GRID), singleton(8.0 * 6 / 9, GRID)) <= 1e-9
 
 
 def test_parse_rule_monomial_powers():
     rule = parse_coeff_rule("3 * n^2 / 2", GRID)
-    assert approx_equal(rule.value(4, GRID), singleton(24.0, GRID))
+    assert hausdorff_distance(rule.value(4, GRID), singleton(24.0, GRID)) <= 1e-9
 
 
 def test_parse_rule_rejects_garbage():

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports at top level is read."""
+"""Source hygiene: every name a module imports at top level is read, in the
+package and in the tests, tools and demos."""
 
 import ast
 import pathlib
@@ -7,9 +8,16 @@ import pytest
 
 import fuzzcalc
 
-SOURCES = sorted(
-    p for p in pathlib.Path(fuzzcalc.__file__).parent.glob("*.py") if p.name != "__init__.py"
+PACKAGE = pathlib.Path(fuzzcalc.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the package's __init__ imports names only to export them
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    p for folder in ("tests", "tools", "demos") for p in (ROOT / folder).glob("*.py")
 )
+
+
+def source_id(path: pathlib.Path) -> str:
+    return path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix()
 
 
 def unread_imports(source: str) -> list[str]:
@@ -25,6 +33,6 @@ def unread_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=source_id)
 def test_every_top_level_import_is_read(path):
     assert unread_imports(path.read_text()) == []

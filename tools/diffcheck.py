@@ -76,6 +76,8 @@ EXTRA_ARGVS = (
     # the core's midpoint, exp(709.5), overflows when summed as lo + hi
     ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(709,709.5,709.7)",
      "--order", "5"],
+    # finite, but too large to scale by 100 for the 2dp triplet
+    ["eval", "--expr", "x", "--bind", "x=1e307"],
 )
 # estimator inputs whose stopping point or first error a blocked evaluation
 # could move: 0*(1/x) adds nothing but raises once a point's support holds
