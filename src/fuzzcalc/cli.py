@@ -6,6 +6,11 @@ Each command handler computes its result and returns a report; ``run``
 alone writes the table and prints.  Exit codes: 0 success, with the
 summary on stdout; 1 domain error, 2 usage or parse error, each with
 nothing on stdout and one ``Name: message`` line on stderr.
+
+Handlers import what they run when they run, and the options whose
+defaults other modules own (``--alphas``, ``--tol``) default to None, so
+``eval`` loads no calculus, series or IVP code, and argparse's usage
+errors and ``--help`` load no numpy.
 """
 
 from __future__ import annotations
@@ -14,31 +19,12 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from .calculus import DEFAULT_TOL, mh_derivative
-from .core import (
-    DEFAULT_RESOLUTION,
-    AlphaGrid,
-    FuzzyNumber,
-    singleton,
-)
 from .errors import (
     ExprSyntaxError,
     FuzzyError,
     ImproperOperand,
     NoLimit,
     ProblemFileError,
-)
-from .expr import Env, FuzzyConst, evaluate, parse_expr
-from .ivp import IvpProblem, solve
-from .series import (
-    FuzzyPowerSeries,
-    parse_coeff_rule,
-    radius_four_quotient,
-    radius_symbolic_ratio,
-    ratio_test,
-    taylor_series_of,
 )
 
 PROBLEM_KEYS = ("command", "rhs", "x0", "y0", "h", "order", "steps", "alphas", "out")
@@ -52,8 +38,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_alpha_csv(value: FuzzyNumber, path, metadata: dict | None = None) -> None:
-    """Write ``alpha,lower,upper`` rows in ascending alpha, LF-terminated.
+def write_alpha_csv(value, path, metadata: dict | None = None) -> None:
+    """Write a fuzzy number's ``alpha,lower,upper`` rows in ascending alpha,
+    LF-terminated.
 
     Metadata (the command and its inputs) goes into leading '#' comment
     lines, which golden comparisons and the reader ignore.
@@ -70,8 +57,10 @@ def write_alpha_csv(value: FuzzyNumber, path, metadata: dict | None = None) -> N
         fh.write("\n".join(lines) + "\n")
 
 
-def read_alpha_csv(path) -> FuzzyNumber:
+def read_alpha_csv(path):
     """Rebuild a fuzzy number from an alpha-cut table."""
+    from .core import AlphaGrid, FuzzyNumber
+
     levels, lows, highs = [], [], []
     with open(path) as fh:
         for raw in fh:
@@ -91,8 +80,11 @@ def read_alpha_csv(path) -> FuzzyNumber:
 # -- shared parsing helpers ------------------------------------------------------------
 
 
-def _parse_fuzzy_value(text: str, grid: AlphaGrid) -> FuzzyNumber:
+def _parse_fuzzy_value(text: str, grid):
     """Parse "T(d,e,f)" or a finite crisp number into a fuzzy number on ``grid``."""
+    from .core import singleton
+    from .expr import FuzzyConst, parse_expr
+
     text = text.strip()
     if text.startswith("T"):
         node = parse_expr(text, grid)
@@ -108,7 +100,9 @@ def _parse_fuzzy_value(text: str, grid: AlphaGrid) -> FuzzyNumber:
     return singleton(value, grid)
 
 
-def _parse_bindings(pairs: list[str], grid: AlphaGrid) -> Env:
+def _parse_bindings(pairs: list[str], grid):
+    from .expr import Env
+
     bindings = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
@@ -118,7 +112,12 @@ def _parse_bindings(pairs: list[str], grid: AlphaGrid) -> Env:
     return Env(bindings, grid)
 
 
-def _grid_from(alphas: int) -> AlphaGrid:
+def _grid_from(alphas: int | None):
+    """The alpha grid of ``--alphas``; the package default when not given."""
+    from .core import DEFAULT_GRID, AlphaGrid
+
+    if alphas is None:
+        return DEFAULT_GRID
     if alphas < 2:
         raise ProblemFileError("grid resolution must be at least 2")
     return AlphaGrid.uniform(alphas)
@@ -152,7 +151,7 @@ def _truncate2(x: float) -> float:
     return math.trunc(scaled) / 100.0
 
 
-def _summary(value: FuzzyNumber, label: str = "value") -> list[str]:
+def _summary(value, label: str = "value") -> list[str]:
     """The lines that print ``value``; the one check that it is proper."""
     if not value.proper:
         raise ImproperOperand(f"{label} is an improper fuzzy number (its alpha-cuts do not nest)")
@@ -174,6 +173,8 @@ def _summary(value: FuzzyNumber, label: str = "value") -> list[str]:
 
 
 def _cmd_eval(args):
+    from .expr import evaluate, parse_expr
+
     grid = _grid_from(args.alphas)
     env = _parse_bindings(args.bind, grid)
     node = parse_expr(args.expr, grid)
@@ -183,13 +184,16 @@ def _cmd_eval(args):
 
 
 def _cmd_derive(args):
+    from .calculus import DEFAULT_TOL, mh_derivative
+    from .expr import parse_expr
+
     grid = _grid_from(args.alphas)
     env = _parse_bindings(args.bind, grid)
     if args.var not in env.bindings:
         raise ProblemFileError(f"--var {args.var}: no binding given for it")
     x0 = env.bindings[args.var]
     node = parse_expr(args.expr, grid)
-    est = mh_derivative(node, args.var, x0, env, args.tol)
+    est = mh_derivative(node, args.var, x0, env, DEFAULT_TOL if args.tol is None else args.tol)
     lines = [f"expression: {args.expr}  (d/d{args.var})", *_summary(est.value, "derivative"),
              f"one-sided gap: {_fmt(est.gap)}", f"final step: {_fmt(est.h_final)}"]
     return lines, est.value, args.out, {"expression": args.expr, "var": args.var}
@@ -205,6 +209,17 @@ def _taylor_probe(order: int) -> int:
 
 
 def _cmd_series(args):
+    from .core import singleton
+    from .expr import parse_expr
+    from .series import (
+        FuzzyPowerSeries,
+        parse_coeff_rule,
+        radius_four_quotient,
+        radius_symbolic_ratio,
+        ratio_test,
+        taylor_series_of,
+    )
+
     grid = _grid_from(args.alphas)
     if bool(args.taylor_of) == bool(args.coeff_rule):
         raise ProblemFileError("give exactly one of --taylor-of or --coeff-rule")
@@ -250,6 +265,9 @@ def _cmd_series(args):
 
 
 def _cmd_solve_ivp(args):
+    from .expr import parse_expr
+    from .ivp import IvpProblem, solve
+
     settings = read_problem_file(args.file) if args.file else {}
     if settings.get("command", "solve-ivp") != "solve-ivp":
         raise ProblemFileError(f"problem file is for {settings['command']!r}, not solve-ivp")
@@ -262,7 +280,7 @@ def _cmd_solve_ivp(args):
         raise ProblemFileError(f"missing problem fields: {', '.join(missing)}")
 
     try:
-        alphas = int(settings.get("alphas", DEFAULT_RESOLUTION))
+        alphas = int(settings["alphas"]) if "alphas" in settings else None
         counts = {k: int(settings[k]) for k in ("order", "steps") if k in settings}
     except ValueError as exc:
         raise ProblemFileError(f"bad integer field: {exc}") from None
@@ -304,15 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--expr", required=True, help="expression text")
     pe.add_argument("--bind", action="append", default=[], metavar="NAME=T(d,e,f)|V",
                     help="variable binding (repeatable)")
-    pe.add_argument("--alphas", type=int, default=DEFAULT_RESOLUTION, help="grid resolution")
+    pe.add_argument("--alphas", type=int, help="grid resolution")
     pe.add_argument("--out", help="alpha-cut CSV path")
 
     pd = sub.add_parser("derive", help="numerical mH-derivative at a fuzzy point")
     pd.add_argument("--expr", required=True)
     pd.add_argument("--var", required=True, help="differentiation variable")
     pd.add_argument("--bind", action="append", default=[], metavar="NAME=T(d,e,f)|V")
-    pd.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="limit tolerance")
-    pd.add_argument("--alphas", type=int, default=DEFAULT_RESOLUTION)
+    pd.add_argument("--tol", type=_tolerance, help="limit tolerance")
+    pd.add_argument("--alphas", type=int)
     pd.add_argument("--out", help="alpha-cut CSV path")
 
     ps = sub.add_parser("series", help="Taylor coefficients and convergence radius")
@@ -323,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--coeff-rule", dest="coeff_rule",
                     help="closed-form coefficients, e.g. 'n / T(4,5,6)^(n-1)'")
     ps.add_argument("--radius-mode", choices=("four-quotient", "symbolic"))
-    ps.add_argument("--alphas", type=int, default=DEFAULT_RESOLUTION)
+    ps.add_argument("--alphas", type=int)
     ps.add_argument("--out", help="alpha-cut CSV path for the radius")
 
     pi = sub.add_parser("solve-ivp", help="Taylor-method fully fuzzy IVP")
@@ -363,6 +381,8 @@ def run(argv: list[str]) -> int:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
+    import numpy as np
+
     try:
         with np.errstate(all="ignore"):
             lines, value, out, meta = _HANDLERS[args.command](args)

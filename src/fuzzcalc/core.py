@@ -98,6 +98,11 @@ class AlphaGrid:
 
     __hash__ = None  # arrays inside; identity is by level values
 
+    def __reduce__(self):
+        # pickles and deep copies are rebuilt by the constructor, so their
+        # levels are checked and read-only
+        return AlphaGrid, (self.levels,)
+
     def __repr__(self) -> str:
         return f"AlphaGrid(resolution={len(self)})"
 

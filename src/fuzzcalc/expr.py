@@ -86,10 +86,15 @@ class Expr:
         key = cls._intern_key(*fields)
         node = _NODES.get(key)
         if node is None:
+            # the child nodes, in field order, for every walk; a hit has the
+            # live children of the node found, so only a new node is checked
+            kids = fields[: _N_KIDS[cls]]
+            for kid in kids:
+                if not isinstance(kid, Expr):
+                    raise TypeError(f"not an expression node: {kid!r}")
             node = _NODES[key] = object.__new__(cls)
             node.__dict__.update(zip(names, fields))
-            # the child nodes, in field order, for every walk
-            node.__dict__["_kids"] = fields[: _N_KIDS[cls]]
+            node.__dict__["_kids"] = kids
         return node
 
     @classmethod
@@ -338,7 +343,10 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "num":
             self.take()
-            return CrispConst(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise ExprSyntaxError("number literal too large for a finite float", pos)
+            return CrispConst(value)
         if kind == "ident":
             self.take()
             if val == "T" and self.at_op("("):

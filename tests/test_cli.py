@@ -239,7 +239,6 @@ def test_exit_1_on_domain_error(capsys):
         ["solve-ivp", "--rhs", "x^2 + y^2", "--x0", "T(0.7,1,1.2)", "--y0", "T(2.1,2.3,2.5)",
          "--h", "T(0.07,0.1,0.12)", "--order", "4", "--steps", "40"],
         ["eval", "--expr", "exp(x)", "--bind", "x=T(700,800,900)"],
-        ["eval", "--expr", "9" * 400 + " + x", "--bind", "x=1"],
         ["series", "--taylor-of", "exp(x)/" + "9" * 201, "--var", "x", "--center", "T(-1,0,1)",
          "--order", "4"],
     ))
@@ -294,6 +293,9 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
         assert run(["eval", f"--expr={text}", "--bind", "x=T(1,2,3)"]) == 2
         err = error_line(capsys)
         assert "nested too deeply" in err and "Traceback" not in err
+    # so is a crisp literal that reads as infinite, named at its position
+    assert run(["eval", "--expr", "9" * 400 + " + x", "--bind", "x=1"]) == 2
+    assert error_line(capsys).startswith("ExprSyntaxError: number literal too large")
 
 
 def test_exit_2_on_bad_binding(capsys):

@@ -530,6 +530,18 @@ def test_pickled_and_copied_values_are_read_only_and_unclassified():
             b.lower[0] = -1.0
 
 
+def test_pickled_and_copied_grids_are_rebuilt_read_only():
+    grid = AlphaGrid([0.0, 0.25, 1.0])
+    value = make_triangular((1, 2, 3), grid)
+    rebuilt = (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid),
+               pickle.loads(pickle.dumps(value)).grid, copy.deepcopy(value).grid)
+    for g in rebuilt:
+        assert g == grid and type(g) is AlphaGrid
+        assert not g.levels.flags.writeable
+        with pytest.raises(ValueError):
+            g.levels[1] = 0.9
+
+
 def _bytes_allocated(fn):
     """``fn()`` and the bytes it allocates, freed or not: tracemalloc's peak
     above the current size, summed over the stretches between profile events

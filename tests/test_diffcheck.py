@@ -16,7 +16,6 @@ KNOWN_DEFECTS = {
     "cli:solve-ivp --rhs x^2 + y^2 --x0 T(0.7,1,1.2) --y0 T(2.1,2.3,2.5) --h T(0.07,0.1,0.12)"
     " --order 4 --steps 40",
     "cli:eval --expr exp(x) --bind x=T(700,800,900)",
-    "cli:eval --expr <400 nines> + x --bind x=1",
     "cli:series --taylor-of exp(x)/<201 nines> --var x --center T(-1,0,1) --order 4",
     "cli:series --taylor-of x^2*<201 nines>^2 --var x --center T(-1,0,1) --order 4",
     "kernel:infinite envelopes",

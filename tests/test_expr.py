@@ -29,6 +29,7 @@ from fuzzcalc.errors import (
     FuzzyError,
     GridMismatch,
     ImproperOperand,
+    MalformedTriplet,
     UnboundVariable,
     UnknownFunction,
 )
@@ -108,6 +109,16 @@ def test_parse_errors_carry_position():
         parse_expr("x) + 1")
     with pytest.raises(UnknownFunction):
         parse_expr("tan(x)")
+
+
+def test_parse_refuses_a_crisp_literal_that_is_not_finite():
+    with pytest.raises(ExprSyntaxError, match="too large") as exc:
+        parse_expr("x + " + "9" * 400)
+    assert exc.value.position == 4
+    assert parse_expr("9" * 300) == CrispConst(float("9" * 300))
+    # a triplet's components are checked by the triplet
+    with pytest.raises(MalformedTriplet):
+        parse_expr("T(1, 2, " + "9" * 400 + ")")
 
 
 def test_to_text_round_trips():
@@ -192,8 +203,16 @@ def test_nodes_record_their_leading_child_fields_once():
     assert PowInt(sum_, 3)._kids == (sum_,)
     assert sum_._kids == (Var("x"), CrispConst(2.0))
     assert Var("x")._kids == () and CrispConst(2.0)._kids == ()
-    with pytest.raises(TypeError, match="not an expression node"):
-        evaluate(Add(Var("x"), 5), Env({"x": tri(1, 2, 3)}))
+
+
+def test_nodes_refuse_a_child_that_is_not_a_node_when_built():
+    before = len(fuzzcalc.expr._NODES)
+    for build in (lambda: Add(Var("x"), 5), lambda: Neg("x"), lambda: PowInt(2.0, 3)):
+        with pytest.raises(TypeError, match="not an expression node"):
+            build()
+    assert len(fuzzcalc.expr._NODES) == before
+    # leaf fields are values, not children
+    assert PowInt(Var("x"), 3).exponent == 3 and CrispConst(5.0).value == 5.0
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports at top level is read, in the
-package and in the tests, tools and demos."""
+"""Source hygiene: every name a module imports, at top level or inside a
+function, is read somewhere in that module, in the package and in the
+tests, tools and demos."""
 
 import ast
 import pathlib
@@ -10,8 +11,7 @@ import fuzzcalc
 
 PACKAGE = pathlib.Path(fuzzcalc.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# the package's __init__ imports names only to export them
-SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(
     p for folder in ("tests", "tools", "demos") for p in (ROOT / folder).glob("*.py")
 )
 
@@ -21,10 +21,10 @@ def source_id(path: pathlib.Path) -> str:
 
 
 def unread_imports(source: str) -> list[str]:
-    """Names bound by top-level imports that no expression in ``source`` reads."""
+    """Names bound by imports that no expression in ``source`` reads."""
     tree = ast.parse(source)
     bound = []
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound += [a.asname or a.name.partition(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":

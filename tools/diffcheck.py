@@ -20,9 +20,9 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   stacks whose rows share a sign or do not;
 * ``radius_four_quotient``, ``radius_symbolic_ratio``, ``ratio_test`` and
   ``convergence_interval`` on the demo and test coefficient rules;
-* the cli-oneshot argvs and the error argvs of the failure contract,
-  each through ``cli.run`` in-process: exit code, stdout, stderr and the
-  table it writes;
+* the cli-oneshot argvs, the error argvs of the failure contract and
+  the help texts, each through ``cli.run`` in-process: exit code, stdout,
+  stderr and the table it writes;
 * the constructor's refusals and the package's exported names.
 
 Each entry records its result (envelope digests, properness, scalars) or
@@ -57,7 +57,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _NINES = "9" * 400
 # argvs outside cli-oneshot: the failure contract's error inputs, a table,
-# and inputs whose report changed in earlier changes
+# inputs whose report changed in earlier changes, and the help texts
 EXTRA_ARGVS = (
     ["solve-ivp", "--rhs", "x^2 + y^2", "--x0", "T(0.7,1,1.2)", "--y0", "T(2.1,2.3,2.5)",
      "--h", "T(0.07,0.1,0.12)", "--order", "4", "--steps", "40"],
@@ -78,6 +78,9 @@ EXTRA_ARGVS = (
      "--order", "5"],
     # finite, but too large to scale by 100 for the 2dp triplet
     ["eval", "--expr", "x", "--bind", "x=1e307"],
+    # the help texts, which name no default the parser leaves to the handlers
+    ["--help"],
+    *([command, "--help"] for command in ("eval", "derive", "series", "solve-ivp")),
 )
 # estimator inputs whose stopping point or first error a blocked evaluation
 # could move: 0*(1/x) adds nothing but raises once a point's support holds
