@@ -26,11 +26,11 @@ from fuzzcalc import (
 
 
 def show(label, value, levels=(0.0, 0.5, 1.0)):
-    t = defuzz_triplet(value) if value.proper else None
     flag = "" if value.proper else "  [improper!]"
     print(f"\n{label}{flag}")
-    if t is not None:
-        print(f"  triplet ~ ({t.d:.6g}, {t.e:.6g}, {t.f:.6g})")
+    if value.proper:
+        d, e, f = defuzz_triplet(value)
+        print(f"  triplet ~ ({d:.6g}, {e:.6g}, {f:.6g})")
     idx = [int(round(a * (len(value.grid) - 1))) for a in levels]
     for i in idx:
         a = value.grid.levels[i]

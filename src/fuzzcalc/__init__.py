@@ -8,9 +8,9 @@ what it needs) and returns that module's current attribute."""
 # the exported names, by the module that defines them
 _EXPORTS = {
     "calculus": ("DerivativeEstimate", "continuity_probe", "mh_derivative"),
-    "core": ("DEFAULT_RESOLUTION", "AlphaGrid", "FuzzyNumber", "Interval", "TriangularSpec", "add",
-             "defuzz_triplet", "div", "gh_difference", "hausdorff_distance", "make_triangular",
-             "mul", "pow_int", "resample", "scalar_mul", "singleton"),
+    "core": ("DEFAULT_RESOLUTION", "AlphaGrid", "FuzzyNumber", "Interval", "add", "defuzz_triplet",
+             "div", "gh_difference", "hausdorff_distance", "make_triangular", "mul", "pow_int",
+             "resample", "scalar_mul", "singleton"),
     "errors": ("Crossed", "DivisorStraddlesZero", "ExprSyntaxError", "FuzzyError", "GridMismatch",
                "ImproperOperand", "MalformedTriplet", "NoLimit", "NotDifferentiable", "NotNested",
                "NotSimplifiable", "ProblemFileError", "UnboundVariable", "UnknownFunction"),

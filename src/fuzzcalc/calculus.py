@@ -187,8 +187,9 @@ def mh_derivative(
     Iterates both one-sided quotients down the fixed schedule until the two
     extrapolants agree within ``tol`` (positive, finite) in Hausdorff distance
     and the forward one has stopped moving by more than ``tol``.  Raises
-    NotDifferentiable when the gap never closes within the 40 steps,
-    ImproperOperand when the converged quotient is not a fuzzy number.
+    NotDifferentiable when no step of the 40 passes both tests, naming the
+    test that failed at the last step; ImproperOperand when the converged
+    quotient is not a fuzzy number.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -199,7 +200,7 @@ def mh_derivative(
     # one halving after another
     h0 = _H0_SCALE * (1.0 + abs(x0.support.midpoint))
     schedule = np.cumprod(np.concatenate(((h0,), np.full(_MAX_ITERS - 1, _SHRINK))))
-    gap = np.inf
+    gap = step = np.inf
     for h, ex, gaps, steps in _runs(f, var, base, x0, schedule):
         done = (gaps <= tol) & (steps <= tol)
         if done.any():
@@ -213,11 +214,12 @@ def mh_derivative(
                 h_final=float(h[k]),
                 gap=float(gaps[k]),
             )
-        gap = float(gaps[-1])
+        gap, step = float(gaps[-1]), float(steps[-1])
 
+    failed = " and the ".join(name for name, v in (("gap", gap), ("step", step)) if not v <= tol)
     raise NotDifferentiable(
-        f"one-sided quotients did not settle within {_MAX_ITERS} iterations"
-        f" (last gap {gap:.3g}, tol {tol:.3g})"
+        f"one-sided quotients did not settle within {_MAX_ITERS} iterations: the {failed}"
+        f" stayed above tol (last gap {gap:.3g}, last step {step:.3g}, tol {tol:.3g})"
     )
 
 

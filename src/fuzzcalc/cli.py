@@ -151,17 +151,22 @@ def _truncate2(x: float) -> float:
     return math.trunc(scaled) / 100.0
 
 
-def _summary(value, label: str = "value") -> list[str]:
-    """The lines that print ``value``; the one check that it is proper."""
+def _triplet(value, label: str) -> tuple[float, float, float]:
+    """A printed value's (support lo, core midpoint, support hi); the one check that it is proper."""
     if not value.proper:
         raise ImproperOperand(f"{label} is an improper fuzzy number (its alpha-cuts do not nest)")
+    return value.support.lo, value.core.midpoint, value.support.hi
+
+
+def _summary(value, label: str = "value") -> list[str]:
+    """The lines that print ``value``."""
+    full = _triplet(value, label)
     s, c = value.support, value.core
-    full = (s.lo, c.midpoint, s.hi)
     rounded = tuple(_truncate2(v) for v in full)
     return [
         f"{label} support: [{_fmt(s.lo)}, {_fmt(s.hi)}]",
         f"{label} core: [{_fmt(c.lo)}, {_fmt(c.hi)}]",
-        f"{label} triplet: ({_fmt(full[0])}, {_fmt(full[1])}, {_fmt(full[2])})",
+        f"{label} triplet: ({', '.join(map(_fmt, full))})",
         f"{label} triplet (2dp): ({rounded[0]:.2f}, {rounded[1]:.2f}, {rounded[2]:.2f})",
     ]
 
@@ -233,9 +238,8 @@ def _cmd_series(args):
         s = taylor_series_of(node, args.var, center, args.order)
         lines.append(f"taylor expansion of: {args.taylor_of}  (order {args.order})")
         for k in range(min(args.order, 6) + 1):
-            c = s.coefficient(k)
-            lines.append(f"  a_{k} triplet: ({_fmt(c.support.lo)}, {_fmt(c.core.midpoint)},"
-                         f" {_fmt(c.support.hi)})")
+            t = _triplet(s.coefficient(k), f"a_{k}")
+            lines.append(f"  a_{k} triplet: ({', '.join(map(_fmt, t))})")
         mode = args.radius_mode or "four-quotient"
         n_probe = _taylor_probe(args.order)
         if mode == "four-quotient" and n_probe < 2:

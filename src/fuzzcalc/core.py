@@ -24,7 +24,8 @@ must shrink as alpha grows); such results carry ``proper=False`` and every
 other operation rejects them with :class:`ImproperOperand`.
 
 Operation results wrap the arrays they have just computed without a copy
-(``_fresh``); only :class:`FuzzyNumber` called directly copies and checks.
+(``_fresh``); only :class:`FuzzyNumber` called directly copies and checks,
+and only ``make_triangular`` checks a (d, e, f) triple.
 
 Envelopes may also be stacks: (rows, levels) arrays holding one fuzzy
 number per row, which the operations broadcast against plain envelopes.
@@ -129,24 +130,6 @@ class Interval:
         # the sum overflows near the float limit; halving first does not, but
         # it would move subnormal midpoints, so it is the fallback only
         return 0.5 * self.lo + 0.5 * self.hi
-
-
-@dataclass(frozen=True)
-class TriangularSpec:
-    """Triangular fuzzy number as the finite triplet (d, e, f), d <= e <= f.
-
-    The alpha-cut is affine in alpha: [d + (e - d) * a, f - (f - e) * a].
-    """
-
-    d: float
-    e: float
-    f: float
-
-    def __post_init__(self):
-        if not (self.d <= self.e <= self.f):
-            raise MalformedTriplet(f"need d <= e <= f, got ({self.d}, {self.e}, {self.f})")
-        if not (-np.inf < self.d and self.f < np.inf):
-            raise MalformedTriplet(f"need finite d, e, f, got ({self.d}, {self.e}, {self.f})")
 
 
 def _nested(lower: np.ndarray, upper: np.ndarray) -> bool:
@@ -300,20 +283,21 @@ def _require_same_grid(a: FuzzyNumber, b: FuzzyNumber) -> None:
 # -- constructors -------------------------------------------------------------
 
 
-def make_triangular(spec, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
-    """Build the triangular number (d, e, f) sampled on ``grid``.
-
-    The envelopes are affine in alpha, so the sampled representation is exact
-    at every level.  Accepts a TriangularSpec or a plain (d, e, f) triple.
-    """
-    if not isinstance(spec, TriangularSpec):
-        spec = TriangularSpec(*spec)
+def make_triangular(triple, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
+    """The triangular number (d, e, f) sampled on ``grid``, exact at every
+    level: its alpha-cut is [d + (e - d) * a, f - (f - e) * a].  The one check
+    that a triple is finite with d <= e <= f (MalformedTriplet)."""
+    d, e, f = triple
+    if not (d <= e <= f):
+        raise MalformedTriplet(f"need d <= e <= f, got ({d}, {e}, {f})")
+    if not (-np.inf < d and f < np.inf):
+        raise MalformedTriplet(f"need finite d, e, f, got ({d}, {e}, {f})")
     a = grid.levels
-    lower = spec.d + (spec.e - spec.d) * a
-    upper = spec.f - (spec.f - spec.e) * a
+    lower = d + (e - d) * a
+    upper = f - (f - e) * a
     # the two affine formulas can disagree at the core by one ulp; pin it
-    lower[-1] = spec.e
-    upper[-1] = spec.e
+    lower[-1] = e
+    upper[-1] = e
     return FuzzyNumber(grid, lower, upper)
 
 
@@ -443,7 +427,7 @@ def hausdorff_distance(a: FuzzyNumber, b: FuzzyNumber) -> float:
     return float(np.max(dev))
 
 
-def defuzz_triplet(a: FuzzyNumber) -> TriangularSpec:
-    """Collapse to (support.lo, core midpoint, support.hi)."""
+def defuzz_triplet(a: FuzzyNumber) -> tuple[float, float, float]:
+    """Collapse to the triple (support.lo, core midpoint, support.hi)."""
     _require_proper(a)
-    return TriangularSpec(a.support.lo, a.core.midpoint, a.support.hi)
+    return a.support.lo, a.core.midpoint, a.support.hi

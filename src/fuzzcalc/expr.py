@@ -11,7 +11,9 @@ Parsing, evaluation, and symbolic differentiation for the grammar
 
 with functions exp, sin, cos.  Binary '-' is the gH-difference throughout
 (ordinary subtraction is ``a + (-1)*b``), and '^' binds tighter than unary
-minus, so ``-x^2`` is ``-(x^2)``.
+minus, so ``-x^2`` is ``-(x^2)``.  One reader, ``_Parser.number``, reads
+every number of this grammar and of coefficient-rule text; one that is not
+finite is an ExprSyntaxError at its position.
 
 Evaluation is level-wise: the arithmetic nodes delegate to the interval
 operations in :mod:`fuzzcalc.core`, and exp/sin/cos produce the exact range
@@ -19,7 +21,8 @@ of the function over each alpha-cut (sin and cos account for interior
 critical points, not just endpoint values).
 
 Nodes are interned when built, so equal nodes are one object and compare
-and hash by identity.  Leaves are equal bit-exactly: a crisp constant by its
+and hash by identity.  A node checks its children when it is built, so a
+walk checks only its roots.  Leaves are equal bit-exactly: a crisp constant by its
 float's bits (``0.0`` and ``-0.0`` are two nodes), a fuzzy constant by its
 grid, envelope bytes and properness.  ``evaluate`` and ``differentiate``
 handle each distinct node once per call, and ``differentiate`` returns a DAG
@@ -342,11 +345,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.peek()
         if kind == "num":
-            self.take()
-            value = float(val)
-            if not math.isfinite(value):
-                raise ExprSyntaxError("number literal too large for a finite float", pos)
-            return CrispConst(value)
+            return CrispConst(self.number())
         if kind == "ident":
             self.take()
             if val == "T" and self.at_op("("):
@@ -383,14 +382,33 @@ class _Parser:
         return int(val)
 
     def signed_number(self) -> float:
-        sign = 1.0
         if self.at_op("-"):
             self.take()
-            sign = -1.0
+            return -self.number()
+        return self.number()
+
+    def power_suffix(self) -> int:
+        if not self.at_op("^"):
+            return 1
+        self.take()
+        return self.uint()
+
+    def number(self, times: float = 1.0, powered: bool = False) -> float:
+        """The one reader of a number token: its float, raised first to the
+        power after it if ``powered`` and multiplied by ``times`` (as a rule
+        folds it).  Not finite, either way: ExprSyntaxError at the token."""
         kind, val, pos = self.take()
         if kind != "num":
             raise ExprSyntaxError("number expected", pos)
-        return sign * float(val)
+        value = float(val)
+        power = self.power_suffix() if powered else 1
+        try:
+            folded = times * value**power
+        except OverflowError:  # a float power past the largest float
+            folded = math.inf
+        if not (math.isfinite(value) and math.isfinite(folded)):
+            raise ExprSyntaxError("number literal too large for a finite float", pos)
+        return folded
 
 
 def parse_expr(text: str, grid: AlphaGrid = DEFAULT_GRID) -> Expr:
@@ -426,7 +444,10 @@ def _walk(roots: tuple[Expr, ...], known: Container[Expr] = ()) -> list[Expr]:
     each where a walk of the expanded trees, one root after the other,
     first completes it.  The walk does not enter nodes in ``known``.  Equal
     nodes are one object (nodes are interned when built), so the walk
-    visits each node object once."""
+    visits each node object once.  Only the roots are checked to be nodes."""
+    for root in roots:
+        if not isinstance(root, Expr):
+            raise TypeError(f"not an expression node: {root!r}")
     seen: set[int] = set()
     order: list[Expr] = []
     stack = [(root, False) for root in reversed(roots)]
@@ -435,8 +456,6 @@ def _walk(roots: tuple[Expr, ...], known: Container[Expr] = ()) -> list[Expr]:
         if children_done:
             order.append(node)
         elif id(node) not in seen and node not in known:
-            if not isinstance(node, Expr):
-                raise TypeError(f"not an expression node: {node!r}")
             seen.add(id(node))
             stack.append((node, True))
             stack.extend((child, False) for child in reversed(node._kids))
@@ -529,18 +548,16 @@ def _ev(e: Expr, value, bindings: dict, grid: AlphaGrid) -> FuzzyNumber:
         return pow_int(value(e.base), e.exponent)
     if isinstance(e, Neg):
         return scalar_mul(-1.0, value(e.operand))
-    if isinstance(e, (Exp, Sin, Cos)):
-        v = value(e.operand)
-        if not v.proper:
-            raise ImproperOperand("function argument is improper")
-        if isinstance(e, Exp):
-            return _fresh(grid, np.exp(v.lower), np.exp(v.upper))
-        if isinstance(e, Sin):
-            lo, hi = _sin_range(v.lower, v.upper)
-        else:  # cos(x) = sin(x + pi/2)
-            lo, hi = _sin_range(v.lower + _HALF_PI, v.upper + _HALF_PI)
-        return _fresh(grid, lo, hi)
-    raise TypeError(f"not an expression node: {e!r}")
+    v = value(e.operand)  # exp, sin or cos: _N_KIDS admits no other class
+    if not v.proper:
+        raise ImproperOperand("function argument is improper")
+    if isinstance(e, Exp):
+        return _fresh(grid, np.exp(v.lower), np.exp(v.upper))
+    if isinstance(e, Sin):
+        lo, hi = _sin_range(v.lower, v.upper)
+    else:  # cos(x) = sin(x + pi/2)
+        lo, hi = _sin_range(v.lower + _HALF_PI, v.upper + _HALF_PI)
+    return _fresh(grid, lo, hi)
 
 
 # -- symbolic differentiation ----------------------------------------------------
@@ -651,9 +668,7 @@ def _derivative(e: Expr, var: str, d) -> Expr:
         return _fmul(e, d(e.operand))
     if isinstance(e, Sin):
         return _fmul(Cos(e.operand), d(e.operand))
-    if isinstance(e, Cos):
-        return _fneg(_fmul(Sin(e.operand), d(e.operand)))
-    raise TypeError(f"not an expression node: {e!r}")
+    return _fneg(_fmul(Sin(e.operand), d(e.operand)))  # cos, the last class
 
 
 def free_variables(e: Expr) -> set[str]:
@@ -697,6 +712,4 @@ def _render(e: Expr, wrap) -> tuple[str, int]:
         return f"-{wrap(e.operand, 3)}", 3
     if isinstance(e, PowInt):
         return f"{wrap(e.base, 5)}^{e.exponent}", 4
-    if isinstance(e, (Exp, Sin, Cos)):
-        return f"{_FUNCTION_NAMES[type(e)]}({wrap(e.operand, 0)})", 5
-    raise TypeError(f"not an expression node: {e!r}")
+    return f"{_FUNCTION_NAMES[type(e)]}({wrap(e.operand, 0)})", 5  # exp, sin or cos

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FuzzyNumber, add, mul, scalar_mul
-from .errors import FuzzyError, ImproperOperand
+from .errors import FuzzyError, GridMismatch, ImproperOperand
 from .expr import Env, Expr, _differentiate, _evaluate, _fadd, _fmul, free_variables
 
 
@@ -52,7 +52,7 @@ class IvpProblem:
             if not v.proper:
                 raise ImproperOperand(f"{name} is improper")
         if self.x0.grid != self.y0.grid or self.x0.grid != self.h.grid:
-            raise ValueError("x0, y0, and h must share one alpha grid")
+            raise GridMismatch("x0, y0, and h must share one alpha grid")
         if self.h.lower[0] < 0:
             raise ValueError("step must have nonnegative support")
 

@@ -362,39 +362,38 @@ class _RuleParser(_Parser):
 
     A factor after '/' enters the rule inverted.  At most one triplet (the
     fuzzy base c) may appear; a bare triplet is the constant factor c^1.
+    Literals fold into the crisp coefficients through :meth:`_Parser.number`,
+    so a literal, power or product that is not finite is a parse error.
     """
 
     def rule(self) -> CoefficientRule:
-        coeff_num = coeff_den = 1.0
-        deg_num = deg_den = factorial = 0
+        # the crisp coefficient and the degree in n, above (1) and below (-1) the line
+        coeff = {1: 1.0, -1: 1.0}
+        degree = {1: 0, -1: 0}
+        factorial = sigma = shift = 0
         base = None
-        sigma = shift = 0
         side = 1
         while True:
-            kind, val, pos = self.take()
+            kind, val, pos = self.peek()
             if kind == "num":
-                c = float(val) ** self.power_suffix()
-                if side > 0:
-                    coeff_num *= c
-                else:
-                    coeff_den *= c
-            elif kind == "ident" and val == "n":
-                if self.at_op("!"):
-                    self.take()
-                    factorial += side
-                elif side > 0:
-                    deg_num += self.power_suffix()
-                else:
-                    deg_den += self.power_suffix()
-            elif kind == "ident" and val == "T" and self.at_op("("):
-                spec = self.triplet()
-                if base is not None:
-                    raise NotSimplifiable("rule supports a single fuzzy base factor")
-                base = make_triangular(spec, self.grid)
-                sigma, shift = self.base_exponent()
-                sigma, shift = sigma * side, shift * side
+                coeff[side] = self.number(coeff[side], powered=True)
             else:
-                raise ExprSyntaxError(f"unexpected token {val!r} in rule", pos)
+                self.take()
+                if kind == "ident" and val == "n":
+                    if self.at_op("!"):
+                        self.take()
+                        factorial += side
+                    else:
+                        degree[side] += self.power_suffix()
+                elif kind == "ident" and val == "T" and self.at_op("("):
+                    spec = self.triplet()
+                    if base is not None:
+                        raise NotSimplifiable("rule supports a single fuzzy base factor")
+                    base = make_triangular(spec, self.grid)
+                    sigma, shift = self.base_exponent()
+                    sigma, shift = sigma * side, shift * side
+                else:
+                    raise ExprSyntaxError(f"unexpected token {val!r} in rule", pos)
             if not self.at_op("*", "/"):
                 break
             side = 1 if self.take()[1] == "*" else -1
@@ -402,19 +401,13 @@ class _RuleParser(_Parser):
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected trailing input {val!r} in rule", pos)
         return CoefficientRule(
-            poly_num=(0.0,) * deg_num + (coeff_num,),
-            poly_den=(0.0,) * deg_den + (coeff_den,),
+            poly_num=(0.0,) * degree[1] + (coeff[1],),
+            poly_den=(0.0,) * degree[-1] + (coeff[-1],),
             factorial_power=factorial,
             base=base,
             base_coeff=sigma,
             base_shift=shift,
         )
-
-    def power_suffix(self) -> int:
-        if not self.at_op("^"):
-            return 1
-        self.take()
-        return self.uint()
 
     def base_exponent(self) -> tuple[int, int]:
         """(sigma, t) of the base power c^(sigma*n + t)."""

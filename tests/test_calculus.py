@@ -200,6 +200,15 @@ def test_not_differentiable_reports_the_last_gap():
         mh_derivative(parse_expr("exp(x)"), "x", tri(6, 7, 8))
 
 
+def test_not_differentiable_names_the_test_that_failed():
+    # the gap closes, but a derivative near 2.9e8 keeps the step above tol
+    with pytest.raises(NotDifferentiable) as err:
+        mh_derivative(parse_expr("x^40"), "x", singleton(1.5, GRID))
+    assert ": the step stayed above tol (last gap 0, last step " in str(err.value)
+    with pytest.raises(NotDifferentiable, match="the gap and the step stayed above tol"):
+        mh_derivative(parse_expr("exp(x)"), "x", tri(6, 7, 8))
+
+
 def test_probe_checks_only_the_values_it_reaches():
     # x^2 gH- T(0,1,1.5) loses nestedness at some shifts.  At T(-1.6,-1.5,-1.4)
     # only shifts the probe never tries do, so it answers; at T(0.5,1,1.2) the

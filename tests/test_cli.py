@@ -230,8 +230,6 @@ def test_exit_1_on_domain_error(capsys):
         (["eval", "--expr", "x - y", "--bind", "x=T(0,1,2)", "--bind", "y=T(0,0.5,3)"],
          "ImproperOperand"),
     )
-    # a literal that overflows to inf would give a NaN envelope
-    cases += ((["eval", "--expr", "T(1,2," + "9" * 400 + ")"], "MalformedTriplet"),)
     # numpy's overflow warnings must not reach stderr ahead of the error
     cases += ((["eval", "--expr", "exp(x) - exp(x)", "--bind", "x=T(700,800,900)"], "ImproperOperand"),)
     # arithmetic overflow; the package does not name these errors yet
@@ -293,9 +291,23 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
         assert run(["eval", f"--expr={text}", "--bind", "x=T(1,2,3)"]) == 2
         err = error_line(capsys)
         assert "nested too deeply" in err and "Traceback" not in err
-    # so is a crisp literal that reads as infinite, named at its position
-    assert run(["eval", "--expr", "9" * 400 + " + x", "--bind", "x=1"]) == 2
-    assert error_line(capsys).startswith("ExprSyntaxError: number literal too large")
+
+
+NINES = "9" * 400
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["eval", "--expr", NINES + " + x", "--bind", "x=1"], 0),
+    (["eval", "--expr", "T(1,2," + NINES + ")"], 6),
+    (["series", "--coeff-rule", NINES + " * n", "--radius-mode", "symbolic"], 0),
+    (["series", "--coeff-rule", "99999^999 * n", "--radius-mode", "symbolic"], 0),
+], ids=["crisp literal", "triangle component", "rule literal", "rule power"])
+def test_exit_2_on_a_number_that_is_not_finite(argv, position, capsys):
+    # every number in expression and rule text is read by one reader, which
+    # names a value that is not finite at its position
+    assert run(argv) == 2
+    assert error_line(capsys) == (
+        f"ExprSyntaxError: number literal too large for a finite float (at position {position})\n")
 
 
 def test_exit_2_on_bad_binding(capsys):

@@ -16,7 +16,6 @@ from fuzzcalc.core import (
     AlphaGrid,
     FuzzyNumber,
     Interval,
-    TriangularSpec,
     _fresh,
     _nested,
     _sign_class,
@@ -85,12 +84,14 @@ def test_triangular_generic_alpha_cut():
 
 def test_malformed_triplet():
     with pytest.raises(MalformedTriplet):
-        TriangularSpec(1.0, 0.5, 2.0)
+        make_triangular((1.0, 0.5, 2.0))
     with pytest.raises(MalformedTriplet):
         make_triangular((3, 2, 1), GRID)
     # inf - inf * alpha would leave a NaN upper envelope
     with pytest.raises(MalformedTriplet):
         make_triangular((1, 2, float("inf")), GRID)
+    with pytest.raises(MalformedTriplet, match=r"need finite d, e, f, got \(-inf, 0.0, 1.0\)"):
+        make_triangular((-math.inf, 0.0, 1.0))
 
 
 def test_constructor_refuses_crossed_envelopes():
@@ -347,7 +348,7 @@ def test_support_core_defuzz():
     assert a.support.lo == pytest.approx(2.1) and a.support.hi == pytest.approx(2.5)
     assert a.core.lo == pytest.approx(2.3) and a.core.hi == pytest.approx(2.3)
     t = defuzz_triplet(a)
-    assert (t.d, t.e, t.f) == pytest.approx((2.1, 2.3, 2.5))
+    assert type(t) is tuple and t == pytest.approx((2.1, 2.3, 2.5))
 
 
 def test_resample_affine_exact():

@@ -29,7 +29,6 @@ from fuzzcalc.errors import (
     FuzzyError,
     GridMismatch,
     ImproperOperand,
-    MalformedTriplet,
     UnboundVariable,
     UnknownFunction,
 )
@@ -116,9 +115,10 @@ def test_parse_refuses_a_crisp_literal_that_is_not_finite():
         parse_expr("x + " + "9" * 400)
     assert exc.value.position == 4
     assert parse_expr("9" * 300) == CrispConst(float("9" * 300))
-    # a triplet's components are checked by the triplet
-    with pytest.raises(MalformedTriplet):
-        parse_expr("T(1, 2, " + "9" * 400 + ")")
+    # a triplet's components are read by the same reader, at their position
+    with pytest.raises(ExprSyntaxError, match="too large") as exc:
+        parse_expr("T(1, 2, -" + "9" * 400 + ")")
+    assert exc.value.position == 9
 
 
 def test_to_text_round_trips():
@@ -211,6 +211,17 @@ def test_nodes_refuse_a_child_that_is_not_a_node_when_built():
         with pytest.raises(TypeError, match="not an expression node"):
             build()
     assert len(fuzzcalc.expr._NODES) == before
+    # a walk checks only the roots it is given, an unhashable one included
+    for walk in (evaluate, lambda e: differentiate(e, "x"), free_variables, to_text):
+        for root in ([1], 2.0, "x"):
+            with pytest.raises(TypeError, match="not an expression node"):
+                walk(root)
+    # and a class outside the twelve cannot be built, so a walk meets none
+    class Twice(Neg):
+        pass
+
+    with pytest.raises(KeyError):
+        Twice(Var("x"))
     # leaf fields are values, not children
     assert PowInt(Var("x"), 3).exponent == 3 and CrispConst(5.0).value == 5.0
 

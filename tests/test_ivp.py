@@ -20,6 +20,7 @@ from fuzzcalc.core import (
     scalar_mul,
     singleton,
 )
+from fuzzcalc.errors import GridMismatch
 from fuzzcalc.expr import CrispConst, Env, Var, _evaluate, evaluate, parse_expr
 from fuzzcalc.ivp import IvpProblem, solve, total_derivatives
 
@@ -308,5 +309,5 @@ def test_problem_validation():
         worked_problem(rhs=parse_expr("x + z"))
     with pytest.raises(ValueError):
         worked_problem(h=tri(-0.1, 0.0, 0.1))
-    with pytest.raises(ValueError):
+    with pytest.raises(GridMismatch):
         worked_problem(h=tri(0.07, 0.1, 0.12, AlphaGrid.uniform(11)))

@@ -403,6 +403,18 @@ def test_parse_rule_monomial_powers():
     assert hausdorff_distance(rule.value(4, GRID), singleton(24.0, GRID)) <= 1e-9
 
 
+def test_parse_rule_refuses_numbers_that_are_not_finite():
+    # a literal, its power, or the product it folds into, at the literal
+    nines = "9" * 400
+    for text, position in ((nines + " * n", 0), ("n / 99999^999", 4), (nines + "^0", 0),
+                           ("1" + "0" * 200 + " * 1" + "0" * 200, 204)):
+        with pytest.raises(ExprSyntaxError, match="too large") as exc:
+            parse_coeff_rule(text, GRID)
+        assert exc.value.position == position, text
+    # a folded product that stays finite is read as before
+    assert parse_coeff_rule("1" + "0" * 200 + " / 1" + "0" * 200 + " * n").poly_num == (0.0, 1e200)
+
+
 def test_parse_rule_rejects_garbage():
     with pytest.raises(ExprSyntaxError):
         parse_coeff_rule("n ? 2", GRID)

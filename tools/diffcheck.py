@@ -63,6 +63,9 @@ EXTRA_ARGVS = (
      "--h", "T(0.07,0.1,0.12)", "--order", "4", "--steps", "40"],
     ["eval", "--expr", "exp(x)", "--bind", "x=T(700,800,900)"],
     ["eval", "--expr", _NINES + " + x", "--bind", "x=1"],
+    ["eval", "--expr", "T(1,2," + _NINES + ")"],
+    ["series", "--coeff-rule", "99999^999 * n", "--radius-mode", "symbolic"],
+    ["series", "--coeff-rule", _NINES + " * n", "--radius-mode", "symbolic"],
     ["series", "--taylor-of", "exp(x)/" + _NINES[:201], "--var", "x", "--center", "T(-1,0,1)",
      "--order", "4"],
     ["series", "--taylor-of", "x^2*" + _NINES[:201] + "^2", "--var", "x", "--center", "T(-1,0,1)",
