@@ -24,20 +24,21 @@ Nodes are interned when built, so equal nodes are one object and compare
 and hash by identity.  A node checks its children when it is built, so a
 walk checks only its roots.  Leaves are equal bit-exactly: a crisp constant by its
 float's bits (``0.0`` and ``-0.0`` are two nodes), a fuzzy constant by its
-grid, envelope bytes and properness.  ``evaluate`` and ``differentiate``
-handle each distinct node once per call, and ``differentiate`` returns a DAG
-in which equal subtrees share one derivative: the expanded tree of the k-th
-derivative of ``sin(x)*exp(x)`` doubles with k, its distinct nodes grow
-about quadratically.
+grid, envelope bytes and properness.  ``evaluate`` handles each distinct
+node once per call; ``differentiate`` runs each node's rule once per node
+and variable, for the node's lifetime, since a node keeps its derivatives
+as it keeps its plan.  It returns a DAG in which equal subtrees share one
+derivative: the expanded tree of the k-th derivative of ``sin(x)*exp(x)``
+doubles with k, its distinct nodes grow about quadratically.
 
 A derivative tower (Taylor coefficients, the IVP terms ``D_k``) is handled
-as one DAG with many roots.  Its members are differentiated with one shared
-memo, so each distinct node's rule runs once per tower, and evaluated in one
-walk over their union, so a subtree the members share is computed once.
+as one DAG with many roots, built again as the same nodes, and evaluated in
+one walk over their union, so a subtree the members share is computed once.
 The walk is planned once per root family (one root, for ``evaluate``) and
 cached on the family's last root, so a family evaluated many times (as by
-``mh_derivative`` or ``solve``) is walked once.  Pickling writes a node's
-DAG flat, without recursion, and unpickling re-interns it.
+``mh_derivative``, ``solve`` or ``taylor_series_of``) is walked once.
+Pickling writes a node's DAG flat, without recursion or kept state, and
+unpickling re-interns it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import math
 import re
 import struct
 import weakref
-from collections.abc import Container
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +98,8 @@ class Expr:
             node = _NODES[key] = object.__new__(cls)
             node.__dict__.update(zip(names, fields))
             node.__dict__["_kids"] = kids
+            # its derivative by each variable, kept by differentiate
+            node.__dict__["_d"] = {}
         return node
 
     @classmethod
@@ -439,12 +441,12 @@ def _sin_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out_lo, out_hi
 
 
-def _walk(roots: tuple[Expr, ...], known: Container[Expr] = ()) -> list[Expr]:
+def _walk(roots: tuple[Expr, ...], skip=None) -> list[Expr]:
     """The distinct nodes under ``roots``, children first, left to right,
     each where a walk of the expanded trees, one root after the other,
-    first completes it.  The walk does not enter nodes in ``known``.  Equal
-    nodes are one object (nodes are interned when built), so the walk
-    visits each node object once.  Only the roots are checked to be nodes."""
+    first completes it.  The walk does not enter a node where ``skip(node)``
+    is true.  Equal nodes are one object (nodes are interned when built), so
+    the walk visits each node object once.  Only the roots are checked."""
     for root in roots:
         if not isinstance(root, Expr):
             raise TypeError(f"not an expression node: {root!r}")
@@ -455,7 +457,7 @@ def _walk(roots: tuple[Expr, ...], known: Container[Expr] = ()) -> list[Expr]:
         node, children_done = stack.pop()
         if children_done:
             order.append(node)
-        elif id(node) not in seen and node not in known:
+        elif id(node) not in seen and not (skip and skip(node)):
             seen.add(id(node))
             stack.append((node, True))
             stack.extend((child, False) for child in reversed(node._kids))
@@ -627,48 +629,44 @@ def _fneg(u: Expr) -> Expr:
 
 def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic derivative with the crisp sum/product/chain rules applied
-    formally; the power rule is d(u^n) = n*u^(n-1)*du.  Equal subtrees are
-    differentiated once and share one derivative node."""
-    return _differentiate(e, var, {})
+    formally; the power rule is d(u^n) = n*u^(n-1)*du.  A node is immutable,
+    so it keeps its derivative by each variable: each node's rule runs once
+    per node and variable, for the node's lifetime, and equal subtrees share
+    one derivative node.  The walk stops at a node that has its derivative
+    by ``var`` already (its children have theirs too)."""
+    for node in _walk((e,), lambda node: var in node._d):
+        node._d[var] = _derivative(node, var)
+    return e._d[var]
 
 
-def _differentiate(e: Expr, var: str, memo: dict[Expr, Expr]) -> Expr:
-    """The derivative of ``e``, adding the derivative of each node under it
-    to ``memo``.  The walk stops at nodes already in ``memo`` (their
-    children are there too), so the members of a derivative tower, built
-    with one memo, run each distinct node's rule once between them."""
-    for node in _walk((e,), memo):
-        memo[node] = _derivative(node, var, memo.__getitem__)
-    return memo[e]
-
-
-def _derivative(e: Expr, var: str, d) -> Expr:
-    """The derivative of one node; ``d(child)`` gives a child's."""
+def _derivative(e: Expr, var: str) -> Expr:
+    """The derivative of one node by ``var``, from its children's."""
     if isinstance(e, (CrispConst, FuzzyConst)):
         return CrispConst(0.0)
     if isinstance(e, Var):
         return CrispConst(1.0 if e.name == var else 0.0)
+    d = [kid._d[var] for kid in e._kids]
     if isinstance(e, Add):
-        return _fadd(d(e.left), d(e.right))
+        return _fadd(d[0], d[1])
     if isinstance(e, GhSub):
-        return _fsub(d(e.left), d(e.right))
+        return _fsub(d[0], d[1])
     if isinstance(e, Mul):
-        return _fadd(_fmul(d(e.left), e.right), _fmul(e.left, d(e.right)))
+        return _fadd(_fmul(d[0], e.right), _fmul(e.left, d[1]))
     if isinstance(e, Div):
-        num = _fsub(_fmul(d(e.left), e.right), _fmul(e.left, d(e.right)))
+        num = _fsub(_fmul(d[0], e.right), _fmul(e.left, d[1]))
         return _fdiv(num, _fpow(e.right, 2))
     if isinstance(e, PowInt):
         if e.exponent == 0:
             return CrispConst(0.0)
         rule = _fmul(CrispConst(float(e.exponent)), _fpow(e.base, e.exponent - 1))
-        return _fmul(rule, d(e.base))
+        return _fmul(rule, d[0])
     if isinstance(e, Neg):
-        return _fneg(d(e.operand))
+        return _fneg(d[0])
     if isinstance(e, Exp):
-        return _fmul(e, d(e.operand))
+        return _fmul(e, d[0])
     if isinstance(e, Sin):
-        return _fmul(Cos(e.operand), d(e.operand))
-    return _fneg(_fmul(Sin(e.operand), d(e.operand)))  # cos, the last class
+        return _fmul(Cos(e.operand), d[0])
+    return _fneg(_fmul(Sin(e.operand), d[0]))  # cos, the last class
 
 
 def free_variables(e: Expr) -> set[str]:

@@ -6,12 +6,13 @@ Solves y' = F(x, y) with fuzzy initial point, initial value, and step:
     x_next = x (+) h
 
 where D_1 = F and D_(k+1) = dD_k/dx (+) dD_k/dy (x) F is the symbolic
-total-derivative tower, built with the expression-level derivative rules.
-The order is capped at 4, the highest order the tests check.  The tower is
-a DAG of shared subexpressions (see :mod:`fuzzcalc.expr`), so its size is
-not what sets the cap.  Each step evaluates all of D_1 ... D_order in one
-walk over the tower's distinct nodes, planned once per solve, and the
-powers h^k are formed once per solve.
+total-derivative tower, built with the expression-level derivative rules
+(each run once per node and variable, for the node's lifetime).  The order
+is capped at 4, the highest order the tests check.  The tower is a DAG of
+shared subexpressions (see :mod:`fuzzcalc.expr`), so its size is not what
+sets the cap.  Each step evaluates all of D_1 ... D_order in one walk over
+the tower's distinct nodes, planned at most once per solve, and the powers
+h^k are formed once per solve.
 
 Multi-step mode compounds the fuzzy step into x (x <- x (+) h), so the
 x-uncertainty accumulates step over step; single-step is the default.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import FuzzyNumber, add, mul, scalar_mul
 from .errors import FuzzyError, GridMismatch, ImproperOperand
-from .expr import Env, Expr, _differentiate, _evaluate, _fadd, _fmul, free_variables
+from .expr import Env, Expr, _evaluate, _fadd, _fmul, differentiate, free_variables
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,11 @@ class IvpSolution:
 
 def total_derivatives(rhs: Expr, order: int) -> list[Expr]:
     """[D_1, ..., D_order] with D_1 = F and D_(k+1) = dD_k/dx + dD_k/dy * F,
-    differentiated with one memo per variable, so each distinct node's rule
-    runs once per tower."""
+    differentiated once per node and variable, for the node's lifetime."""
     derivs = [rhs]
-    by_x: dict[Expr, Expr] = {}
-    by_y: dict[Expr, Expr] = {}
     for _ in range(order - 1):
         current = derivs[-1]
-        dx = _differentiate(current, "x", by_x)
-        dy = _differentiate(current, "y", by_y)
-        derivs.append(_fadd(dx, _fmul(dy, rhs)))
+        derivs.append(_fadd(differentiate(current, "x"), _fmul(differentiate(current, "y"), rhs)))
     return derivs
 
 

@@ -47,7 +47,7 @@ from .core import (
     singleton,
 )
 from .errors import ExprSyntaxError, GridMismatch, ImproperOperand, NoLimit, NotSimplifiable
-from .expr import Env, Expr, _differentiate, _evaluate, _Parser
+from .expr import Env, Expr, _evaluate, _Parser, differentiate
 
 _AGREE_RTOL = 1e-6
 _DECAY_FACTOR = 0.75
@@ -335,15 +335,15 @@ def taylor_series_of(
 ) -> FuzzyPowerSeries:
     """Series with coefficients f^(k)(x0) / k! for k = 0..order, centered at
     x0; derivatives are symbolic, evaluation is level-wise.  The tower
-    f, f', ..., f^(order) is built first, with one derivative memo, then
-    evaluated in one walk over its distinct nodes."""
+    f, f', ..., f^(order) is built first, each node differentiated once per
+    node and variable, for the node's lifetime (so a repeated call on ``f``
+    builds the same tower), then evaluated in one walk over its nodes."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     at_x0 = Env(env.bindings if env is not None else {}, x0.grid).with_binding(var, x0)
     tower = [f]
-    memo: dict[Expr, Expr] = {}
     for _ in range(order):
-        tower.append(_differentiate(tower[-1], var, memo))
+        tower.append(differentiate(tower[-1], var))
     values = _evaluate(tuple(tower), at_x0)
     coeffs = [scalar_mul(1.0 / math.factorial(k), values[g]) for k, g in enumerate(tower)]
     return FuzzyPowerSeries(x0, coeffs)
@@ -363,7 +363,8 @@ class _RuleParser(_Parser):
     A factor after '/' enters the rule inverted.  At most one triplet (the
     fuzzy base c) may appear; a bare triplet is the constant factor c^1.
     Literals fold into the crisp coefficients through :meth:`_Parser.number`,
-    so a literal, power or product that is not finite is a parse error.
+    so a literal, power or product that is not finite is a parse error, and
+    so is a literal that makes the coefficient below the line zero.
     """
 
     def rule(self) -> CoefficientRule:
@@ -377,6 +378,8 @@ class _RuleParser(_Parser):
             kind, val, pos = self.peek()
             if kind == "num":
                 coeff[side] = self.number(coeff[side], powered=True)
+                if side < 0 and coeff[side] == 0.0:
+                    raise ExprSyntaxError("zero below the line in rule", pos)
             else:
                 self.take()
                 if kind == "ident" and val == "n":

@@ -310,6 +310,11 @@ def test_exit_2_on_a_number_that_is_not_finite(argv, position, capsys):
         f"ExprSyntaxError: number literal too large for a finite float (at position {position})\n")
 
 
+def test_exit_2_on_a_zero_below_the_line_of_a_rule(capsys):
+    assert run(["series", "--coeff-rule", "n/0", "--radius-mode", "symbolic"]) == 2
+    assert error_line(capsys) == "ExprSyntaxError: zero below the line in rule (at position 2)\n"
+
+
 def test_exit_2_on_bad_binding(capsys):
     assert run(["eval", "--expr", "x", "--bind", "x:T(1,2,3)"]) == 2
     assert "ProblemFileError" in error_line(capsys)

@@ -1,11 +1,13 @@
 """Expression parsing, range evaluation, and symbolic differentiation."""
 
+import copy
 import gc
 import math
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -483,6 +485,47 @@ def test_dropped_derivative_leaves_the_intern_table_in_one_collection():
     del problem
     gc.collect()
     assert len(fuzzcalc.expr._NODES) == before
+
+
+def test_a_node_keeps_its_derivatives_only_while_it_lives():
+    # the tower of a series hangs off f, so dropping f and the series frees
+    # it in one collection; CrispConst(0.0), every constant's derivative, is
+    # held, so that a constant some other live tree holds cannot keep a new one
+    zero = CrispConst(0.0)
+    gc.collect()
+    before = len(fuzzcalc.expr._NODES)
+    f = parse_expr("sin(u)*exp(u) + T(1,2,5)*u^3")
+    s = taylor_series_of(f, "u", tri(0.1, 0.2, 0.3), 8)
+    assert len(fuzzcalc.expr._NODES) > before + 50
+    alive = weakref.ref(f)
+    del f, s
+    gc.collect()
+    assert alive() is None
+    assert len(fuzzcalc.expr._NODES) == before
+
+
+def test_derivatives_are_kept_per_variable():
+    f = parse_expr("x*y + exp(x)")
+    by_x, by_y = differentiate(f, "x"), differentiate(f, "y")
+    assert by_x is Add(Var("y"), Exp(Var("x")))
+    assert by_y is Var("x")
+    assert differentiate(f, "x") is by_x and differentiate(f, "y") is by_y
+    # cos(x) by y is -(sin(x)*0) = -0.0, whichever variable comes first
+    for text, first in (("cos(x)", "x"), ("cos(x + 1)", "y")):
+        node = parse_expr(text)
+        differentiate(node, first)
+        assert differentiate(node, "y") is CrispConst(-0.0), text
+        assert differentiate(node, "x") is Neg(Sin(node.operand)), text
+
+
+def test_kept_derivatives_are_neither_pickled_nor_copied():
+    f = parse_expr("sin(x)*exp(y) + T(1,2,5)*x^2")
+    before = pickle.dumps(f)
+    differentiate(differentiate(f, "x"), "y")
+    evaluate(f, Env({"x": tri(1, 2, 3), "y": tri(0, 1, 2)}))
+    assert pickle.dumps(f) == before
+    assert pickle.loads(before) is f
+    assert copy.deepcopy(f) is f and copy.copy(f) is f
 
 
 # -- stacks: envelopes with a leading row axis --------------------------------------

@@ -1,5 +1,6 @@
 """Power series: partial sums, both radius modes, ratio test, Taylor coefficients."""
 
+import gc
 import math
 
 import numpy as np
@@ -352,18 +353,34 @@ def test_taylor_tower_in_one_walk_matches_the_per_root_loop(text, order, same_by
     [("sin(x)*exp(x)", 10, 79, 67), ("exp(sin(x))", 7, 94, 65)],
 )
 def test_taylor_tower_runs_each_distinct_node_once(
-    text, order, evaluated, differentiated, count_calls, distinct_nodes
+    text, order, evaluated, differentiated, count_calls, distinct_nodes, monkeypatch
 ):
-    # one derivative memo for the tower and one walk over its union; a loop
+    # each node keeps its derivative by x while it lives: building the tower
+    # runs each distinct node's rule once, and a series of the same f builds
+    # the same tower, so it runs no rule and, once planned, no walk; a loop
     # of evaluate and differentiate per member runs 374 and 295 (sin*exp)
+    gc.collect()  # no node of an earlier test's tower is left alive
     grid = AlphaGrid.uniform(11)
     f = parse_expr(text, grid)
-    tower = _tower(f, order)
-    evals = count_calls(fuzzcalc.expr, "_ev")
     rules = count_calls(fuzzcalc.expr, "_derivative")
-    taylor_series_of(f, "x", tri(0.1, 0.2, 0.3, grid), order)
-    assert evals[0] == len(distinct_nodes(*tower)) == evaluated
+    tower = _tower(f, order)
     assert rules[0] == len(distinct_nodes(*tower[:-1])) == differentiated
+    walked = []
+    real_walk = fuzzcalc.expr._walk
+
+    def walk(*args):
+        nodes = real_walk(*args)
+        walked.append(len(nodes))
+        return nodes
+
+    monkeypatch.setattr(fuzzcalc.expr, "_walk", walk)
+    evals = count_calls(fuzzcalc.expr, "_ev")
+    for centre in ((0.1, 0.2, 0.3), (-0.9, -0.7, -0.6)):
+        taylor_series_of(f, "x", tri(*centre, grid), order)
+    assert rules[0] == differentiated
+    # the first call plans the tower's walk, the second reuses that plan
+    assert walked == [0] * order + [evaluated] + [0] * order
+    assert evals[0] == 2 * len(distinct_nodes(*tower)) == 2 * evaluated
 
 
 # -- rule text parsing --------------------------------------------------------------------------
@@ -413,6 +430,18 @@ def test_parse_rule_refuses_numbers_that_are_not_finite():
         assert exc.value.position == position, text
     # a folded product that stays finite is read as before
     assert parse_coeff_rule("1" + "0" * 200 + " / 1" + "0" * 200 + " * n").poly_num == (0.0, 1e200)
+
+
+def test_parse_rule_refuses_a_zero_below_the_line():
+    # the rule's denominator would vanish at every n; refused at the literal
+    # that zeroes it, be it a zero or a product that underflows
+    for text, position in (("n/0", 2), ("n / 2 / 0.0^3", 8), ("1/0.1^400 * n", 2)):
+        with pytest.raises(ExprSyntaxError, match="zero below the line") as exc:
+            parse_coeff_rule(text, GRID)
+        assert exc.value.position == position, text
+    # a zero above the line, or a zero power below it, is read as before
+    assert parse_coeff_rule("0 * n").poly_num == (0.0, 0.0)
+    assert parse_coeff_rule("n / 0^0").poly_den == (1.0,)
 
 
 def test_parse_rule_rejects_garbage():

@@ -9,6 +9,8 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
 ``perfbench/`` (imported read-only) with fixed seeds:
 
 * every taylor-swell shape at two centres: coefficients and partial sum;
+  and each shape's series repeated in one process, at a second centre and
+  by a second variable between;
 * every ivp-wide form at order 4 and 3 steps, on 10001 levels;
 * the derive-fine texts at 16 points, through ``mh_derivative`` at three
   tolerances and ``continuity_probe``;
@@ -66,6 +68,7 @@ EXTRA_ARGVS = (
     ["eval", "--expr", "T(1,2," + _NINES + ")"],
     ["series", "--coeff-rule", "99999^999 * n", "--radius-mode", "symbolic"],
     ["series", "--coeff-rule", _NINES + " * n", "--radius-mode", "symbolic"],
+    ["series", "--coeff-rule", "n/0", "--radius-mode", "symbolic"],
     ["series", "--taylor-of", "exp(x)/" + _NINES[:201], "--var", "x", "--center", "T(-1,0,1)",
      "--order", "4"],
     ["series", "--taylor-of", "x^2*" + _NINES[:201] + "^2", "--var", "x", "--center", "T(-1,0,1)",
@@ -141,6 +144,20 @@ def _library_entries(workloads, fc):
                 s, total = taylor.run(task)
                 return {**{f"a_{k}": s.coefficient(k) for k in range(task["order"] + 1)}, "sum": total}
             yield f"taylor-swell:{seed}:{task['text']} at T{task['centre']}", run
+
+    # one f three times in one process: by x, by y at another centre, then
+    # by x at that centre; a derivative kept stale, or kept under the wrong
+    # variable, moves an entry
+    for task, other in zip(taylor.build(3), taylor.build(4)):
+        def repeat(task=task, x1=other["x0"]):
+            f, x0, order = task["expr"], task["x0"], task["order"]
+            out = {}
+            for label, var, centre, env in (("x", "x", x0, None), ("y", "y", x1, fc.expr.Env({"x": x0})),
+                                            ("x again", "x", x1, None)):
+                s = series.taylor_series_of(f, var, centre, order, env)
+                out.update({f"{label}:a_{k}": s.coefficient(k) for k in range(order + 1)})
+            return out
+        yield f"taylor-swell repeat:3:{task['text']} at T{task['centre']} then T{other['centre']}", repeat
 
     for task in workloads.LIBRARY["ivp-wide"].build(1):
         p = task["problem"]
