@@ -12,8 +12,8 @@ _EXPORTS = {
              "div", "gh_difference", "hausdorff_distance", "make_triangular", "mul", "pow_int",
              "resample", "scalar_mul", "singleton"),
     "errors": ("Crossed", "DivisorStraddlesZero", "ExprSyntaxError", "FuzzyError", "GridMismatch",
-               "ImproperOperand", "MalformedTriplet", "NoLimit", "NotDifferentiable", "NotNested",
-               "NotSimplifiable", "ProblemFileError", "UnboundVariable", "UnknownFunction"),
+               "ImproperOperand", "InvalidArgument", "MalformedTriplet", "NoLimit", "NotDifferentiable",
+               "NotNested", "NotSimplifiable", "ProblemFileError", "UnboundVariable", "UnknownFunction"),
     "expr": ("Env", "Expr", "differentiate", "evaluate", "free_variables", "parse_expr", "to_text"),
     "ivp": ("IvpProblem", "IvpSolution", "solve", "total_derivatives"),
     "series": ("CoefficientRule", "FuzzyPowerSeries", "RadiusResult", "RatioTestResult",

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FuzzyNumber, _fresh, _order_normalized, hausdorff_distance
-from .errors import ImproperOperand, NotDifferentiable
+from .errors import ImproperOperand, InvalidArgument, NotDifferentiable
 from .expr import Env, Expr, evaluate
 
 _H0_SCALE = 0.125
@@ -192,7 +192,7 @@ def mh_derivative(
     quotient is not a fuzzy number.
     """
     if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+        raise InvalidArgument(f"tol must be positive and finite, got {tol!r}")
     if not x0.proper:
         raise ImproperOperand("expansion point is improper")
     grid = x0.grid
@@ -243,7 +243,7 @@ def continuity_probe(
     probe, not a proof.
     """
     if not eps > 0:
-        raise ValueError("eps must be positive")
+        raise InvalidArgument("eps must be positive")
     base = Env(env.bindings if env is not None else {}, x0.grid)
     # an improper x0 raises ImproperOperand here, before any evaluation, as
     # binding it for f(x0) does point by point

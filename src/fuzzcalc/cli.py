@@ -4,13 +4,15 @@ tables and human-readable summaries.
 
 Each command handler computes its result and returns a report; ``run``
 alone writes the table and prints.  Exit codes: 0 success, with the
-summary on stdout; 1 domain error, 2 usage or parse error, each with
-nothing on stdout and one ``Name: message`` line on stderr.
+summary on stdout; 1 domain error, 2 usage or parse error (an argument
+out of its bound is one), each with nothing on stdout and one
+``Name: message`` line on stderr.
 
 Handlers import what they run when they run, and the options whose
-defaults other modules own (``--alphas``, ``--tol``) default to None, so
-``eval`` loads no calculus, series or IVP code, and argparse's usage
-errors and ``--help`` load no numpy.
+defaults and bounds other modules own (``--alphas``, ``--tol``) default
+to None and are checked by those modules, so ``eval`` loads no calculus,
+series or IVP code, and argparse's usage errors and ``--help`` load no
+numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     ExprSyntaxError,
     FuzzyError,
     ImproperOperand,
+    InvalidArgument,
     NoLimit,
     ProblemFileError,
 )
@@ -43,7 +46,7 @@ def write_alpha_csv(value, path, metadata: dict | None = None) -> None:
     LF-terminated.
 
     Metadata (the command and its inputs) goes into leading '#' comment
-    lines, which golden comparisons and the reader ignore.
+    lines, which golden comparisons ignore.
     """
     if not value.proper:
         raise ImproperOperand("refusing to serialize an improper fuzzy number")
@@ -55,26 +58,6 @@ def write_alpha_csv(value, path, metadata: dict | None = None) -> None:
         lines.append(f"{_fmt(a)},{_fmt(lo)},{_fmt(hi)}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_alpha_csv(path):
-    """Rebuild a fuzzy number from an alpha-cut table."""
-    from .core import AlphaGrid, FuzzyNumber
-
-    levels, lows, highs = [], [], []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#") or line == "alpha,lower,upper":
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ProblemFileError(f"malformed table row: {line!r}")
-            a, lo, hi = (float(p) for p in parts)
-            levels.append(a)
-            lows.append(lo)
-            highs.append(hi)
-    return FuzzyNumber(AlphaGrid(levels), lows, highs)
 
 
 # -- shared parsing helpers ------------------------------------------------------------
@@ -118,8 +101,6 @@ def _grid_from(alphas: int | None):
 
     if alphas is None:
         return DEFAULT_GRID
-    if alphas < 2:
-        raise ProblemFileError("grid resolution must be at least 2")
     return AlphaGrid.uniform(alphas)
 
 
@@ -291,10 +272,7 @@ def _cmd_solve_ivp(args):
     grid = _grid_from(alphas)
     rhs = parse_expr(settings["rhs"], grid)
     x0, y0, h = (_parse_fuzzy_value(settings[k], grid) for k in ("x0", "y0", "h"))
-    try:
-        problem = IvpProblem(rhs=rhs, x0=x0, y0=y0, h=h, **counts)
-    except ValueError as exc:
-        raise ProblemFileError(str(exc)) from None
+    problem = IvpProblem(rhs=rhs, x0=x0, y0=y0, h=h, **counts)
     solution = solve(problem)
     x_final, y_final = solution.final
     steps = enumerate(solution.truncation_magnitudes, start=1)
@@ -305,13 +283,6 @@ def _cmd_solve_ivp(args):
 
 
 # -- entry points ------------------------------------------------------------------------
-
-
-def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--expr", required=True)
     pd.add_argument("--var", required=True, help="differentiation variable")
     pd.add_argument("--bind", action="append", default=[], metavar="NAME=T(d,e,f)|V")
-    pd.add_argument("--tol", type=_tolerance, help="limit tolerance")
+    pd.add_argument("--tol", type=float, help="limit tolerance")
     pd.add_argument("--alphas", type=int)
     pd.add_argument("--out", help="alpha-cut CSV path")
 
@@ -395,7 +366,7 @@ def run(argv: list[str]) -> int:
                 lines.append(f"alpha table written to {out}")
     except (FuzzyError, ValueError, ArithmeticError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ExprSyntaxError, ProblemFileError)) else 1
+        return 2 if isinstance(exc, (ExprSyntaxError, InvalidArgument, ProblemFileError)) else 1
     print("\n".join([f"command: {args.command}", *lines]))
     return 0
 

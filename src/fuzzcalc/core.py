@@ -52,11 +52,16 @@ from .errors import (
     DivisorStraddlesZero,
     GridMismatch,
     ImproperOperand,
+    InvalidArgument,
     MalformedTriplet,
     NotNested,
 )
 
 DEFAULT_RESOLUTION = 101
+
+# The largest power ``pow_int`` and ``PowInt`` take: ``pow_int`` runs one
+# ``mul`` per unit of the exponent, so the bound bounds its work.
+MAX_EXPONENT = 1024
 
 # Slack for float noise when checking envelope monotonicity; operation
 # results are exact up to a few ulps, so this never masks real defects.
@@ -71,18 +76,18 @@ class AlphaGrid:
     def __init__(self, levels: Sequence[float]):
         arr = np.array(levels, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("alpha grid needs at least the levels 0 and 1")
+            raise InvalidArgument("alpha grid needs at least the levels 0 and 1")
         if arr[0] != 0.0 or arr[-1] != 1.0:
-            raise ValueError("alpha grid must start at 0 and end at 1")
+            raise InvalidArgument("alpha grid must start at 0 and end at 1")
         if not np.all(np.diff(arr) > 0.0):
-            raise ValueError("alpha levels must be strictly increasing")
+            raise InvalidArgument("alpha levels must be strictly increasing")
         arr.flags.writeable = False
         self.levels = arr
 
     @classmethod
     def uniform(cls, resolution: int = DEFAULT_RESOLUTION) -> "AlphaGrid":
         if resolution < 2:
-            raise ValueError("grid resolution must be >= 2")
+            raise InvalidArgument("grid resolution must be >= 2")
         return cls(np.linspace(0.0, 1.0, resolution))
 
     def __len__(self) -> int:
@@ -165,7 +170,7 @@ class FuzzyNumber:
         lo = np.array(lower, dtype=float)
         hi = np.array(upper, dtype=float)
         if lo.shape != grid.levels.shape or hi.shape != grid.levels.shape:
-            raise ValueError("envelope arrays must match the grid resolution")
+            raise InvalidArgument("envelope arrays must match the grid resolution")
         crossed = lo > hi
         if np.any(crossed):
             k = int(np.argmax(crossed))
@@ -364,6 +369,14 @@ def mul(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     return _fresh(a.grid, lower, upper)
 
 
+def _exponent(n) -> int:
+    """The one check of a power's exponent, for ``pow_int`` and ``PowInt``:
+    an integer from 0 to ``MAX_EXPONENT``, returned as an int."""
+    if not (0 <= n <= MAX_EXPONENT and int(n) == n):
+        raise InvalidArgument(f"exponent must be an integer from 0 to {MAX_EXPONENT}, got {n!r}")
+    return int(n)
+
+
 def pow_int(a: FuzzyNumber, n: int) -> FuzzyNumber:
     """Repeated interval multiplication; n = 0 gives the crisp 1.
 
@@ -371,13 +384,12 @@ def pow_int(a: FuzzyNumber, n: int) -> FuzzyNumber:
     result equals the four-product result bit for bit, and for positive
     numbers it is the endpoint powers.
     """
-    if n < 0 or int(n) != n:
-        raise ValueError("exponent must be a nonnegative integer")
+    n = _exponent(n)
     _require_proper(a)
     if n == 0:
         return singleton(1.0, a.grid)
     acc = a
-    for _ in range(int(n) - 1):
+    for _ in range(n - 1):
         acc = mul(acc, a)
     return acc
 

@@ -1,8 +1,16 @@
-"""Exception hierarchy shared by all fuzzcalc modules."""
+"""Exception hierarchy shared by all fuzzcalc modules: every error the
+package names is a :class:`FuzzyError`, and an argument past its documented
+bound (a grid, an exponent, a tolerance, an order or a count) is an
+:class:`InvalidArgument`, which is a ``ValueError`` too."""
 
 
 class FuzzyError(Exception):
     """Base class for every domain error raised by this package."""
+
+
+class InvalidArgument(FuzzyError, ValueError):
+    """An argument outside its documented bound; checked once, by the
+    function or constructor that owns the bound."""
 
 
 class MalformedTriplet(FuzzyError):

@@ -21,15 +21,17 @@ of the function over each alpha-cut (sin and cos account for interior
 critical points, not just endpoint values).
 
 Nodes are interned when built, so equal nodes are one object and compare
-and hash by identity.  A node checks its children when it is built, so a
-walk checks only its roots.  Leaves are equal bit-exactly: a crisp constant by its
-float's bits (``0.0`` and ``-0.0`` are two nodes), a fuzzy constant by its
-grid, envelope bytes and properness.  ``evaluate`` handles each distinct
-node once per call; ``differentiate`` runs each node's rule once per node
-and variable, for the node's lifetime, since a node keeps its derivatives
-as it keeps its plan.  It returns a DAG in which equal subtrees share one
-derivative: the expanded tree of the k-th derivative of ``sin(x)*exp(x)``
-doubles with k, its distinct nodes grow about quadratically.
+and hash by identity.  A node is checked when it is built (its children,
+a power's exponent, a fuzzy constant's properness), so a walk checks only
+its roots, and evaluation checks a constant's grid alone.  Leaves are
+equal bit-exactly: a crisp constant by its float's bits (``0.0`` and
+``-0.0`` are two nodes), a fuzzy constant by its grid's levels and
+envelope bytes.  ``evaluate`` handles each distinct node once per call;
+``differentiate`` runs each node's rule once per node and variable, for
+the node's lifetime, since a node keeps its derivatives as it keeps its
+plan.  It returns a DAG in which equal subtrees share one derivative: the
+expanded tree of the k-th derivative of ``sin(x)*exp(x)`` doubles with k,
+its distinct nodes grow about quadratically.
 
 A derivative tower (Taylor coefficients, the IVP terms ``D_k``) is handled
 as one DAG with many roots, built again as the same nodes, and evaluated in
@@ -55,6 +57,7 @@ from .core import (
     DEFAULT_GRID,
     AlphaGrid,
     FuzzyNumber,
+    _exponent,
     _fresh,
     add,
     div,
@@ -142,11 +145,18 @@ class CrispConst(Expr):
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class FuzzyConst(Expr):
+    """A proper fuzzy value; an improper one is refused (ImproperOperand)
+    when the node is built.  Interned by level and envelope bytes, so the
+    node returned may hold an earlier equal value, on an equal grid object
+    other than the one passed."""
+
     value: FuzzyNumber
 
     @classmethod
     def _intern_key(cls, v) -> tuple:
-        return (cls, v.grid.levels.tobytes(), v.lower.tobytes(), v.upper.tobytes(), v.proper)
+        if not v.proper:
+            raise ImproperOperand("fuzzy constant is improper")
+        return (cls, v.grid.levels.tobytes(), v.lower.tobytes(), v.upper.tobytes())
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -183,11 +193,9 @@ class PowInt(Expr):
     base: Expr
     exponent: int
 
-    @classmethod
-    def _intern_key(cls, base, exponent) -> tuple:
-        if exponent < 0 or int(exponent) != exponent:
-            raise ValueError("power exponent must be a nonnegative integer")
-        return super()._intern_key(base, exponent)
+    def __new__(cls, base, exponent):
+        # the exponent kept is the int, whichever spelling built the node
+        return super().__new__(cls, base, _exponent(exponent))
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -530,8 +538,6 @@ def _ev(e: Expr, value, bindings: dict, grid: AlphaGrid) -> FuzzyNumber:
     if isinstance(e, FuzzyConst):
         if e.value.grid != grid:
             raise GridMismatch("fuzzy constant sampled on a different grid")
-        if not e.value.proper:
-            raise ImproperOperand("fuzzy constant is improper")
         return e.value
     if isinstance(e, Var):
         try:

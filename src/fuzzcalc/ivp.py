@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FuzzyNumber, add, mul, scalar_mul
-from .errors import FuzzyError, GridMismatch, ImproperOperand
+from .errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument
 from .expr import Env, Expr, _evaluate, _fadd, _fmul, differentiate, free_variables
 
 
@@ -43,19 +43,19 @@ class IvpProblem:
 
     def __post_init__(self):
         if not 1 <= self.order <= 4:
-            raise ValueError("truncation order must be between 1 and 4")
+            raise InvalidArgument("truncation order must be between 1 and 4")
         if self.steps < 1:
-            raise ValueError("need at least one step")
+            raise InvalidArgument("need at least one step")
         extra = free_variables(self.rhs) - {"x", "y"}
         if extra:
-            raise ValueError(f"right-hand side may only use x and y, got {sorted(extra)}")
+            raise InvalidArgument(f"right-hand side may only use x and y, got {sorted(extra)}")
         for name, v in (("x0", self.x0), ("y0", self.y0), ("h", self.h)):
             if not v.proper:
                 raise ImproperOperand(f"{name} is improper")
         if self.x0.grid != self.y0.grid or self.x0.grid != self.h.grid:
             raise GridMismatch("x0, y0, and h must share one alpha grid")
         if self.h.lower[0] < 0:
-            raise ValueError("step must have nonnegative support")
+            raise InvalidArgument("step must have nonnegative support")
 
 
 @dataclass(frozen=True)

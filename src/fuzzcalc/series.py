@@ -46,7 +46,7 @@ from .core import (
     scalar_mul,
     singleton,
 )
-from .errors import ExprSyntaxError, GridMismatch, ImproperOperand, NoLimit, NotSimplifiable
+from .errors import ExprSyntaxError, GridMismatch, ImproperOperand, InvalidArgument, NoLimit, NotSimplifiable
 from .expr import Env, Expr, _evaluate, _Parser, differentiate
 
 _AGREE_RTOL = 1e-6
@@ -109,7 +109,7 @@ class FuzzyPowerSeries:
         else:
             coeffs = tuple(coeffs)
             if not coeffs:
-                raise ValueError("explicit coefficient list must be nonempty")
+                raise InvalidArgument("explicit coefficient list must be nonempty")
             for c in coeffs:
                 if c.grid != center.grid:
                     raise GridMismatch("coefficient grids must match the center")
@@ -132,7 +132,7 @@ class FuzzyPowerSeries:
 def partial_sum(s: FuzzyPowerSeries, x: FuzzyNumber, n_terms: int) -> FuzzyNumber:
     """Sum of the first ``n_terms`` terms a_k * (x gH- center)^k."""
     if n_terms < 1:
-        raise ValueError("need at least one term")
+        raise InvalidArgument("need at least one term")
     diff = gh_difference(x, s.center)
     if not diff.proper:
         raise ImproperOperand("x gH- center is improper; partial sums undefined")
@@ -203,7 +203,7 @@ def radius_four_quotient(s: FuzzyPowerSeries, n_probe: int = 16) -> RadiusResult
     level the radius envelope is their min (lower) and max (upper).
     """
     if n_probe < 2:
-        raise ValueError("n_probe must be at least 2")
+        raise InvalidArgument("n_probe must be at least 2")
     if not s.is_rule and n_probe + 1 >= len(s.coeffs):
         raise NoLimit(
             f"n_probe {n_probe} needs {n_probe + 2} coefficients;"
@@ -295,7 +295,7 @@ def ratio_test(s: FuzzyPowerSeries, n_probe: int = 16) -> RatioTestResult:
     both the min and max stay below 1.
     """
     if n_probe < 2:
-        raise ValueError("n_probe must be at least 2")
+        raise InvalidArgument("n_probe must be at least 2")
     limits = _declared_limits(_forward_quartet(s, n_probe // 2), _forward_quartet(s, n_probe))
     L_lo = float(limits.min())
     L_hi = float(limits.max())
@@ -317,7 +317,7 @@ def convergence_interval(
     if center.grid != R.grid:
         raise GridMismatch("center and radius live on different grids")
     if R.lower[0] < 0:
-        raise ValueError("radius must be nonnegative")
+        raise InvalidArgument("radius must be nonnegative")
     g = center.grid
     b_lo_lower = center.lower - R.upper
     b_lo_upper = center.upper - R.lower
@@ -339,7 +339,7 @@ def taylor_series_of(
     node and variable, for the node's lifetime (so a repeated call on ``f``
     builds the same tower), then evaluated in one walk over its nodes."""
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise InvalidArgument("order must be nonnegative")
     at_x0 = Env(env.bindings if env is not None else {}, x0.grid).with_binding(var, x0)
     tower = [f]
     for _ in range(order):

@@ -1,0 +1,67 @@
+"""Argument bounds: each is checked once, by the function or constructor
+that owns it, and refused with InvalidArgument, a FuzzyError and a
+ValueError."""
+
+import pytest
+
+from fuzzcalc.calculus import continuity_probe, mh_derivative
+from fuzzcalc.core import MAX_EXPONENT, AlphaGrid, FuzzyNumber, make_triangular, pow_int, singleton
+from fuzzcalc.errors import FuzzyError, InvalidArgument
+from fuzzcalc.expr import PowInt, Var, parse_expr
+from fuzzcalc.ivp import IvpProblem
+from fuzzcalc.series import (
+    FuzzyPowerSeries,
+    convergence_interval,
+    partial_sum,
+    radius_four_quotient,
+    ratio_test,
+    taylor_series_of,
+)
+
+T = make_triangular((1, 2, 3))
+SERIES = FuzzyPowerSeries(singleton(0.0), [T] * 20)
+
+
+def ivp(**changes):
+    fields = dict(rhs=parse_expr("x + y"), x0=T, y0=T, h=make_triangular((0.07, 0.1, 0.12)))
+    return IvpProblem(**{**fields, **changes})
+
+
+# (entry, call with an argument out of its bound, the message it names)
+BOUNDS = [
+    ("AlphaGrid levels", lambda: AlphaGrid([0.0]), "at least the levels 0 and 1"),
+    ("AlphaGrid ends", lambda: AlphaGrid([0.0, 0.5]), "start at 0 and end at 1"),
+    ("AlphaGrid order", lambda: AlphaGrid([0.0, 0.5, 0.5, 1.0]), "strictly increasing"),
+    ("AlphaGrid.uniform", lambda: AlphaGrid.uniform(1), "resolution must be >= 2"),
+    ("FuzzyNumber shape", lambda: FuzzyNumber(AlphaGrid.uniform(3), [0, 0], [1, 1]), "match the grid"),
+    ("pow_int negative", lambda: pow_int(T, -1), "got -1"),
+    ("pow_int fraction", lambda: pow_int(T, 2.5), "got 2.5"),
+    ("pow_int too large", lambda: pow_int(T, MAX_EXPONENT + 1), f"from 0 to {MAX_EXPONENT}"),
+    ("PowInt", lambda: PowInt(Var("x"), -1), "got -1"),
+    ("parse_expr power", lambda: parse_expr("x^99999999"), "got 99999999"),
+    ("mh_derivative tol", lambda: mh_derivative(parse_expr("x"), "x", T, tol=0.0), "tol must be"),
+    ("continuity_probe eps", lambda: continuity_probe(parse_expr("x"), "x", T, eps=0.0), "eps must be"),
+    ("FuzzyPowerSeries", lambda: FuzzyPowerSeries(singleton(0.0), []), "must be nonempty"),
+    ("partial_sum", lambda: partial_sum(SERIES, T, 0), "at least one term"),
+    ("radius_four_quotient", lambda: radius_four_quotient(SERIES, 1), "n_probe must be"),
+    ("ratio_test", lambda: ratio_test(SERIES, 1), "n_probe must be"),
+    ("convergence_interval", lambda: convergence_interval(T, make_triangular((-1, 0, 1))), "radius"),
+    ("taylor_series_of", lambda: taylor_series_of(parse_expr("x"), "x", T, -1), "order must be"),
+    ("IvpProblem order", lambda: ivp(order=5), "between 1 and 4"),
+    ("IvpProblem steps", lambda: ivp(steps=0), "at least one step"),
+    ("IvpProblem rhs", lambda: ivp(rhs=parse_expr("x + z")), "only use x and y"),
+    ("IvpProblem step", lambda: ivp(h=make_triangular((-0.1, 0, 0.1))), "nonnegative support"),
+]
+
+
+@pytest.mark.parametrize("call, message", [b[1:] for b in BOUNDS], ids=[b[0] for b in BOUNDS])
+def test_an_argument_out_of_its_bound_is_an_invalid_argument(call, message):
+    with pytest.raises(InvalidArgument, match=message) as exc:
+        call()
+    assert isinstance(exc.value, ValueError) and isinstance(exc.value, FuzzyError)
+
+
+def test_the_exponent_bound_is_inclusive():
+    one = singleton(1.0)
+    assert pow_int(one, MAX_EXPONENT) == one
+    assert PowInt(Var("x"), MAX_EXPONENT).exponent == MAX_EXPONENT

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import fuzzcalc
-from fuzzcalc.cli import read_alpha_csv, run, write_alpha_csv
+from fuzzcalc.cli import run, write_alpha_csv
 from fuzzcalc.core import (
     AlphaGrid,
-    hausdorff_distance,
+    FuzzyNumber,
     make_triangular,
     mul,
     singleton,
@@ -35,6 +35,12 @@ steps = 1
 def data_rows(path):
     with open(path) as fh:
         return [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+
+
+def read_table(path) -> FuzzyNumber:
+    """The value an alpha-cut table holds, read back with numpy."""
+    alpha, lower, upper = np.loadtxt(data_rows(path)[1:], delimiter=",", unpack=True)
+    return FuzzyNumber(AlphaGrid(alpha), lower, upper)
 
 
 def error_line(capsys) -> str:
@@ -70,8 +76,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     a = mul(make_triangular((0.7, 1.0, 1.2), GRID), make_triangular((2.1, 2.3, 2.5), GRID))
     out = tmp_path / "prod.csv"
     write_alpha_csv(a, out, metadata={"command": "test", "generated": "whenever"})
-    b = read_alpha_csv(out)
-    assert hausdorff_distance(a, b) <= 1e-9
+    assert read_table(out) == a
 
 
 def test_csv_deterministic_outside_metadata(tmp_path):
@@ -110,7 +115,7 @@ def test_eval_writes_table(tmp_path, capsys):
     code = run(["eval", "--expr", "x^2", "--bind", "x=T(1,2,3)",
                 "--alphas", "11", "--out", str(out)])
     assert code == 0
-    value = read_alpha_csv(out)
+    value = read_table(out)
     assert len(value.grid) == 11
     assert value.support.lo == pytest.approx(1.0)
     assert value.support.hi == pytest.approx(9.0)
@@ -261,13 +266,16 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
     bad.write_text("rhs = y\nwhat = ever\n")
     assert run(["solve-ivp", "--file", str(bad)]) == 2
     assert "ProblemFileError" in error_line(capsys)
+    # an argument out of its bound is named by the library check that owns it
+    order_error = "InvalidArgument: truncation order must be between 1 and 4\n"
     fields = ["--rhs", "y", "--x0", "0", "--y0", "1", "--h", "0.1"]
     assert run(["solve-ivp", *fields, "--order", "7"]) == 2
-    assert "ProblemFileError" in error_line(capsys)
-    for line in ("order = 7", "steps = 0"):
+    assert error_line(capsys) == order_error
+    for line, error in (("order = 7", order_error),
+                        ("steps = 0", "InvalidArgument: need at least one step\n")):
         bad.write_text(f"rhs = y\nx0 = 0\ny0 = 1\nh = 0.1\n{line}\n")
         assert run(["solve-ivp", "--file", str(bad)]) == 2
-        assert "ProblemFileError" in error_line(capsys)
+        assert error_line(capsys) == error
     # a non-finite crisp value is a usage error wherever it is given, and a
     # series order too small to probe fails before any coefficient is printed
     for argv in (
@@ -284,13 +292,29 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
     for tol in ("-1", "nan", "inf"):
         argv = ["derive", "--expr", "x^2", "--var", "x", "--bind", "x=T(1,2,3)", "--tol", tol]
         assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert "--tol" in err and "Traceback" not in err
+        assert error_line(capsys) == f"InvalidArgument: tol must be positive and finite, got {float(tol)!r}\n"
     # nesting past the parser's bound is a usage error, not a RecursionError
     for text in ("(" * 250 + "x" + ")" * 250, "sin(" * 300 + "x" + ")" * 300, "-" * 1500 + "x"):
         assert run(["eval", f"--expr={text}", "--bind", "x=T(1,2,3)"]) == 2
         err = error_line(capsys)
         assert "nested too deeply" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "-1"],
+     "order must be nonnegative"),
+    (["eval", "--expr", "x", "--bind", "x=1", "--alphas", "1"], "grid resolution must be >= 2"),
+    (["eval", "--expr", "x^1025", "--bind", "x=T(1,1,1)"],
+     "exponent must be an integer from 0 to 1024, got 1025"),
+    # the probe at n = 8 takes the base to the power 8 + 1017
+    (["series", "--coeff-rule", "T(1,2,3)^(n+1017)", "--radius-mode", "symbolic"],
+     "exponent must be an integer from 0 to 1024, got 1025"),
+], ids=["series order", "alphas", "expression power", "rule power shift"])
+def test_exit_2_on_an_argument_out_of_its_bound(argv, message, capsys):
+    # the library check that owns the bound names it, before any
+    # multiplication, so a power of any size fails at once
+    assert run(argv) == 2
+    assert error_line(capsys) == f"InvalidArgument: {message}\n"
 
 
 NINES = "9" * 400

@@ -125,7 +125,8 @@ def test_parse_refuses_a_crisp_literal_that_is_not_finite():
 
 def test_to_text_round_trips():
     long_sum = " + ".join(f"x{i}" for i in range(600))
-    for text in ("x^2 + y^2", "T(1,2,3)*sin(x)", "-x^2", "(x - y)/z", "exp(x)*cos(x)", long_sum):
+    for text in ("x^2 + y^2", "T(1,2,3)*sin(x)", "-x^2", "(x - y)/z", "exp(x)*cos(x)", "x + 2*2.5",
+                 long_sum):
         node = parse_expr(text, GRID)
         assert parse_expr(to_text(node), GRID) == node
 
@@ -152,8 +153,8 @@ def test_nodes_hash_structurally_with_bit_exact_leaves():
     assert parse_expr("T(1,2,3)", GRID) != parse_expr("T(1,2,3)", AlphaGrid.uniform(11))
     improper = gh_difference(tri(0, 1, 1), tri(0, 0.5, 2))
     assert not improper.proper
-    as_proper = _fresh(GRID, improper.lower.copy(), improper.upper.copy())
-    assert FuzzyConst(improper) != FuzzyConst(as_proper)
+    with pytest.raises(ImproperOperand, match="fuzzy constant is improper"):
+        FuzzyConst(improper)
     assert Add(Var("x"), Var("y")) != Mul(Var("x"), Var("y"))
 
 
@@ -295,6 +296,12 @@ def test_eval_errors():
         Env(grid=AlphaGrid.uniform(11)).with_binding("z", tri(0, 1, 2))
 
 
+def test_eval_refuses_a_function_of_an_improper_value():
+    env = Env({"x": tri(0, 1, 1), "y": tri(0, 0.5, 2)})
+    with pytest.raises(ImproperOperand, match="function argument is improper"):
+        evaluate(parse_expr("exp(x - y)"), env)
+
+
 def test_eval_crisp_expression_without_bindings():
     out = evaluate(parse_expr("2 * 3 + 1"))
     assert out.core.midpoint == pytest.approx(7.0)
@@ -420,6 +427,24 @@ def test_derivative_constants_vanish():
     assert differentiate(parse_expr("T(1,2,3)", GRID), "x") == CrispConst(0.0)
     assert differentiate(CrispConst(4.2), "x") == CrispConst(0.0)
     assert differentiate(Var("y"), "x") == CrispConst(0.0)
+
+
+@pytest.mark.parametrize("text, derivative", [
+    ("x - 2*x", "-1"),  # the gH-difference's rule, folding two crisp constants
+    ("x/2", "0.5"),  # a quotient of crisp constants folds
+    ("x^2/1", "2*x"),  # and a division by 1 drops
+    ("x^1", "1"),  # the power rule's u^0 is 1
+    ("x^0", "0"),
+])
+def test_derivatives_fold_crisp_constants(text, derivative):
+    assert to_text(differentiate(parse_expr(text), "x")) == derivative
+
+
+def test_a_power_keeps_an_int_exponent_whichever_spelling_is_built_first():
+    for name, spellings in (("float_first", (2.0, 2)), ("int_first", (2, 2.0))):
+        first, second = (PowInt(Var(name), n) for n in spellings)
+        assert first is second
+        assert type(first.exponent) is int and to_text(first) == f"{name}^2"
 
 
 def test_chain_rule_against_crisp_derivative():

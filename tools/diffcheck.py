@@ -25,6 +25,7 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
 * the cli-oneshot argvs, the error argvs of the failure contract and
   the help texts, each through ``cli.run`` in-process: exit code, stdout,
   stderr and the table it writes;
+* each library argument bound, given an argument past it;
 * the constructor's refusals and the package's exported names.
 
 Each entry records its result (envelope digests, properness, scalars) or
@@ -84,6 +85,12 @@ EXTRA_ARGVS = (
      "--order", "5"],
     # finite, but too large to scale by 100 for the 2dp triplet
     ["eval", "--expr", "x", "--bind", "x=1e307"],
+    # arguments past a library bound, which the library alone checks
+    ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "-1"],
+    ["eval", "--expr", "x", "--bind", "x=1", "--alphas", "1"],
+    ["solve-ivp", "--rhs", "y", "--x0", "0", "--y0", "1", "--h", "0.1", "--order", "7"],
+    ["eval", "--expr", "x^5000", "--bind", "x=1"],
+    ["series", "--coeff-rule", "T(1,2,3)^(n+1100)", "--radius-mode", "symbolic"],
     # the help texts, which name no default the parser leaves to the handlers
     ["--help"],
     *([command, "--help"] for command in ("eval", "derive", "series", "solve-ivp")),
@@ -262,6 +269,36 @@ def _library_entries(workloads, fc):
                 b_lo, b_hi = series.convergence_interval(centre, radius())
                 return {"b_lo": b_lo, "b_hi": b_hi}
             yield f"convergence-interval:{radius_name} about {centre_name}", interval
+
+    # each argument bound, one argument past it: a bare ValueError is a breach
+    one, parse, x = core.singleton(1.0, grid), fc.expr.parse_expr, fc.expr.parse_expr("x", grid)
+    ivp = dict(rhs=parse("x + y", grid), x0=tri[0], y0=tri[0], h=tri[0])
+    bounds = {
+        "AlphaGrid([0])": lambda: core.AlphaGrid([0.0]),
+        "AlphaGrid([0, 0.5])": lambda: core.AlphaGrid([0.0, 0.5]),
+        "AlphaGrid([0, 0.5, 0.5, 1])": lambda: core.AlphaGrid([0.0, 0.5, 0.5, 1.0]),
+        "AlphaGrid.uniform(1)": lambda: core.AlphaGrid.uniform(1),
+        "FuzzyNumber of 2 levels on 3": lambda: core.FuzzyNumber(core.AlphaGrid.uniform(3), [0, 0], [1, 1]),
+        "pow_int(T(1,2,3), -1)": lambda: core.pow_int(tri[0], -1),
+        "pow_int(1, 2.5)": lambda: core.pow_int(one, 2.5),
+        "pow_int(1, 1025)": lambda: core.pow_int(one, 1025),
+        "PowInt(x, -1)": lambda: fc.expr.PowInt(fc.expr.Var("x"), -1),
+        "parse_expr(x^1025)": lambda: parse("x^1025", grid),
+        "mh_derivative tol=0": lambda: fc.calculus.mh_derivative(x, "x", tri[0], tol=0.0),
+        "continuity_probe eps=0": lambda: fc.calculus.continuity_probe(x, "x", tri[0], eps=0.0),
+        "FuzzyPowerSeries of no coefficients": lambda: series.FuzzyPowerSeries(zero, []),
+        "partial_sum of 0 terms": lambda: series.partial_sum(cases["[T(1,2,3)] * 40"](), tri[0], 0),
+        "radius_four_quotient n=1": lambda: series.radius_four_quotient(cases["[T(1,2,3)] * 40"](), 1),
+        "ratio_test n=1": lambda: series.ratio_test(cases["[T(1,2,3)] * 40"](), 1),
+        "convergence_interval radius T(-1,0,1)": lambda: series.convergence_interval(zero, tri[1]),
+        "taylor_series_of order -1": lambda: series.taylor_series_of(x, "x", tri[0], -1),
+        "IvpProblem order=5": lambda: fc.ivp.IvpProblem(**ivp, order=5),
+        "IvpProblem steps=0": lambda: fc.ivp.IvpProblem(**ivp, steps=0),
+        "IvpProblem rhs x + z": lambda: fc.ivp.IvpProblem(**{**ivp, "rhs": parse("x + z", grid)}),
+        "IvpProblem h T(-1,0,1)": lambda: fc.ivp.IvpProblem(**{**ivp, "h": tri[1]}),
+    }
+    for name, call in bounds.items():
+        yield f"bound:{name}", lambda call=call: {"value": call()}
 
     g3 = core.AlphaGrid([0.0, 0.5, 1.0])
     yield "core:crossed envelopes", lambda: {"value": core.FuzzyNumber(g3, [3, 3, 3], [1, 1, 1])}
