@@ -86,9 +86,9 @@ class AlphaGrid:
 
     @classmethod
     def uniform(cls, resolution: int = DEFAULT_RESOLUTION) -> "AlphaGrid":
-        if resolution < 2:
-            raise InvalidArgument("grid resolution must be >= 2")
-        return cls(np.linspace(0.0, 1.0, resolution))
+        if not (resolution >= 2 and resolution % 1 == 0):
+            raise InvalidArgument(f"grid resolution must be >= 2 and an integer, got {resolution!r}")
+        return cls(np.linspace(0.0, 1.0, int(resolution)))
 
     def __len__(self) -> int:
         return int(self.levels.size)

@@ -702,8 +702,9 @@ def _render(e: Expr, wrap) -> tuple[str, int]:
     """The text of one node and its precedence; ``wrap(child, prec)`` gives
     a child's text, parenthesised if it binds looser than ``prec``."""
     if isinstance(e, CrispConst):
-        v = e.value
-        return (str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)), 5
+        # shortest round-trip digits without an exponent; a minus binds as unary minus
+        text = np.format_float_positional(e.value, trim="-")
+        return text, 3 if text[0] == "-" else 5
     if isinstance(e, FuzzyConst):
         s, c = e.value.support, e.value.core
         return f"T({s.lo:g},{c.midpoint:g},{s.hi:g})", 5

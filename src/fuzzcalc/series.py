@@ -17,16 +17,19 @@ for rules like n / c^(n-1) its cross pairings run off to 0 and infinity (the
 probes then report NoLimit).  The symbolic mode cancels first and recovers
 the base c exactly.  Both are exposed; neither is silently preferred.
 
-Limits of quotient sequences are declared numerically from two probes at
-n and n/2: agreement within 1e-6 relative declares the probed value, decay
-by a factor <= 0.75 per doubling declares 0, growth by >= 1.5 declares
-infinity, anything else raises NoLimit.
+Both numeric tests share one probe of a_n, a_(n+1) at n = n_probe/2 and
+n_probe; the ratio-test limits L are those of |a_(n+1) / a_n| at alpha = 0,
+which the four-quotient radius reports beside its per-level R.  A limit is
+declared from its two probes: agreement within 1e-6 relative declares the
+probed value, decay by a factor <= 0.75 per doubling declares 0, growth by
+>= 1.5 declares infinity, anything else (a probe not finite) raises NoLimit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .core import (
     DEFAULT_GRID,
     AlphaGrid,
     FuzzyNumber,
+    _exponent,
     _fresh,
     _nested,
     _order_normalized,
@@ -46,17 +50,14 @@ from .core import (
     scalar_mul,
     singleton,
 )
-from .errors import ExprSyntaxError, GridMismatch, ImproperOperand, InvalidArgument, NoLimit, NotSimplifiable
+from .errors import (DivisorStraddlesZero, ExprSyntaxError, GridMismatch, ImproperOperand,
+                     InvalidArgument, NoLimit, NotSimplifiable)
 from .expr import Env, Expr, _evaluate, _Parser, differentiate
 
 _AGREE_RTOL = 1e-6
 _DECAY_FACTOR = 0.75
 _GROWTH_FACTOR = 1.5
 _TINY = 1e-300
-
-
-def _polyval(coeffs: tuple[float, ...], n: int) -> float:
-    return float(sum(c * n**k for k, c in enumerate(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -75,17 +76,33 @@ class CoefficientRule:
     base_coeff: int = 0
     base_shift: int = 0
 
-    def value(self, n: int, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
-        num = _polyval(self.poly_num, n)
-        den = _polyval(self.poly_den, n)
-        if den == 0.0:
-            raise ZeroDivisionError(f"rule denominator vanishes at n={n}")
+    def _crisp(self, n: int, number: type) -> float | Fraction:
+        """p(n) / q(n) * (n!)^m in ``number`` (float, or Fraction: exact) arithmetic."""
+        num = sum(number(c) * n**k for k, c in enumerate(self.poly_num))
+        den = sum(number(c) * n**k for k, c in enumerate(self.poly_den))
+        if den == 0:
+            raise DivisorStraddlesZero(f"rule denominator vanishes at n={n}")
         crisp = num / den
         if self.factorial_power:
-            crisp *= float(math.factorial(n)) ** self.factorial_power
+            crisp *= number(math.factorial(n)) ** self.factorial_power
+        return crisp
+
+    def value(self, n: int, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
+        """a_n; past the float range the crisp factor is exact, so a_n folds to +-inf or 0, not NaN."""
+        try:
+            crisp, shift = self._crisp(n, float), 0
+        except OverflowError:
+            crisp = math.nan
+        if not math.isfinite(crisp):
+            exact = self._crisp(n, Fraction)
+            shift = exact.numerator.bit_length() - exact.denominator.bit_length()
+            crisp = float(exact / Fraction(2) ** shift)  # exact = crisp * 2**shift, 0.5 < |crisp| < 2
         if self.base is None:
-            return singleton(crisp, grid)
-        return scalar_mul(crisp, _int_power(self.base, self.base_coeff * n + self.base_shift))
+            a = singleton(crisp, grid)
+        else:
+            a = scalar_mul(crisp, _int_power(self.base, self.base_coeff * n + self.base_shift))
+        with np.errstate(over="ignore", under="ignore"):
+            return _fresh(grid, np.ldexp(a.lower, shift), np.ldexp(a.upper, shift))  # shift 0: a's bits
 
 
 def _int_power(c: FuzzyNumber, e: int) -> FuzzyNumber:
@@ -117,15 +134,13 @@ class FuzzyPowerSeries:
                     raise ImproperOperand("coefficient is improper")
             self.coeffs = coeffs
 
-    @property
-    def is_rule(self) -> bool:
-        return isinstance(self.coeffs, CoefficientRule)
-
     def coefficient(self, n: int) -> FuzzyNumber:
-        if self.is_rule:
+        """a_n; the one check that an explicit list holds it."""
+        if isinstance(self.coeffs, CoefficientRule):
             return self.coeffs.value(n, self.center.grid)
-        if n >= len(self.coeffs):
-            raise IndexError(f"series has {len(self.coeffs)} explicit coefficients")
+        if not 0 <= n < len(self.coeffs):
+            raise InvalidArgument(
+                f"no coefficient a_{n}: the series has {len(self.coeffs)} explicit coefficients")
         return self.coeffs[n]
 
 
@@ -149,8 +164,6 @@ def partial_sum(s: FuzzyPowerSeries, x: FuzzyNumber, n_terms: int) -> FuzzyNumbe
 
 def _declared_limits(q_half: np.ndarray, q_full: np.ndarray) -> np.ndarray:
     """Elementwise limit declaration from probes at n/2 and n."""
-    q_half = np.asarray(q_half, dtype=float)
-    q_full = np.asarray(q_full, dtype=float)
     if not (np.isfinite(q_half).all() and np.isfinite(q_full).all()):
         raise NoLimit("quotient probes are not finite")
     scale = np.maximum(np.maximum(np.abs(q_half), np.abs(q_full)), _TINY)
@@ -185,10 +198,26 @@ def infinite_radius(grid: AlphaGrid) -> FuzzyNumber:
     return singleton(np.inf, grid)
 
 
-def _backward_quartet(s: FuzzyPowerSeries, n: int) -> np.ndarray:
+def _forward_quartet(n: int, a: FuzzyNumber, b: FuzzyNumber) -> np.ndarray:
+    """|a_(n+1) / a_n| for the four pairings at the alpha=0 endpoints."""
+    a_lo, a_hi = float(a.lower[0]), float(a.upper[0])
+    b_lo, b_hi = float(b.lower[0]), float(b.upper[0])
+    if min(abs(a_lo), abs(a_hi)) < _TINY:
+        raise NoLimit(f"coefficient {n} has a zero support endpoint")
+    return np.abs(np.array([b_lo / a_lo, b_lo / a_hi, b_hi / a_lo, b_hi / a_hi]))
+
+
+def _probe(s: FuzzyPowerSeries, n_probe: int):
+    """(n, a_n, a_(n+1)) at n_probe // 2 and n_probe, and the declared ratio-test limits."""
+    if n_probe < 2:
+        raise InvalidArgument("n_probe must be at least 2")
+    half, full = ((n, s.coefficient(n), s.coefficient(n + 1)) for n in (n_probe // 2, n_probe))
+    limits = _declared_limits(_forward_quartet(*half), _forward_quartet(*full))
+    return half, full, float(limits.min()), float(limits.max())
+
+
+def _backward_quartet(n: int, a: FuzzyNumber, b: FuzzyNumber) -> np.ndarray:
     """|a_n / a_(n+1)| for the four endpoint pairings, per level (4 x L)."""
-    a = s.coefficient(n)
-    b = s.coefficient(n + 1)
     if np.any(np.abs(b.lower) < _TINY) or np.any(np.abs(b.upper) < _TINY):
         raise NoLimit(f"coefficient {n + 1} has a zero envelope endpoint")
     return np.abs(
@@ -202,16 +231,8 @@ def radius_four_quotient(s: FuzzyPowerSeries, n_probe: int = 16) -> RadiusResult
     The four limits are estimated from probes at n_probe and n_probe/2; per
     level the radius envelope is their min (lower) and max (upper).
     """
-    if n_probe < 2:
-        raise InvalidArgument("n_probe must be at least 2")
-    if not s.is_rule and n_probe + 1 >= len(s.coeffs):
-        raise NoLimit(
-            f"n_probe {n_probe} needs {n_probe + 2} coefficients;"
-            f" the series has {len(s.coeffs)} explicit coefficients"
-        )
-    q_half = _backward_quartet(s, n_probe // 2)
-    q_full = _backward_quartet(s, n_probe)
-    limits = _declared_limits(q_half, q_full)  # 4 x L
+    half, full, L_lo, L_hi = _probe(s, n_probe)
+    limits = _declared_limits(_backward_quartet(*half), _backward_quartet(*full))  # 4 x L
     lower = limits.min(axis=0)
     upper = limits.max(axis=0)
     grid = s.center.grid
@@ -219,16 +240,7 @@ def radius_four_quotient(s: FuzzyPowerSeries, n_probe: int = 16) -> RadiusResult
         R = infinite_radius(grid)
     else:
         R = _fresh(grid, lower, upper, _nested(lower, upper))
-
-    fwd_half = 1.0 / q_half[:, 0]
-    fwd_full = 1.0 / q_full[:, 0]
-    fwd_limits = _declared_limits(fwd_half, fwd_full)
-    return RadiusResult(
-        R=R,
-        mode="four-quotient",
-        L_lower=float(fwd_limits.min()),
-        L_upper=float(fwd_limits.max()),
-    )
+    return RadiusResult(R=R, mode="four-quotient", L_lower=L_lo, L_upper=L_hi)
 
 
 def radius_symbolic_ratio(s: FuzzyPowerSeries) -> RadiusResult:
@@ -277,28 +289,13 @@ class RatioTestResult:
         return self.L_upper == 0.0
 
 
-def _forward_quartet(s: FuzzyPowerSeries, n: int) -> np.ndarray:
-    """|a_(n+1) / a_n| for the four pairings at the alpha=0 endpoints."""
-    a = s.coefficient(n)
-    b = s.coefficient(n + 1)
-    a_lo, a_hi = float(a.lower[0]), float(a.upper[0])
-    b_lo, b_hi = float(b.lower[0]), float(b.upper[0])
-    if min(abs(a_lo), abs(a_hi)) < _TINY:
-        raise NoLimit(f"coefficient {n} has a zero support endpoint")
-    return np.abs(np.array([b_lo / a_lo, b_lo / a_hi, b_hi / a_lo, b_hi / a_hi]))
-
-
 def ratio_test(s: FuzzyPowerSeries, n_probe: int = 16) -> RatioTestResult:
     """Forward-quotient convergence check at the support endpoints.
 
     Declares the four limits of |a_(n+1)/a_n| and reports convergence when
     both the min and max stay below 1.
     """
-    if n_probe < 2:
-        raise InvalidArgument("n_probe must be at least 2")
-    limits = _declared_limits(_forward_quartet(s, n_probe // 2), _forward_quartet(s, n_probe))
-    L_lo = float(limits.min())
-    L_hi = float(limits.max())
+    _, _, L_lo, L_hi = _probe(s, n_probe)
     return RatioTestResult(converges=bool(L_lo < 1.0 and L_hi < 1.0), L_lower=L_lo, L_upper=L_hi)
 
 
@@ -364,7 +361,8 @@ class _RuleParser(_Parser):
     fuzzy base c) may appear; a bare triplet is the constant factor c^1.
     Literals fold into the crisp coefficients through :meth:`_Parser.number`,
     so a literal, power or product that is not finite is a parse error, and
-    so is a literal that makes the coefficient below the line zero.
+    so is a literal that makes the coefficient below the line zero.  Each
+    side's degree in n is a power's exponent, at most ``MAX_EXPONENT``.
     """
 
     def rule(self) -> CoefficientRule:
@@ -404,8 +402,8 @@ class _RuleParser(_Parser):
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected trailing input {val!r} in rule", pos)
         return CoefficientRule(
-            poly_num=(0.0,) * degree[1] + (coeff[1],),
-            poly_den=(0.0,) * degree[-1] + (coeff[-1],),
+            poly_num=(0.0,) * _exponent(degree[1]) + (coeff[1],),
+            poly_den=(0.0,) * _exponent(degree[-1]) + (coeff[-1],),
             factorial_power=factorial,
             base=base,
             base_coeff=sigma,

@@ -1,19 +1,31 @@
 """Argument bounds: each is checked once, by the function or constructor
 that owns it, and refused with InvalidArgument, a FuzzyError and a
-ValueError."""
+ValueError.  The operand guards (a proper value, one grid, a structure to
+cancel) raise their own named errors."""
 
 import pytest
 
 from fuzzcalc.calculus import continuity_probe, mh_derivative
-from fuzzcalc.core import MAX_EXPONENT, AlphaGrid, FuzzyNumber, make_triangular, pow_int, singleton
-from fuzzcalc.errors import FuzzyError, InvalidArgument
+from fuzzcalc.cli import write_alpha_csv
+from fuzzcalc.core import (
+    MAX_EXPONENT,
+    AlphaGrid,
+    FuzzyNumber,
+    gh_difference,
+    make_triangular,
+    pow_int,
+    singleton,
+)
+from fuzzcalc.errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument, NotSimplifiable
 from fuzzcalc.expr import PowInt, Var, parse_expr
 from fuzzcalc.ivp import IvpProblem
 from fuzzcalc.series import (
     FuzzyPowerSeries,
     convergence_interval,
+    parse_coeff_rule,
     partial_sum,
     radius_four_quotient,
+    radius_symbolic_ratio,
     ratio_test,
     taylor_series_of,
 )
@@ -33,6 +45,7 @@ BOUNDS = [
     ("AlphaGrid ends", lambda: AlphaGrid([0.0, 0.5]), "start at 0 and end at 1"),
     ("AlphaGrid order", lambda: AlphaGrid([0.0, 0.5, 0.5, 1.0]), "strictly increasing"),
     ("AlphaGrid.uniform", lambda: AlphaGrid.uniform(1), "resolution must be >= 2"),
+    ("AlphaGrid.uniform fraction", lambda: AlphaGrid.uniform(2.5), "an integer, got 2.5"),
     ("FuzzyNumber shape", lambda: FuzzyNumber(AlphaGrid.uniform(3), [0, 0], [1, 1]), "match the grid"),
     ("pow_int negative", lambda: pow_int(T, -1), "got -1"),
     ("pow_int fraction", lambda: pow_int(T, 2.5), "got 2.5"),
@@ -43,6 +56,14 @@ BOUNDS = [
     ("continuity_probe eps", lambda: continuity_probe(parse_expr("x"), "x", T, eps=0.0), "eps must be"),
     ("FuzzyPowerSeries", lambda: FuzzyPowerSeries(singleton(0.0), []), "must be nonempty"),
     ("partial_sum", lambda: partial_sum(SERIES, T, 0), "at least one term"),
+    # an explicit list holds a_0 to a_19; its coefficient read is the one check
+    ("coefficient", lambda: SERIES.coefficient(20), "no coefficient a_20: the series has 20"),
+    ("coefficient negative", lambda: SERIES.coefficient(-1), "no coefficient a_-1"),
+    ("partial_sum past the list", lambda: partial_sum(SERIES, T, 21), "no coefficient a_20"),
+    ("ratio_test past the list", lambda: ratio_test(SERIES, 19), "no coefficient a_20"),
+    ("radius_four_quotient past the list", lambda: radius_four_quotient(SERIES, 19), "no coefficient a_20"),
+    ("parse_coeff_rule degree", lambda: parse_coeff_rule("n^1025"), "got 1025"),
+    ("parse_coeff_rule degree below the line", lambda: parse_coeff_rule("1/n^600/n^600"), "got 1200"),
     ("radius_four_quotient", lambda: radius_four_quotient(SERIES, 1), "n_probe must be"),
     ("ratio_test", lambda: ratio_test(SERIES, 1), "n_probe must be"),
     ("convergence_interval", lambda: convergence_interval(T, make_triangular((-1, 0, 1))), "radius"),
@@ -65,3 +86,33 @@ def test_the_exponent_bound_is_inclusive():
     one = singleton(1.0)
     assert pow_int(one, MAX_EXPONENT) == one
     assert PowInt(Var("x"), MAX_EXPONENT).exponent == MAX_EXPONENT
+    assert len(parse_coeff_rule(f"n^{MAX_EXPONENT}").poly_num) == MAX_EXPONENT + 1
+
+
+IMPROPER = gh_difference(make_triangular((0, 1, 2)), make_triangular((0, 0.5, 3)))
+OTHER_GRID = make_triangular((1, 2, 3), AlphaGrid.uniform(3))
+
+# (entry, call with an operand its guard refuses, the error it names)
+GUARDS = [
+    ("write_alpha_csv improper", lambda: write_alpha_csv(IMPROPER, "unwritten.csv"), ImproperOperand),
+    ("FuzzyPowerSeries improper center", lambda: FuzzyPowerSeries(IMPROPER, [T]), ImproperOperand),
+    ("FuzzyPowerSeries rule base grid",
+     lambda: FuzzyPowerSeries(singleton(0.0), parse_coeff_rule("T(1,2,3)^(n)", AlphaGrid.uniform(3))),
+     GridMismatch),
+    ("FuzzyPowerSeries coefficient grid", lambda: FuzzyPowerSeries(singleton(0.0), [OTHER_GRID]), GridMismatch),
+    ("FuzzyPowerSeries improper coefficient", lambda: FuzzyPowerSeries(singleton(0.0), [IMPROPER]), ImproperOperand),
+    ("radius_symbolic_ratio zero numerator",
+     lambda: radius_symbolic_ratio(FuzzyPowerSeries(singleton(0.0), parse_coeff_rule("0*n"))), NotSimplifiable),
+    ("convergence_interval improper", lambda: convergence_interval(IMPROPER, T), ImproperOperand),
+    ("convergence_interval grid", lambda: convergence_interval(T, OTHER_GRID), GridMismatch),
+    ("IvpProblem improper x0", lambda: ivp(x0=IMPROPER), ImproperOperand),
+    ("mh_derivative improper x0", lambda: mh_derivative(parse_expr("x"), "x", IMPROPER), ImproperOperand),
+]
+
+
+@pytest.mark.parametrize("call, error", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
+def test_an_operand_its_guard_refuses_raises_a_named_error(call, error, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a table that is written lands here
+    with pytest.raises(error):
+        call()
+    assert not (tmp_path / "unwritten.csv").exists()

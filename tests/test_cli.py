@@ -303,7 +303,7 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "-1"],
      "order must be nonnegative"),
-    (["eval", "--expr", "x", "--bind", "x=1", "--alphas", "1"], "grid resolution must be >= 2"),
+    (["eval", "--expr", "x", "--bind", "x=1", "--alphas", "1"], "grid resolution must be >= 2 and an integer, got 1"),
     (["eval", "--expr", "x^1025", "--bind", "x=T(1,1,1)"],
      "exponent must be an integer from 0 to 1024, got 1025"),
     # the probe at n = 8 takes the base to the power 8 + 1017
@@ -315,6 +315,48 @@ def test_exit_2_on_an_argument_out_of_its_bound(argv, message, capsys):
     # multiplication, so a power of any size fails at once
     assert run(argv) == 2
     assert error_line(capsys) == f"InvalidArgument: {message}\n"
+
+
+# (argv, a problem file's text or None, the error line); "{file}" is that file
+USAGE_ERRORS = [
+    (["eval", "--expr", "x", "--bind", "x=T(1,2,3)*2"], None,
+     "ProblemFileError: expected a triplet literal, got 'T(1,2,3)*2'"),
+    (["eval", "--expr", "x", "--bind", "x=abc"], None, "ProblemFileError: expected T(d,e,f) or a number, got 'abc'"),
+    (["solve-ivp", "--file", "{file}"], None, "ProblemFileError: cannot read problem file: "),
+    (["derive", "--expr", "x^2", "--var", "x", "--bind", "y=1"], None,
+     "ProblemFileError: --var x: no binding given for it"),
+    (["series"], None, "ProblemFileError: give exactly one of --taylor-of or --coeff-rule"),
+    (["series", "--taylor-of", "x", "--coeff-rule", "n"], None,
+     "ProblemFileError: give exactly one of --taylor-of or --coeff-rule"),
+    (["series", "--taylor-of", "exp(x)", "--center", "0", "--order", "4"], None,
+     "ProblemFileError: --taylor-of needs --var, --center, and --order"),
+    (["solve-ivp", "--file", "{file}"], "command = eval\nrhs = y\n",
+     "ProblemFileError: problem file is for 'eval', not solve-ivp"),
+    (["solve-ivp", "--file", "{file}"], "rhs = y\nx0 = 0\ny0 = 1\nh = 0.1\norder = two\n",
+     "ProblemFileError: bad integer field: invalid literal for int() with base 10: 'two'"),
+]
+
+
+@pytest.mark.parametrize("argv, problem, error", USAGE_ERRORS, ids=[
+    "binding not a triplet", "binding not a number", "missing file", "var unbound", "no series source",
+    "two series sources", "taylor without var", "problem for another command", "order not an integer"])
+def test_exit_2_names_each_usage_error(argv, problem, error, tmp_path, capsys):
+    path = tmp_path / "problem.txt"
+    if problem is not None:
+        path.write_text(problem)
+    assert run([a.format(file=path) for a in argv]) == 2
+    assert error_line(capsys).startswith(error)
+
+
+def test_a_rule_past_the_float_range_ends_in_a_value_or_a_named_error(capsys):
+    # n^400 passes the float range at the probes: its coefficients fold to inf
+    assert run(["series", "--coeff-rule", "n^400", "--radius-mode", "symbolic"]) == 0
+    assert "ratio test: no limit declared at the probe indices" in capsys.readouterr().out
+    assert run(["series", "--coeff-rule", "n^400", "--radius-mode", "four-quotient"]) == 1
+    assert error_line(capsys) == "NoLimit: quotient probes are not finite\n"
+    # the degree in n is a power's exponent, bounded before any coefficient is built
+    assert run(["series", "--coeff-rule", "n^1025", "--radius-mode", "symbolic"]) == 2
+    assert error_line(capsys) == "InvalidArgument: exponent must be an integer from 0 to 1024, got 1025\n"
 
 
 NINES = "9" * 400

@@ -131,6 +131,14 @@ def test_to_text_round_trips():
         assert parse_expr(to_text(node), GRID) == node
 
 
+@pytest.mark.parametrize("value", [1e-7, 1e20, 5e-324, -2.5, 0.1, -2.0])
+def test_to_text_renders_a_crisp_constant_that_reads_back_to_its_value(value):
+    # no exponent notation, which the grammar lacks, and a minus that binds as
+    # unary minus: (-2)^2 is 4, where -2^2 reads back as -4
+    for node in (CrispConst(value), PowInt(CrispConst(value), 2)):
+        assert evaluate(parse_expr(to_text(node))) == evaluate(node)
+
+
 def test_free_variables():
     assert free_variables(parse_expr("x^2 + y*z - exp(w)")) == {"x", "y", "z", "w"}
 

@@ -2,6 +2,7 @@
 
 import gc
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from fuzzcalc.core import (
     scalar_mul,
     singleton,
 )
-from fuzzcalc.errors import ExprSyntaxError, ImproperOperand, NoLimit, NotSimplifiable
+from fuzzcalc.errors import (
+    DivisorStraddlesZero,
+    ExprSyntaxError,
+    ImproperOperand,
+    InvalidArgument,
+    NoLimit,
+    NotSimplifiable,
+)
 from fuzzcalc.expr import Env, _evaluate, differentiate, evaluate, parse_expr
 from fuzzcalc.series import (
     CoefficientRule,
@@ -171,11 +179,11 @@ def test_radius_four_quotient_no_limit_for_growing_rule():
 
 
 def test_radius_four_quotient_names_a_series_too_short_for_its_probe():
-    # the probe at n reads a_n and a_(n+1)
+    # the probe at n reads a_n and a_(n+1); the series' coefficient read names the first it lacks
     s = taylor_series_of(parse_expr("exp(x)"), "x", tri(-1, 0, 1), 10)
-    with pytest.raises(NoLimit, match="n_probe 16 needs 18 coefficients; the series has 11 explicit"):
+    with pytest.raises(InvalidArgument, match="no coefficient a_16: the series has 11 explicit coefficients"):
         radius_four_quotient(s, 16)
-    with pytest.raises(NoLimit, match="n_probe 10 needs 12 coefficients"):
+    with pytest.raises(InvalidArgument, match="no coefficient a_11: the series has 11 explicit"):
         radius_four_quotient(s, 10)
     assert radius_four_quotient(s, 9).mode == "four-quotient"
 
@@ -253,6 +261,80 @@ def test_ratio_test_factorial_decay_reports_zero_limit():
     assert out.converges
     assert out.L_lower == 0.0 and out.L_upper == 0.0
     assert out.radius_is_infinite
+
+
+# the differential check's series, and a base whose two quotient formulas
+# disagree in the last bit (1 / (0.3^8 / 0.3^9) is not 0.3^9 / 0.3^8)
+PROBED = {
+    "[T(1,2,3)] * 40": lambda: constant_series(tri(1, 2, 3)),
+    **{f"rule {text}": lambda text=text: FuzzyPowerSeries(singleton(0.0, GRID), parse_coeff_rule(text, GRID))
+       for text in ("n / T(4,5,6)^(n-1)", "1/n!", "T(1,2,3)", "2^3*n!/n^2", "3 * n^2 / 2", "T(0.3,0.3,0.3)^(n)")},
+    **{f"taylor of {text}": lambda text=text: taylor_series_of(parse_expr(text, GRID), "x", tri(-1, 0, 1), 10)
+       for text in ("exp(x)", "sin(x)", "cos(x)")},
+}
+
+
+def probe_outcome(test, s, n):
+    """The ratio-test limits a numeric test reports, bit for bit, or its error."""
+    try:
+        out = test(s, n)
+    except (NoLimit, InvalidArgument) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((out.L_lower, out.L_upper))
+
+
+@pytest.mark.parametrize("name", PROBED)
+def test_both_numeric_tests_report_the_ratio_test_limits_of_one_probe(name):
+    s = PROBED[name]()
+    for n in (8, 16):
+        radius, ratio = (probe_outcome(test, s, n) for test in (radius_four_quotient, ratio_test))
+        if "zero envelope endpoint" not in radius:  # the radius's own per-level quotients refuse
+            assert radius == ratio
+
+
+def test_the_shared_probe_declares_the_forward_quotient():
+    out = radius_four_quotient(PROBED["rule T(0.3,0.3,0.3)^(n)"](), 16)
+    assert (out.L_lower, out.L_upper) == (0.3, 0.3)
+
+
+# -- rule coefficients -------------------------------------------------------------------
+
+
+def test_rule_coefficient_names_a_vanishing_denominator():
+    s = FuzzyPowerSeries(singleton(0.0, GRID), parse_coeff_rule("1/n", GRID))
+    with pytest.raises(DivisorStraddlesZero, match="rule denominator vanishes at n=0"):
+        partial_sum(s, singleton(0.5, GRID), 3)
+
+
+def test_rule_coefficient_past_the_float_range_folds_to_infinity():
+    power, inverse = (parse_coeff_rule(text, GRID) for text in ("n^400", "1/n^400"))
+    assert power.value(16, GRID) == singleton(math.inf, GRID)
+    assert inverse.value(16, GRID) == singleton(0.0, GRID)
+    # (n!)^2 passes the float range at n = 100, and n! itself at n = 171
+    for n in (100, 171):
+        assert parse_coeff_rule("n!*n!", GRID).value(n, GRID) == singleton(math.inf, GRID)
+        assert parse_coeff_rule("1/n!", GRID).value(n + 100, GRID) == singleton(0.0, GRID)
+    total = partial_sum(FuzzyPowerSeries(singleton(0.0, GRID), parse_coeff_rule("n!", GRID)),
+                        singleton(0.5, GRID), 200)
+    assert total == singleton(math.inf, GRID)
+    # parts past the float range are taken exactly, so no inf / inf or 0 * inf makes a NaN
+    for n in (11, 50):
+        assert parse_coeff_rule("n^300/n^299", GRID).value(n, GRID) == singleton(float(n), GRID)
+    assert parse_coeff_rule("n!/n^400", GRID).value(171, GRID) == singleton(0.0, GRID)
+    assert parse_coeff_rule("n^200/n!", GRID).value(171, GRID) == singleton(
+        float(Fraction(171**200, math.factorial(171))), GRID)
+    fuzzy = parse_coeff_rule("n^400*T(0,1,2)^(n)", GRID).value(16, GRID)
+    assert fuzzy.lower[0] == 0.0 and np.isinf(fuzzy.lower[1:]).all() and np.isinf(fuzzy.upper).all()
+    # the probe's quotients inf / inf are not finite: no limit is declared
+    with pytest.raises(NoLimit, match="not finite"):
+        ratio_test(FuzzyPowerSeries(singleton(0.0, GRID), power))
+
+
+def test_finite_rule_coefficients_are_the_closed_form_bits():
+    quadratic, factorial = (parse_coeff_rule(text, GRID) for text in ("3 * n^2 / 2", "2^3*n!/n^2"))
+    for n in range(1, 40):
+        assert quadratic.value(n, GRID) == singleton(3.0 * n**2 / 2.0, GRID)
+        assert factorial.value(n, GRID) == singleton(8.0 / n**2 * float(math.factorial(n)), GRID)
 
 
 # -- convergence interval ------------------------------------------------------------------

@@ -21,7 +21,9 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   kernel: zeros of either sign, infinite envelopes, NaN-bearing values and
   stacks whose rows share a sign or do not;
 * ``radius_four_quotient``, ``radius_symbolic_ratio``, ``ratio_test`` and
-  ``convergence_interval`` on the demo and test coefficient rules;
+  ``convergence_interval`` on the demo and test coefficient rules, a rule
+  whose coefficients pass the float range, and Taylor series probed past
+  their last coefficient;
 * the cli-oneshot argvs, the error argvs of the failure contract and
   the help texts, each through ``cli.run`` in-process: exit code, stdout,
   stderr and the table it writes;
@@ -91,6 +93,11 @@ EXTRA_ARGVS = (
     ["solve-ivp", "--rhs", "y", "--x0", "0", "--y0", "1", "--h", "0.1", "--order", "7"],
     ["eval", "--expr", "x^5000", "--bind", "x=1"],
     ["series", "--coeff-rule", "T(1,2,3)^(n+1100)", "--radius-mode", "symbolic"],
+    ["series", "--coeff-rule", "n^1025", "--radius-mode", "symbolic"],
+    # both radius modes' ratio-test values, and coefficients past the float range
+    ["series", "--coeff-rule", "T(0.3,0.3,0.3)^(n)", "--radius-mode", "four-quotient"],
+    ["series", "--coeff-rule", "n^400", "--radius-mode", "symbolic"],
+    ["series", "--coeff-rule", "n^400", "--radius-mode", "four-quotient"],
     # the help texts, which name no default the parser leaves to the handlers
     ["--help"],
     *([command, "--help"] for command in ("eval", "derive", "series", "solve-ivp")),
@@ -124,7 +131,7 @@ KERNEL_INPUTS = {
     "NaN-bearing values": ("(exp(y)*0)*y", "y/(exp(y)*0)", "(exp(y)*0)^3",
                            "(exp(w)*0)*w", "(exp(w)*0)/w", "(exp(w)*0)^2"),
 }
-RULES = ("n / T(4,5,6)^(n-1)", "1/n!", "T(1,2,3)", "2^3*n!/n^2", "3 * n^2 / 2")
+RULES = ("n / T(4,5,6)^(n-1)", "1/n!", "T(1,2,3)", "2^3*n!/n^2", "3 * n^2 / 2", "n^400")
 _ENVELOPE = re.compile(r"\.(lower|upper)$")
 
 
@@ -250,8 +257,10 @@ def _library_entries(workloads, fc):
             yield (f"radius:four-quotient n={n}:{name}",
                    lambda n=n, radius=radius: radius(lambda s: series.radius_four_quotient(s, n)))
         yield f"radius:symbolic:{name}", lambda radius=radius: radius(series.radius_symbolic_ratio)
-        yield (f"radius:ratio-test n=8:{name}",
-               lambda make=make: vars(series.ratio_test(make(), 8)))
+        for n in (8, 16):
+            yield f"radius:ratio-test n={n}:{name}", lambda n=n, make=make: vars(series.ratio_test(make(), n))
+    yield ("series:partial_sum of 3 terms of rule 1/n", lambda: {"sum": series.partial_sum(
+        series.FuzzyPowerSeries(zero, series.parse_coeff_rule("1/n", grid)), core.singleton(0.5, grid), 3)})
 
     radii = {
         "symbolic radius of n / T(4,5,6)^(n-1)":
@@ -278,6 +287,7 @@ def _library_entries(workloads, fc):
         "AlphaGrid([0, 0.5])": lambda: core.AlphaGrid([0.0, 0.5]),
         "AlphaGrid([0, 0.5, 0.5, 1])": lambda: core.AlphaGrid([0.0, 0.5, 0.5, 1.0]),
         "AlphaGrid.uniform(1)": lambda: core.AlphaGrid.uniform(1),
+        "AlphaGrid.uniform(2.5)": lambda: core.AlphaGrid.uniform(2.5),
         "FuzzyNumber of 2 levels on 3": lambda: core.FuzzyNumber(core.AlphaGrid.uniform(3), [0, 0], [1, 1]),
         "pow_int(T(1,2,3), -1)": lambda: core.pow_int(tri[0], -1),
         "pow_int(1, 2.5)": lambda: core.pow_int(one, 2.5),
@@ -288,6 +298,8 @@ def _library_entries(workloads, fc):
         "continuity_probe eps=0": lambda: fc.calculus.continuity_probe(x, "x", tri[0], eps=0.0),
         "FuzzyPowerSeries of no coefficients": lambda: series.FuzzyPowerSeries(zero, []),
         "partial_sum of 0 terms": lambda: series.partial_sum(cases["[T(1,2,3)] * 40"](), tri[0], 0),
+        "partial_sum of 12 terms of 11 coefficients":
+            lambda: series.partial_sum(cases["taylor of exp(x) at T(-1,0,1), order 10"](), tri[0], 12),
         "radius_four_quotient n=1": lambda: series.radius_four_quotient(cases["[T(1,2,3)] * 40"](), 1),
         "ratio_test n=1": lambda: series.ratio_test(cases["[T(1,2,3)] * 40"](), 1),
         "convergence_interval radius T(-1,0,1)": lambda: series.convergence_interval(zero, tri[1]),
