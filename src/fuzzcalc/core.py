@@ -37,6 +37,18 @@ some row's divisor support holds zero, naming the first such row;
 ``_nested`` checks each row at its own scale, and a stack is proper only
 if every row is; ``_sign_class`` reads the stack flat, so a stack whose
 rows differ in sign takes ``mul``'s four products.
+
+Every operation allocates its result, except inside ``ivp.solve``.  A
+solve owns a buffer pool: a plain list of envelope arrays that it creates
+and drops when it returns.  It passes the pool to ``add``, ``mul``,
+``scalar_mul``, ``singleton``, ``div`` and ``pow_int`` as the private
+keyword ``_pool``, and each then writes its result and its temporaries into
+arrays taken from the pool (numpy allocates when it is empty) and gives its
+temporaries back.  The ufuncs and operands are the same with a pool as
+without, so each result is the same bit for bit.  ``_release`` gives a dead
+value's arrays back to the pool, writable again; it is only for values the
+pool's owner computed and that nothing else holds.  A value handed to a
+caller is never released.
 """
 
 from __future__ import annotations
@@ -306,9 +318,14 @@ def make_triangular(triple, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
     return FuzzyNumber(grid, lower, upper)
 
 
-def singleton(value: float, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
+def singleton(value: float, grid: AlphaGrid = DEFAULT_GRID, *, _pool: list | None = None) -> FuzzyNumber:
     """Crisp real embedded as a fuzzy number (both envelopes constant)."""
-    flat = np.full(len(grid), float(value))
+    # one array, shared by both envelopes
+    if _pool:
+        flat = _pool.pop()
+        flat.fill(float(value))
+    else:
+        flat = np.full(len(grid), float(value))
     return _fresh(grid, flat, flat)
 
 
@@ -327,23 +344,46 @@ def resample(a: FuzzyNumber, grid: AlphaGrid) -> FuzzyNumber:
 # -- arithmetic ----------------------------------------------------------------
 
 
-def add(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
+# With a pool, an operation takes each array it writes with
+# ``_pool.pop() if _pool else None``: an array from the pool, or None, so
+# that the ufunc allocates one, when the pool is empty or there is none.  It
+# is spelt out at each ufunc, not called: a call per ufunc cost taylor-swell,
+# which runs with no pool, about 3% more in-process.
+
+
+def _release(pool: list, v: FuzzyNumber) -> None:
+    """Give the envelopes of a dead value back to ``pool``, writable again.
+    Only for a value the pool's owner computed and that nothing else holds;
+    a singleton's one array goes back once."""
+    v.lower.setflags(write=True)
+    pool.append(v.lower)
+    if v.upper is not v.lower:
+        v.upper.setflags(write=True)
+        pool.append(v.upper)
+
+
+def add(a: FuzzyNumber, b: FuzzyNumber, *, _pool: list | None = None) -> FuzzyNumber:
     """Level-wise endpoint sums."""
     _require_proper(a, b)
     _require_same_grid(a, b)
-    return _fresh(a.grid, a.lower + b.lower, a.upper + b.upper)
+    return _fresh(a.grid, np.add(a.lower, b.lower, out=_pool.pop() if _pool else None),
+                  np.add(a.upper, b.upper, out=_pool.pop() if _pool else None))
 
 
-def scalar_mul(k: float, a: FuzzyNumber) -> FuzzyNumber:
+def scalar_mul(k: float, a: FuzzyNumber, *, _pool: list | None = None) -> FuzzyNumber:
     """Scale by a crisp real; endpoints are order-normalized so a negative
     factor flips the envelopes instead of producing an inverted interval."""
     _require_proper(a)
-    x = k * a.lower
-    y = k * a.upper
-    return _fresh(a.grid, np.minimum(x, y), np.maximum(x, y))
+    x = np.multiply(k, a.lower, out=_pool.pop() if _pool else None)
+    y = np.multiply(k, a.upper, out=_pool.pop() if _pool else None)
+    lower = np.minimum(x, y, out=_pool.pop() if _pool else None)
+    upper = np.maximum(x, y, out=y)
+    if _pool is not None:
+        _pool.append(x)
+    return _fresh(a.grid, lower, upper)
 
 
-def mul(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
+def mul(a: FuzzyNumber, b: FuzzyNumber, *, _pool: list | None = None) -> FuzzyNumber:
     """Level-wise interval product (min/max over the four endpoint products).
 
     The kernel is chosen by sign class: two strictly signed operands need
@@ -359,13 +399,22 @@ def mul(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
         # a negative factor swaps which endpoint of the other one is extreme
         a_lo, a_hi = (a.lower, a.upper) if sb > 0 else (a.upper, a.lower)
         b_lo, b_hi = (b.lower, b.upper) if sa > 0 else (b.upper, b.lower)
-        return _fresh(a.grid, a_lo * b_lo, a_hi * b_hi)
-    p1 = a.lower * b.lower
-    p2 = a.lower * b.upper
-    p3 = a.upper * b.lower
-    p4 = a.upper * b.upper
-    lower = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    upper = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+        return _fresh(a.grid, np.multiply(a_lo, b_lo, out=_pool.pop() if _pool else None),
+                      np.multiply(a_hi, b_hi, out=_pool.pop() if _pool else None))
+    p1 = np.multiply(a.lower, b.lower, out=_pool.pop() if _pool else None)
+    p2 = np.multiply(a.lower, b.upper, out=_pool.pop() if _pool else None)
+    p3 = np.multiply(a.upper, b.lower, out=_pool.pop() if _pool else None)
+    p4 = np.multiply(a.upper, b.upper, out=_pool.pop() if _pool else None)
+    # min(min(p1, p2), min(p3, p4)) and max(max(p1, p2), max(p3, p4)), with
+    # upper holding a partial of lower's first and p1 a partial of upper's
+    lower = np.minimum(p1, p2, out=_pool.pop() if _pool else None)
+    upper = np.minimum(p3, p4, out=_pool.pop() if _pool else None)
+    np.minimum(lower, upper, out=lower)
+    np.maximum(p1, p2, out=upper)
+    np.maximum(p3, p4, out=p1)
+    np.maximum(upper, p1, out=upper)
+    if _pool is not None:
+        _pool.extend((p1, p2, p3, p4))
     return _fresh(a.grid, lower, upper)
 
 
@@ -377,7 +426,7 @@ def _exponent(n) -> int:
     return int(n)
 
 
-def pow_int(a: FuzzyNumber, n: int) -> FuzzyNumber:
+def pow_int(a: FuzzyNumber, n: int, *, _pool: list | None = None) -> FuzzyNumber:
     """Repeated interval multiplication; n = 0 gives the crisp 1.
 
     Each product is a ``mul``, whose kernel is chosen by sign class; the
@@ -387,14 +436,16 @@ def pow_int(a: FuzzyNumber, n: int) -> FuzzyNumber:
     n = _exponent(n)
     _require_proper(a)
     if n == 0:
-        return singleton(1.0, a.grid)
+        return singleton(1.0, a.grid, _pool=_pool)
     acc = a
     for _ in range(n - 1):
-        acc = mul(acc, a)
+        partial, acc = acc, mul(acc, a, _pool=_pool)
+        if _pool is not None and partial is not a:
+            _release(_pool, partial)
     return acc
 
 
-def div(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
+def div(a: FuzzyNumber, b: FuzzyNumber, *, _pool: list | None = None) -> FuzzyNumber:
     """Interval product of ``a`` with the order-normalized reciprocal of ``b``.
 
     The divisor's support must exclude zero.
@@ -410,9 +461,15 @@ def div(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
         lo, hi = b.lower[k, 0], b.upper[k, 0]
     if lo <= 0.0 <= hi:
         raise DivisorStraddlesZero(f"divisor support [{lo:.6g}, {hi:.6g}] contains zero")
-    r1 = 1.0 / b.lower
-    r2 = 1.0 / b.upper
-    return mul(a, _fresh(b.grid, np.minimum(r1, r2), np.maximum(r1, r2)))
+    r1 = np.divide(1.0, b.lower, out=_pool.pop() if _pool else None)
+    r2 = np.divide(1.0, b.upper, out=_pool.pop() if _pool else None)
+    lower = np.minimum(r1, r2, out=_pool.pop() if _pool else None)
+    reciprocal = _fresh(b.grid, lower, np.maximum(r1, r2, out=r2))
+    product = mul(a, reciprocal, _pool=_pool)
+    if _pool is not None:
+        _pool.append(r1)
+        _release(_pool, reciprocal)
+    return product
 
 
 def gh_difference(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:

@@ -59,6 +59,7 @@ from .core import (
     FuzzyNumber,
     _exponent,
     _fresh,
+    _release,
     add,
     div,
     gh_difference,
@@ -437,15 +438,27 @@ _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
 
 
-def _sin_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # sin attains +1 at pi/2 + 2k*pi and -1 at -pi/2 + 2k*pi; the range over
-    # [lo, hi] is the endpoint hull widened to +-1 where a critical point
-    # falls inside the interval.
-    has_max = np.floor((hi - _HALF_PI) / _TWO_PI) >= np.ceil((lo - _HALF_PI) / _TWO_PI)
-    has_min = np.floor((hi + _HALF_PI) / _TWO_PI) >= np.ceil((lo + _HALF_PI) / _TWO_PI)
-    s_lo, s_hi = np.sin(lo), np.sin(hi)
-    out_lo = np.where(has_min, -1.0, np.minimum(s_lo, s_hi))
-    out_hi = np.where(has_max, 1.0, np.maximum(s_lo, s_hi))
+def _sin_range(lo: np.ndarray, hi: np.ndarray, pool: list | None) -> tuple[np.ndarray, np.ndarray]:
+    """The range of sin over each [lo, hi]: the endpoint hull, widened to -1
+    or +1 where a critical point falls inside the interval.  Its arrays come
+    from ``pool`` when there is one (see :func:`_evaluate`)."""
+    # sin attains +1 at pi/2 + 2k*pi and -1 at -pi/2 + 2k*pi; c + 2k*pi lies
+    # in [lo, hi] for some integer k when floor((hi - c)/2pi) >= (lo - c)/2pi.
+    # An integer is >= b exactly when it is >= ceil(b), for every float b
+    # (+-0, +-inf and NaN included), so b is not rounded up first.
+    a = np.subtract(hi, _HALF_PI, out=pool.pop() if pool else None)
+    b = np.subtract(lo, _HALF_PI, out=pool.pop() if pool else None)
+    has_max = np.floor(np.divide(a, _TWO_PI, out=a), out=a) >= np.divide(b, _TWO_PI, out=b)
+    np.add(hi, _HALF_PI, out=a)
+    np.add(lo, _HALF_PI, out=b)
+    has_min = np.floor(np.divide(a, _TWO_PI, out=a), out=a) >= np.divide(b, _TWO_PI, out=b)
+    s_lo, s_hi = np.sin(lo, out=a), np.sin(hi, out=b)
+    out_hi = np.maximum(s_lo, s_hi, out=pool.pop() if pool else None)
+    out_lo = np.minimum(s_lo, s_hi, out=s_lo)
+    np.copyto(out_lo, -1.0, where=has_min)
+    np.copyto(out_hi, 1.0, where=has_max)
+    if pool is not None:
+        pool.append(s_hi)
     return out_lo, out_hi
 
 
@@ -472,16 +485,20 @@ def _walk(roots: tuple[Expr, ...], skip=None) -> list[Expr]:
     return order
 
 
-def _plan(roots: tuple[Expr, ...]) -> tuple[list[Expr], list[list[Expr]], AlphaGrid]:
+def _plan(roots: tuple[Expr, ...]) -> tuple[list[Expr], list[list[Expr]], AlphaGrid, frozenset]:
     """How to evaluate a family of roots: their union walked once.
 
     Returns the distinct nodes in the order of :func:`_walk`.  Next, for
     each of them, the children it reads for the last time; a root is never
-    among them, so every root's value lasts to the end.  Last, the grid of
-    the first fuzzy constant in that order, else the default grid.  The
-    plan depends on the structure alone, so it is cached in one slot on the
-    last root, keyed by the roots: a tower evaluated at many points (as by
-    ``solve``) is walked once.
+    among them, so every root's value lasts to the end.  Next, the grid of
+    the first fuzzy constant in that order, else the default grid.  Last,
+    the nodes whose values the evaluation owns: an op computed them into
+    new arrays, and no other node's value is the same object.  A variable's
+    value is its binding, a fuzzy constant's is its own, and ``u^1``'s is
+    ``u``'s, so these three and ``u`` are not owned.  The plan depends on
+    the structure alone, so it is cached in one slot on the last root, keyed
+    by the roots: a tower evaluated at many points (as by ``solve``) is
+    walked once.
     """
     last = roots[-1]
     cached = last.__dict__.get("_plan") if isinstance(last, Expr) else None
@@ -495,7 +512,10 @@ def _plan(roots: tuple[Expr, ...]) -> tuple[list[Expr], list[list[Expr]], AlphaG
     for child, i in last_reader.items():
         if child not in kept:
             last_reads[i].append(child)
-    plan = (order, last_reads, const_grid)
+    through = [n for n in order if isinstance(n, PowInt) and n.exponent == 1]
+    shared = {n for n in order if isinstance(n, (Var, FuzzyConst))}
+    shared.update(through, (n.base for n in through))
+    plan = (order, last_reads, const_grid, frozenset(order) - shared)
     last.__dict__["_plan"] = (roots, plan)
     return plan
 
@@ -512,29 +532,47 @@ def evaluate(e: Expr, env: Env | None = None) -> FuzzyNumber:
     return _evaluate((e,), env)[e]
 
 
-def _evaluate(roots: tuple[Expr, ...], env: Env | None) -> dict[Expr, FuzzyNumber]:
+def _evaluate(roots: tuple[Expr, ...], env: Env | None, pool: list | None = None) -> dict[Expr, FuzzyNumber]:
     """The value of each root, by root, from one walk over their union (see
     :func:`evaluate`, with the family's first fuzzy constant in place of the
     tree's).  Every node runs the op a loop of ``evaluate`` over the roots
     would run on it, on the same inputs, and the first error raised is that
-    loop's first."""
+    loop's first.
+
+    ``pool`` is a buffer pool its caller owns (see :mod:`fuzzcalc.core`).
+    With one, the ops write their results into arrays taken from it, and
+    each child value that dies here and that the plan owns goes back to it.
+    The roots' values are never given back here: they are returned."""
     env = env if env is not None else Env()
-    order, last_reads, grid = _plan(roots)
+    order, last_reads, grid, owned = _plan(roots)
     if env.grid is not None:
         grid = env.grid
     values: dict[Expr, FuzzyNumber] = {}
     value, bindings = values.__getitem__, env.bindings
     for node, done in zip(order, last_reads):
-        values[node] = _ev(node, value, bindings, grid)
+        values[node] = _ev(node, value, bindings, grid, pool)
         for child in done:
+            if pool is not None and child in owned:
+                _release(pool, values[child])
             del values[child]
     return values
 
 
-def _ev(e: Expr, value, bindings: dict, grid: AlphaGrid) -> FuzzyNumber:
+
+def _give_back(roots: tuple[Expr, ...], values: dict[Expr, FuzzyNumber], pool: list) -> None:
+    """Give the roots' values from :func:`_evaluate` with ``pool`` back to
+    it, once their caller is done with them: each distinct root whose value
+    the plan owns, once."""
+    owned = _plan(roots)[3]
+    for root in dict.fromkeys(roots):
+        if root in owned:
+            _release(pool, values[root])
+
+
+def _ev(e: Expr, value, bindings: dict, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
     """The value of one node; ``value(child)`` gives a child's."""
     if isinstance(e, CrispConst):
-        return singleton(e.value, grid)
+        return singleton(e.value, grid, _pool=pool)
     if isinstance(e, FuzzyConst):
         if e.value.grid != grid:
             raise GridMismatch("fuzzy constant sampled on a different grid")
@@ -545,27 +583,32 @@ def _ev(e: Expr, value, bindings: dict, grid: AlphaGrid) -> FuzzyNumber:
         except KeyError:
             raise UnboundVariable(f"variable {e.name!r} is not bound") from None
     if isinstance(e, Add):
-        return add(value(e.left), value(e.right))
+        return add(value(e.left), value(e.right), _pool=pool)
     if isinstance(e, GhSub):
         return gh_difference(value(e.left), value(e.right))
     if isinstance(e, Mul):
-        return mul(value(e.left), value(e.right))
+        return mul(value(e.left), value(e.right), _pool=pool)
     if isinstance(e, Div):
-        return div(value(e.left), value(e.right))
+        return div(value(e.left), value(e.right), _pool=pool)
     if isinstance(e, PowInt):
-        return pow_int(value(e.base), e.exponent)
+        return pow_int(value(e.base), e.exponent, _pool=pool)
     if isinstance(e, Neg):
-        return scalar_mul(-1.0, value(e.operand))
+        return scalar_mul(-1.0, value(e.operand), _pool=pool)
     v = value(e.operand)  # exp, sin or cos: _N_KIDS admits no other class
     if not v.proper:
         raise ImproperOperand("function argument is improper")
     if isinstance(e, Exp):
-        return _fresh(grid, np.exp(v.lower), np.exp(v.upper))
+        return _fresh(grid, np.exp(v.lower, out=pool.pop() if pool else None),
+                      np.exp(v.upper, out=pool.pop() if pool else None))
     if isinstance(e, Sin):
-        lo, hi = _sin_range(v.lower, v.upper)
-    else:  # cos(x) = sin(x + pi/2)
-        lo, hi = _sin_range(v.lower + _HALF_PI, v.upper + _HALF_PI)
-    return _fresh(grid, lo, hi)
+        return _fresh(grid, *_sin_range(v.lower, v.upper, pool))
+    # cos(x) = sin(x + pi/2)
+    lo = np.add(v.lower, _HALF_PI, out=pool.pop() if pool else None)
+    hi = np.add(v.upper, _HALF_PI, out=pool.pop() if pool else None)
+    out = _fresh(grid, *_sin_range(lo, hi, pool))
+    if pool is not None:
+        pool.extend((lo, hi))
+    return out
 
 
 # -- symbolic differentiation ----------------------------------------------------

@@ -12,7 +12,19 @@ is capped at 4, the highest order the tests check.  The tower is a DAG of
 shared subexpressions (see :mod:`fuzzcalc.expr`), so its size is not what
 sets the cap.  Each step evaluates all of D_1 ... D_order in one walk over
 the tower's distinct nodes, planned at most once per solve, and the powers
-h^k are formed once per solve.
+h^k are formed once per solve.  The tower is kept on the right-hand side's
+node, as a node keeps its derivatives, so a second solve of the same F
+builds and plans nothing.
+
+Each solve owns one buffer pool (see :mod:`fuzzcalc.core`): a list of
+envelope arrays created when the call starts and dropped when it returns.
+Every value that dies inside the solve goes back to it, and later ops write
+their results into its arrays, so a solve on wide grids reuses its memory
+instead of asking the allocator again.  The pool's owner alone makes an
+array writable again.  What a caller sees is never recycled and stays
+read-only: the trajectory's values, which are drawn from the pool but never
+given back, and x0, y0, h, the powers h^k, the bindings and the constants'
+values, which never enter it.
 
 Multi-step mode compounds the fuzzy step into x (x <- x (+) h), so the
 x-uncertainty accumulates step over step; single-step is the default.
@@ -25,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FuzzyNumber, add, mul, scalar_mul
+from .core import FuzzyNumber, _release, add, mul, scalar_mul
 from .errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument
-from .expr import Env, Expr, _evaluate, _fadd, _fmul, differentiate, free_variables
+from .expr import Env, Expr, _evaluate, _fadd, _fmul, _give_back, differentiate, free_variables
 
 
 @dataclass(frozen=True)
@@ -73,28 +85,44 @@ class IvpSolution:
 
 def total_derivatives(rhs: Expr, order: int) -> list[Expr]:
     """[D_1, ..., D_order] with D_1 = F and D_(k+1) = dD_k/dx + dD_k/dy * F,
-    differentiated once per node and variable, for the node's lifetime."""
-    derivs = [rhs]
-    for _ in range(order - 1):
-        current = derivs[-1]
-        derivs.append(_fadd(differentiate(current, "x"), _fmul(differentiate(current, "y"), rhs)))
-    return derivs
+    differentiated once per node and variable, for the node's lifetime.
+    ``rhs`` keeps the tallest tower built from it, so each D_k is built once
+    for its lifetime; a taller one replaces it whole, never in part."""
+    tower = rhs.__dict__.get("_tower", (rhs,))
+    if len(tower) < order:
+        tower = list(tower)
+        while len(tower) < order:
+            current = tower[-1]
+            tower.append(_fadd(differentiate(current, "x"), _fmul(differentiate(current, "y"), rhs)))
+        rhs.__dict__["_tower"] = tower = tuple(tower)
+    return list(tower[:order])
 
 
-def _magnitude(v: FuzzyNumber) -> float:
-    return float(np.max(np.maximum(np.abs(v.lower), np.abs(v.upper))))
+def _magnitude(v: FuzzyNumber, pool: list) -> float:
+    a = np.abs(v.lower, out=pool.pop() if pool else None)
+    b = np.abs(v.upper, out=pool.pop() if pool else None)
+    magnitude = float(np.max(np.maximum(a, b, out=a)))
+    pool.extend((a, b))
+    return magnitude
 
 
 def _step(
-    x: FuzzyNumber, y: FuzzyNumber, problem: IvpProblem, derivs: tuple[Expr, ...], h_pows: list
+    x: FuzzyNumber, y: FuzzyNumber, problem: IvpProblem, derivs: tuple[Expr, ...], h_pows: list, pool: list
 ) -> tuple[FuzzyNumber, FuzzyNumber, float]:
-    values = _evaluate(derivs, Env({"x": x, "y": y}, x.grid))
+    values = _evaluate(derivs, Env({"x": x, "y": y}, x.grid), pool)
     y_next = y
     for k, (h_pow, dk) in enumerate(zip(h_pows, derivs), start=1):
-        term = scalar_mul(1.0 / math.factorial(k), mul(h_pow, values[dk]))
-        y_next = add(y_next, term)
-    x_next = add(x, problem.h)
-    return x_next, y_next, _magnitude(term)
+        product = mul(h_pow, values[dk], _pool=pool)
+        term = scalar_mul(1.0 / math.factorial(k), product, _pool=pool)
+        _release(pool, product)
+        partial, y_next = y_next, add(y_next, term, _pool=pool)
+        if partial is not y:
+            _release(pool, partial)
+        if k == len(derivs):
+            magnitude = _magnitude(term, pool)
+        _release(pool, term)
+    _give_back(derivs, values, pool)
+    return add(x, problem.h, _pool=pool), y_next, magnitude
 
 
 def solve(problem: IvpProblem) -> IvpSolution:
@@ -103,12 +131,13 @@ def solve(problem: IvpProblem) -> IvpSolution:
     h_pows = [problem.h]
     for _ in range(problem.order - 1):
         h_pows.append(mul(h_pows[-1], problem.h))
+    pool: list = []
     x, y = problem.x0, problem.y0
     trajectory = [(x, y)]
     magnitudes = []
     for i in range(problem.steps):
         try:
-            x, y, mag = _step(x, y, problem, derivs, h_pows)
+            x, y, mag = _step(x, y, problem, derivs, h_pows, pool)
         except FuzzyError as exc:
             if exc.args:
                 exc.args = (f"step {i + 1}: {exc.args[0]}",) + exc.args[1:]

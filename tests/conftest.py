@@ -18,9 +18,9 @@ def count_calls(monkeypatch):
         calls = [0]
         real = getattr(module, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls[0] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
         return calls

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 
@@ -461,6 +462,38 @@ def test_sign_class_kernels_match_min_max_formulas_bitwise(a_name):
         for k in (2.5, -2.5, 0.0, -0.0, np.inf, -np.inf):
             x, y = k * a.lower, k * a.upper
             assert _same_bytes(scalar_mul(k, a), np.minimum(x, y), np.maximum(x, y)), k
+
+
+@pytest.mark.parametrize("a_name", sorted(_OPERANDS))
+def test_operations_with_a_pool_match_those_without_bitwise(a_name, same_bytes):
+    # with an empty pool, which allocates, and with one of stale arrays to
+    # write into; the operands are left as they were
+    a = _OPERANDS[a_name]
+    kept = a.lower.tobytes(), a.upper.tobytes()
+
+    def check(op, *args):
+        for pool in ([], [np.full(len(_GRID5), 7.0) for _ in range(12)]):
+            try:
+                want = op(*args)
+            except DivisorStraddlesZero as exc:
+                with pytest.raises(DivisorStraddlesZero, match=re.escape(str(exc))):
+                    op(*args, _pool=pool)
+                continue
+            got = op(*args, _pool=pool)
+            assert same_bytes(got, want), (op.__name__, args)
+            assert not (got.lower.flags.writeable or got.upper.flags.writeable)
+
+    with np.errstate(all="ignore"):
+        for b in _OPERANDS.values():
+            check(add, a, b)
+            check(mul, a, b)
+            check(div, a, b)
+        for k in (2.5, -2.5, 0.0, -0.0, np.inf, -np.inf):
+            check(scalar_mul, k, a)
+        for n in range(5):
+            check(pow_int, a, n)
+    check(singleton, -0.0, _GRID5)
+    assert (a.lower.tobytes(), a.upper.tobytes()) == kept
 
 
 def _argmin_sign_class(lo, hi):

@@ -285,6 +285,35 @@ def test_sin_cos_range_against_dense_sampling(lo, hi):
         assert not out.lower.flags.writeable and not out.upper.flags.writeable
 
 
+def _sin_range_with_ceil(lo, hi):
+    # the critical-point tests rounded (lo - c)/2pi up with ceil first
+    has_max = np.floor((hi - math.pi / 2) / (2 * math.pi)) >= np.ceil((lo - math.pi / 2) / (2 * math.pi))
+    has_min = np.floor((hi + math.pi / 2) / (2 * math.pi)) >= np.ceil((lo + math.pi / 2) / (2 * math.pi))
+    s_lo, s_hi = np.sin(lo), np.sin(hi)
+    return (has_max, has_min, np.where(has_min, -1.0, np.minimum(s_lo, s_hi)),
+            np.where(has_max, 1.0, np.maximum(s_lo, s_hi)))
+
+
+def test_sin_range_without_ceil_matches_the_ceil_formula_bit_for_bit():
+    # every pair of edge values as (lo, hi): multiples of pi/2 and their
+    # neighbours, +-0, +-inf, NaN, huge values, and pairs wider than 2pi
+    halves = [k * math.pi / 2 for k in range(-9, 10)]
+    edges = halves + [np.nextafter(v, d) for v in halves for d in (-np.inf, np.inf)]
+    edges += [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, 7.0, -20.0, 40.0]
+    lo, hi = (a.ravel() for a in np.meshgrid(np.array(edges), np.array(edges)))
+    with np.errstate(invalid="ignore"):
+        has_max, has_min, want_lo, want_hi = _sin_range_with_ceil(lo, hi)
+        for shift in (-math.pi / 2, math.pi / 2):
+            a, b = (hi + shift) / (2 * math.pi), (lo + shift) / (2 * math.pi)
+            assert np.array_equal(np.floor(a) >= b, np.floor(a) >= np.ceil(b))
+        assert has_max.any() and not has_max.all() and has_min.any() and not has_min.all()
+        # with no pool, an empty one, and one holding stale arrays to write into
+        for pool in (None, [], [np.full(lo.size, 123.0) for _ in range(3)]):
+            got_lo, got_hi = fuzzcalc.expr._sin_range(lo, hi, pool)
+            assert got_lo.tobytes() == want_lo.tobytes()
+            assert got_hi.tobytes() == want_hi.tobytes()
+
+
 def test_eval_errors():
     with pytest.raises(UnboundVariable):
         evaluate(parse_expr("x + y"), Env({"x": tri(0, 1, 2)}))

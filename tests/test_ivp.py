@@ -2,6 +2,7 @@
 parametric envelope regression."""
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -147,6 +148,50 @@ def test_solve_plans_its_tower_once_and_forms_step_powers_once(count_calls, monk
     assert walked.count(tuple(total_derivatives(p.rhs, p.order))) == 1
     # h^2, h^3, h^4 once, then h^k (x) D_k for each k in each step
     assert products[0] == (p.order - 1) + p.order * p.steps
+
+
+def test_second_solve_of_one_rhs_builds_and_plans_nothing(count_calls):
+    # the right-hand side keeps its tower, so a cycle collection between two
+    # solves frees no D_k: the second runs no derivative rule and no walk
+    p = worked_problem(rhs=parse_expr("x*y^2 + 0.8125"), order=4, steps=2)
+    first = solve(p)
+    gc.collect()
+    rules = count_calls(fuzzcalc.expr, "_derivative")
+    walks = count_calls(fuzzcalc.expr, "_walk")
+    second = solve(p)
+    assert (rules[0], walks[0]) == (0, 0)
+    assert second == first
+
+
+# right-hand sides whose D_k are a binding, a constant's value, a crisp
+# constant, repeated roots, operands that ^1 passes through (a binding and
+# a product), and sin and cos about pi/2, where cos straddles zero (mul's
+# four products)
+ALIAS_FORMS = ("x", "y", "T(1,2,3)", "2", "y^1 + x", "(x*y)^1 + x", "sin(x)*cos(x)")
+
+
+@pytest.mark.parametrize("form", ALIAS_FORMS)
+def test_solve_gives_back_no_value_a_caller_holds(form, same_bytes):
+    grid = AlphaGrid.uniform(10001)
+    rhs = parse_expr(form, grid)
+    p = worked_problem(rhs=rhs, x0=tri(1.4, 1.6, 1.8, grid), y0=tri(1.0, 1.2, 1.5, grid),
+                       h=tri(0.05, 0.1, 0.12, grid), order=4, steps=3)
+    env = Env({"x": p.x0, "y": p.y0})
+    consts = [n.value for n in fuzzcalc.expr._walk((rhs,)) if isinstance(n, fuzzcalc.expr.FuzzyConst)]
+    held = [p.x0, p.y0, p.h, *consts]
+    before = [(v.lower.copy(), v.upper.copy()) for v in held]
+    value = evaluate(rhs, env)
+    trajectory = solve(p).trajectory
+    for v, (lo, hi) in zip(held, before):
+        assert (v.lower.tobytes(), v.upper.tobytes()) == (lo.tobytes(), hi.tobytes())
+        assert not v.lower.flags.writeable and not v.upper.flags.writeable
+    arrays = [a for point in trajectory for v in point for a in (v.lower, v.upper)]
+    assert not any(a.flags.writeable for a in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    assert same_bytes(evaluate(rhs, env), value)
+    # and the pooled solve is the per-root loop's, bit for bit
+    expect = _reference_solve(p)
+    assert all(same_bytes(a, b) for pair, ref in zip(trajectory, expect) for a, b in zip(pair, ref))
 
 
 # -- single step --------------------------------------------------------------------

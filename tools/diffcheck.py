@@ -11,7 +11,11 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
 * every taylor-swell shape at two centres: coefficients and partial sum;
   and each shape's series repeated in one process, at a second centre and
   by a second variable between;
-* every ivp-wide form at order 4 and 3 steps, on 10001 levels;
+* every ivp-wide form at order 4 and 3 steps, on 10001 levels, and the
+  workload's own solve of ``a*y^3 + x`` at the seeds where it overflows;
+* solves whose tower roots are a binding, a constant's value or an operand
+  passed through, and one whose cos straddles zero, on 10001 levels: the
+  values a solve's buffer pool must never give back;
 * the derive-fine texts at 16 points, through ``mh_derivative`` at three
   tolerances and ``continuity_probe``;
 * estimator inputs that stop just before, or raise at, a point whose
@@ -131,6 +135,16 @@ KERNEL_INPUTS = {
     "NaN-bearing values": ("(exp(y)*0)*y", "y/(exp(y)*0)", "(exp(y)*0)^3",
                            "(exp(w)*0)*w", "(exp(w)*0)/w", "(exp(w)*0)^2"),
 }
+# right-hand sides whose D_k are a binding (x, y), a constant's value
+# (T(1,2,3)), a crisp constant, repeated roots (every D_k past the last
+# nonzero one is 0), operands that ^1 passes through (a binding and a
+# product), and sin and cos about pi/2, where cos straddles zero and mul
+# takes its four products
+ALIAS_RHS = ("x", "y", "T(1,2,3)", "2", "y^1 + x", "(x*y)^1 + x", "sin(x)*cos(x)")
+ALIAS_POINT = {"x0": (1.4, 1.6, 1.8), "y0": (1.0, 1.2, 1.5), "h": (0.05, 0.1, 0.12)}
+# ivp-wide seeds whose a*y^3 + x overflows to an infinite envelope in its
+# last step
+OVERFLOW_SEEDS = (71, 1007)
 RULES = ("n / T(4,5,6)^(n-1)", "1/n!", "T(1,2,3)", "2^3*n!/n^2", "3 * n^2 / 2", "n^400")
 _ENVELOPE = re.compile(r"\.(lower|upper)$")
 
@@ -173,16 +187,29 @@ def _library_entries(workloads, fc):
             return out
         yield f"taylor-swell repeat:3:{task['text']} at T{task['centre']} then T{other['centre']}", repeat
 
-    for task in workloads.LIBRARY["ivp-wide"].build(1):
-        p = task["problem"]
+    def solved(problem):
+        sol = fc.ivp.solve(problem)
+        out = {"truncation": sol.truncation_magnitudes}
+        for k, (x, y) in enumerate(sol.trajectory):
+            out.update({f"x{k}": x, f"y{k}": y})
+        return out
 
-        def run(p=p):
-            sol = fc.ivp.solve(fc.ivp.IvpProblem(rhs=p.rhs, x0=p.x0, y0=p.y0, h=p.h, order=4, steps=3))
-            out = {"truncation": sol.truncation_magnitudes}
-            for k, (x, y) in enumerate(sol.trajectory):
-                out.update({f"x{k}": x, f"y{k}": y})
-            return out
-        yield f"ivp-wide:1:y' = {task['rhs']}", run
+    ivp_wide = workloads.LIBRARY["ivp-wide"]
+    for task in ivp_wide.build(1):
+        p = task["problem"]
+        yield (f"ivp-wide:1:y' = {task['rhs']}",
+               lambda p=p: solved(fc.ivp.IvpProblem(rhs=p.rhs, x0=p.x0, y0=p.y0, h=p.h, order=4, steps=3)))
+    for seed in OVERFLOW_SEEDS:
+        for task in ivp_wide.build(seed):
+            if "y^3" in task["rhs"]:
+                yield f"ivp-wide:{seed}:y' = {task['rhs']}", lambda p=task["problem"]: solved(p)
+
+    wide = core.AlphaGrid.uniform(ivp_wide.levels)
+    point = {name: core.make_triangular(t, wide) for name, t in ALIAS_POINT.items()}
+    for text in ALIAS_RHS:
+        yield (f"ivp-alias:y' = {text} at {ALIAS_POINT}",
+               lambda text=text: solved(fc.ivp.IvpProblem(fc.expr.parse_expr(text, wide), **point,
+                                                          order=4, steps=3)))
 
     def mh(expr, x0, **kw):
         est = fc.calculus.mh_derivative(expr, "x", x0, **kw)
