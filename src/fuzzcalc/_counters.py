@@ -1,0 +1,44 @@
+"""Work counts the package keeps on itself, off unless asked for.
+
+``counts`` is the switch: None while off, so a place that counts costs one
+``is None`` test per call and nothing per operation.  :func:`counting`
+turns it on for a ``with`` block.  Each place adds, once per call, the work
+it decided to run: ``_evaluate`` its plan's counts, ``differentiate`` its
+rules, ``partial_sum``, ``taylor_series_of`` and ``solve`` their own kernel
+calls.  The keys: ``nodes`` evaluated; derivative ``rules`` run; each kind
+of operation (``add``, ``mul``, ``div``, ``scalar_mul``, ``gh_difference``,
+``pow_int``, ``singleton``, ``exp``, ``sin``, ``cos``), counting the
+products inside ``div`` and ``pow_int`` as ``mul`` too; and each kind's
+``.cells``, its calls times the rows times levels they work on (an
+evaluation counts every operation at its widest binding's rows).  The
+switch is one per process: count from one thread at a time.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from contextlib import contextmanager
+
+counts: Counter | None = None
+
+
+def add(ops: dict, cells: int) -> None:
+    """Count ``ops``, calls by kind, each on ``cells`` rows times levels."""
+    for kind, n in ops.items():
+        counts[kind] += n
+        counts[kind + ".cells"] += n * cells
+
+
+@contextmanager
+def counting():
+    """Count the block's work into the Counter yielded; a block inside
+    another adds its counts to the outer one's too."""
+    global counts
+    outer = counts
+    counts = inner = Counter()
+    try:
+        yield inner
+    finally:
+        counts = outer
+        if outer is not None:
+            outer.update(inner)

@@ -24,7 +24,7 @@ must shrink as alpha grows); such results carry ``proper=False`` and every
 other operation rejects them with :class:`ImproperOperand`.
 
 Operation results wrap the arrays they have just computed without a copy
-(``_fresh``); only :class:`FuzzyNumber` called directly copies and checks,
+(``_value``); only :class:`FuzzyNumber` called directly copies and checks,
 and only ``make_triangular`` checks a (d, e, f) triple.
 
 Envelopes may also be stacks: (rows, levels) arrays holding one fuzzy
@@ -38,17 +38,20 @@ some row's divisor support holds zero, naming the first such row;
 if every row is; ``_sign_class`` reads the stack flat, so a stack whose
 rows differ in sign takes ``mul``'s four products.
 
-Every operation allocates its result, except inside ``ivp.solve``.  A
-solve owns a buffer pool: a plain list of envelope arrays that it creates
-and drops when it returns.  It passes the pool to ``add``, ``mul``,
-``scalar_mul``, ``singleton``, ``div`` and ``pow_int`` as the private
-keyword ``_pool``, and each then writes its result and its temporaries into
-arrays taken from the pool (numpy allocates when it is empty) and gives its
-temporaries back.  The ufuncs and operands are the same with a pool as
-without, so each result is the same bit for bit.  ``_release`` gives a dead
-value's arrays back to the pool, writable again; it is only for values the
-pool's owner computed and that nothing else holds.  A value handed to a
-caller is never released.
+Each operation's arithmetic is one private kernel (``_add``, ``_mul``, ...),
+which runs no guard and marks nothing read-only (``_value``).  The public
+name runs the guards once, at its boundary, then the kernel, then marks the
+result read-only (``_frozen``).  Evaluation plans, ``partial_sum``,
+``taylor_series_of`` and ``solve`` check their inputs themselves and run
+the kernels, marking read-only only the values they hand out.
+
+A kernel takes a buffer pool or None: a plain list of envelope arrays that
+``ivp.solve`` creates and drops within one call.  Given one, a kernel
+writes its result and temporaries into arrays popped from it (numpy
+allocates when it is empty) and gives its temporaries back; the ufuncs are
+the same, so each result is the same bit for bit.  ``_release`` gives back
+a dead, writable value that the pool's owner computed and nothing else
+holds; a value handed to a caller is never released.
 """
 
 from __future__ import annotations
@@ -233,16 +236,9 @@ class FuzzyNumber:
         )
 
 
-def _fresh(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray, proper: bool = True) -> FuzzyNumber:
-    """Wrap envelope arrays that were just computed on ``grid``.
-
-    Unlike ``FuzzyNumber(...)`` this neither copies nor checks shapes, so
-    the arrays must have the grid's shape, or be (rows, levels) stacks of
-    it, and be new: nothing else may hold them.  They are marked read-only
-    here.
-    """
-    lower.setflags(write=False)
-    upper.setflags(write=False)
+def _value(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray, proper: bool = True) -> FuzzyNumber:
+    """Wrap envelope arrays just computed on ``grid``, or (rows, levels)
+    stacks of it, that nothing else holds: no copy, no check, no flag."""
     out = object.__new__(FuzzyNumber)
     out.grid = grid
     out.lower = lower
@@ -250,6 +246,18 @@ def _fresh(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray, proper: bool =
     out.proper = proper
     out._sign = None
     return out
+
+
+def _frozen(v: FuzzyNumber) -> FuzzyNumber:
+    """``v``, its envelopes marked read-only, as is every value handed out."""
+    v.lower.setflags(write=False)
+    v.upper.setflags(write=False)
+    return v
+
+
+def _fresh(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray, proper: bool = True) -> FuzzyNumber:
+    """``_value`` marked read-only: for arrays built outside the kernels."""
+    return _frozen(_value(grid, lower, upper, proper))
 
 
 def _order_normalized(grid: AlphaGrid, a: np.ndarray, b: np.ndarray) -> FuzzyNumber:
@@ -286,15 +294,20 @@ def _sign_class(v: FuzzyNumber) -> int:
 # -- guards ------------------------------------------------------------------
 
 
+# the guards' messages, raised too by callers of the kernels that check operands
+_IMPROPER_OPERAND = "operand is an improper (non-nested) fuzzy number"
+_OTHER_GRID = "operands live on different alpha grids; resample first"
+
+
 def _require_proper(*values: FuzzyNumber) -> None:
     for v in values:
         if not v.proper:
-            raise ImproperOperand("operand is an improper (non-nested) fuzzy number")
+            raise ImproperOperand(_IMPROPER_OPERAND)
 
 
 def _require_same_grid(a: FuzzyNumber, b: FuzzyNumber) -> None:
     if a.grid != b.grid:
-        raise GridMismatch("operands live on different alpha grids; resample first")
+        raise GridMismatch(_OTHER_GRID)
 
 
 # -- constructors -------------------------------------------------------------
@@ -318,15 +331,19 @@ def make_triangular(triple, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
     return FuzzyNumber(grid, lower, upper)
 
 
-def singleton(value: float, grid: AlphaGrid = DEFAULT_GRID, *, _pool: list | None = None) -> FuzzyNumber:
-    """Crisp real embedded as a fuzzy number (both envelopes constant)."""
+def _singleton(value: float, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
     # one array, shared by both envelopes
-    if _pool:
-        flat = _pool.pop()
+    if pool:
+        flat = pool.pop()
         flat.fill(float(value))
     else:
         flat = np.full(len(grid), float(value))
-    return _fresh(grid, flat, flat)
+    return _value(grid, flat, flat)
+
+
+def singleton(value: float, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
+    """Crisp real embedded as a fuzzy number (both envelopes constant)."""
+    return _frozen(_singleton(value, grid, None))
 
 
 def resample(a: FuzzyNumber, grid: AlphaGrid) -> FuzzyNumber:
@@ -344,46 +361,78 @@ def resample(a: FuzzyNumber, grid: AlphaGrid) -> FuzzyNumber:
 # -- arithmetic ----------------------------------------------------------------
 
 
-# With a pool, an operation takes each array it writes with
-# ``_pool.pop() if _pool else None``: an array from the pool, or None, so
-# that the ufunc allocates one, when the pool is empty or there is none.  It
-# is spelt out at each ufunc, not called: a call per ufunc cost taylor-swell,
+# With a pool, a kernel takes each array it writes with
+# ``pool.pop() if pool else None``: an array from the pool, or None, so that
+# the ufunc allocates one, when the pool is empty or there is none.  It is
+# spelt out at each ufunc, not called: a call per ufunc cost taylor-swell,
 # which runs with no pool, about 3% more in-process.
 
 
 def _release(pool: list, v: FuzzyNumber) -> None:
-    """Give the envelopes of a dead value back to ``pool``, writable again.
-    Only for a value the pool's owner computed and that nothing else holds;
-    a singleton's one array goes back once."""
-    v.lower.setflags(write=True)
+    """Give the envelopes of a dead, writable value back to ``pool``.  Only
+    for a value the pool's owner computed and that nothing else holds; a
+    singleton's one array goes back once."""
     pool.append(v.lower)
     if v.upper is not v.lower:
-        v.upper.setflags(write=True)
         pool.append(v.upper)
 
 
-def add(a: FuzzyNumber, b: FuzzyNumber, *, _pool: list | None = None) -> FuzzyNumber:
+def _add(a: FuzzyNumber, b: FuzzyNumber, pool: list | None) -> FuzzyNumber:
+    return _value(a.grid, np.add(a.lower, b.lower, out=pool.pop() if pool else None),
+                  np.add(a.upper, b.upper, out=pool.pop() if pool else None))
+
+
+def add(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """Level-wise endpoint sums."""
     _require_proper(a, b)
     _require_same_grid(a, b)
-    return _fresh(a.grid, np.add(a.lower, b.lower, out=_pool.pop() if _pool else None),
-                  np.add(a.upper, b.upper, out=_pool.pop() if _pool else None))
+    return _frozen(_add(a, b, None))
 
 
-def scalar_mul(k: float, a: FuzzyNumber, *, _pool: list | None = None) -> FuzzyNumber:
+def _scalar_mul(k: float, a: FuzzyNumber, pool: list | None) -> FuzzyNumber:
+    x = np.multiply(k, a.lower, out=pool.pop() if pool else None)
+    y = np.multiply(k, a.upper, out=pool.pop() if pool else None)
+    lower = np.minimum(x, y, out=pool.pop() if pool else None)
+    upper = np.maximum(x, y, out=y)
+    if pool is not None:
+        pool.append(x)
+    return _value(a.grid, lower, upper)
+
+
+def scalar_mul(k: float, a: FuzzyNumber) -> FuzzyNumber:
     """Scale by a crisp real; endpoints are order-normalized so a negative
     factor flips the envelopes instead of producing an inverted interval."""
     _require_proper(a)
-    x = np.multiply(k, a.lower, out=_pool.pop() if _pool else None)
-    y = np.multiply(k, a.upper, out=_pool.pop() if _pool else None)
-    lower = np.minimum(x, y, out=_pool.pop() if _pool else None)
-    upper = np.maximum(x, y, out=y)
-    if _pool is not None:
-        _pool.append(x)
-    return _fresh(a.grid, lower, upper)
+    return _frozen(_scalar_mul(k, a, None))
 
 
-def mul(a: FuzzyNumber, b: FuzzyNumber, *, _pool: list | None = None) -> FuzzyNumber:
+def _mul(a: FuzzyNumber, b: FuzzyNumber, pool: list | None) -> FuzzyNumber:
+    sa = _sign_class(a)
+    sb = _sign_class(b) if sa else 0
+    if sb:
+        # a negative factor swaps which endpoint of the other one is extreme
+        a_lo, a_hi = (a.lower, a.upper) if sb > 0 else (a.upper, a.lower)
+        b_lo, b_hi = (b.lower, b.upper) if sa > 0 else (b.upper, b.lower)
+        return _value(a.grid, np.multiply(a_lo, b_lo, out=pool.pop() if pool else None),
+                      np.multiply(a_hi, b_hi, out=pool.pop() if pool else None))
+    p1 = np.multiply(a.lower, b.lower, out=pool.pop() if pool else None)
+    p2 = np.multiply(a.lower, b.upper, out=pool.pop() if pool else None)
+    p3 = np.multiply(a.upper, b.lower, out=pool.pop() if pool else None)
+    p4 = np.multiply(a.upper, b.upper, out=pool.pop() if pool else None)
+    # min(min(p1, p2), min(p3, p4)) and max(max(p1, p2), max(p3, p4)), with
+    # upper holding a partial of lower's first and p1 a partial of upper's
+    lower = np.minimum(p1, p2, out=pool.pop() if pool else None)
+    upper = np.minimum(p3, p4, out=pool.pop() if pool else None)
+    np.minimum(lower, upper, out=lower)
+    np.maximum(p1, p2, out=upper)
+    np.maximum(p3, p4, out=p1)
+    np.maximum(upper, p1, out=upper)
+    if pool is not None:
+        pool.extend((p1, p2, p3, p4))
+    return _value(a.grid, lower, upper)
+
+
+def mul(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """Level-wise interval product (min/max over the four endpoint products).
 
     The kernel is chosen by sign class: two strictly signed operands need
@@ -393,29 +442,7 @@ def mul(a: FuzzyNumber, b: FuzzyNumber, *, _pool: list | None = None) -> FuzzyNu
     """
     _require_proper(a, b)
     _require_same_grid(a, b)
-    sa = _sign_class(a)
-    sb = _sign_class(b) if sa else 0
-    if sb:
-        # a negative factor swaps which endpoint of the other one is extreme
-        a_lo, a_hi = (a.lower, a.upper) if sb > 0 else (a.upper, a.lower)
-        b_lo, b_hi = (b.lower, b.upper) if sa > 0 else (b.upper, b.lower)
-        return _fresh(a.grid, np.multiply(a_lo, b_lo, out=_pool.pop() if _pool else None),
-                      np.multiply(a_hi, b_hi, out=_pool.pop() if _pool else None))
-    p1 = np.multiply(a.lower, b.lower, out=_pool.pop() if _pool else None)
-    p2 = np.multiply(a.lower, b.upper, out=_pool.pop() if _pool else None)
-    p3 = np.multiply(a.upper, b.lower, out=_pool.pop() if _pool else None)
-    p4 = np.multiply(a.upper, b.upper, out=_pool.pop() if _pool else None)
-    # min(min(p1, p2), min(p3, p4)) and max(max(p1, p2), max(p3, p4)), with
-    # upper holding a partial of lower's first and p1 a partial of upper's
-    lower = np.minimum(p1, p2, out=_pool.pop() if _pool else None)
-    upper = np.minimum(p3, p4, out=_pool.pop() if _pool else None)
-    np.minimum(lower, upper, out=lower)
-    np.maximum(p1, p2, out=upper)
-    np.maximum(p3, p4, out=p1)
-    np.maximum(upper, p1, out=upper)
-    if _pool is not None:
-        _pool.extend((p1, p2, p3, p4))
-    return _fresh(a.grid, lower, upper)
+    return _frozen(_mul(a, b, None))
 
 
 def _exponent(n) -> int:
@@ -426,7 +453,26 @@ def _exponent(n) -> int:
     return int(n)
 
 
-def pow_int(a: FuzzyNumber, n: int, *, _pool: list | None = None) -> FuzzyNumber:
+def _integer(n, what: str) -> int:
+    """``n`` as an int, after its owner checked its range; InvalidArgument
+    if it has a fraction."""
+    if n % 1 != 0:
+        raise InvalidArgument(f"{what} must be an integer, got {n!r}")
+    return int(n)
+
+
+def _pow_int(a: FuzzyNumber, n: int, pool: list | None) -> FuzzyNumber:
+    if n == 0:
+        return _singleton(1.0, a.grid, pool)
+    acc = a
+    for _ in range(n - 1):
+        partial, acc = acc, _mul(acc, a, pool)
+        if pool is not None and partial is not a:
+            _release(pool, partial)
+    return acc
+
+
+def pow_int(a: FuzzyNumber, n: int) -> FuzzyNumber:
     """Repeated interval multiplication; n = 0 gives the crisp 1.
 
     Each product is a ``mul``, whose kernel is chosen by sign class; the
@@ -435,23 +481,10 @@ def pow_int(a: FuzzyNumber, n: int, *, _pool: list | None = None) -> FuzzyNumber
     """
     n = _exponent(n)
     _require_proper(a)
-    if n == 0:
-        return singleton(1.0, a.grid, _pool=_pool)
-    acc = a
-    for _ in range(n - 1):
-        partial, acc = acc, mul(acc, a, _pool=_pool)
-        if _pool is not None and partial is not a:
-            _release(_pool, partial)
-    return acc
+    return _frozen(_pow_int(a, n, None))
 
 
-def div(a: FuzzyNumber, b: FuzzyNumber, *, _pool: list | None = None) -> FuzzyNumber:
-    """Interval product of ``a`` with the order-normalized reciprocal of ``b``.
-
-    The divisor's support must exclude zero.
-    """
-    _require_proper(a, b)
-    _require_same_grid(a, b)
+def _div(a: FuzzyNumber, b: FuzzyNumber, pool: list | None) -> FuzzyNumber:
     if b.lower.ndim == 1:
         lo, hi = b.lower[0], b.upper[0]
     else:
@@ -461,15 +494,35 @@ def div(a: FuzzyNumber, b: FuzzyNumber, *, _pool: list | None = None) -> FuzzyNu
         lo, hi = b.lower[k, 0], b.upper[k, 0]
     if lo <= 0.0 <= hi:
         raise DivisorStraddlesZero(f"divisor support [{lo:.6g}, {hi:.6g}] contains zero")
-    r1 = np.divide(1.0, b.lower, out=_pool.pop() if _pool else None)
-    r2 = np.divide(1.0, b.upper, out=_pool.pop() if _pool else None)
-    lower = np.minimum(r1, r2, out=_pool.pop() if _pool else None)
-    reciprocal = _fresh(b.grid, lower, np.maximum(r1, r2, out=r2))
-    product = mul(a, reciprocal, _pool=_pool)
-    if _pool is not None:
-        _pool.append(r1)
-        _release(_pool, reciprocal)
+    r1 = np.divide(1.0, b.lower, out=pool.pop() if pool else None)
+    r2 = np.divide(1.0, b.upper, out=pool.pop() if pool else None)
+    lower = np.minimum(r1, r2, out=pool.pop() if pool else None)
+    reciprocal = _value(b.grid, lower, np.maximum(r1, r2, out=r2))
+    product = _mul(a, reciprocal, pool)
+    if pool is not None:
+        pool.append(r1)
+        _release(pool, reciprocal)
     return product
+
+
+def div(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
+    """Interval product of ``a`` with the order-normalized reciprocal of ``b``.
+
+    The divisor's support must exclude zero.
+    """
+    _require_proper(a, b)
+    _require_same_grid(a, b)
+    return _frozen(_div(a, b, None))
+
+
+def _gh_difference(a: FuzzyNumber, b: FuzzyNumber, pool: list | None) -> FuzzyNumber:
+    x = np.subtract(a.lower, b.lower, out=pool.pop() if pool else None)
+    y = np.subtract(a.upper, b.upper, out=pool.pop() if pool else None)
+    lower = np.minimum(x, y, out=pool.pop() if pool else None)
+    upper = np.maximum(x, y, out=y)
+    if pool is not None:
+        pool.append(x)
+    return _value(a.grid, lower, upper, _nested(lower, upper))
 
 
 def gh_difference(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
@@ -482,7 +535,7 @@ def gh_difference(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """
     _require_proper(a, b)
     _require_same_grid(a, b)
-    return _order_normalized(a.grid, a.lower - b.lower, a.upper - b.upper)
+    return _frozen(_gh_difference(a, b, None))
 
 
 # -- metric and summaries ------------------------------------------------------

@@ -15,15 +15,16 @@ minus, so ``-x^2`` is ``-(x^2)``.  One reader, ``_Parser.number``, reads
 every number of this grammar and of coefficient-rule text; one that is not
 finite is an ExprSyntaxError at its position.
 
-Evaluation is level-wise: the arithmetic nodes delegate to the interval
-operations in :mod:`fuzzcalc.core`, and exp/sin/cos produce the exact range
-of the function over each alpha-cut (sin and cos account for interior
-critical points, not just endpoint values).
+Evaluation is level-wise: the arithmetic nodes run the kernels of the
+interval operations in :mod:`fuzzcalc.core`, and exp/sin/cos produce the
+exact range of the function over each alpha-cut (sin and cos account for
+interior critical points, not just endpoint values).
 
 Nodes are interned when built, so equal nodes are one object and compare
 and hash by identity.  A node is checked when it is built (its children,
 a power's exponent, a fuzzy constant's properness), so a walk checks only
-its roots, and evaluation checks a constant's grid alone.  Leaves are
+its roots, and evaluation checks only a constant's grid and the
+properness of a gH-difference's value where an operation reads it.  Leaves are
 equal bit-exactly: a crisp constant by its float's bits (``0.0`` and
 ``-0.0`` are two nodes), a fuzzy constant by its grid's levels and
 envelope bytes.  ``evaluate`` handles each distinct node once per call;
@@ -38,7 +39,13 @@ as one DAG with many roots, built again as the same nodes, and evaluated in
 one walk over their union, so a subtree the members share is computed once.
 The walk is planned once per root family (one root, for ``evaluate``) and
 cached on the family's last root, so a family evaluated many times (as by
-``mh_derivative``, ``solve`` or ``taylor_series_of``) is walked once.
+``mh_derivative``, ``solve`` or ``taylor_series_of``) is walked once.  The
+plan is a flat tape (after Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., SIAM 2008): one entry per distinct node, each a kernel from a
+per-class table with its operands' slot indices, so an evaluation is one
+loop over a list of slots.  The tape's kernels run no guards; it checks
+only what a node may break (see :func:`_evaluate`).
+
 Pickling writes a node's DAG flat, without recursion or kept state, and
 unpickling re-interns it.
 """
@@ -49,25 +56,29 @@ import math
 import re
 import struct
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _counters
 from .core import (
+    _IMPROPER_OPERAND,
     DEFAULT_GRID,
     AlphaGrid,
     FuzzyNumber,
+    _add,
+    _div,
     _exponent,
-    _fresh,
+    _frozen,
+    _gh_difference,
+    _mul,
+    _pow_int,
     _release,
-    add,
-    div,
-    gh_difference,
+    _scalar_mul,
+    _singleton,
+    _value,
     make_triangular,
-    mul,
-    pow_int,
-    scalar_mul,
-    singleton,
 )
 from .errors import (
     ExprSyntaxError,
@@ -485,37 +496,125 @@ def _walk(roots: tuple[Expr, ...], skip=None) -> list[Expr]:
     return order
 
 
-def _plan(roots: tuple[Expr, ...]) -> tuple[list[Expr], list[list[Expr]], AlphaGrid, frozenset]:
-    """How to evaluate a family of roots: their union walked once.
+def _constant(v: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
+    if v.grid != grid:
+        raise GridMismatch("fuzzy constant sampled on a different grid")
+    return v
 
-    Returns the distinct nodes in the order of :func:`_walk`.  Next, for
-    each of them, the children it reads for the last time; a root is never
-    among them, so every root's value lasts to the end.  Next, the grid of
-    the first fuzzy constant in that order, else the default grid.  Last,
-    the nodes whose values the evaluation owns: an op computed them into
-    new arrays, and no other node's value is the same object.  A variable's
-    value is its binding, a fuzzy constant's is its own, and ``u^1``'s is
-    ``u``'s, so these three and ``u`` are not owned.  The plan depends on
-    the structure alone, so it is cached in one slot on the last root, keyed
-    by the roots: a tower evaluated at many points (as by ``solve``) is
-    walked once.
+
+def _binding(name: str, bindings: dict, pool: list | None) -> FuzzyNumber:
+    try:
+        return bindings[name]
+    except KeyError:
+        raise UnboundVariable(f"variable {name!r} is not bound") from None
+
+
+def _exp(x: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
+    return _value(grid, np.exp(x.lower, out=pool.pop() if pool else None),
+                  np.exp(x.upper, out=pool.pop() if pool else None))
+
+
+def _sin(x: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
+    return _value(grid, *_sin_range(x.lower, x.upper, pool))
+
+
+def _cos(x: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
+    # cos(x) = sin(x + pi/2)
+    lo = np.add(x.lower, _HALF_PI, out=pool.pop() if pool else None)
+    hi = np.add(x.upper, _HALF_PI, out=pool.pop() if pool else None)
+    out = _value(grid, *_sin_range(lo, hi, pool))
+    if pool is not None:
+        pool.extend((lo, hi))
+    return out
+
+
+# the two slots an evaluation fills before its tape runs
+_GRID = object()
+_BINDINGS = object()
+_ARGUMENT = "function argument is improper"
+
+# For each node class: its tape kernel, run as kernel(first, second, pool);
+# its two operands (a child, _GRID, _BINDINGS or a constant); the kinds of
+# operation it runs, for the work counts; and the message with which a
+# GhSub child (the one node whose value may be improper) is refused, that
+# of the guard of the operation reading it.
+_TAPE = {
+    CrispConst: (_singleton, lambda e: (e.value, _GRID), ("singleton",), None),
+    FuzzyConst: (_constant, lambda e: (e.value, _GRID), (), None),
+    Var: (_binding, lambda e: (e.name, _BINDINGS), (), None),
+    Add: (_add, lambda e: e._kids, ("add",), _IMPROPER_OPERAND),
+    GhSub: (_gh_difference, lambda e: e._kids, ("gh_difference",), _IMPROPER_OPERAND),
+    Mul: (_mul, lambda e: e._kids, ("mul",), _IMPROPER_OPERAND),
+    Div: (_div, lambda e: e._kids, ("div", "mul"), _IMPROPER_OPERAND),
+    PowInt: (_pow_int, lambda e: (e.base, e.exponent), ("pow_int",), _IMPROPER_OPERAND),
+    Neg: (_scalar_mul, lambda e: (-1.0, e.operand), ("scalar_mul",), _IMPROPER_OPERAND),
+    Exp: (_exp, lambda e: (e.operand, _GRID), ("exp",), _ARGUMENT),
+    Sin: (_sin, lambda e: (e.operand, _GRID), ("sin",), _ARGUMENT),
+    Cos: (_cos, lambda e: (e.operand, _GRID), ("cos",), _ARGUMENT),
+}
+
+
+def _plan(roots: tuple[Expr, ...]) -> tuple:
+    """How to evaluate a family of roots: their union walked once, as a
+    flat tape over a list of slots.
+
+    Slots 0 to n - 1 hold the distinct nodes' values in :func:`_walk`
+    order, n the grid, n + 1 the bindings, and the rest the constants the
+    kernels read.  Each node is one entry: (kernel, its slot, its two
+    operands' slots, None or (message, the slots of its GhSub children),
+    the slots of the children it reads last, those whose values the
+    evaluation owns).  A root is never read last, so its value lasts.
+
+    Returned: the tape; the n empty slots and the constants; the roots'
+    slots; the first fuzzy constant's grid, else the default grid; the
+    owned nodes, whose values an op computed into new arrays that no other
+    node's value shares (a variable's value is its binding, a fuzzy
+    constant's its own, and ``u^1``'s is ``u``'s, so none of these four is
+    owned); and the operations the tape runs, by kind.  The plan depends on
+    the structure alone, so it is cached on the last root, keyed by the
+    roots: a tower evaluated at many points (as by ``solve``) is walked
+    once.
     """
     last = roots[-1]
     cached = last.__dict__.get("_plan") if isinstance(last, Expr) else None
     if cached is not None and cached[0] == roots:
         return cached[1]
     order = _walk(roots)
-    const_grid = next((n.value.grid for n in order if isinstance(n, FuzzyConst)), DEFAULT_GRID)
+    n = len(order)
+    slot = {node: i for i, node in enumerate(order)}
+    slot.update({_GRID: n, _BINDINGS: n + 1})
+    consts: list = []
+
+    def operand(v) -> int:
+        if isinstance(v, Expr) or v is _GRID or v is _BINDINGS:
+            return slot[v]
+        consts.append(v)
+        return n + 1 + len(consts)
+
+    const_grid = next((node.value.grid for node in order if isinstance(node, FuzzyConst)), DEFAULT_GRID)
     kept = set(roots)
     last_reader = {child: i for i, node in enumerate(order) for child in node._kids}
     last_reads: list[list[Expr]] = [[] for _ in order]
     for child, i in last_reader.items():
         if child not in kept:
             last_reads[i].append(child)
-    through = [n for n in order if isinstance(n, PowInt) and n.exponent == 1]
-    shared = {n for n in order if isinstance(n, (Var, FuzzyConst))}
-    shared.update(through, (n.base for n in through))
-    plan = (order, last_reads, const_grid, frozenset(order) - shared)
+    through = [node for node in order if isinstance(node, PowInt) and node.exponent == 1]
+    shared = {node for node in order if isinstance(node, (Var, FuzzyConst))}
+    shared.update(through, (node.base for node in through))
+    owned = frozenset(order) - shared
+    tape = []
+    ops: Counter = Counter()
+    for i, (node, done) in enumerate(zip(order, last_reads)):
+        kernel, operands, kinds, message = _TAPE[type(node)]
+        a, b = map(operand, operands(node))
+        improper = tuple(slot[k] for k in node._kids if isinstance(k, GhSub))
+        tape.append((kernel, i, a, b, (message, improper) if improper else None,
+                     tuple(slot[c] for c in done), tuple(slot[c] for c in done if c in owned)))
+        ops.update(kinds)
+        if isinstance(node, PowInt):  # its n - 1 products, or the 1 of n = 0
+            ops.update(mul=max(node.exponent - 1, 0), singleton=int(node.exponent == 0))
+    start = ((None,) * n, tuple(consts))
+    plan = (tuple(tape), start, tuple(slot[r] for r in roots), const_grid, owned, ops)
     last.__dict__["_plan"] = (roots, plan)
     return plan
 
@@ -533,82 +632,57 @@ def evaluate(e: Expr, env: Env | None = None) -> FuzzyNumber:
 
 
 def _evaluate(roots: tuple[Expr, ...], env: Env | None, pool: list | None = None) -> dict[Expr, FuzzyNumber]:
-    """The value of each root, by root, from one walk over their union (see
-    :func:`evaluate`, with the family's first fuzzy constant in place of the
-    tree's).  Every node runs the op a loop of ``evaluate`` over the roots
-    would run on it, on the same inputs, and the first error raised is that
-    loop's first.
+    """The value of each root, by root, from one sweep of the family's tape
+    (see :func:`evaluate` and :func:`_plan`, with the family's first fuzzy
+    constant in place of the tree's).  Every node runs the kernel of the op
+    a loop of ``evaluate`` over the roots would run, on the same inputs, and
+    the first error raised is that loop's first.
 
-    ``pool`` is a buffer pool its caller owns (see :mod:`fuzzcalc.core`).
-    With one, the ops write their results into arrays taken from it, and
-    each child value that dies here and that the plan owns goes back to it.
-    The roots' values are never given back here: they are returned."""
+    The kernels run no guards: ``Env`` checked each binding, a fuzzy
+    constant checked its properness when built, and the sweep checks its
+    grid.  Only a GhSub's value may be improper, so only a GhSub operand is
+    checked, with the message of the guard it stands in for.  Only the
+    roots' values, which leave, are marked read-only.
+
+    ``pool`` is a buffer pool its caller owns (see :mod:`fuzzcalc.core`):
+    the kernels write into its arrays, and each child value that dies here
+    and that the plan owns goes back to it.  The roots' values go back
+    through :func:`_give_back`, once the caller is done with them."""
     env = env if env is not None else Env()
-    order, last_reads, grid, owned = _plan(roots)
+    tape, (empty, consts), root_slots, grid, _, ops = _plan(roots)
     if env.grid is not None:
         grid = env.grid
-    values: dict[Expr, FuzzyNumber] = {}
-    value, bindings = values.__getitem__, env.bindings
-    for node, done in zip(order, last_reads):
-        values[node] = _ev(node, value, bindings, grid, pool)
-        for child in done:
-            if pool is not None and child in owned:
-                _release(pool, values[child])
-            del values[child]
-    return values
-
+    values = [*empty, grid, env.bindings, *consts]
+    for kernel, i, a, b, check, done, freed in tape:
+        if check is not None:
+            message, improper = check
+            for j in improper:
+                if not values[j].proper:
+                    raise ImproperOperand(message)
+        values[i] = kernel(values[a], values[b], pool)
+        if done:
+            if pool is not None:
+                for j in freed:
+                    _release(pool, values[j])
+            for j in done:
+                values[j] = None
+    if _counters.counts is not None:
+        _counters.counts["nodes"] += len(tape)
+        _counters.add(ops, max((v.lower.size for v in env.bindings.values()), default=len(grid)))
+    return {root: _frozen(values[i]) for root, i in zip(roots, root_slots)}
 
 
 def _give_back(roots: tuple[Expr, ...], values: dict[Expr, FuzzyNumber], pool: list) -> None:
     """Give the roots' values from :func:`_evaluate` with ``pool`` back to
-    it, once their caller is done with them: each distinct root whose value
-    the plan owns, once."""
-    owned = _plan(roots)[3]
+    it, writable again, once their caller is done with them: each distinct
+    root whose value the plan owns, once."""
+    owned = _plan(roots)[4]
     for root in dict.fromkeys(roots):
         if root in owned:
-            _release(pool, values[root])
-
-
-def _ev(e: Expr, value, bindings: dict, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
-    """The value of one node; ``value(child)`` gives a child's."""
-    if isinstance(e, CrispConst):
-        return singleton(e.value, grid, _pool=pool)
-    if isinstance(e, FuzzyConst):
-        if e.value.grid != grid:
-            raise GridMismatch("fuzzy constant sampled on a different grid")
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return bindings[e.name]
-        except KeyError:
-            raise UnboundVariable(f"variable {e.name!r} is not bound") from None
-    if isinstance(e, Add):
-        return add(value(e.left), value(e.right), _pool=pool)
-    if isinstance(e, GhSub):
-        return gh_difference(value(e.left), value(e.right))
-    if isinstance(e, Mul):
-        return mul(value(e.left), value(e.right), _pool=pool)
-    if isinstance(e, Div):
-        return div(value(e.left), value(e.right), _pool=pool)
-    if isinstance(e, PowInt):
-        return pow_int(value(e.base), e.exponent, _pool=pool)
-    if isinstance(e, Neg):
-        return scalar_mul(-1.0, value(e.operand), _pool=pool)
-    v = value(e.operand)  # exp, sin or cos: _N_KIDS admits no other class
-    if not v.proper:
-        raise ImproperOperand("function argument is improper")
-    if isinstance(e, Exp):
-        return _fresh(grid, np.exp(v.lower, out=pool.pop() if pool else None),
-                      np.exp(v.upper, out=pool.pop() if pool else None))
-    if isinstance(e, Sin):
-        return _fresh(grid, *_sin_range(v.lower, v.upper, pool))
-    # cos(x) = sin(x + pi/2)
-    lo = np.add(v.lower, _HALF_PI, out=pool.pop() if pool else None)
-    hi = np.add(v.upper, _HALF_PI, out=pool.pop() if pool else None)
-    out = _fresh(grid, *_sin_range(lo, hi, pool))
-    if pool is not None:
-        pool.extend((lo, hi))
-    return out
+            v = values[root]
+            v.lower.setflags(write=True)
+            v.upper.setflags(write=True)
+            _release(pool, v)
 
 
 # -- symbolic differentiation ----------------------------------------------------
@@ -683,8 +757,11 @@ def differentiate(e: Expr, var: str) -> Expr:
     per node and variable, for the node's lifetime, and equal subtrees share
     one derivative node.  The walk stops at a node that has its derivative
     by ``var`` already (its children have theirs too)."""
-    for node in _walk((e,), lambda node: var in node._d):
+    order = _walk((e,), lambda node: var in node._d)
+    for node in order:
         node._d[var] = _derivative(node, var)
+    if _counters.counts is not None:
+        _counters.counts["rules"] += len(order)
     return e._d[var]
 
 

@@ -18,13 +18,14 @@ builds and plans nothing.
 
 Each solve owns one buffer pool (see :mod:`fuzzcalc.core`): a list of
 envelope arrays created when the call starts and dropped when it returns.
-Every value that dies inside the solve goes back to it, and later ops write
-their results into its arrays, so a solve on wide grids reuses its memory
-instead of asking the allocator again.  The pool's owner alone makes an
-array writable again.  What a caller sees is never recycled and stays
-read-only: the trajectory's values, which are drawn from the pool but never
-given back, and x0, y0, h, the powers h^k, the bindings and the constants'
-values, which never enter it.
+The problem checked x0, y0 and h when it was built, so the steps run the
+kernels with the pool and check only that each D_k, which may be a
+gH-difference, is proper.  Every value that dies inside the solve goes
+back to the pool, and later kernels write into its arrays, so a solve on
+wide grids reuses its memory instead of asking the allocator again.  What
+a caller sees is never recycled and is read-only: the trajectory's values,
+drawn from the pool and marked read-only as they are made, and x0, y0, h,
+the bindings and the constants' values, which never enter it.
 
 Multi-step mode compounds the fuzzy step into x (x <- x (+) h), so the
 x-uncertainty accumulates step over step; single-step is the default.
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FuzzyNumber, _release, add, mul, scalar_mul
+from . import _counters
+from .core import _IMPROPER_OPERAND, FuzzyNumber, _add, _frozen, _integer, _mul, _release, _scalar_mul
 from .errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument
 from .expr import Env, Expr, _evaluate, _fadd, _fmul, _give_back, differentiate, free_variables
 
@@ -56,8 +58,10 @@ class IvpProblem:
     def __post_init__(self):
         if not 1 <= self.order <= 4:
             raise InvalidArgument("truncation order must be between 1 and 4")
+        object.__setattr__(self, "order", _integer(self.order, "truncation order"))
         if self.steps < 1:
             raise InvalidArgument("need at least one step")
+        object.__setattr__(self, "steps", _integer(self.steps, "number of steps"))
         extra = free_variables(self.rhs) - {"x", "y"}
         if extra:
             raise InvalidArgument(f"right-hand side may only use x and y, got {sorted(extra)}")
@@ -112,17 +116,19 @@ def _step(
     values = _evaluate(derivs, Env({"x": x, "y": y}, x.grid), pool)
     y_next = y
     for k, (h_pow, dk) in enumerate(zip(h_pows, derivs), start=1):
-        product = mul(h_pow, values[dk], _pool=pool)
-        term = scalar_mul(1.0 / math.factorial(k), product, _pool=pool)
+        if not values[dk].proper:  # a gH-difference; every other value is proper
+            raise ImproperOperand(_IMPROPER_OPERAND)
+        product = _mul(h_pow, values[dk], pool)
+        term = _scalar_mul(1.0 / math.factorial(k), product, pool)
         _release(pool, product)
-        partial, y_next = y_next, add(y_next, term, _pool=pool)
+        partial, y_next = y_next, _add(y_next, term, pool)
         if partial is not y:
             _release(pool, partial)
         if k == len(derivs):
             magnitude = _magnitude(term, pool)
         _release(pool, term)
     _give_back(derivs, values, pool)
-    return add(x, problem.h, _pool=pool), y_next, magnitude
+    return _frozen(_add(x, problem.h, pool)), _frozen(y_next), magnitude
 
 
 def solve(problem: IvpProblem) -> IvpSolution:
@@ -130,7 +136,7 @@ def solve(problem: IvpProblem) -> IvpSolution:
     derivs = tuple(total_derivatives(problem.rhs, problem.order))
     h_pows = [problem.h]
     for _ in range(problem.order - 1):
-        h_pows.append(mul(h_pows[-1], problem.h))
+        h_pows.append(_mul(h_pows[-1], problem.h, None))
     pool: list = []
     x, y = problem.x0, problem.y0
     trajectory = [(x, y)]
@@ -144,4 +150,8 @@ def solve(problem: IvpProblem) -> IvpSolution:
             raise
         trajectory.append((x, y))
         magnitudes.append(mag)
+    if _counters.counts is not None:
+        order, steps = problem.order, problem.steps
+        ops = {"mul": order - 1 + order * steps, "scalar_mul": order * steps, "add": (order + 1) * steps}
+        _counters.add(ops, problem.h.lower.size)
     return IvpSolution(tuple(trajectory), tuple(magnitudes))

@@ -33,19 +33,25 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _counters
 from .core import (
+    _IMPROPER_OPERAND,
+    _OTHER_GRID,
     DEFAULT_GRID,
     AlphaGrid,
     FuzzyNumber,
+    _add,
     _exponent,
     _fresh,
+    _frozen,
+    _gh_difference,
+    _integer,
+    _mul,
     _nested,
     _order_normalized,
-    add,
+    _scalar_mul,
     div,
-    gh_difference,
     make_triangular,
-    mul,
     pow_int,
     scalar_mul,
     singleton,
@@ -135,7 +141,9 @@ class FuzzyPowerSeries:
             self.coeffs = coeffs
 
     def coefficient(self, n: int) -> FuzzyNumber:
-        """a_n; the one check that an explicit list holds it."""
+        """a_n; the one check that n is an integer, and that an explicit
+        list holds it."""
+        n = _integer(n, "coefficient index")
         if isinstance(self.coeffs, CoefficientRule):
             return self.coeffs.value(n, self.center.grid)
         if not 0 <= n < len(self.coeffs):
@@ -145,18 +153,27 @@ class FuzzyPowerSeries:
 
 
 def partial_sum(s: FuzzyPowerSeries, x: FuzzyNumber, n_terms: int) -> FuzzyNumber:
-    """Sum of the first ``n_terms`` terms a_k * (x gH- center)^k."""
+    """Sum of the first ``n_terms`` terms a_k * (x gH- center)^k.  Only ``x``
+    is checked: the series checked the rest when built."""
     if n_terms < 1:
         raise InvalidArgument("need at least one term")
-    diff = gh_difference(x, s.center)
+    n_terms = _integer(n_terms, "number of terms")
+    if not x.proper:
+        raise ImproperOperand(_IMPROPER_OPERAND)
+    if x.grid != s.center.grid:
+        raise GridMismatch(_OTHER_GRID)
+    diff = _gh_difference(x, s.center, None)
     if not diff.proper:
         raise ImproperOperand("x gH- center is improper; partial sums undefined")
     total = s.coefficient(0)
     power = None
     for k in range(1, n_terms):
-        power = diff if power is None else mul(power, diff)
-        total = add(total, mul(s.coefficient(k), power))
-    return total
+        power = diff if power is None else _mul(power, diff, None)
+        total = _add(total, _mul(s.coefficient(k), power, None), None)
+    if _counters.counts is not None:
+        ops = {"gh_difference": 1, "mul": max(2 * n_terms - 3, 0), "add": n_terms - 1}
+        _counters.add(ops, x.lower.size)
+    return _frozen(total)
 
 
 # -- limit declaration -----------------------------------------------------------
@@ -211,6 +228,7 @@ def _probe(s: FuzzyPowerSeries, n_probe: int):
     """(n, a_n, a_(n+1)) at n_probe // 2 and n_probe, and the declared ratio-test limits."""
     if n_probe < 2:
         raise InvalidArgument("n_probe must be at least 2")
+    n_probe = _integer(n_probe, "n_probe")
     half, full = ((n, s.coefficient(n), s.coefficient(n + 1)) for n in (n_probe // 2, n_probe))
     limits = _declared_limits(_forward_quartet(*half), _forward_quartet(*full))
     return half, full, float(limits.min()), float(limits.max())
@@ -334,15 +352,23 @@ def taylor_series_of(
     x0; derivatives are symbolic, evaluation is level-wise.  The tower
     f, f', ..., f^(order) is built first, each node differentiated once per
     node and variable, for the node's lifetime (so a repeated call on ``f``
-    builds the same tower), then evaluated in one walk over its nodes."""
+    builds the same tower), then evaluated in one walk over its nodes.  Each
+    member, which may be an improper gH-difference, is checked as scaled."""
     if order < 0:
         raise InvalidArgument("order must be nonnegative")
+    order = _integer(order, "order")
     at_x0 = Env(env.bindings if env is not None else {}, x0.grid).with_binding(var, x0)
     tower = [f]
     for _ in range(order):
         tower.append(differentiate(tower[-1], var))
     values = _evaluate(tuple(tower), at_x0)
-    coeffs = [scalar_mul(1.0 / math.factorial(k), values[g]) for k, g in enumerate(tower)]
+    coeffs = []
+    for k, g in enumerate(tower):
+        if not values[g].proper:
+            raise ImproperOperand(_IMPROPER_OPERAND)
+        coeffs.append(_frozen(_scalar_mul(1.0 / math.factorial(k), values[g], None)))
+    if _counters.counts is not None:
+        _counters.add({"scalar_mul": len(tower)}, x0.lower.size)
     return FuzzyPowerSeries(x0, coeffs)
 
 

@@ -56,9 +56,13 @@ BOUNDS = [
     ("continuity_probe eps", lambda: continuity_probe(parse_expr("x"), "x", T, eps=0.0), "eps must be"),
     ("FuzzyPowerSeries", lambda: FuzzyPowerSeries(singleton(0.0), []), "must be nonempty"),
     ("partial_sum", lambda: partial_sum(SERIES, T, 0), "at least one term"),
+    ("partial_sum fraction", lambda: partial_sum(SERIES, T, 2.5), "number of terms must be an integer, got 2.5"),
     # an explicit list holds a_0 to a_19; its coefficient read is the one check
     ("coefficient", lambda: SERIES.coefficient(20), "no coefficient a_20: the series has 20"),
     ("coefficient negative", lambda: SERIES.coefficient(-1), "no coefficient a_-1"),
+    ("coefficient fraction", lambda: SERIES.coefficient(1.5), "coefficient index must be an integer, got 1.5"),
+    ("rule coefficient fraction", lambda: FuzzyPowerSeries(T, parse_coeff_rule("1/n!")).coefficient(1.5),
+     "coefficient index must be an integer, got 1.5"),
     ("partial_sum past the list", lambda: partial_sum(SERIES, T, 21), "no coefficient a_20"),
     ("ratio_test past the list", lambda: ratio_test(SERIES, 19), "no coefficient a_20"),
     ("radius_four_quotient past the list", lambda: radius_four_quotient(SERIES, 19), "no coefficient a_20"),
@@ -66,10 +70,16 @@ BOUNDS = [
     ("parse_coeff_rule degree below the line", lambda: parse_coeff_rule("1/n^600/n^600"), "got 1200"),
     ("radius_four_quotient", lambda: radius_four_quotient(SERIES, 1), "n_probe must be"),
     ("ratio_test", lambda: ratio_test(SERIES, 1), "n_probe must be"),
+    ("ratio_test fraction", lambda: ratio_test(SERIES, 4.5), "n_probe must be an integer, got 4.5"),
+    ("radius_four_quotient fraction", lambda: radius_four_quotient(SERIES, 4.5), "n_probe must be an integer, got 4.5"),
     ("convergence_interval", lambda: convergence_interval(T, make_triangular((-1, 0, 1))), "radius"),
     ("taylor_series_of", lambda: taylor_series_of(parse_expr("x"), "x", T, -1), "order must be"),
+    ("taylor_series_of fraction", lambda: taylor_series_of(parse_expr("x"), "x", T, 2.5),
+     "order must be an integer, got 2.5"),
     ("IvpProblem order", lambda: ivp(order=5), "between 1 and 4"),
+    ("IvpProblem order fraction", lambda: ivp(order=2.5), "truncation order must be an integer, got 2.5"),
     ("IvpProblem steps", lambda: ivp(steps=0), "at least one step"),
+    ("IvpProblem steps fraction", lambda: ivp(steps=1.5), "number of steps must be an integer, got 1.5"),
     ("IvpProblem rhs", lambda: ivp(rhs=parse_expr("x + z")), "only use x and y"),
     ("IvpProblem step", lambda: ivp(h=make_triangular((-0.1, 0, 0.1))), "nonnegative support"),
 ]
@@ -87,6 +97,18 @@ def test_the_exponent_bound_is_inclusive():
     assert pow_int(one, MAX_EXPONENT) == one
     assert PowInt(Var("x"), MAX_EXPONENT).exponent == MAX_EXPONENT
     assert len(parse_coeff_rule(f"n^{MAX_EXPONENT}").poly_num) == MAX_EXPONENT + 1
+
+
+def test_a_whole_float_count_is_taken_as_its_int():
+    # the integrality check returns the int, so a count's value, not its
+    # type, decides
+    p = ivp(order=2.0, steps=3.0)
+    assert (p.order, p.steps) == (2, 3) and type(p.order) is type(p.steps) is int
+    assert partial_sum(SERIES, T, 3.0) == partial_sum(SERIES, T, 3)
+    f = parse_expr("x^2")
+    assert taylor_series_of(f, "x", T, 2.0).coeffs == taylor_series_of(f, "x", T, 2).coeffs
+    assert ratio_test(SERIES, 8.0) == ratio_test(SERIES, 8)
+    assert SERIES.coefficient(3.0) is SERIES.coefficient(3)
 
 
 IMPROPER = gh_difference(make_triangular((0, 1, 2)), make_triangular((0, 0.5, 3)))

@@ -1,6 +1,7 @@
 """Alpha-cut arithmetic: worked examples plus randomized property checks."""
 
 import copy
+import inspect
 import math
 import pickle
 import re
@@ -17,9 +18,16 @@ from fuzzcalc.core import (
     AlphaGrid,
     FuzzyNumber,
     Interval,
+    _add,
+    _div,
     _fresh,
+    _gh_difference,
+    _mul,
     _nested,
+    _pow_int,
+    _scalar_mul,
     _sign_class,
+    _singleton,
     add,
     defuzz_triplet,
     div,
@@ -466,34 +474,46 @@ def test_sign_class_kernels_match_min_max_formulas_bitwise(a_name):
 
 @pytest.mark.parametrize("a_name", sorted(_OPERANDS))
 def test_operations_with_a_pool_match_those_without_bitwise(a_name, same_bytes):
-    # with an empty pool, which allocates, and with one of stale arrays to
-    # write into; the operands are left as they were
+    # each kernel, with an empty pool, which allocates, and with one of stale
+    # arrays to write into, against its public operation; the operands are
+    # left as they were, and the public results are read-only
     a = _OPERANDS[a_name]
     kept = a.lower.tobytes(), a.upper.tobytes()
 
-    def check(op, *args):
+    def check(op, kernel, *args):
         for pool in ([], [np.full(len(_GRID5), 7.0) for _ in range(12)]):
             try:
                 want = op(*args)
             except DivisorStraddlesZero as exc:
                 with pytest.raises(DivisorStraddlesZero, match=re.escape(str(exc))):
-                    op(*args, _pool=pool)
+                    kernel(*args, pool)
                 continue
-            got = op(*args, _pool=pool)
+            got = kernel(*args, pool)
             assert same_bytes(got, want), (op.__name__, args)
-            assert not (got.lower.flags.writeable or got.upper.flags.writeable)
+            assert not (want.lower.flags.writeable or want.upper.flags.writeable)
 
     with np.errstate(all="ignore"):
         for b in _OPERANDS.values():
-            check(add, a, b)
-            check(mul, a, b)
-            check(div, a, b)
+            check(add, _add, a, b)
+            check(mul, _mul, a, b)
+            check(div, _div, a, b)
+            check(gh_difference, _gh_difference, a, b)
         for k in (2.5, -2.5, 0.0, -0.0, np.inf, -np.inf):
-            check(scalar_mul, k, a)
+            check(scalar_mul, _scalar_mul, k, a)
         for n in range(5):
-            check(pow_int, a, n)
-    check(singleton, -0.0, _GRID5)
+            check(pow_int, _pow_int, a, n)
+    check(singleton, _singleton, -0.0, _GRID5)
     assert (a.lower.tobytes(), a.upper.tobytes()) == kept
+
+
+def test_public_operations_take_no_pool_and_return_read_only_values():
+    a, b = tri(1, 2, 3), tri(-3, -2, -1)
+    results = [add(a, b), mul(a, b), div(a, b), scalar_mul(-2.0, a), gh_difference(a, b),
+               singleton(2.0), *(pow_int(b, n) for n in range(4))]
+    for v in results:
+        assert not (v.lower.flags.writeable or v.upper.flags.writeable)
+    for op in (add, mul, div, scalar_mul, pow_int, gh_difference, singleton):
+        assert "_pool" not in inspect.signature(op).parameters, op.__name__
 
 
 def _argmin_sign_class(lo, hi):

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import fuzzcalc
+import fuzzcalc.core
 import fuzzcalc.expr
+from fuzzcalc._counters import counting
 from fuzzcalc.core import (
     AlphaGrid,
     _fresh,
@@ -367,20 +369,20 @@ def test_eval_improper_at_root_is_returned_not_raised():
         evaluate(parse_expr("(x - y) + x"), env)
 
 
-def test_eval_evaluates_equal_subtrees_once(count_calls):
+def test_eval_evaluates_equal_subtrees_once():
     u = "(sin(x)*exp(x))"
     expr = parse_expr(f"{u}*{u} + {u}*{u}")
     x = tri(0.2, 0.4, 0.5)
     uu = evaluate(parse_expr(f"{u}*{u}"), Env({"x": x}))
-    calls = count_calls(fuzzcalc.expr, "mul")
-    out = evaluate(expr, Env({"x": x}))
-    assert calls[0] == 2
+    with counting() as counts:
+        out = evaluate(expr, Env({"x": x}))
+    assert counts["mul"] == 2
     expect = add(uu, uu)
     assert out.lower.tobytes() == expect.lower.tobytes()
     assert out.upper.tobytes() == expect.upper.tobytes()
 
 
-def test_family_walks_its_union_once_and_keeps_every_root(count_calls, distinct_nodes, same_bytes):
+def test_family_walks_its_union_once_and_keeps_every_root(distinct_nodes, same_bytes):
     # roots that share subtrees, a root under another root, a repeated root
     # and an improper root; each value is the one evaluate gives it alone
     u = parse_expr("sin(x)*exp(x)")
@@ -388,14 +390,75 @@ def test_family_walks_its_union_once_and_keeps_every_root(count_calls, distinct_
     env = Env({"x": tri(0.2, 0.4, 0.5)})
     loop = [evaluate(root, env) for root in family]
     assert not loop[3].proper
-    calls = count_calls(fuzzcalc.expr, "_ev")
-    values = _evaluate(family, env)
-    assert calls[0] == len(distinct_nodes(*family))
+    with counting() as counts:
+        values = _evaluate(family, env)
+    assert counts["nodes"] == len(distinct_nodes(*family))
     assert all(same_bytes(values[root], w) for root, w in zip(family, loop))
     # another family that ends in the same root gets its own plan
     values = _evaluate((CrispConst(2.0), u), env)
     assert same_bytes(values[CrispConst(2.0)], singleton(2.0, GRID))
     assert same_bytes(values[u], loop[0])
+
+
+# the messages of the parent's guards: an operation's, and exp, sin and cos's
+_IMPROPER_OPERAND = "operand is an improper (non-nested) fuzzy number"
+_IMPROPER_ARGUMENT = "function argument is improper"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("(x - y) + x", ImproperOperand, _IMPROPER_OPERAND),
+    ("x + (x - y)", ImproperOperand, _IMPROPER_OPERAND),
+    ("(x - y)*x", ImproperOperand, _IMPROPER_OPERAND),
+    ("x/(x - y)", ImproperOperand, _IMPROPER_OPERAND),
+    # its guard comes before div's check of the divisor's support
+    ("(x - y)/x", ImproperOperand, _IMPROPER_OPERAND),
+    ("(x - y)^2", ImproperOperand, _IMPROPER_OPERAND),
+    ("(x - y)^1", ImproperOperand, _IMPROPER_OPERAND),
+    ("(x - y)^0", ImproperOperand, _IMPROPER_OPERAND),
+    ("-(x - y)", ImproperOperand, _IMPROPER_OPERAND),
+    ("(x - y) - x", ImproperOperand, _IMPROPER_OPERAND),
+    ("exp(x - y)", ImproperOperand, _IMPROPER_ARGUMENT),
+    ("sin(x - y)", ImproperOperand, _IMPROPER_ARGUMENT),
+    ("cos(x - y)", ImproperOperand, _IMPROPER_ARGUMENT),
+    # the first error in walk order wins
+    ("(x - y)*x + z", ImproperOperand, _IMPROPER_OPERAND),
+    ("z + (x - y)*x", UnboundVariable, "variable 'z' is not bound"),
+])
+def test_an_improper_gh_difference_operand_raises_its_consumers_error(text, error, message, count_calls):
+    # the tape checks a GhSub operand itself, with the message of the guard
+    # of the operation that reads it, and calls no guard
+    env = Env({"x": tri(0, 1, 1), "y": tri(0, 0.5, 2)})
+    assert not evaluate(parse_expr("x - y"), env).proper
+    guards = count_calls(fuzzcalc.core, "_require_proper")
+    with pytest.raises(error) as exc:
+        evaluate(parse_expr(text), env)
+    assert str(exc.value) == message
+    assert guards[0] == 0
+
+
+def test_a_warm_evaluation_calls_no_guard(count_calls, same_bytes):
+    # every node kind, a GhSub operand among them: the plan's checks stand
+    # in for the ops' guards
+    text = "exp(x)*sin(x)/(2 + x^2) - cos(-x)*T(1,2,3) + (x - T(0,0.1,0.2))^3"
+    env = Env({"x": tri(0.2, 0.4, 0.5)})
+    roots = (parse_expr(text), parse_expr("x^0"))
+    first = _evaluate(roots, env)
+    proper, same_grid = (count_calls(fuzzcalc.core, name) for name in ("_require_proper", "_require_same_grid"))
+    again = _evaluate(roots, env)
+    assert (proper[0], same_grid[0]) == (0, 0)
+    assert all(same_bytes(first[r], again[r]) for r in roots)
+
+
+def test_only_the_values_that_leave_are_read_only():
+    # a kernel's result is writable; the roots an evaluation returns, a
+    # binding among them, are read-only
+    env = Env({"x": tri(0.2, 0.4, 0.5)})
+    assert fuzzcalc.core._add(env.bindings["x"], env.bindings["x"], None).lower.flags.writeable
+    roots = (parse_expr("sin(x)*exp(x)"), parse_expr("x"), parse_expr("2"), parse_expr("(x*x)^1"))
+    values = [*_evaluate(roots, env).values(), evaluate(parse_expr("x - 2*x"), env)]
+    assert len(values) == 5
+    for v in values:
+        assert not (v.lower.flags.writeable or v.upper.flags.writeable)
 
 
 def test_family_raises_the_first_error_of_the_per_root_loop():
@@ -507,7 +570,7 @@ def test_second_derivative_of_cubic():
     assert out.core.midpoint == pytest.approx(12.0)
 
 
-def test_repeated_derivative_work_is_bounded_by_distinct_nodes(count_calls, distinct_nodes):
+def test_repeated_derivative_work_is_bounded_by_distinct_nodes(distinct_nodes):
     # the 20th derivative of sin(x)*exp(x) is about 11 million nodes as a
     # tree but a few hundred distinct ones; each distinct product is
     # evaluated once
@@ -518,9 +581,9 @@ def test_repeated_derivative_work_is_bounded_by_distinct_nodes(count_calls, dist
     distinct = distinct_nodes(node)
     assert len(distinct) <= 300
     assert free_variables(node) == {"x"}
-    calls = count_calls(fuzzcalc.expr, "mul")
-    out = evaluate(node, Env({"x": tri(0.1, 0.2, 0.3, grid)}))
-    assert calls[0] == sum(isinstance(n, Mul) for n in distinct)
+    with counting() as counts:
+        out = evaluate(node, Env({"x": tri(0.1, 0.2, 0.3, grid)}))
+    assert counts["mul"] == sum(isinstance(n, Mul) for n in distinct)
     # the alpha = 1 core is the crisp 20th derivative, -2^10 * e^x * sin(x)
     assert out.core.midpoint == pytest.approx(-(2**10) * math.exp(0.2) * math.sin(0.2), rel=1e-9)
 

@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
+import fuzzcalc.core
 import fuzzcalc.expr
 import fuzzcalc.ivp
+from fuzzcalc._counters import counting
 from fuzzcalc.core import (
     AlphaGrid,
     add,
@@ -21,7 +23,7 @@ from fuzzcalc.core import (
     scalar_mul,
     singleton,
 )
-from fuzzcalc.errors import GridMismatch
+from fuzzcalc.errors import GridMismatch, ImproperOperand
 from fuzzcalc.expr import CrispConst, Env, Var, _evaluate, evaluate, parse_expr
 from fuzzcalc.ivp import IvpProblem, solve, total_derivatives
 
@@ -123,13 +125,13 @@ def test_tower_in_one_walk_matches_the_per_root_loop(form, same_bytes):
     assert all(same_bytes(a, b) for pair, ref in zip(got, expect) for a, b in zip(pair, ref))
 
 
-def test_solve_runs_each_tower_node_once_per_step(count_calls, distinct_nodes):
+def test_solve_runs_each_tower_node_once_per_step(distinct_nodes):
     # a loop of evaluate per D_k runs 112 node evaluations here
     p = worked_problem(order=4, steps=2)
     derivs = total_derivatives(p.rhs, p.order)
-    evals = count_calls(fuzzcalc.expr, "_ev")
-    solve(p)
-    assert evals[0] == p.steps * len(distinct_nodes(*derivs)) == 64
+    with counting() as counts:
+        solve(p)
+    assert counts["nodes"] == p.steps * len(distinct_nodes(*derivs)) == 64
 
 
 def test_solve_plans_its_tower_once_and_forms_step_powers_once(count_calls, monkeypatch):
@@ -143,7 +145,7 @@ def test_solve_plans_its_tower_once_and_forms_step_powers_once(count_calls, monk
         return real_walk(roots, *rest)
 
     monkeypatch.setattr(fuzzcalc.expr, "_walk", walk)
-    products = count_calls(fuzzcalc.ivp, "mul")
+    products = count_calls(fuzzcalc.ivp, "_mul")
     solve(p)
     assert walked.count(tuple(total_derivatives(p.rhs, p.order))) == 1
     # h^2, h^3, h^4 once, then h^k (x) D_k for each k in each step
@@ -343,6 +345,19 @@ def test_step_errors_carry_step_index():
 
     with pytest.raises(DivisorStraddlesZero, match="step 1:"):
         solve(p)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_an_improper_gh_difference_term_names_its_step(order, count_calls):
+    # D_1 = x - y is improper at x0, y0: at order 1 the step's own check of
+    # D_1 raises, at order 2 the evaluation of D_2 = 1 + (-1)*(x - y) does
+    p = IvpProblem(rhs=parse_expr("x - y"), x0=tri(0, 1, 1), y0=tri(0, 0.5, 2), h=tri(0.05, 0.1, 0.12),
+                   order=order)
+    guards = count_calls(fuzzcalc.core, "_require_proper")
+    with pytest.raises(ImproperOperand) as exc:
+        solve(p)
+    assert str(exc.value) == "step 1: operand is an improper (non-nested) fuzzy number"
+    assert guards[0] == 0
 
 
 def test_problem_validation():

@@ -7,11 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fuzzcalc.core
 import fuzzcalc.expr
-
+from fuzzcalc._counters import counting
 from fuzzcalc.core import (
     AlphaGrid,
     div,
+    gh_difference,
     hausdorff_distance,
     make_triangular,
     scalar_mul,
@@ -20,6 +22,7 @@ from fuzzcalc.core import (
 from fuzzcalc.errors import (
     DivisorStraddlesZero,
     ExprSyntaxError,
+    GridMismatch,
     ImproperOperand,
     InvalidArgument,
     NoLimit,
@@ -110,6 +113,25 @@ def test_partial_sum_rejects_improper_offset():
     s = FuzzyPowerSeries(tri(0, 0.5, 2), [tri(0, 1, 2)] * 3)
     with pytest.raises(ImproperOperand):
         partial_sum(s, tri(0, 1, 1), 3)
+
+
+def test_a_warm_partial_sum_calls_no_guard(count_calls, same_bytes):
+    # partial_sum checks its point once, with the guards' messages, and runs
+    # the kernels; a loop of public ops would call the guards per product
+    grid = AlphaGrid.uniform(11)
+    s = taylor_series_of(parse_expr("1.5*sin(x)*exp(x)", grid), "x", tri(0.1, 0.2, 0.3, grid), 8)
+    at = tri(0.05, 0.2, 0.4, grid)
+    improper = gh_difference(tri(0, 1, 1, grid), tri(0, 0.5, 2, grid))
+    first = partial_sum(s, at, 9)
+    proper, same_grid = (count_calls(fuzzcalc.core, name) for name in ("_require_proper", "_require_same_grid"))
+    again = partial_sum(s, at, 9)
+    assert same_bytes(first, again)
+    assert not (again.lower.flags.writeable or again.upper.flags.writeable)
+    with pytest.raises(ImproperOperand, match=r"^operand is an improper \(non-nested\) fuzzy number$"):
+        partial_sum(s, improper, 3)
+    with pytest.raises(GridMismatch, match="^operands live on different alpha grids; resample first$"):
+        partial_sum(s, tri(0.05, 0.2, 0.4), 3)
+    assert (proper[0], same_grid[0]) == (0, 0)
 
 
 # -- four-quotient radius -----------------------------------------------------------
@@ -432,6 +454,16 @@ def test_taylor_tower_in_one_walk_matches_the_per_root_loop(text, order, same_by
             assert same_bytes(c, scalar_mul(1.0 / math.factorial(k), w))
 
 
+def test_an_improper_tower_member_raises_the_operand_error(count_calls):
+    # f itself is an improper gH-difference at x0; taylor_series_of checks each
+    # member before scaling it, with scalar_mul's guard message
+    guards = count_calls(fuzzcalc.core, "_require_proper")
+    with pytest.raises(ImproperOperand) as exc:
+        taylor_series_of(parse_expr("x - T(0,0.5,2)"), "x", tri(0, 1, 1), 2)
+    assert str(exc.value) == "operand is an improper (non-nested) fuzzy number"
+    assert guards[0] == 0
+
+
 @pytest.mark.parametrize(
     "text, order, evaluated, differentiated",
     [("sin(x)*exp(x)", 10, 79, 67), ("exp(sin(x))", 7, 94, 65)],
@@ -458,13 +490,13 @@ def test_taylor_tower_runs_each_distinct_node_once(
         return nodes
 
     monkeypatch.setattr(fuzzcalc.expr, "_walk", walk)
-    evals = count_calls(fuzzcalc.expr, "_ev")
-    for centre in ((0.1, 0.2, 0.3), (-0.9, -0.7, -0.6)):
-        taylor_series_of(f, "x", tri(*centre, grid), order)
+    with counting() as counts:
+        for centre in ((0.1, 0.2, 0.3), (-0.9, -0.7, -0.6)):
+            taylor_series_of(f, "x", tri(*centre, grid), order)
     assert rules[0] == differentiated
     # the first call plans the tower's walk, the second reuses that plan
     assert walked == [0] * order + [evaluated] + [0] * order
-    assert evals[0] == 2 * len(distinct_nodes(*tower)) == 2 * evaluated
+    assert counts["nodes"] == 2 * len(distinct_nodes(*tower)) == 2 * evaluated
 
 
 # -- rule text parsing --------------------------------------------------------------------------
