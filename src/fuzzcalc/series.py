@@ -64,6 +64,9 @@ _AGREE_RTOL = 1e-6
 _DECAY_FACTOR = 0.75
 _GROWTH_FACTOR = 1.5
 _TINY = 1e-300
+# The largest order ``taylor_series_of`` takes: 170! is the largest factorial
+# a float holds, so 1 / k! is a float for every coefficient it scales.
+MAX_ORDER = 170
 
 
 @dataclass(frozen=True)
@@ -141,12 +144,14 @@ class FuzzyPowerSeries:
             self.coeffs = coeffs
 
     def coefficient(self, n: int) -> FuzzyNumber:
-        """a_n; the one check that n is an integer, and that an explicit
-        list holds it."""
+        """a_n; the one check that n is an integer, that it is not negative,
+        and that an explicit list holds it."""
         n = _integer(n, "coefficient index")
+        if n < 0:
+            raise InvalidArgument(f"no coefficient a_{n}: a series has coefficients from a_0 on")
         if isinstance(self.coeffs, CoefficientRule):
             return self.coeffs.value(n, self.center.grid)
-        if not 0 <= n < len(self.coeffs):
+        if n >= len(self.coeffs):
             raise InvalidArgument(
                 f"no coefficient a_{n}: the series has {len(self.coeffs)} explicit coefficients")
         return self.coeffs[n]
@@ -353,9 +358,13 @@ def taylor_series_of(
     f, f', ..., f^(order) is built first, each node differentiated once per
     node and variable, for the node's lifetime (so a repeated call on ``f``
     builds the same tower), then evaluated in one walk over its nodes.  Each
-    member, which may be an improper gH-difference, is checked as scaled."""
+    member, which may be an improper gH-difference, is checked as scaled.
+    ``order`` is at most ``MAX_ORDER``."""
     if order < 0:
         raise InvalidArgument("order must be nonnegative")
+    if order > MAX_ORDER:
+        raise InvalidArgument(
+            f"order must be at most {MAX_ORDER}, the largest k whose k! is a float, got {order!r}")
     order = _integer(order, "order")
     at_x0 = Env(env.bindings if env is not None else {}, x0.grid).with_binding(var, x0)
     tower = [f]

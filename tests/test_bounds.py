@@ -20,6 +20,7 @@ from fuzzcalc.errors import FuzzyError, GridMismatch, ImproperOperand, InvalidAr
 from fuzzcalc.expr import PowInt, Var, parse_expr
 from fuzzcalc.ivp import IvpProblem
 from fuzzcalc.series import (
+    MAX_ORDER,
     FuzzyPowerSeries,
     convergence_interval,
     parse_coeff_rule,
@@ -63,6 +64,11 @@ BOUNDS = [
     ("coefficient fraction", lambda: SERIES.coefficient(1.5), "coefficient index must be an integer, got 1.5"),
     ("rule coefficient fraction", lambda: FuzzyPowerSeries(T, parse_coeff_rule("1/n!")).coefficient(1.5),
      "coefficient index must be an integer, got 1.5"),
+    # a rule takes no negative index either: n! and c^n are not read there
+    ("rule coefficient negative", lambda: FuzzyPowerSeries(T, parse_coeff_rule("1/n!")).coefficient(-1),
+     "no coefficient a_-1"),
+    ("rule coefficient negative power",
+     lambda: FuzzyPowerSeries(T, parse_coeff_rule("n*T(1,2,3)^(n)")).coefficient(-2), "no coefficient a_-2"),
     ("partial_sum past the list", lambda: partial_sum(SERIES, T, 21), "no coefficient a_20"),
     ("ratio_test past the list", lambda: ratio_test(SERIES, 19), "no coefficient a_20"),
     ("radius_four_quotient past the list", lambda: radius_four_quotient(SERIES, 19), "no coefficient a_20"),
@@ -74,6 +80,8 @@ BOUNDS = [
     ("radius_four_quotient fraction", lambda: radius_four_quotient(SERIES, 4.5), "n_probe must be an integer, got 4.5"),
     ("convergence_interval", lambda: convergence_interval(T, make_triangular((-1, 0, 1))), "radius"),
     ("taylor_series_of", lambda: taylor_series_of(parse_expr("x"), "x", T, -1), "order must be"),
+    ("taylor_series_of order past the float factorials",
+     lambda: taylor_series_of(parse_expr("x"), "x", T, MAX_ORDER + 1), f"at most {MAX_ORDER}, .* got 171"),
     ("taylor_series_of fraction", lambda: taylor_series_of(parse_expr("x"), "x", T, 2.5),
      "order must be an integer, got 2.5"),
     ("IvpProblem order", lambda: ivp(order=5), "between 1 and 4"),
@@ -97,6 +105,12 @@ def test_the_exponent_bound_is_inclusive():
     assert pow_int(one, MAX_EXPONENT) == one
     assert PowInt(Var("x"), MAX_EXPONENT).exponent == MAX_EXPONENT
     assert len(parse_coeff_rule(f"n^{MAX_EXPONENT}").poly_num) == MAX_EXPONENT + 1
+
+
+def test_the_order_bound_is_inclusive():
+    s = taylor_series_of(parse_expr("x"), "x", T, MAX_ORDER)
+    assert len(s.coeffs) == MAX_ORDER + 1
+    assert s.coefficient(1) == singleton(1.0) and s.coefficient(MAX_ORDER) == singleton(0.0)
 
 
 def test_a_whole_float_count_is_taken_as_its_int():

@@ -7,8 +7,11 @@ import pytest
 
 import fuzzcalc.calculus
 from fuzzcalc.calculus import continuity_probe, mh_derivative
+from fuzzcalc._counters import counting
 from fuzzcalc.core import (
     AlphaGrid,
+    FuzzyNumber,
+    _order_normalized,
     add,
     gh_difference,
     hausdorff_distance,
@@ -240,3 +243,116 @@ def test_underflow_leaves_a_block_whole_unless_the_caller_raises_on_it(count_cal
         for estimate in (mh_derivative, continuity_probe):
             with pytest.raises(FloatingPointError, match="underflow encountered in exp"):
                 estimate(f, "x", x0)
+
+
+# -- the stacked paths against a point-by-point loop --------------------------------
+
+
+def _shifted(x0, offset):
+    return FuzzyNumber(x0.grid, x0.lower + offset, x0.upper + offset)
+
+
+def _largest_deviation(a, b):
+    # per envelope, then the larger of the two: NaN only when the lower one is
+    lo, hi = np.max(np.abs(a - b), axis=-1)
+    return hi if hi > lo else lo
+
+
+def _loop_estimate(f, x0, tol):
+    """mh_derivative one point and one step at a time: the reference the
+    stacked blocks must match bit for bit.  Arrays are (side, envelope,
+    level), side 0 the forward quotient and side 1 the backward one."""
+    def at(offset):
+        v = evaluate(f, Env({"x": _shifted(x0, offset)}, x0.grid))
+        return v.lower, v.upper
+
+    c_lo, c_hi = at(0.0)  # x0 + 0.0: a -0.0 in x0 becomes +0.0
+    h, before = 0.125 * (1.0 + abs(x0.support.midpoint)), None
+    for _ in range(40):
+        (f_lo, f_hi), (b_lo, b_hi) = at(h), at(-h)
+        d_lo, d_hi = np.stack((f_lo - c_lo, c_lo - b_lo)), np.stack((f_hi - c_hi, c_hi - b_hi))
+        q = np.stack((np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)), axis=1) / h
+        pattern = (d_lo <= d_hi)[:, None]
+        if before is None:
+            ex, step = q, math.inf
+        else:
+            q0, pattern0, ex0 = before
+            ex = np.where(pattern == pattern0, (q - 0.5 * q0) / 0.5, q)
+            step = _largest_deviation(ex[0], ex0[0])
+        gap = _largest_deviation(ex[0], ex[1])
+        if gap <= tol and step <= tol:
+            return [_order_normalized(x0.grid, *side) for side in ex], h, gap
+        before, h = (q, pattern, ex), h * 0.5
+    raise NotDifferentiable("did not settle")
+
+
+def _loop_probe(f, x0, eps=1e-3, trial_deltas=(1.0, 0.5, 0.1, 0.05, 0.01, 0.005, 0.001)):
+    f0 = evaluate(f, Env({"x": x0}, x0.grid))
+    for delta in sorted(trial_deltas, reverse=True):
+        shifts = [sign * frac * delta for frac in (0.25, 0.5, 0.75, 0.95) for sign in (1.0, -1.0)]
+        if not any(hausdorff_distance(evaluate(f, Env({"x": _shifted(x0, s)}, x0.grid)), f0) >= eps
+                   for s in shifts):
+            return float(delta)
+    return None
+
+
+NEGATIVE_ZERO = (-2, -1, -0.0)  # -0.0 atop the support
+ESTIMATES = [
+    # f does not read x: its one row is broadcast over the stack
+    ("T(1,2,3)", (0.6, 0.8, 1.0), TOL),
+    ("2", (0.6, 0.8, 1.0), TOL),
+    ("x", NEGATIVE_ZERO, TOL),
+    ("exp(x)", NEGATIVE_ZERO, TOL),
+    # converges with an improper backward extrapolant: the nestedness check
+    # of the two sides together fails, and each side is checked on its own
+    ("cos(x) - x", (-1.154, -0.424, 0.398), 0.01),
+    ("sin(x)*exp(x)", (0.6, 0.8, 1.0), 1e-9),
+]
+
+
+@pytest.mark.parametrize("text, x0, tol", ESTIMATES)
+def test_an_estimate_is_the_point_by_point_loop_bit_for_bit(text, x0, tol, same_bytes):
+    f, point = parse_expr(text), tri(*x0)
+    est = mh_derivative(f, "x", point, tol=tol)
+    (value, left_value), h, gap = _loop_estimate(f, point, tol)
+    assert same_bytes(est.value, value) and same_bytes(est.left_value, left_value)
+    assert (est.h_final, est.gap) == (h, gap)
+    assert est.left_value.proper == (text != "cos(x) - x")
+
+
+PROBES = [
+    ("T(1,2,3)", (0.6, 0.8, 1.0), {}, 1.0),
+    ("2", (0.6, 0.8, 1.0), {}, 1.0),
+    ("exp(x)", NEGATIVE_ZERO, {"eps": 0.5}, 0.1),
+    # unsorted and repeated: 1.0 is rejected, then 0.1 is accepted
+    ("x", (0, 1, 2), {"eps": 0.1, "trial_deltas": (0.01, 1.0, 0.1, 0.1)}, 0.1),
+    # one delta, accepted or not
+    ("x", (0, 1, 2), {"eps": 1.0, "trial_deltas": (0.5,)}, 0.5),
+    ("x", (0, 1, 2), {"eps": 0.1, "trial_deltas": (0.5,)}, None),
+    ("1000 * x", (0, 1, 2), {"eps": 1e-6, "trial_deltas": (1.0, 0.5, 0.5, 2.0)}, None),
+    ("x", (0, 1, 2), {"trial_deltas": ()}, None),
+]
+
+
+@pytest.mark.parametrize("text, x0, kw, delta", PROBES)
+def test_a_probe_is_the_point_by_point_loop(text, x0, kw, delta):
+    f, point = parse_expr(text), tri(*x0)
+    got = continuity_probe(f, "x", point, **kw)
+    assert got == _loop_probe(f, point, **kw) == delta
+    assert got is None or type(got) is float
+
+
+def test_the_estimators_count_their_blocks_rows_and_steps():
+    f, x0 = parse_expr("sin(x)*exp(x)"), tri(0.6, 0.8, 1.0)
+    with counting() as counts:
+        mh_derivative(f, "x", x0)
+    # one block: x0 and 12 steps' two points
+    assert {k: counts[k] for k in ("blocks", "rows", "tableau_steps")} == {
+        "blocks": 1, "rows": 25, "tableau_steps": 12}
+    with counting() as counts:
+        continuity_probe(f, "x", x0)
+    assert (counts["blocks"], counts["rows"], counts["tableau_steps"]) == (1, 1 + 7 * 8, 0)
+    # the block raises and is redone: x0 and two steps, one point at a time
+    with counting() as counts:
+        mh_derivative(parse_expr(GUARDED), "x", tri(0.02, 0.03, 0.05))
+    assert (counts["blocks"], counts["rows"], counts["tableau_steps"]) == (1, 25 + 5, 2)

@@ -303,13 +303,16 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "-1"],
      "order must be nonnegative"),
+    (["series", "--taylor-of", "x", "--var", "x", "--center", "T(-1,0,1)", "--order", "171"],
+     "order must be at most 170, the largest k whose k! is a float, got 171"),
     (["eval", "--expr", "x", "--bind", "x=1", "--alphas", "1"], "grid resolution must be >= 2 and an integer, got 1"),
     (["eval", "--expr", "x^1025", "--bind", "x=T(1,1,1)"],
      "exponent must be an integer from 0 to 1024, got 1025"),
     # the probe at n = 8 takes the base to the power 8 + 1017
     (["series", "--coeff-rule", "T(1,2,3)^(n+1017)", "--radius-mode", "symbolic"],
      "exponent must be an integer from 0 to 1024, got 1025"),
-], ids=["series order", "alphas", "expression power", "rule power shift"])
+], ids=["series order", "series order past the float factorials", "alphas", "expression power",
+        "rule power shift"])
 def test_exit_2_on_an_argument_out_of_its_bound(argv, message, capsys):
     # the library check that owns the bound names it, before any
     # multiplication, so a power of any size fails at once

@@ -20,7 +20,10 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   tolerances and ``continuity_probe``;
 * estimator inputs that stop just before, or raise at, a point whose
   support holds zero or whose value does not nest, one that does not
-  converge and one whose values underflow;
+  converge and one whose values underflow; functions that do not read the
+  variable, a point with -0.0 in its envelopes, probes of unsorted,
+  repeated, single and no trial deltas, and an estimate whose backward
+  extrapolant is improper;
 * ``mul``, ``div`` and ``pow_int`` on operands whose sign class picks the
   kernel: zeros of either sign, infinite envelopes, NaN-bearing values and
   stacks whose rows share a sign or do not;
@@ -31,7 +34,9 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
 * the cli-oneshot argvs, the error argvs of the failure contract and
   the help texts, each through ``cli.run`` in-process: exit code, stdout,
   stderr and the table it writes;
-* each library argument bound, given an argument past it;
+* each library argument bound, given an argument past it, among them a
+  Taylor order past the float factorials and negative indices of rule
+  series;
 * the constructor's refusals and the package's exported names.
 
 Each entry records its result (envelope digests, properness, scalars) or
@@ -98,6 +103,7 @@ EXTRA_ARGVS = (
     ["eval", "--expr", "x^5000", "--bind", "x=1"],
     ["series", "--coeff-rule", "T(1,2,3)^(n+1100)", "--radius-mode", "symbolic"],
     ["series", "--coeff-rule", "n^1025", "--radius-mode", "symbolic"],
+    ["series", "--taylor-of", "x", "--var", "x", "--center", "T(-1,0,1)", "--order", "171"],
     # both radius modes' ratio-test values, and coefficients past the float range
     ["series", "--coeff-rule", "T(0.3,0.3,0.3)^(n)", "--radius-mode", "four-quotient"],
     ["series", "--coeff-rule", "n^400", "--radius-mode", "symbolic"],
@@ -122,6 +128,23 @@ ESTIMATOR_INPUTS = (
     # exp underflows to zero, which numpy ignores by default
     ("exp(x)", (-760, -750, -740), "mh_derivative", {}),
     ("exp(x)", (-760, -750, -740), "continuity_probe", {}),
+    # f does not read x: its one row is broadcast over the stack
+    ("T(1,2,3)", (0.6, 0.8, 1.0), "mh_derivative", {}),
+    ("2", (0.6, 0.8, 1.0), "mh_derivative", {}),
+    ("T(1,2,3)", (0.6, 0.8, 1.0), "continuity_probe", {}),
+    ("2", (0.6, 0.8, 1.0), "continuity_probe", {}),
+    # -0.0 atop the support: the estimate's x0 row is x0 + 0.0, the probe's x0
+    ("exp(x)", (-2, -1, -0.0), "mh_derivative", {}),
+    ("exp(x)", (-2, -1, -0.0), "continuity_probe", {"eps": 0.5}),
+    # trial deltas unsorted and repeated, single, and none; the first tried
+    # accepted, a later one, or none
+    ("x", (0, 1, 2), "continuity_probe", {"eps": 0.1, "trial_deltas": (0.01, 1.0, 0.1, 0.1)}),
+    ("x", (0, 1, 2), "continuity_probe", {"eps": 1.0, "trial_deltas": (0.5,)}),
+    ("x", (0, 1, 2), "continuity_probe", {"eps": 0.1, "trial_deltas": (0.5,)}),
+    ("1000 * x", (0, 1, 2), "continuity_probe", {"eps": 1e-6, "trial_deltas": (1.0, 0.5, 0.5, 2.0)}),
+    ("x", (0, 1, 2), "continuity_probe", {"trial_deltas": ()}),
+    # converges with an improper backward extrapolant
+    ("cos(x) - x", (-1.154, -0.424, 0.398), "mh_derivative", {"tol": 0.01}),
 )
 # operands whose sign class picks mul's kernel, and so div's and pow_int's,
 # bound as x = T(0,1,2), y = T(700,705,720) and w = T(700,800,900): zeros of
@@ -331,6 +354,11 @@ def _library_entries(workloads, fc):
         "ratio_test n=1": lambda: series.ratio_test(cases["[T(1,2,3)] * 40"](), 1),
         "convergence_interval radius T(-1,0,1)": lambda: series.convergence_interval(zero, tri[1]),
         "taylor_series_of order -1": lambda: series.taylor_series_of(x, "x", tri[0], -1),
+        "taylor_series_of order 171": lambda: series.taylor_series_of(x, "x", tri[0], 171),
+        "rule 1/n! coefficient(-1)":
+            lambda: series.FuzzyPowerSeries(tri[0], series.parse_coeff_rule("1/n!", grid)).coefficient(-1),
+        "rule n*T(1,2,3)^(n) coefficient(-2)": lambda: series.FuzzyPowerSeries(
+            tri[0], series.parse_coeff_rule("n*T(1,2,3)^(n)", grid)).coefficient(-2),
         "IvpProblem order=5": lambda: fc.ivp.IvpProblem(**ivp, order=5),
         "IvpProblem steps=0": lambda: fc.ivp.IvpProblem(**ivp, steps=0),
         "IvpProblem rhs x + z": lambda: fc.ivp.IvpProblem(**{**ivp, "rhs": parse("x + z", grid)}),
