@@ -11,15 +11,19 @@ out of its bound is one), each with nothing on stdout and one
 Handlers import what they run when they run, and the options whose
 defaults and bounds other modules own (``--alphas``, ``--tol``) default
 to None and are checked by those modules, so ``eval`` loads no calculus,
-series or IVP code, and argparse's usage errors and ``--help`` load no
-numpy.
+series or IVP code.  An error found in argv or problem-file text alone
+loads no numpy: argparse's usage errors, ``--help``, and ``solve-ivp``'s
+problem-file and field checks, which run before it imports the solver.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
+import warnings
 
 from .errors import (
     ExprSyntaxError,
@@ -47,6 +51,12 @@ def write_alpha_csv(value, path, metadata: dict | None = None) -> None:
 
     Metadata (the command and its inputs) goes into leading '#' comment
     lines, which golden comparisons ignore.
+
+    A table is rewritten in place: opened without truncation and cut to the
+    length written, so the path keeps its inode (a symlink or a hard link
+    still names the table), and a rewrite does not wait, as a truncating
+    open can, for the old rows to reach the disk.  A path that is not a
+    regular file, such as ``/dev/stdout``, is written as a stream.
     """
     if not value.proper:
         raise ImproperOperand("refusing to serialize an improper fuzzy number")
@@ -56,8 +66,11 @@ def write_alpha_csv(value, path, metadata: dict | None = None) -> None:
     lines.append("alpha,lower,upper")
     for a, lo, hi in zip(value.grid.levels, value.lower, value.upper):
         lines.append(f"{_fmt(a)},{_fmt(lo)},{_fmt(hi)}")
-    with open(path, "w", newline="\n") as fh:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 # -- shared parsing helpers ------------------------------------------------------------
@@ -250,9 +263,6 @@ def _cmd_series(args):
 
 
 def _cmd_solve_ivp(args):
-    from .expr import parse_expr
-    from .ivp import IvpProblem, solve
-
     settings = read_problem_file(args.file) if args.file else {}
     if settings.get("command", "solve-ivp") != "solve-ivp":
         raise ProblemFileError(f"problem file is for {settings['command']!r}, not solve-ivp")
@@ -269,6 +279,9 @@ def _cmd_solve_ivp(args):
         counts = {k: int(settings[k]) for k in ("order", "steps") if k in settings}
     except ValueError as exc:
         raise ProblemFileError(f"bad integer field: {exc}") from None
+    from .expr import parse_expr
+    from .ivp import IvpProblem, solve
+
     grid = _grid_from(alphas)
     rhs = parse_expr(settings["rhs"], grid)
     x0, y0, h = (_parse_fuzzy_value(settings[k], grid) for k in ("x0", "y0", "h"))
@@ -345,9 +358,9 @@ def run(argv: list[str]) -> int:
     """Execute one command and return the process exit code; the only code
     that prints or writes a table.  Malformed input never raises.
 
-    numpy's floating-point warnings are silenced, as they would name package
-    source lines ahead of the error; ``_summary`` refuses every non-finite
-    value it prints.
+    numpy's floating-point warnings (RuntimeWarning) are silenced, as they
+    would name package source lines ahead of the error; ``_summary`` refuses
+    every non-finite value it prints.  The filter loads no numpy.
     """
     parser = build_parser()
     try:
@@ -356,10 +369,9 @@ def run(argv: list[str]) -> int:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
-    import numpy as np
-
     try:
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             lines, value, out, meta = _HANDLERS[args.command](args)
             if out:
                 write_alpha_csv(value, out, {"command": args.command, **meta})

@@ -78,6 +78,12 @@ DEFAULT_RESOLUTION = 101
 # ``mul`` per unit of the exponent, so the bound bounds its work.
 MAX_EXPONENT = 1024
 
+# The most levels ``AlphaGrid.uniform`` makes: each envelope holds one float64
+# per level, so the bound keeps an envelope at 8 MB or less (8 bytes times
+# 1,000,001 levels), about a hundred times the 10001 levels of the widest
+# grid the tests and the benchmark solve on.
+MAX_RESOLUTION = 1_000_001
+
 # Slack for float noise when checking envelope monotonicity; operation
 # results are exact up to a few ulps, so this never masks real defects.
 _NEST_SLACK = 1e-12
@@ -103,6 +109,8 @@ class AlphaGrid:
     def uniform(cls, resolution: int = DEFAULT_RESOLUTION) -> "AlphaGrid":
         if not (resolution >= 2 and resolution % 1 == 0):
             raise InvalidArgument(f"grid resolution must be >= 2 and an integer, got {resolution!r}")
+        if resolution > MAX_RESOLUTION:
+            raise InvalidArgument(f"grid resolution must be at most {MAX_RESOLUTION}, got {resolution!r}")
         return cls(np.linspace(0.0, 1.0, int(resolution)))
 
     def __len__(self) -> int:

@@ -43,6 +43,11 @@ from .core import _IMPROPER_OPERAND, FuzzyNumber, _add, _frozen, _integer, _mul,
 from .errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument
 from .expr import Env, Expr, _evaluate, _fadd, _fmul, _give_back, differentiate, free_variables
 
+# The most steps a problem takes: the solution keeps every (x, y) pair of its
+# trajectory, four envelopes of 8 bytes per level each, so the bound keeps a
+# solve's work and its trajectory proportional to the grid it runs on.
+MAX_STEPS = 10_000
+
 
 @dataclass(frozen=True)
 class IvpProblem:
@@ -61,6 +66,8 @@ class IvpProblem:
         object.__setattr__(self, "order", _integer(self.order, "truncation order"))
         if self.steps < 1:
             raise InvalidArgument("need at least one step")
+        if self.steps > MAX_STEPS:
+            raise InvalidArgument(f"number of steps must be at most {MAX_STEPS}, got {self.steps!r}")
         object.__setattr__(self, "steps", _integer(self.steps, "number of steps"))
         extra = free_variables(self.rhs) - {"x", "y"}
         if extra:

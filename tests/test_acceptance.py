@@ -228,7 +228,7 @@ def test_criterion_7_randomized_property_suite(tmp_path):
                 assert dab <= hausdorff_distance(a, c) + hausdorff_distance(c, b) + 1e-12
             prev = a
 
-            # CSV round trip on every 10th pair (I/O dominated otherwise)
+            # CSV round trip on every 10th pair, each rewriting one table in place
             if i % 10 == 0:
                 write_alpha_csv(prod, csv_path)
                 table = np.loadtxt(csv_path, delimiter=",", skiprows=1, unpack=True)

@@ -9,6 +9,7 @@ from fuzzcalc.calculus import continuity_probe, mh_derivative
 from fuzzcalc.cli import write_alpha_csv
 from fuzzcalc.core import (
     MAX_EXPONENT,
+    MAX_RESOLUTION,
     AlphaGrid,
     FuzzyNumber,
     gh_difference,
@@ -18,7 +19,7 @@ from fuzzcalc.core import (
 )
 from fuzzcalc.errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument, NotSimplifiable
 from fuzzcalc.expr import PowInt, Var, parse_expr
-from fuzzcalc.ivp import IvpProblem
+from fuzzcalc.ivp import MAX_STEPS, IvpProblem, solve
 from fuzzcalc.series import (
     MAX_ORDER,
     FuzzyPowerSeries,
@@ -47,6 +48,8 @@ BOUNDS = [
     ("AlphaGrid order", lambda: AlphaGrid([0.0, 0.5, 0.5, 1.0]), "strictly increasing"),
     ("AlphaGrid.uniform", lambda: AlphaGrid.uniform(1), "resolution must be >= 2"),
     ("AlphaGrid.uniform fraction", lambda: AlphaGrid.uniform(2.5), "an integer, got 2.5"),
+    ("AlphaGrid.uniform too fine", lambda: AlphaGrid.uniform(MAX_RESOLUTION + 1),
+     f"at most {MAX_RESOLUTION}, got {MAX_RESOLUTION + 1}"),
     ("FuzzyNumber shape", lambda: FuzzyNumber(AlphaGrid.uniform(3), [0, 0], [1, 1]), "match the grid"),
     ("pow_int negative", lambda: pow_int(T, -1), "got -1"),
     ("pow_int fraction", lambda: pow_int(T, 2.5), "got 2.5"),
@@ -88,6 +91,8 @@ BOUNDS = [
     ("IvpProblem order fraction", lambda: ivp(order=2.5), "truncation order must be an integer, got 2.5"),
     ("IvpProblem steps", lambda: ivp(steps=0), "at least one step"),
     ("IvpProblem steps fraction", lambda: ivp(steps=1.5), "number of steps must be an integer, got 1.5"),
+    ("IvpProblem steps too many", lambda: ivp(steps=MAX_STEPS + 1),
+     f"number of steps must be at most {MAX_STEPS}, got {MAX_STEPS + 1}"),
     ("IvpProblem rhs", lambda: ivp(rhs=parse_expr("x + z")), "only use x and y"),
     ("IvpProblem step", lambda: ivp(h=make_triangular((-0.1, 0, 0.1))), "nonnegative support"),
 ]
@@ -111,6 +116,22 @@ def test_the_order_bound_is_inclusive():
     s = taylor_series_of(parse_expr("x"), "x", T, MAX_ORDER)
     assert len(s.coeffs) == MAX_ORDER + 1
     assert s.coefficient(1) == singleton(1.0) and s.coefficient(MAX_ORDER) == singleton(0.0)
+
+
+def test_the_resolution_bound_is_inclusive():
+    grid = AlphaGrid.uniform(MAX_RESOLUTION)
+    assert len(grid) == MAX_RESOLUTION and grid.levels[-1] == 1.0
+
+
+def test_the_step_bound_is_inclusive():
+    # order 1 on two levels, so that the longest solve stays short
+    grid = AlphaGrid.uniform(2)
+    problem = IvpProblem(rhs=parse_expr("x + y", grid), x0=make_triangular((0, 0.1, 0.2), grid),
+                         y0=make_triangular((1, 1.1, 1.2), grid), h=make_triangular((1e-5, 2e-5, 3e-5), grid),
+                         order=1, steps=MAX_STEPS)
+    solution = solve(problem)
+    assert len(solution.trajectory) == MAX_STEPS + 1 and len(solution.truncation_magnitudes) == MAX_STEPS
+    assert solution.final[1].proper
 
 
 def test_a_whole_float_count_is_taken_as_its_int():

@@ -94,6 +94,59 @@ def test_csv_ends_with_lf_newline(tmp_path):
     assert raw.endswith(b"\n") and b"\r" not in raw
 
 
+def test_a_shorter_table_rewrites_a_longer_one_to_exactly_its_rows(tmp_path):
+    out = tmp_path / "t.csv"
+    write_alpha_csv(make_triangular((1, 2, 3), AlphaGrid.uniform(50)), out, metadata={"command": "long"})
+    short = make_triangular((4, 5, 6), AlphaGrid.uniform(3))
+    write_alpha_csv(short, out)
+    assert out.read_text() == "alpha,lower,upper\n0.0,4.0,6.0\n0.5,4.5,5.5\n1.0,5.0,5.0\n"
+    assert read_table(out) == short
+
+
+def test_a_rewritten_table_keeps_its_inode(tmp_path):
+    target, link, hard = tmp_path / "t.csv", tmp_path / "link.csv", tmp_path / "hard.csv"
+    write_alpha_csv(make_triangular((1, 2, 3), GRID), target)
+    link.symlink_to(target)
+    os.link(target, hard)
+    inode = target.stat().st_ino
+    value = make_triangular((4, 5, 6), AlphaGrid.uniform(3))
+    write_alpha_csv(value, link)
+    assert link.is_symlink() and target.stat().st_ino == inode
+    assert read_table(target) == read_table(hard) == value
+    write_alpha_csv(singleton(1.0, AlphaGrid.uniform(3)), hard)
+    assert hard.stat().st_ino == inode and read_table(target) == singleton(1.0, AlphaGrid.uniform(3))
+
+
+def test_a_table_is_opened_without_truncation(tmp_path, monkeypatch):
+    # a truncating open of a file whose rows are not yet on disk can wait
+    # for them to be written out first
+    flags, real_open = [], os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    out = tmp_path / "t.csv"
+    for grid in (GRID, AlphaGrid.uniform(3)):
+        write_alpha_csv(make_triangular((1, 2, 3), grid), out)
+    assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
+    assert len(data_rows(out)) == 4
+
+
+def test_a_table_to_dev_stdout_is_written_as_a_stream():
+    # stdout is a pipe, which cannot be cut to length
+    src = os.path.dirname(os.path.dirname(fuzzcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzcalc", "eval", "--expr", "x^2", "--bind", "x=T(1,2,3)", "--alphas", "3",
+         "--out", "/dev/stdout"], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "alpha,lower,upper\n0.0,1.0,9.0\n0.5,2.25,6.25\n1.0,4.0,4.0\n" in proc.stdout
+    assert proc.stdout.endswith("alpha table written to /dev/stdout\n")
+
+
 # -- eval / derive -------------------------------------------------------------------
 
 
@@ -311,8 +364,13 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
     # the probe at n = 8 takes the base to the power 8 + 1017
     (["series", "--coeff-rule", "T(1,2,3)^(n+1017)", "--radius-mode", "symbolic"],
      "exponent must be an integer from 0 to 1024, got 1025"),
+    (["eval", "--expr", "x", "--bind", "x=T(1,2,3)", "--alphas", "1000000000000"],
+     "grid resolution must be at most 1000001, got 1000000000000"),
+    (["solve-ivp", "--rhs", "x + y", "--x0", "T(0,0.1,0.2)", "--y0", "T(1,1.1,1.2)", "--h",
+      "T(0.001,0.002,0.003)", "--order", "2", "--steps", "10001"],
+     "number of steps must be at most 10000, got 10001"),
 ], ids=["series order", "series order past the float factorials", "alphas", "expression power",
-        "rule power shift"])
+        "rule power shift", "alphas past the resolution bound", "steps past the step bound"])
 def test_exit_2_on_an_argument_out_of_its_bound(argv, message, capsys):
     # the library check that owns the bound names it, before any
     # multiplication, so a power of any size fails at once

@@ -19,14 +19,30 @@ def loaded_after(code: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def test_importing_the_package_or_the_cli_and_a_usage_error_load_no_numpy():
+# (argv, a problem file's text or None): usage errors found in argv or
+# problem-file text alone; "{file}" is that file
+TEXT_ERRORS = [
+    (["no-such-command"], None),
+    (["solve-ivp", "--rhs", "y"], None),
+    (["solve-ivp", "--file", "{file}"], None),
+    (["solve-ivp", "--file", "{file}"], "rhs = y\nstep = 0.1\n"),
+    (["solve-ivp", "--file", "{file}"], "command = eval\nrhs = y\n"),
+    (["solve-ivp", "--file", "{file}"], "rhs = y\nx0 = 0\ny0 = 1\nh = 0.1\norder = two\n"),
+]
+
+
+def test_importing_the_package_or_the_cli_and_a_usage_error_load_no_numpy(tmp_path):
     assert "numpy" not in loaded_after("import fuzzcalc")
     assert "numpy" not in loaded_after("import fuzzcalc.cli")
-    code = "import fuzzcalc.cli\nassert fuzzcalc.cli.run(['no-such-command']) == 2"
-    loaded = loaded_after(code)
-    assert "numpy" not in loaded
-    assert {m for m in loaded if m.startswith("fuzzcalc")} == {"fuzzcalc", "fuzzcalc.cli",
-                                                               "fuzzcalc.errors"}
+    for i, (argv, problem) in enumerate(TEXT_ERRORS):
+        path = tmp_path / f"problem{i}.txt"  # left unwritten: a missing file
+        if problem is not None:
+            path.write_text(problem)
+        argv = [a.replace("{file}", str(path)) for a in argv]
+        loaded = loaded_after(f"import fuzzcalc.cli\nassert fuzzcalc.cli.run({argv!r}) == 2")
+        assert "numpy" not in loaded, argv
+        assert {m for m in loaded if m.startswith("fuzzcalc")} == {"fuzzcalc", "fuzzcalc.cli",
+                                                                   "fuzzcalc.errors"}, argv
 
 
 def test_eval_loads_no_calculus_series_or_ivp():

@@ -35,8 +35,8 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   the help texts, each through ``cli.run`` in-process: exit code, stdout,
   stderr and the table it writes;
 * each library argument bound, given an argument past it, among them a
-  Taylor order past the float factorials and negative indices of rule
-  series;
+  Taylor order past the float factorials, a grid resolution and a step
+  count past their bounds, and negative indices of rule series;
 * the constructor's refusals and the package's exported names.
 
 Each entry records its result (envelope digests, properness, scalars) or
@@ -104,6 +104,11 @@ EXTRA_ARGVS = (
     ["series", "--coeff-rule", "T(1,2,3)^(n+1100)", "--radius-mode", "symbolic"],
     ["series", "--coeff-rule", "n^1025", "--radius-mode", "symbolic"],
     ["series", "--taylor-of", "x", "--var", "x", "--center", "T(-1,0,1)", "--order", "171"],
+    # a resolution past any allocation, and one step past the step bound (a
+    # solve with no bound runs it, so it stays short)
+    ["eval", "--expr", "x", "--bind", "x=T(1,2,3)", "--alphas", "1000000000000"],
+    ["solve-ivp", "--rhs", "x + y", "--x0", "T(0,0.1,0.2)", "--y0", "T(1,1.1,1.2)", "--h", "T(0.001,0.002,0.003)",
+     "--order", "2", "--steps", "10001"],
     # both radius modes' ratio-test values, and coefficients past the float range
     ["series", "--coeff-rule", "T(0.3,0.3,0.3)^(n)", "--radius-mode", "four-quotient"],
     ["series", "--coeff-rule", "n^400", "--radius-mode", "symbolic"],
@@ -338,6 +343,7 @@ def _library_entries(workloads, fc):
         "AlphaGrid([0, 0.5, 0.5, 1])": lambda: core.AlphaGrid([0.0, 0.5, 0.5, 1.0]),
         "AlphaGrid.uniform(1)": lambda: core.AlphaGrid.uniform(1),
         "AlphaGrid.uniform(2.5)": lambda: core.AlphaGrid.uniform(2.5),
+        "AlphaGrid.uniform(1000002)": lambda: core.AlphaGrid.uniform(1_000_002),
         "FuzzyNumber of 2 levels on 3": lambda: core.FuzzyNumber(core.AlphaGrid.uniform(3), [0, 0], [1, 1]),
         "pow_int(T(1,2,3), -1)": lambda: core.pow_int(tri[0], -1),
         "pow_int(1, 2.5)": lambda: core.pow_int(one, 2.5),
@@ -361,6 +367,7 @@ def _library_entries(workloads, fc):
             tri[0], series.parse_coeff_rule("n*T(1,2,3)^(n)", grid)).coefficient(-2),
         "IvpProblem order=5": lambda: fc.ivp.IvpProblem(**ivp, order=5),
         "IvpProblem steps=0": lambda: fc.ivp.IvpProblem(**ivp, steps=0),
+        "IvpProblem steps=10001": lambda: fc.ivp.IvpProblem(**ivp, steps=10_001),
         "IvpProblem rhs x + z": lambda: fc.ivp.IvpProblem(**{**ivp, "rhs": parse("x + z", grid)}),
         "IvpProblem h T(-1,0,1)": lambda: fc.ivp.IvpProblem(**{**ivp, "h": tri[1]}),
     }
