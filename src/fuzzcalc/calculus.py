@@ -299,16 +299,19 @@ def continuity_probe(
     For each trial delta (largest first) the point is shifted crisply by
     amounts below delta; the trial is accepted when every shifted value
     stays within ``eps`` of f(x0) in Hausdorff distance.  Returns the
-    largest accepted delta, or None when every trial fails.  A sampling
+    largest accepted delta, or None when every trial fails or none is
+    given.  Each trial delta must be positive and finite.  A sampling
     probe, not a proof.
     """
     if not eps > 0:
         raise InvalidArgument("eps must be positive")
+    deltas = sorted(trial_deltas, reverse=True)
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise InvalidArgument(f"trial deltas must be positive and finite, got {deltas!r}")
     base = Env(env.bindings if env is not None else {}, x0.grid)
     # an improper x0 raises ImproperOperand here, before any evaluation, as
     # binding it for f(x0) does point by point
     at_x0 = base.with_binding(var, x0)
-    deltas = sorted(trial_deltas, reverse=True)
     # row 0 is x0 itself, then each shift in the order it is tried.  One
     # stack, no blocks: on derive-fine's probes, which reject every trial
     # delta, the last shift read is shift 48 to 54 of 56

@@ -45,12 +45,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# each character at which str.splitlines() ends a line, and its escape
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def write_alpha_csv(value, path, metadata: dict | None = None) -> None:
     """Write a fuzzy number's ``alpha,lower,upper`` rows in ascending alpha,
     LF-terminated.
 
     Metadata (the command and its inputs) goes into leading '#' comment
-    lines, which golden comparisons ignore.
+    lines, which golden comparisons ignore, one line per key: a line break
+    in a value is written escaped, as ``repr`` writes it.
 
     A table is rewritten in place: opened without truncation and cut to the
     length written, so the path keeps its inode (a symlink or a hard link
@@ -62,7 +67,7 @@ def write_alpha_csv(value, path, metadata: dict | None = None) -> None:
         raise ImproperOperand("refusing to serialize an improper fuzzy number")
     lines = []
     for key, val in (metadata or {}).items():
-        lines.append(f"# {key}: {val}")
+        lines.append(f"# {key}: {str(val).translate(_LINE_BREAKS)}")
     lines.append("alpha,lower,upper")
     for a, lo, hi in zip(value.grid.levels, value.lower, value.upper):
         lines.append(f"{_fmt(a)},{_fmt(lo)},{_fmt(hi)}")
@@ -266,10 +271,10 @@ def _cmd_solve_ivp(args):
     settings = read_problem_file(args.file) if args.file else {}
     if settings.get("command", "solve-ivp") != "solve-ivp":
         raise ProblemFileError(f"problem file is for {settings['command']!r}, not solve-ivp")
-    for key in ("rhs", "x0", "y0", "h", "order", "steps", "alphas", "out"):
-        flag = getattr(args, key, None)
+    for key in PROBLEM_KEYS[1:]:  # every field but the command, which argv names
+        flag = getattr(args, key)
         if flag is not None:
-            settings[key] = flag if isinstance(flag, str) else str(flag)
+            settings[key] = flag
     missing = [k for k in ("rhs", "x0", "y0", "h") if k not in settings]
     if missing:
         raise ProblemFileError(f"missing problem fields: {', '.join(missing)}")
@@ -376,12 +381,20 @@ def run(argv: list[str]) -> int:
             if out:
                 write_alpha_csv(value, out, {"command": args.command, **meta})
                 lines.append(f"alpha table written to {out}")
+        # flushed here, so that a reader gone away is an OSError like any other
+        print("\n".join([f"command: {args.command}", *lines]), flush=True)
     except (FuzzyError, ValueError, ArithmeticError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ExprSyntaxError, InvalidArgument, ProblemFileError)) else 1
-    print("\n".join([f"command: {args.command}", *lines]))
     return 0
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # run reported the closed pipe; the report still buffered would fail
+        # again when the interpreter exits, so it is sent nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -38,10 +38,11 @@ some row's divisor support holds zero, naming the first such row;
 if every row is; ``_sign_class`` reads the stack flat, so a stack whose
 rows differ in sign takes ``mul``'s four products.
 
-Each operation's arithmetic is one private kernel (``_add``, ``_mul``, ...),
-which runs no guard and marks nothing read-only (``_value``).  The public
-name runs the guards once, at its boundary, then the kernel, then marks the
-result read-only (``_frozen``).  Evaluation plans, ``partial_sum``,
+Each operation's arithmetic is one private kernel (``_add``, ``_mul``, ...,
+and ``_exp``, ``_sin``, ``_cos``: the ranges over each cut that evaluation
+runs), which runs no guard and marks nothing read-only (``_value``).  The
+public name runs the guards once, then the kernel, then marks the result
+read-only (``_frozen``).  Evaluation plans, ``partial_sum``,
 ``taylor_series_of`` and ``solve`` check their inputs themselves and run
 the kernels, marking read-only only the values they hand out.
 
@@ -51,7 +52,9 @@ writes its result and temporaries into arrays popped from it (numpy
 allocates when it is empty) and gives its temporaries back; the ufuncs are
 the same, so each result is the same bit for bit.  ``_release`` gives back
 a dead, writable value that the pool's owner computed and nothing else
-holds; a value handed to a caller is never released.
+holds; a value handed to a caller is never released.  Only this module
+takes pool arrays, wraps arrays as values and marks them read-only; the
+other modules route values between the kernels.
 """
 
 from __future__ import annotations
@@ -341,11 +344,8 @@ def make_triangular(triple, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
 
 def _singleton(value: float, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
     # one array, shared by both envelopes
-    if pool:
-        flat = pool.pop()
-        flat.fill(float(value))
-    else:
-        flat = np.full(len(grid), float(value))
+    flat = pool.pop() if pool else np.empty(len(grid))
+    flat.fill(float(value))
     return _value(grid, flat, flat)
 
 
@@ -544,6 +544,54 @@ def gh_difference(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     _require_proper(a, b)
     _require_same_grid(a, b)
     return _frozen(_gh_difference(a, b, None))
+
+
+# -- function ranges -------------------------------------------------------------
+
+_HALF_PI = 0.5 * math.pi
+_TWO_PI = 2.0 * math.pi
+
+
+def _sin_range(lo: np.ndarray, hi: np.ndarray, pool: list | None) -> tuple[np.ndarray, np.ndarray]:
+    """The range of sin over each [lo, hi]: the endpoint hull, widened to -1
+    or +1 where a critical point falls inside the interval."""
+    # sin attains +1 at pi/2 + 2k*pi and -1 at -pi/2 + 2k*pi; c + 2k*pi lies
+    # in [lo, hi] for some integer k when floor((hi - c)/2pi) >= (lo - c)/2pi.
+    # An integer is >= b exactly when it is >= ceil(b), for every float b
+    # (+-0, +-inf and NaN included), so b is not rounded up first.
+    a = np.subtract(hi, _HALF_PI, out=pool.pop() if pool else None)
+    b = np.subtract(lo, _HALF_PI, out=pool.pop() if pool else None)
+    has_max = np.floor(np.divide(a, _TWO_PI, out=a), out=a) >= np.divide(b, _TWO_PI, out=b)
+    np.add(hi, _HALF_PI, out=a)
+    np.add(lo, _HALF_PI, out=b)
+    has_min = np.floor(np.divide(a, _TWO_PI, out=a), out=a) >= np.divide(b, _TWO_PI, out=b)
+    s_lo, s_hi = np.sin(lo, out=a), np.sin(hi, out=b)
+    out_hi = np.maximum(s_lo, s_hi, out=pool.pop() if pool else None)
+    out_lo = np.minimum(s_lo, s_hi, out=s_lo)
+    np.copyto(out_lo, -1.0, where=has_min)
+    np.copyto(out_hi, 1.0, where=has_max)
+    if pool is not None:
+        pool.append(s_hi)
+    return out_lo, out_hi
+
+
+def _exp(x: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
+    return _value(grid, np.exp(x.lower, out=pool.pop() if pool else None),
+                  np.exp(x.upper, out=pool.pop() if pool else None))
+
+
+def _sin(x: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
+    return _value(grid, *_sin_range(x.lower, x.upper, pool))
+
+
+def _cos(x: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
+    # cos(x) = sin(x + pi/2)
+    lo = np.add(x.lower, _HALF_PI, out=pool.pop() if pool else None)
+    hi = np.add(x.upper, _HALF_PI, out=pool.pop() if pool else None)
+    out = _value(grid, *_sin_range(lo, hi, pool))
+    if pool is not None:
+        pool.extend((lo, hi))
+    return out
 
 
 # -- metric and summaries ------------------------------------------------------

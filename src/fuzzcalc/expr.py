@@ -15,10 +15,10 @@ minus, so ``-x^2`` is ``-(x^2)``.  One reader, ``_Parser.number``, reads
 every number of this grammar and of coefficient-rule text; one that is not
 finite is an ExprSyntaxError at its position.
 
-Evaluation is level-wise: the arithmetic nodes run the kernels of the
-interval operations in :mod:`fuzzcalc.core`, and exp/sin/cos produce the
-exact range of the function over each alpha-cut (sin and cos account for
-interior critical points, not just endpoint values).
+Evaluation is level-wise: each node runs a kernel of :mod:`fuzzcalc.core`,
+that of an interval operation or, for exp/sin/cos, the exact range of the
+function over each alpha-cut (sin and cos account for interior critical
+points, not just endpoint values).
 
 Nodes are interned when built, so equal nodes are one object and compare
 and hash by identity.  A node is checked when it is built (its children,
@@ -43,8 +43,9 @@ cached on the family's last root, so a family evaluated many times (as by
 plan is a flat tape (after Griewank & Walther, *Evaluating Derivatives*,
 2nd ed., SIAM 2008): one entry per distinct node, each a kernel from a
 per-class table with its operands' slot indices, so an evaluation is one
-loop over a list of slots.  The tape's kernels run no guards; it checks
-only what a node may break (see :func:`_evaluate`).
+loop over a list of slots.  The tape only routes values: its kernels, all
+core's, run no guards, and it checks only what a node may break (see
+:func:`_evaluate`).
 
 Pickling writes a node's DAG flat, without recursion or kept state, and
 unpickling re-interns it.
@@ -68,7 +69,9 @@ from .core import (
     AlphaGrid,
     FuzzyNumber,
     _add,
+    _cos,
     _div,
+    _exp,
     _exponent,
     _frozen,
     _gh_difference,
@@ -76,8 +79,8 @@ from .core import (
     _pow_int,
     _release,
     _scalar_mul,
+    _sin,
     _singleton,
-    _value,
     make_triangular,
 )
 from .errors import (
@@ -445,33 +448,6 @@ def parse_expr(text: str, grid: AlphaGrid = DEFAULT_GRID) -> Expr:
 
 # -- evaluation ----------------------------------------------------------------
 
-_HALF_PI = 0.5 * math.pi
-_TWO_PI = 2.0 * math.pi
-
-
-def _sin_range(lo: np.ndarray, hi: np.ndarray, pool: list | None) -> tuple[np.ndarray, np.ndarray]:
-    """The range of sin over each [lo, hi]: the endpoint hull, widened to -1
-    or +1 where a critical point falls inside the interval.  Its arrays come
-    from ``pool`` when there is one (see :func:`_evaluate`)."""
-    # sin attains +1 at pi/2 + 2k*pi and -1 at -pi/2 + 2k*pi; c + 2k*pi lies
-    # in [lo, hi] for some integer k when floor((hi - c)/2pi) >= (lo - c)/2pi.
-    # An integer is >= b exactly when it is >= ceil(b), for every float b
-    # (+-0, +-inf and NaN included), so b is not rounded up first.
-    a = np.subtract(hi, _HALF_PI, out=pool.pop() if pool else None)
-    b = np.subtract(lo, _HALF_PI, out=pool.pop() if pool else None)
-    has_max = np.floor(np.divide(a, _TWO_PI, out=a), out=a) >= np.divide(b, _TWO_PI, out=b)
-    np.add(hi, _HALF_PI, out=a)
-    np.add(lo, _HALF_PI, out=b)
-    has_min = np.floor(np.divide(a, _TWO_PI, out=a), out=a) >= np.divide(b, _TWO_PI, out=b)
-    s_lo, s_hi = np.sin(lo, out=a), np.sin(hi, out=b)
-    out_hi = np.maximum(s_lo, s_hi, out=pool.pop() if pool else None)
-    out_lo = np.minimum(s_lo, s_hi, out=s_lo)
-    np.copyto(out_lo, -1.0, where=has_min)
-    np.copyto(out_hi, 1.0, where=has_max)
-    if pool is not None:
-        pool.append(s_hi)
-    return out_lo, out_hi
-
 
 def _walk(roots: tuple[Expr, ...], skip=None) -> list[Expr]:
     """The distinct nodes under ``roots``, children first, left to right,
@@ -507,25 +483,6 @@ def _binding(name: str, bindings: dict, pool: list | None) -> FuzzyNumber:
         return bindings[name]
     except KeyError:
         raise UnboundVariable(f"variable {name!r} is not bound") from None
-
-
-def _exp(x: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
-    return _value(grid, np.exp(x.lower, out=pool.pop() if pool else None),
-                  np.exp(x.upper, out=pool.pop() if pool else None))
-
-
-def _sin(x: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
-    return _value(grid, *_sin_range(x.lower, x.upper, pool))
-
-
-def _cos(x: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
-    # cos(x) = sin(x + pi/2)
-    lo = np.add(x.lower, _HALF_PI, out=pool.pop() if pool else None)
-    hi = np.add(x.upper, _HALF_PI, out=pool.pop() if pool else None)
-    out = _value(grid, *_sin_range(lo, hi, pool))
-    if pool is not None:
-        pool.extend((lo, hi))
-    return out
 
 
 # the two slots an evaluation fills before its tape runs
@@ -641,13 +598,14 @@ def _evaluate(roots: tuple[Expr, ...], env: Env | None, pool: list | None = None
     The kernels run no guards: ``Env`` checked each binding, a fuzzy
     constant checked its properness when built, and the sweep checks its
     grid.  Only a GhSub's value may be improper, so only a GhSub operand is
-    checked, with the message of the guard it stands in for.  Only the
-    roots' values, which leave, are marked read-only.
+    checked, with the message of the guard it stands in for.  With no pool,
+    the roots' values, which leave, are marked read-only.
 
     ``pool`` is a buffer pool its caller owns (see :mod:`fuzzcalc.core`):
     the kernels write into its arrays, and each child value that dies here
-    and that the plan owns goes back to it.  The roots' values go back
-    through :func:`_give_back`, once the caller is done with them."""
+    and that the plan owns goes back to it.  The roots' values belong to
+    the pool's owner and stay writable; they go back through
+    :func:`_give_back`, once the caller is done with them."""
     env = env if env is not None else Env()
     tape, (empty, consts), root_slots, grid, _, ops = _plan(roots)
     if env.grid is not None:
@@ -669,20 +627,20 @@ def _evaluate(roots: tuple[Expr, ...], env: Env | None, pool: list | None = None
     if _counters.counts is not None:
         _counters.counts["nodes"] += len(tape)
         _counters.add(ops, max((v.lower.size for v in env.bindings.values()), default=len(grid)))
-    return {root: _frozen(values[i]) for root, i in zip(roots, root_slots)}
+    if pool is None:
+        for i in root_slots:
+            _frozen(values[i])
+    return {root: values[i] for root, i in zip(roots, root_slots)}
 
 
 def _give_back(roots: tuple[Expr, ...], values: dict[Expr, FuzzyNumber], pool: list) -> None:
     """Give the roots' values from :func:`_evaluate` with ``pool`` back to
-    it, writable again, once their caller is done with them: each distinct
-    root whose value the plan owns, once."""
+    it once their caller is done with them: each distinct root whose value
+    the plan owns, once."""
     owned = _plan(roots)[4]
     for root in dict.fromkeys(roots):
         if root in owned:
-            v = values[root]
-            v.lower.setflags(write=True)
-            v.upper.setflags(write=True)
-            _release(pool, v)
+            _release(pool, values[root])
 
 
 # -- symbolic differentiation ----------------------------------------------------

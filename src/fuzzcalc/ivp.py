@@ -18,14 +18,15 @@ builds and plans nothing.
 
 Each solve owns one buffer pool (see :mod:`fuzzcalc.core`): a list of
 envelope arrays created when the call starts and dropped when it returns.
-The problem checked x0, y0 and h when it was built, so the steps run the
-kernels with the pool and check only that each D_k, which may be a
-gH-difference, is proper.  Every value that dies inside the solve goes
-back to the pool, and later kernels write into its arrays, so a solve on
-wide grids reuses its memory instead of asking the allocator again.  What
-a caller sees is never recycled and is read-only: the trajectory's values,
-drawn from the pool and marked read-only as they are made, and x0, y0, h,
-the bindings and the constants' values, which never enter it.
+The problem checked x0, y0 and h when it was built, so a step only routes
+values through core's kernels, which alone take the pool's arrays, and
+checks that each D_k, which may be a gH-difference, is proper.  Every value
+that dies inside the solve goes back to the pool, and later kernels write
+into its arrays, so a solve on wide grids reuses its memory instead of
+asking the allocator again.  What a caller sees is never recycled and is
+read-only: the trajectory's values, drawn from the pool and marked
+read-only as they are made, and x0, y0, h, the bindings and the
+constants' values, which never enter it.
 
 Multi-step mode compounds the fuzzy step into x (x <- x (+) h), so the
 x-uncertainty accumulates step over step; single-step is the default.
@@ -35,8 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _counters
 from .core import _IMPROPER_OPERAND, FuzzyNumber, _add, _frozen, _integer, _mul, _release, _scalar_mul
@@ -109,14 +108,6 @@ def total_derivatives(rhs: Expr, order: int) -> list[Expr]:
     return list(tower[:order])
 
 
-def _magnitude(v: FuzzyNumber, pool: list) -> float:
-    a = np.abs(v.lower, out=pool.pop() if pool else None)
-    b = np.abs(v.upper, out=pool.pop() if pool else None)
-    magnitude = float(np.max(np.maximum(a, b, out=a)))
-    pool.extend((a, b))
-    return magnitude
-
-
 def _step(
     x: FuzzyNumber, y: FuzzyNumber, problem: IvpProblem, derivs: tuple[Expr, ...], h_pows: list, pool: list
 ) -> tuple[FuzzyNumber, FuzzyNumber, float]:
@@ -132,7 +123,8 @@ def _step(
         if partial is not y:
             _release(pool, partial)
         if k == len(derivs):
-            magnitude = _magnitude(term, pool)
+            # the largest |endpoint| as lower <= upper; abs clears a -0.0's or NaN's sign
+            magnitude = abs(max(float(term.upper.max()), -float(term.lower.min())))
         _release(pool, term)
     _give_back(derivs, values, pool)
     return _frozen(_add(x, problem.h, pool)), _frozen(y_next), magnitude

@@ -3,6 +3,8 @@ that owns it, and refused with InvalidArgument, a FuzzyError and a
 ValueError.  The operand guards (a proper value, one grid, a structure to
 cancel) raise their own named errors."""
 
+import math
+
 import pytest
 
 from fuzzcalc.calculus import continuity_probe, mh_derivative
@@ -58,6 +60,10 @@ BOUNDS = [
     ("parse_expr power", lambda: parse_expr("x^99999999"), "got 99999999"),
     ("mh_derivative tol", lambda: mh_derivative(parse_expr("x"), "x", T, tol=0.0), "tol must be"),
     ("continuity_probe eps", lambda: continuity_probe(parse_expr("x"), "x", T, eps=0.0), "eps must be"),
+    *((f"continuity_probe trial deltas {deltas}",
+       lambda deltas=deltas: continuity_probe(parse_expr("x^2"), "x", T, eps=0.1, trial_deltas=deltas),
+       "trial deltas must be positive and finite")
+      for deltas in ([math.nan], [1.0, math.nan], [0.0], [-1.0], [math.inf])),
     ("FuzzyPowerSeries", lambda: FuzzyPowerSeries(singleton(0.0), []), "must be nonempty"),
     ("partial_sum", lambda: partial_sum(SERIES, T, 0), "at least one term"),
     ("partial_sum fraction", lambda: partial_sum(SERIES, T, 2.5), "number of terms must be an integer, got 2.5"),

@@ -43,6 +43,14 @@ def read_table(path) -> FuzzyNumber:
     return FuzzyNumber(AlphaGrid(alpha), lower, upper)
 
 
+def module_env(**changes) -> dict:
+    """The environment of a ``python -m fuzzcalc`` child that imports the
+    package this test imported."""
+    src = os.path.dirname(os.path.dirname(fuzzcalc.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                **changes)
+
+
 def error_line(capsys) -> str:
     """The report of a command that failed inside its handler: nothing on
     stdout and one ``Name: message`` line on stderr."""
@@ -136,8 +144,7 @@ def test_a_table_is_opened_without_truncation(tmp_path, monkeypatch):
 
 def test_a_table_to_dev_stdout_is_written_as_a_stream():
     # stdout is a pipe, which cannot be cut to length
-    src = os.path.dirname(os.path.dirname(fuzzcalc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = module_env()
     proc = subprocess.run(
         [sys.executable, "-m", "fuzzcalc", "eval", "--expr", "x^2", "--bind", "x=T(1,2,3)", "--alphas", "3",
          "--out", "/dev/stdout"], capture_output=True, text=True, env=env
@@ -145,6 +152,36 @@ def test_a_table_to_dev_stdout_is_written_as_a_stream():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "alpha,lower,upper\n0.0,1.0,9.0\n0.5,2.25,6.25\n1.0,4.0,4.0\n" in proc.stdout
     assert proc.stdout.endswith("alpha table written to /dev/stdout\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_report_to_a_closed_pipe_ends_in_one_line(buffered):
+    # as in `fuzzcalc eval ... | true`: the reader is gone before the report
+    # is written; a buffered report not flushed would fail at interpreter exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzcalc", "eval", "--expr", "x + 1", "--bind", "x=T(1,2,3)"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=module_env(PYTHONUNBUFFERED="" if buffered else "1"),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_table_metadata_keeps_each_line_break_on_its_comment_line(tmp_path, capsys):
+    # every boundary of str.splitlines, which perfbench's table reader uses
+    breaks = "\n\r\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+    text = "x +" + breaks + "1"
+    out = tmp_path / "v.csv"
+    assert run(["eval", "--expr", text, "--bind", "x=T(1,2,3)", "--alphas", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        lines = fh.read().splitlines()
+    assert lines[:3] == ["# command: eval", "# expression: " + repr(text)[1:-1], "alpha,lower,upper"]
+    assert not any(ln.startswith("#") for ln in lines[3:]) and len(lines) == 5
 
 
 # -- eval / derive -------------------------------------------------------------------
@@ -464,9 +501,7 @@ def test_parser_fuzz_never_crashes(capsys):
 
 
 def test_module_entry_point_help():
-    # the child process imports the package this test imported
-    src = os.path.dirname(os.path.dirname(fuzzcalc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = module_env()
     proc = subprocess.run(
         [sys.executable, "-m", "fuzzcalc", "--help"], capture_output=True, text=True, env=env
     )

@@ -311,7 +311,7 @@ def test_sin_range_without_ceil_matches_the_ceil_formula_bit_for_bit():
         assert has_max.any() and not has_max.all() and has_min.any() and not has_min.all()
         # with no pool, an empty one, and one holding stale arrays to write into
         for pool in (None, [], [np.full(lo.size, 123.0) for _ in range(3)]):
-            got_lo, got_hi = fuzzcalc.expr._sin_range(lo, hi, pool)
+            got_lo, got_hi = fuzzcalc.core._sin_range(lo, hi, pool)
             assert got_lo.tobytes() == want_lo.tobytes()
             assert got_hi.tobytes() == want_hi.tobytes()
 

@@ -212,6 +212,48 @@ def test_step_reproduces_worked_solution():
     assert x1.support.hi == pytest.approx(1.32, abs=1e-12)
 
 
+def _abs_magnitude(term) -> float:
+    # the reference: the largest |endpoint| through elementwise abs
+    return float(np.max(np.maximum(np.abs(term.lower), np.abs(term.upper))))
+
+
+TINY = 5e-324  # the smallest subnormal
+# (lower, upper) envelopes of y0 on three levels: signed zeros, infinities,
+# NaNs of either sign, subnormals and values of one sign
+MAGNITUDE_ENVELOPES = [
+    ([-0.0] * 3, [-0.0] * 3),
+    ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]),
+    ([-np.inf, -1.0, -0.0], [np.inf, 1.0, 0.0]),
+    ([-np.inf] * 3, [-np.inf] * 3),
+    ([np.inf] * 3, [np.inf] * 3),
+    ([np.nan, 1.0, 2.0], [3.0, 2.0, 2.0]),
+    ([1.0, 2.0, 2.0], [3.0, np.nan, 2.0]),
+    ([1.0, 2.0, 2.0], [3.0, -np.nan, 2.0]),
+    ([np.nan, -np.inf, 0.0], [np.inf, np.nan, -0.0]),
+    ([-TINY, 0.0, TINY], [TINY, 0.0, TINY]),
+    ([-4 * TINY, -2 * TINY, -TINY], [-TINY, -TINY, -TINY]),
+    ([-2.2250738585072014e-308, -1e-310, -0.0], [1e-310, 0.0, -0.0]),
+    ([-3.0, -2.0, -1.5], [-1.0, -1.25, -1.5]),
+    ([1e308, 1.5e308, 1.7e308], [1.7976931348623157e308] * 3),
+]
+
+
+@pytest.mark.parametrize("lower, upper", MAGNITUDE_ENVELOPES)
+def test_truncation_magnitude_is_the_abs_formula_bit_for_bit(lower, upper):
+    # y' = y with h = 1 at order 1: the last term is 1 * (1 (x) y0), made by
+    # the kernels the step runs
+    grid = AlphaGrid.uniform(3)
+    y0 = fuzzcalc.core._fresh(grid, np.array(lower), np.array(upper))
+    h = singleton(1.0, grid)
+    p = IvpProblem(rhs=parse_expr("y", grid), x0=singleton(0.0, grid), y0=y0, h=h, order=1)
+    with np.errstate(all="ignore"):
+        term = fuzzcalc.core._scalar_mul(1.0, fuzzcalc.core._mul(h, y0, None), None)
+        (got,) = solve(p).truncation_magnitudes
+        want = _abs_magnitude(term)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_step_first_order_term_values():
     # h (x) (x0^2 (+) y0^2) hits the worked value exactly at alpha in {0, 1}
     p = worked_problem()

@@ -36,3 +36,34 @@ def unread_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=source_id)
 def test_every_top_level_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def array_handling(source: str) -> list[str]:
+    """Where ``source`` handles envelope arrays itself: takes one from a pool
+    (``pool.pop``), marks one read-only or writable (``setflags``, or an
+    assignment to ``flags.writeable``), or wraps arrays as a value unchecked
+    (a call of the name ``_value``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in ("setflags", "_value") or (
+                    name == "pop" and isinstance(f.value, ast.Name) and f.value.id == "pool"):
+                found.append(f"line {node.lineno}: {ast.unparse(f)}(")
+        elif (isinstance(node, ast.Attribute) and node.attr == "writeable" and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "flags"):
+            found.append(f"line {node.lineno}: {ast.unparse(node)} =")
+    return found
+
+
+def test_the_array_handling_check_matches_names_not_substrings():
+    source = "pool.pop()\nv.lower.setflags(write=False)\na.flags.writeable = True\ncore._value(g, a, b)\n"
+    assert len(array_handling(source)) == 4
+    assert array_handling("_parse_fuzzy_value(t)\nbindings.pop(k)\nok = a.flags.writeable\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "core.py"],
+                         ids=source_id)
+def test_only_core_takes_pools_seals_and_wraps_envelope_arrays(path):
+    assert array_handling(path.read_text()) == []

@@ -36,7 +36,8 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   stderr and the table it writes;
 * each library argument bound, given an argument past it, among them a
   Taylor order past the float factorials, a grid resolution and a step
-  count past their bounds, and negative indices of rule series;
+  count past their bounds, negative indices of rule series, and trial
+  deltas that are not positive and finite;
 * the constructor's refusals and the package's exported names.
 
 Each entry records its result (envelope digests, properness, scalars) or
@@ -70,7 +71,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _NINES = "9" * 400
-# argvs outside cli-oneshot: the failure contract's error inputs, a table,
+# argvs outside cli-oneshot: the failure contract's error inputs, tables,
 # inputs whose report changed in earlier changes, and the help texts
 EXTRA_ARGVS = (
     ["solve-ivp", "--rhs", "x^2 + y^2", "--x0", "T(0.7,1,1.2)", "--y0", "T(2.1,2.3,2.5)",
@@ -89,6 +90,8 @@ EXTRA_ARGVS = (
     ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "2"],
     ["eval", "--expr", "x - y", "--bind", "x=T(0,1,2)", "--bind", "y=T(0,0.5,3)"],
     ["eval", "--expr", "x^2", "--bind", "x=T(1,2,3)", "--out", "{tmp}/eval.csv"],
+    # a line break in a table's metadata
+    ["eval", "--expr", "x +\n1", "--bind", "x=T(1,2,3)", "--out", "{tmp}/eval.csv"],
     ["eval", "--expr", "x^2", "--bind", "x=inf"],
     ["derive", "--expr", "x^2", "--var", "x", "--bind", "x=T(1,2,3)", "--tol", "-1"],
     # the core's midpoint, exp(709.5), overflows when summed as lo + hi
@@ -352,6 +355,9 @@ def _library_entries(workloads, fc):
         "parse_expr(x^1025)": lambda: parse("x^1025", grid),
         "mh_derivative tol=0": lambda: fc.calculus.mh_derivative(x, "x", tri[0], tol=0.0),
         "continuity_probe eps=0": lambda: fc.calculus.continuity_probe(x, "x", tri[0], eps=0.0),
+        **{f"continuity_probe trial_deltas={deltas}": lambda deltas=deltas: fc.calculus.continuity_probe(
+            parse("x^2", grid), "x", tri[0], eps=0.1, trial_deltas=deltas)
+           for deltas in ([float("nan")], [1.0, float("nan")], [0.0], [-1.0], [float("inf")])},
         "FuzzyPowerSeries of no coefficients": lambda: series.FuzzyPowerSeries(zero, []),
         "partial_sum of 0 terms": lambda: series.partial_sum(cases["[T(1,2,3)] * 40"](), tri[0], 0),
         "partial_sum of 12 terms of 11 coefficients":
