@@ -361,7 +361,9 @@ _HANDLERS = {
 
 def run(argv: list[str]) -> int:
     """Execute one command and return the process exit code; the only code
-    that prints or writes a table.  Malformed input never raises.
+    that prints or writes a table.  Malformed input never raises.  A line
+    break in argv text that a report or error line echoes is written
+    escaped, as ``repr`` writes it, so that each prints as one line.
 
     numpy's floating-point warnings (RuntimeWarning) are silenced, as they
     would name package source lines ahead of the error; ``_summary`` refuses
@@ -382,9 +384,10 @@ def run(argv: list[str]) -> int:
                 write_alpha_csv(value, out, {"command": args.command, **meta})
                 lines.append(f"alpha table written to {out}")
         # flushed here, so that a reader gone away is an OSError like any other
-        print("\n".join([f"command: {args.command}", *lines]), flush=True)
+        lines = [f"command: {args.command}", *lines]
+        print("\n".join(line.translate(_LINE_BREAKS) for line in lines), flush=True)
     except (FuzzyError, ValueError, ArithmeticError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{type(exc).__name__}: {exc}".translate(_LINE_BREAKS), file=sys.stderr)
         return 2 if isinstance(exc, (ExprSyntaxError, InvalidArgument, ProblemFileError)) else 1
     return 0
 

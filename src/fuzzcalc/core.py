@@ -50,11 +50,13 @@ A kernel takes a buffer pool or None: a plain list of envelope arrays that
 ``ivp.solve`` creates and drops within one call.  Given one, a kernel
 writes its result and temporaries into arrays popped from it (numpy
 allocates when it is empty) and gives its temporaries back; the ufuncs are
-the same, so each result is the same bit for bit.  ``_release`` gives back
-a dead, writable value that the pool's owner computed and nothing else
-holds; a value handed to a caller is never released.  Only this module
-takes pool arrays, wraps arrays as values and marks them read-only; the
-other modules route values between the kernels.
+the same, so each result is the same bit for bit.  No kernel returns an
+operand's arrays (``u^1`` is a copy), and every value that may be held
+outside the pool's owner (one handed to a caller, a binding, a constant)
+is sealed, that is, read-only; so the seal alone decides recycling, and
+``_release`` gives a dead value's arrays back unless they are sealed.
+Only this module takes pool arrays, wraps arrays as values and seals
+them; the other modules route values between the kernels.
 """
 
 from __future__ import annotations
@@ -377,12 +379,14 @@ def resample(a: FuzzyNumber, grid: AlphaGrid) -> FuzzyNumber:
 
 
 def _release(pool: list, v: FuzzyNumber) -> None:
-    """Give the envelopes of a dead, writable value back to ``pool``.  Only
-    for a value the pool's owner computed and that nothing else holds; a
+    """Give the envelopes of a dead value back to ``pool`` unless they are
+    read-only: a sealed value may be held outside the pool's owner, and a
+    writable one is a kernel's result that no other value shares.  A
     singleton's one array goes back once."""
-    pool.append(v.lower)
-    if v.upper is not v.lower:
-        pool.append(v.upper)
+    if v.lower.flags.writeable:
+        pool.append(v.lower)
+        if v.upper is not v.lower:
+            pool.append(v.upper)
 
 
 def _add(a: FuzzyNumber, b: FuzzyNumber, pool: list | None) -> FuzzyNumber:
@@ -472,10 +476,13 @@ def _integer(n, what: str) -> int:
 def _pow_int(a: FuzzyNumber, n: int, pool: list | None) -> FuzzyNumber:
     if n == 0:
         return _singleton(1.0, a.grid, pool)
-    acc = a
-    for _ in range(n - 1):
+    if n == 1:  # a copy, bit for bit: no result shares an operand's arrays
+        return _value(a.grid, np.positive(a.lower, out=pool.pop() if pool else None),
+                      np.positive(a.upper, out=pool.pop() if pool else None))
+    acc = _mul(a, a, pool)
+    for _ in range(n - 2):
         partial, acc = acc, _mul(acc, a, pool)
-        if pool is not None and partial is not a:
+        if pool is not None:
             _release(pool, partial)
     return acc
 

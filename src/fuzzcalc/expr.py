@@ -519,18 +519,15 @@ def _plan(roots: tuple[Expr, ...]) -> tuple:
     order, n the grid, n + 1 the bindings, and the rest the constants the
     kernels read.  Each node is one entry: (kernel, its slot, its two
     operands' slots, None or (message, the slots of its GhSub children),
-    the slots of the children it reads last, those whose values the
-    evaluation owns).  A root is never read last, so its value lasts.
+    the slots of the children it reads last).  A root is never read last,
+    so its value lasts.
 
     Returned: the tape; the n empty slots and the constants; the roots'
-    slots; the first fuzzy constant's grid, else the default grid; the
-    owned nodes, whose values an op computed into new arrays that no other
-    node's value shares (a variable's value is its binding, a fuzzy
-    constant's its own, and ``u^1``'s is ``u``'s, so none of these four is
-    owned); and the operations the tape runs, by kind.  The plan depends on
-    the structure alone, so it is cached on the last root, keyed by the
-    roots: a tower evaluated at many points (as by ``solve``) is walked
-    once.
+    slots; the first fuzzy constant's grid, else the default grid; and the
+    operations the tape runs, by kind.  The plan knows structure and
+    liveness only, not whose arrays a value holds, so it is cached on the
+    last root, keyed by the roots: a tower evaluated at many points (as by
+    ``solve``) is walked once.
     """
     last = roots[-1]
     cached = last.__dict__.get("_plan") if isinstance(last, Expr) else None
@@ -555,23 +552,18 @@ def _plan(roots: tuple[Expr, ...]) -> tuple:
     for child, i in last_reader.items():
         if child not in kept:
             last_reads[i].append(child)
-    through = [node for node in order if isinstance(node, PowInt) and node.exponent == 1]
-    shared = {node for node in order if isinstance(node, (Var, FuzzyConst))}
-    shared.update(through, (node.base for node in through))
-    owned = frozenset(order) - shared
     tape = []
     ops: Counter = Counter()
     for i, (node, done) in enumerate(zip(order, last_reads)):
         kernel, operands, kinds, message = _TAPE[type(node)]
         a, b = map(operand, operands(node))
         improper = tuple(slot[k] for k in node._kids if isinstance(k, GhSub))
-        tape.append((kernel, i, a, b, (message, improper) if improper else None,
-                     tuple(slot[c] for c in done), tuple(slot[c] for c in done if c in owned)))
+        tape.append((kernel, i, a, b, (message, improper) if improper else None, tuple(slot[c] for c in done)))
         ops.update(kinds)
         if isinstance(node, PowInt):  # its n - 1 products, or the 1 of n = 0
             ops.update(mul=max(node.exponent - 1, 0), singleton=int(node.exponent == 0))
     start = ((None,) * n, tuple(consts))
-    plan = (tuple(tape), start, tuple(slot[r] for r in roots), const_grid, owned, ops)
+    plan = (tuple(tape), start, tuple(slot[r] for r in roots), const_grid, ops)
     last.__dict__["_plan"] = (roots, plan)
     return plan
 
@@ -603,15 +595,15 @@ def _evaluate(roots: tuple[Expr, ...], env: Env | None, pool: list | None = None
 
     ``pool`` is a buffer pool its caller owns (see :mod:`fuzzcalc.core`):
     the kernels write into its arrays, and each child value that dies here
-    and that the plan owns goes back to it.  The roots' values belong to
-    the pool's owner and stay writable; they go back through
-    :func:`_give_back`, once the caller is done with them."""
+    goes to ``_release``, which keeps the sealed ones (bindings and
+    constants) out.  The roots' values belong to the pool's owner and stay
+    writable, for it to release once it is done with them."""
     env = env if env is not None else Env()
-    tape, (empty, consts), root_slots, grid, _, ops = _plan(roots)
+    tape, (empty, consts), root_slots, grid, ops = _plan(roots)
     if env.grid is not None:
         grid = env.grid
     values = [*empty, grid, env.bindings, *consts]
-    for kernel, i, a, b, check, done, freed in tape:
+    for kernel, i, a, b, check, done in tape:
         if check is not None:
             message, improper = check
             for j in improper:
@@ -620,7 +612,7 @@ def _evaluate(roots: tuple[Expr, ...], env: Env | None, pool: list | None = None
         values[i] = kernel(values[a], values[b], pool)
         if done:
             if pool is not None:
-                for j in freed:
+                for j in done:
                     _release(pool, values[j])
             for j in done:
                 values[j] = None
@@ -631,16 +623,6 @@ def _evaluate(roots: tuple[Expr, ...], env: Env | None, pool: list | None = None
         for i in root_slots:
             _frozen(values[i])
     return {root: values[i] for root, i in zip(roots, root_slots)}
-
-
-def _give_back(roots: tuple[Expr, ...], values: dict[Expr, FuzzyNumber], pool: list) -> None:
-    """Give the roots' values from :func:`_evaluate` with ``pool`` back to
-    it once their caller is done with them: each distinct root whose value
-    the plan owns, once."""
-    owned = _plan(roots)[4]
-    for root in dict.fromkeys(roots):
-        if root in owned:
-            _release(pool, values[root])
 
 
 # -- symbolic differentiation ----------------------------------------------------

@@ -21,12 +21,13 @@ envelope arrays created when the call starts and dropped when it returns.
 The problem checked x0, y0 and h when it was built, so a step only routes
 values through core's kernels, which alone take the pool's arrays, and
 checks that each D_k, which may be a gH-difference, is proper.  Every value
-that dies inside the solve goes back to the pool, and later kernels write
-into its arrays, so a solve on wide grids reuses its memory instead of
-asking the allocator again.  What a caller sees is never recycled and is
-read-only: the trajectory's values, drawn from the pool and marked
-read-only as they are made, and x0, y0, h, the bindings and the
-constants' values, which never enter it.
+that dies inside the solve goes to ``core._release``, and later kernels
+write into the arrays it gives back, so a solve on wide grids reuses its
+memory instead of asking the allocator again.  A sealed (read-only) value
+is never given back, and every value held outside the solve is sealed:
+the trajectory's values, drawn from the pool and sealed as they are made;
+x0, y0, h, the bindings and the constants' values; and the powers h^k,
+sealed when formed.
 
 Multi-step mode compounds the fuzzy step into x (x <- x (+) h), so the
 x-uncertainty accumulates step over step; single-step is the default.
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from . import _counters
 from .core import _IMPROPER_OPERAND, FuzzyNumber, _add, _frozen, _integer, _mul, _release, _scalar_mul
 from .errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument
-from .expr import Env, Expr, _evaluate, _fadd, _fmul, _give_back, differentiate, free_variables
+from .expr import Env, Expr, _evaluate, _fadd, _fmul, differentiate, free_variables
 
 # The most steps a problem takes: the solution keeps every (x, y) pair of its
 # trajectory, four envelopes of 8 bytes per level each, so the bound keeps a
@@ -120,13 +121,13 @@ def _step(
         term = _scalar_mul(1.0 / math.factorial(k), product, pool)
         _release(pool, product)
         partial, y_next = y_next, _add(y_next, term, pool)
-        if partial is not y:
-            _release(pool, partial)
+        _release(pool, partial)  # y itself is sealed, so it stays out
         if k == len(derivs):
             # the largest |endpoint| as lower <= upper; abs clears a -0.0's or NaN's sign
             magnitude = abs(max(float(term.upper.max()), -float(term.lower.min())))
         _release(pool, term)
-    _give_back(derivs, values, pool)
+    for value in values.values():  # each distinct root's, once
+        _release(pool, value)
     return _frozen(_add(x, problem.h, pool)), _frozen(y_next), magnitude
 
 
@@ -135,7 +136,7 @@ def solve(problem: IvpProblem) -> IvpSolution:
     derivs = tuple(total_derivatives(problem.rhs, problem.order))
     h_pows = [problem.h]
     for _ in range(problem.order - 1):
-        h_pows.append(_mul(h_pows[-1], problem.h, None))
+        h_pows.append(_frozen(_mul(h_pows[-1], problem.h, None)))
     pool: list = []
     x, y = problem.x0, problem.y0
     trajectory = [(x, y)]

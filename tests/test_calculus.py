@@ -331,6 +331,9 @@ PROBES = [
     ("x", (0, 1, 2), {"eps": 0.1, "trial_deltas": (0.5,)}, None),
     ("1000 * x", (0, 1, 2), {"eps": 1e-6, "trial_deltas": (1.0, 0.5, 0.5, 2.0)}, None),
     ("x", (0, 1, 2), {"trial_deltas": ()}, None),
+    # the larger deltas' shifts by 0.95 take 1/x's divisor across zero, so
+    # the stack raises, and point by point each delta's first shift rejects it
+    ("1/x", (0.6, 0.8, 1.0), {"eps": 1e-9}, None),
 ]
 
 
@@ -340,6 +343,12 @@ def test_a_probe_is_the_point_by_point_loop(text, x0, kw, delta):
     got = continuity_probe(f, "x", point, **kw)
     assert got == _loop_probe(f, point, **kw) == delta
     assert got is None or type(got) is float
+
+
+def test_an_estimate_that_stays_improper_through_convergence_raises():
+    # the mirror of cos(x) - x above: here the converged quotient itself does not nest
+    with pytest.raises(ImproperOperand, match="difference quotient stayed improper through convergence"):
+        mh_derivative(parse_expr("x - cos(x)"), "x", tri(-1.154, -0.424, 0.398))
 
 
 def test_the_estimators_count_their_blocks_rows_and_steps():

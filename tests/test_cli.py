@@ -171,10 +171,14 @@ def test_a_report_to_a_closed_pipe_ends_in_one_line(buffered):
     assert (proc.returncode, proc.stderr) == (1, "BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
+# every boundary of str.splitlines (which perfbench's table reader uses),
+# and the text a report prints for them
+_BREAKS = "\n\r\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAKS_ESCAPED = repr(_BREAKS)[1:-1]
+
+
 def test_table_metadata_keeps_each_line_break_on_its_comment_line(tmp_path, capsys):
-    # every boundary of str.splitlines, which perfbench's table reader uses
-    breaks = "\n\r\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-    text = "x +" + breaks + "1"
+    text = "x +" + _BREAKS + "1"
     out = tmp_path / "v.csv"
     assert run(["eval", "--expr", text, "--bind", "x=T(1,2,3)", "--alphas", "2", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -182,6 +186,29 @@ def test_table_metadata_keeps_each_line_break_on_its_comment_line(tmp_path, caps
         lines = fh.read().splitlines()
     assert lines[:3] == ["# command: eval", "# expression: " + repr(text)[1:-1], "alpha,lower,upper"]
     assert not any(ln.startswith("#") for ln in lines[3:]) and len(lines) == 5
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["eval", "--expr", "x +{}1", "--bind", "x=1"], "expression: x +{}1"),
+    (["solve-ivp", "--rhs", "x +{}y", "--x0", "0", "--y0", "1", "--h", "0.1"], "rhs: x +{}y"),
+    (["series", "--coeff-rule", "1/{}n!"], "coefficient rule: 1/{}n!"),
+    (["series", "--taylor-of", "exp({}x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "10"],
+     "taylor expansion of: exp({}x)  (order 10)"),
+])
+def test_a_report_prints_a_line_break_in_argv_text_escaped(argv, echoed, capsys):
+    assert run([arg.format(" ") for arg in argv]) == 0
+    spaced = capsys.readouterr().out
+    assert run([arg.format(_BREAKS) for arg in argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[1] == echoed.format(_BREAKS_ESCAPED)
+    # one line per report field, as with a space in its place
+    assert out.splitlines() == [line.replace(echoed.format(" "), echoed.format(_BREAKS_ESCAPED))
+                                for line in spaced.splitlines()]
+
+
+def test_an_error_prints_a_line_break_in_argv_text_escaped(capsys):
+    assert run(["derive", "--expr", "x", "--var", "x" + _BREAKS + "y", "--bind", "x=1"]) == 2
+    assert error_line(capsys) == f"ProblemFileError: --var x{_BREAKS_ESCAPED}y: no binding given for it\n"
 
 
 # -- eval / derive -------------------------------------------------------------------

@@ -19,14 +19,18 @@ from fuzzcalc.core import (
     FuzzyNumber,
     Interval,
     _add,
+    _cos,
     _div,
+    _exp,
     _fresh,
     _gh_difference,
     _mul,
     _nested,
     _pow_int,
+    _release,
     _scalar_mul,
     _sign_class,
+    _sin,
     _singleton,
     add,
     defuzz_triplet,
@@ -504,6 +508,57 @@ def test_operations_with_a_pool_match_those_without_bitwise(a_name, same_bytes):
             check(pow_int, _pow_int, a, n)
     check(singleton, _singleton, -0.0, _GRID5)
     assert (a.lower.tobytes(), a.upper.tobytes()) == kept
+
+
+def test_no_kernel_result_shares_memory_with_an_operand():
+    # so that a writable value is one result that nothing else holds, and
+    # _release may give it back whole
+    pos, neg, straddle = _OPERANDS["pos"], _OPERANDS["neg"], _OPERANDS["straddle"]
+    one = _singleton(2.0, _GRID5, None)  # one array for both envelopes
+    cases = [(_add, pos, neg), (_mul, pos, neg), (_mul, pos, straddle), (_scalar_mul, -2.0, pos),
+             (_div, straddle, neg), (_gh_difference, pos, neg), (_exp, straddle, _GRID5),
+             (_sin, straddle, _GRID5), (_cos, straddle, _GRID5), (_singleton, -0.0, _GRID5),
+             *((_pow_int, a, n) for a in (pos, straddle, one) for n in range(4))]
+    # mul's two-product path (both operands signed) and its four-product path
+    assert (_sign_class(pos), _sign_class(neg), _sign_class(straddle)) == (1, -1, 0)
+    for pool in (None, [], [np.full(len(_GRID5), 7.0) for _ in range(12)]):
+        for kernel, *args in cases:
+            operands = [x for x in args if isinstance(x, FuzzyNumber)]
+            out = kernel(*args, pool)
+            for result in (out.lower, out.upper):
+                assert not any(np.shares_memory(result, arr) for x in operands for arr in (x.lower, x.upper)), (
+                    kernel.__name__, args)
+                assert not any(result is arr for arr in pool or ()), (kernel.__name__, args)
+
+
+def test_a_first_power_is_a_copy_of_its_operand_bit_for_bit():
+    # +-0, +-inf, NaNs of either sign with payloads, subnormals, one level each
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.5])
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000ABC],
+                    dtype=np.uint64).view(np.float64)
+    lower = np.concatenate((special, nans))
+    grid = AlphaGrid.uniform(lower.size)
+    a = _fresh(grid, lower, lower[::-1].copy())
+    for pool in (None, [], [np.full(lower.size, 7.0) for _ in range(2)]):
+        out = _pow_int(a, 1, pool)
+        assert out.lower.tobytes() == a.lower.tobytes() and out.upper.tobytes() == a.upper.tobytes()
+        assert out.proper and out.lower.flags.writeable
+    assert pow_int(tri(-1, -0.0, 2), 1) == tri(-1, -0.0, 2)
+
+
+def test_release_gives_back_a_writable_value_once_and_keeps_a_sealed_one_out():
+    pos = _OPERANDS["pos"]
+    pool = []
+    v = _add(pos, pos, None)
+    _release(pool, v)
+    assert len(pool) == 2 and pool[0] is v.lower and pool[1] is v.upper
+    one = _singleton(2.0, _GRID5, None)
+    _release(pool, one)
+    assert len(pool) == 3 and pool[2] is one.lower is one.upper
+    # sealed: a public result, a singleton, a constructed value, a wrapped one
+    for sealed in (add(pos, pos), singleton(2.0, _GRID5), tri(1, 2, 3), pos):
+        _release(pool, sealed)
+    assert len(pool) == 3
 
 
 def test_public_operations_take_no_pool_and_return_read_only_values():

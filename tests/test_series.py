@@ -2,6 +2,7 @@
 
 import gc
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 import fuzzcalc.core
 import fuzzcalc.expr
+import fuzzcalc.ivp
+import fuzzcalc.series
 from fuzzcalc._counters import counting
 from fuzzcalc.core import (
     AlphaGrid,
@@ -208,6 +211,15 @@ def test_radius_four_quotient_names_a_series_too_short_for_its_probe():
     with pytest.raises(InvalidArgument, match="no coefficient a_11: the series has 11 explicit"):
         radius_four_quotient(s, 10)
     assert radius_four_quotient(s, 9).mode == "four-quotient"
+
+
+@pytest.mark.parametrize("numeric_test", [ratio_test, radius_four_quotient])
+def test_a_zero_support_endpoint_at_a_probe_index_names_its_coefficient(numeric_test):
+    coeffs = [singleton(1.0, GRID)] * 18
+    coeffs[8] = singleton(0.0, GRID)  # a_8 is read by the probe at n = 16 // 2
+    s = FuzzyPowerSeries(singleton(0.0, GRID), coeffs)
+    with pytest.raises(NoLimit, match="coefficient 8 has a zero support endpoint"):
+        numeric_test(s, 16)
 
 
 def test_radius_four_quotient_infinite_for_factorial_decay():
@@ -497,6 +509,50 @@ def test_taylor_tower_runs_each_distinct_node_once(
     # the first call plans the tower's walk, the second reuses that plan
     assert walked == [0] * order + [evaluated] + [0] * order
     assert counts["nodes"] == 2 * len(distinct_nodes(*tower)) == 2 * evaluated
+
+
+# the kernel each kind of work count names, as fuzzcalc.series and fuzzcalc.ivp import it
+_KIND_KERNELS = {"add": "_add", "mul": "_mul", "scalar_mul": "_scalar_mul", "gh_difference": "_gh_difference"}
+_RULE_SERIES = FuzzyPowerSeries(tri(-0.1, 0, 0.1), parse_coeff_rule("n / T(4,5,6)^(n-1)", GRID))
+_LIST_SERIES = FuzzyPowerSeries(tri(-0.1, 0, 0.1), [tri(k, k + 1, k + 3) for k in range(4)])
+_POINT = tri(0.2, 0.3, 0.5)
+# each call whose work counts are written by hand: its module, the kinds its
+# count makes nonzero, and the call
+_HAND_COUNTED = {
+    "solve": (fuzzcalc.ivp, {"mul", "scalar_mul", "add"}, lambda: fuzzcalc.ivp.solve(fuzzcalc.ivp.IvpProblem(
+        parse_expr("x*y + -y"), tri(0, 0.1, 0.2), tri(1, 1.1, 1.2), tri(0.01, 0.02, 0.03), order=3, steps=2))),
+    "partial_sum, 1 term": (fuzzcalc.series, {"gh_difference"}, lambda: partial_sum(_LIST_SERIES, _POINT, 1)),
+    "partial_sum, 4 terms of a list": (fuzzcalc.series, {"gh_difference", "mul", "add"},
+                                       lambda: partial_sum(_LIST_SERIES, _POINT, 4)),
+    "partial_sum, 6 terms of a rule": (fuzzcalc.series, {"gh_difference", "mul", "add"},
+                                       lambda: partial_sum(_RULE_SERIES, _POINT, 6)),
+    "taylor_series_of": (fuzzcalc.series, {"scalar_mul"},
+                         lambda: taylor_series_of(parse_expr("-x*sin(x)"), "x", _POINT, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HAND_COUNTED))
+def test_hand_written_work_counts_are_the_kernel_calls_made(case, count_calls, monkeypatch):
+    # each count, less what the tape counted in _evaluate, is the calls the
+    # module made to the kernel of its kind
+    module, named, call = _HAND_COUNTED[case]
+    calls = {kind: count_calls(module, name) for kind, name in _KIND_KERNELS.items() if hasattr(module, name)}
+    tape, real_evaluate = Counter(), module._evaluate
+
+    def evaluate(*args):
+        with counting() as inner:
+            values = real_evaluate(*args)
+        tape.update(inner)
+        return values
+
+    monkeypatch.setattr(module, "_evaluate", evaluate)
+    with counting() as counts:
+        call()
+    for kind in _KIND_KERNELS:
+        made = calls[kind][0] if kind in calls else 0
+        assert counts[kind] - tape[kind] == made, kind
+        assert (made > 0) == (kind in named), kind
+    assert case.startswith("partial_sum") or tape["nodes"] > 0
 
 
 # -- rule text parsing --------------------------------------------------------------------------

@@ -26,14 +26,16 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   extrapolant is improper;
 * ``mul``, ``div`` and ``pow_int`` on operands whose sign class picks the
   kernel: zeros of either sign, infinite envelopes, NaN-bearing values and
-  stacks whose rows share a sign or do not;
+  stacks whose rows share a sign or do not; and first powers, which copy
+  their base;
 * ``radius_four_quotient``, ``radius_symbolic_ratio``, ``ratio_test`` and
   ``convergence_interval`` on the demo and test coefficient rules, a rule
   whose coefficients pass the float range, and Taylor series probed past
   their last coefficient;
-* the cli-oneshot argvs, the error argvs of the failure contract and
-  the help texts, each through ``cli.run`` in-process: exit code, stdout,
-  stderr and the table it writes;
+* the cli-oneshot argvs, the error argvs of the failure contract, argv
+  text with a line break in it and the help texts, each through
+  ``cli.run`` in-process: exit code, stdout, stderr and the table it
+  writes;
 * each library argument bound, given an argument past it, among them a
   Taylor order past the float factorials, a grid resolution and a step
   count past their bounds, negative indices of rule series, and trial
@@ -90,8 +92,11 @@ EXTRA_ARGVS = (
     ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "2"],
     ["eval", "--expr", "x - y", "--bind", "x=T(0,1,2)", "--bind", "y=T(0,0.5,3)"],
     ["eval", "--expr", "x^2", "--bind", "x=T(1,2,3)", "--out", "{tmp}/eval.csv"],
-    # a line break in a table's metadata
+    # a line break in a table's metadata, a report line and an error line
     ["eval", "--expr", "x +\n1", "--bind", "x=T(1,2,3)", "--out", "{tmp}/eval.csv"],
+    ["derive", "--expr", "x", "--var", "x\ny", "--bind", "x=1"],
+    ["solve-ivp", "--rhs", "x +\ny", "--x0", "0", "--y0", "1", "--h", "0.1"],
+    ["series", "--coeff-rule", "1/\nn!"],
     ["eval", "--expr", "x^2", "--bind", "x=inf"],
     ["derive", "--expr", "x^2", "--var", "x", "--bind", "x=T(1,2,3)", "--tol", "-1"],
     # the core's midpoint, exp(709.5), overflows when summed as lo + hi
@@ -158,13 +163,15 @@ ESTIMATOR_INPUTS = (
 # bound as x = T(0,1,2), y = T(700,705,720) and w = T(700,800,900): zeros of
 # either sign (-x has -0.0 atop its support), envelopes that exp overflows
 # to inf, and values marked proper that hold NaN (0 * inf); where a zero
-# meets an infinity only the four products give NaN
+# meets an infinity only the four products give NaN.  First powers copy
+# their base, signed zeros included
 KERNEL_BINDINGS = {"x": (0, 1, 2), "y": (700, 705, 720), "w": (700, 800, 900)}
 KERNEL_INPUTS = {
     "signed zeros": ("(-x)*T(1,2,3)", "x*(-x)", "(-x)/T(1,2,3)", "(-x)^3", "x^3"),
     "infinite envelopes": ("exp(y)*y", "exp(y)*(-y)", "y/exp(y)", "exp(y)^2", "x*exp(y)", "(-x)*exp(y)"),
     "NaN-bearing values": ("(exp(y)*0)*y", "y/(exp(y)*0)", "(exp(y)*0)^3",
                            "(exp(w)*0)*w", "(exp(w)*0)/w", "(exp(w)*0)^2"),
+    "first powers": ("x^1", "(-x)^1", "(x*(-x))^1"),
 }
 # right-hand sides whose D_k are a binding (x, y), a constant's value
 # (T(1,2,3)), a crisp constant, repeated roots (every D_k past the last
