@@ -3,19 +3,20 @@
 ``counts`` is the switch: None while off, so a place that counts costs one
 ``is None`` test per call and nothing per operation.  :func:`counting`
 turns it on for a ``with`` block.  Each place adds, once per call, the work
-it decided to run: ``_evaluate`` its plan's counts, ``differentiate`` its
-rules, ``partial_sum``, ``taylor_series_of`` and ``solve`` their own kernel
-calls, ``mh_derivative`` and ``continuity_probe`` their blocks, rows and
-steps.  The keys: ``nodes`` evaluated; derivative ``rules`` run; each kind
-of operation (``add``, ``mul``, ``div``, ``scalar_mul``, ``gh_difference``,
+it decided to run: ``_evaluate`` its plan's counts, the only count of
+kernel calls (``solve``, ``taylor_series_of`` and ``partial_sum`` run
+theirs as root families on the tape), ``differentiate`` its rules,
+``mh_derivative`` and ``continuity_probe`` their blocks, rows and steps.
+The keys: ``nodes`` evaluated; derivative ``rules`` run; each kind of
+operation (``add``, ``mul``, ``div``, ``scalar_mul``, ``gh_difference``,
 ``pow_int``, ``singleton``, ``exp``, ``sin``, ``cos``), counting the
 products inside ``div`` and ``pow_int`` as ``mul`` too; each kind's
 ``.cells``, its calls times the rows times levels they work on (an
 evaluation counts every operation at its widest binding's rows); the
 estimators' stacked ``blocks``, the ``rows`` they evaluate (a stack's rows,
 and each point a redo evaluates on its own), and the schedule's
-``tableau_steps`` the derivative runs.  The switch is one per process: count
-from one thread at a time.
+``tableau_steps`` the derivative runs.  The switch is one per process:
+count from one thread at a time.
 """
 
 from __future__ import annotations
@@ -24,13 +25,6 @@ from collections import Counter
 from contextlib import contextmanager
 
 counts: Counter | None = None
-
-
-def add(ops: dict, cells: int) -> None:
-    """Count ``ops``, calls by kind, each on ``cells`` rows times levels."""
-    for kind, n in ops.items():
-        counts[kind] += n
-        counts[kind + ".cells"] += n * cells
 
 
 @contextmanager

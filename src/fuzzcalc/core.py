@@ -42,9 +42,8 @@ Each operation's arithmetic is one private kernel (``_add``, ``_mul``, ...,
 and ``_exp``, ``_sin``, ``_cos``: the ranges over each cut that evaluation
 runs), which runs no guard and marks nothing read-only (``_value``).  The
 public name runs the guards once, then the kernel, then marks the result
-read-only (``_frozen``).  Evaluation plans, ``partial_sum``,
-``taylor_series_of`` and ``solve`` check their inputs themselves and run
-the kernels, marking read-only only the values they hand out.
+read-only (``_frozen``).  Evaluation plans check their inputs themselves
+and run the kernels, marking read-only only the values they hand out.
 
 A kernel takes a buffer pool or None: a plain list of envelope arrays that
 ``ivp.solve`` creates and drops within one call.  Given one, a kernel

@@ -34,18 +34,18 @@ plan.  It returns a DAG in which equal subtrees share one derivative: the
 expanded tree of the k-th derivative of ``sin(x)*exp(x)`` doubles with k,
 its distinct nodes grow about quadratically.
 
-A derivative tower (Taylor coefficients, the IVP terms ``D_k``) is handled
-as one DAG with many roots, built again as the same nodes, and evaluated in
-one walk over their union, so a subtree the members share is computed once.
-The walk is planned once per root family (one root, for ``evaluate``) and
-cached on the family's last root, so a family evaluated many times (as by
-``mh_derivative``, ``solve`` or ``taylor_series_of``) is walked once.  The
-plan is a flat tape (after Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., SIAM 2008): one entry per distinct node, each a kernel from a
-per-class table with its operands' slot indices, so an evaluation is one
-loop over a list of slots.  The tape only routes values: its kernels, all
-core's, run no guards, and it checks only what a node may break (see
-:func:`_evaluate`).
+A sum of fuzzy products (the Taylor coefficients, the IVP step, a partial
+sum) is one root family: a DAG with many roots, evaluated in one walk over
+their union, so a subtree the roots share is computed once.  The walk is
+planned once per family (one root, for ``evaluate``) and cached on its last
+root, and a node keeps the families built from it (``_kept``), as it keeps
+its derivatives, so a family evaluated many times is built and walked once.
+The plan is a flat tape (after Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008): one entry per distinct node, each a
+kernel from a per-class table with its operands' slot indices, so an
+evaluation is one loop over a list of slots.  The tape only routes values:
+its kernels, all core's, run no guards, and it checks only what a node may
+break (see :func:`_evaluate`).
 
 Pickling writes a node's DAG flat, without recursion or kept state, and
 unpickling re-interns it.
@@ -216,6 +216,18 @@ class PowInt(Expr):
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class Neg(Expr):
     operand: Expr
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class _Scale(Expr):
+    """``operand`` times the crisp ``factor``, which is keyed by its bits."""
+
+    operand: Expr
+    factor: float
+
+    @classmethod
+    def _intern_key(cls, operand, factor) -> tuple:
+        return (cls, id(operand), struct.pack("d", factor))
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -505,6 +517,7 @@ _TAPE = {
     Div: (_div, lambda e: e._kids, ("div", "mul"), _IMPROPER_OPERAND),
     PowInt: (_pow_int, lambda e: (e.base, e.exponent), ("pow_int",), _IMPROPER_OPERAND),
     Neg: (_scalar_mul, lambda e: (-1.0, e.operand), ("scalar_mul",), _IMPROPER_OPERAND),
+    _Scale: (_scalar_mul, lambda e: (e.factor, e.operand), ("scalar_mul",), _IMPROPER_OPERAND),
     Exp: (_exp, lambda e: (e.operand, _GRID), ("exp",), _ARGUMENT),
     Sin: (_sin, lambda e: (e.operand, _GRID), ("sin",), _ARGUMENT),
     Cos: (_cos, lambda e: (e.operand, _GRID), ("cos",), _ARGUMENT),
@@ -526,8 +539,8 @@ def _plan(roots: tuple[Expr, ...]) -> tuple:
     slots; the first fuzzy constant's grid, else the default grid; and the
     operations the tape runs, by kind.  The plan knows structure and
     liveness only, not whose arrays a value holds, so it is cached on the
-    last root, keyed by the roots: a tower evaluated at many points (as by
-    ``solve``) is walked once.
+    last root, keyed by the roots: a family evaluated at many points (as by
+    ``solve``) is walked once while it lives (see :func:`_kept`).
     """
     last = roots[-1]
     cached = last.__dict__.get("_plan") if isinstance(last, Expr) else None
@@ -566,6 +579,16 @@ def _plan(roots: tuple[Expr, ...]) -> tuple:
     plan = (tuple(tape), start, tuple(slot[r] for r in roots), const_grid, ops)
     last.__dict__["_plan"] = (roots, plan)
     return plan
+
+
+def _kept(build, node: Expr, *args) -> tuple:
+    """``build(node, *args)``, root families built once per node, builder and
+    arguments and kept on ``node``, so their nodes and plans live as long."""
+    kept = node.__dict__.setdefault("_kept", {})
+    key = (build, *args)
+    if key not in kept:
+        kept[key] = build(node, *args)
+    return kept[key]
 
 
 def evaluate(e: Expr, env: Env | None = None) -> FuzzyNumber:
@@ -618,7 +641,9 @@ def _evaluate(roots: tuple[Expr, ...], env: Env | None, pool: list | None = None
                 values[j] = None
     if _counters.counts is not None:
         _counters.counts["nodes"] += len(tape)
-        _counters.add(ops, max((v.lower.size for v in env.bindings.values()), default=len(grid)))
+        cells = max((v.lower.size for v in env.bindings.values()), default=len(grid))
+        _counters.counts.update(ops)
+        _counters.counts.update({kind + ".cells": n * cells for kind, n in ops.items()})
     if pool is None:
         for i in root_slots:
             _frozen(values[i])
@@ -690,6 +715,12 @@ def _fneg(u: Expr) -> Expr:
     return Neg(u)
 
 
+def _fscale(k: float, u: Expr) -> Expr:
+    if isinstance(u, CrispConst):
+        return CrispConst(k * u.value)
+    return _Scale(u, k)
+
+
 def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic derivative with the crisp sum/product/chain rules applied
     formally; the power rule is d(u^n) = n*u^(n-1)*du.  A node is immutable,
@@ -728,6 +759,8 @@ def _derivative(e: Expr, var: str) -> Expr:
         return _fmul(rule, d[0])
     if isinstance(e, Neg):
         return _fneg(d[0])
+    if isinstance(e, _Scale):
+        return _fscale(e.factor, d[0])
     if isinstance(e, Exp):
         return _fmul(e, d[0])
     if isinstance(e, Sin):
@@ -775,6 +808,8 @@ def _render(e: Expr, wrap) -> tuple[str, int]:
         return f"{wrap(e.left, prec)}{op}{wrap(e.right, prec + 1)}", prec
     if isinstance(e, Neg):
         return f"-{wrap(e.operand, 3)}", 3
+    if isinstance(e, _Scale):  # a product whose left operand is the crisp factor
+        return f"{np.format_float_positional(e.factor, trim='-')}*{wrap(e.operand, 3)}", 2
     if isinstance(e, PowInt):
         return f"{wrap(e.base, 5)}^{e.exponent}", 4
     return f"{_FUNCTION_NAMES[type(e)]}({wrap(e.operand, 0)})", 5  # exp, sin or cos

@@ -30,26 +30,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from . import _counters
 from .core import (
     _IMPROPER_OPERAND,
     _OTHER_GRID,
     DEFAULT_GRID,
     AlphaGrid,
     FuzzyNumber,
-    _add,
     _exponent,
     _fresh,
-    _frozen,
-    _gh_difference,
     _integer,
-    _mul,
     _nested,
     _order_normalized,
-    _scalar_mul,
     div,
     make_triangular,
     pow_int,
@@ -58,7 +53,7 @@ from .core import (
 )
 from .errors import (DivisorStraddlesZero, ExprSyntaxError, GridMismatch, ImproperOperand,
                      InvalidArgument, NoLimit, NotSimplifiable)
-from .expr import Env, Expr, _evaluate, _Parser, differentiate
+from .expr import Add, Env, Expr, GhSub, Mul, Var, _evaluate, _kept, _Parser, _Scale, differentiate
 
 _AGREE_RTOL = 1e-6
 _DECAY_FACTOR = 0.75
@@ -67,6 +62,10 @@ _TINY = 1e-300
 # The largest order ``taylor_series_of`` takes: 170! is the largest factorial
 # a float holds, so 1 / k! is a float for every coefficient it scales.
 MAX_ORDER = 170
+# The most terms ``partial_sum`` takes: a sum of n terms runs 2n - 3 products,
+# and its family of 3n - 2 nodes and their plan are kept for each n given, so
+# the bound bounds both; it is above the 171 coefficients of order MAX_ORDER.
+MAX_TERMS = 256
 
 
 @dataclass(frozen=True)
@@ -157,28 +156,37 @@ class FuzzyPowerSeries:
         return self.coeffs[n]
 
 
+# x gH- center, evaluated on its own so that an improper one has its own message
+_OFFSET = GhSub(Var("point"), Var("center"))
+_D = Var("d")
+
+
+def _terms(d: Expr, n_terms: int) -> tuple[Expr]:
+    """a0 + a1*d + a2*(d*d) + ..., n_terms terms summed left to right."""
+    total = Var("a0")
+    for k, power in enumerate(accumulate([d] * (n_terms - 1), Mul), start=1):
+        total = Add(total, Mul(Var(f"a{k}"), power))
+    return (total,)
+
+
 def partial_sum(s: FuzzyPowerSeries, x: FuzzyNumber, n_terms: int) -> FuzzyNumber:
-    """Sum of the first ``n_terms`` terms a_k * (x gH- center)^k.  Only ``x``
-    is checked: the series checked the rest when built."""
+    """Sum of the first ``n_terms`` terms a_k * (x gH- center)^k, at most
+    ``MAX_TERMS``.  Only ``x`` is checked: the series checked the rest when built."""
     if n_terms < 1:
         raise InvalidArgument("need at least one term")
+    if n_terms > MAX_TERMS:
+        raise InvalidArgument(f"number of terms must be at most {MAX_TERMS}, got {n_terms!r}")
     n_terms = _integer(n_terms, "number of terms")
     if not x.proper:
         raise ImproperOperand(_IMPROPER_OPERAND)
     if x.grid != s.center.grid:
         raise GridMismatch(_OTHER_GRID)
-    diff = _gh_difference(x, s.center, None)
+    diff = _evaluate((_OFFSET,), Env({"point": x, "center": s.center}, x.grid))[_OFFSET]
     if not diff.proper:
         raise ImproperOperand("x gH- center is improper; partial sums undefined")
-    total = s.coefficient(0)
-    power = None
-    for k in range(1, n_terms):
-        power = diff if power is None else _mul(power, diff, None)
-        total = _add(total, _mul(s.coefficient(k), power, None), None)
-    if _counters.counts is not None:
-        ops = {"gh_difference": 1, "mul": max(2 * n_terms - 3, 0), "add": n_terms - 1}
-        _counters.add(ops, x.lower.size)
-    return _frozen(total)
+    (total,) = _kept(_terms, _D, n_terms)
+    coeffs = {f"a{k}": s.coefficient(k) for k in range(n_terms)}
+    return _evaluate((total,), Env({**coeffs, "d": diff}, x.grid))[total]
 
 
 # -- limit declaration -----------------------------------------------------------
@@ -354,12 +362,12 @@ def taylor_series_of(
     env: Env | None = None,
 ) -> FuzzyPowerSeries:
     """Series with coefficients f^(k)(x0) / k! for k = 0..order, centered at
-    x0; derivatives are symbolic, evaluation is level-wise.  The tower
-    f, f', ..., f^(order) is built first, each node differentiated once per
-    node and variable, for the node's lifetime (so a repeated call on ``f``
-    builds the same tower), then evaluated in one walk over its nodes.  Each
-    member, which may be an improper gH-difference, is checked as scaled.
-    ``order`` is at most ``MAX_ORDER``."""
+    x0; derivatives are symbolic, evaluation is level-wise.  The scaled
+    members f^(k) / k! are one root family, which ``f`` keeps for each
+    variable and order, so a repeated call builds and plans nothing; it is
+    evaluated in one walk over its nodes, and each member, which may be an
+    improper gH-difference, is checked as scaled.  ``order`` is at most
+    ``MAX_ORDER``."""
     if order < 0:
         raise InvalidArgument("order must be nonnegative")
     if order > MAX_ORDER:
@@ -367,18 +375,17 @@ def taylor_series_of(
             f"order must be at most {MAX_ORDER}, the largest k whose k! is a float, got {order!r}")
     order = _integer(order, "order")
     at_x0 = Env(env.bindings if env is not None else {}, x0.grid).with_binding(var, x0)
+    family = _kept(_coefficients, f, var, order)
+    values = _evaluate(family, at_x0)
+    return FuzzyPowerSeries(x0, [values[c] for c in family])
+
+
+def _coefficients(f: Expr, var: str, order: int) -> tuple[Expr, ...]:
+    """f, f', ..., f^(order) by ``var``, each scaled by 1/k!."""
     tower = [f]
     for _ in range(order):
         tower.append(differentiate(tower[-1], var))
-    values = _evaluate(tuple(tower), at_x0)
-    coeffs = []
-    for k, g in enumerate(tower):
-        if not values[g].proper:
-            raise ImproperOperand(_IMPROPER_OPERAND)
-        coeffs.append(_frozen(_scalar_mul(1.0 / math.factorial(k), values[g], None)))
-    if _counters.counts is not None:
-        _counters.add({"scalar_mul": len(tower)}, x0.lower.size)
-    return FuzzyPowerSeries(x0, coeffs)
+    return tuple(_Scale(g, 1.0 / math.factorial(k)) for k, g in enumerate(tower))
 
 
 # -- coefficient-rule text format ---------------------------------------------------

@@ -21,9 +21,10 @@ from fuzzcalc.core import (
 )
 from fuzzcalc.errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument, NotSimplifiable
 from fuzzcalc.expr import PowInt, Var, parse_expr
-from fuzzcalc.ivp import MAX_STEPS, IvpProblem, solve
+from fuzzcalc.ivp import MAX_STEPS, IvpProblem, solve, total_derivatives
 from fuzzcalc.series import (
     MAX_ORDER,
+    MAX_TERMS,
     FuzzyPowerSeries,
     convergence_interval,
     parse_coeff_rule,
@@ -67,6 +68,9 @@ BOUNDS = [
     ("FuzzyPowerSeries", lambda: FuzzyPowerSeries(singleton(0.0), []), "must be nonempty"),
     ("partial_sum", lambda: partial_sum(SERIES, T, 0), "at least one term"),
     ("partial_sum fraction", lambda: partial_sum(SERIES, T, 2.5), "number of terms must be an integer, got 2.5"),
+    # checked before the coefficients are read, so a rule's too
+    ("partial_sum too many terms", lambda: partial_sum(FuzzyPowerSeries(T, parse_coeff_rule("1/n!")), T, MAX_TERMS + 1),
+     f"number of terms must be at most {MAX_TERMS}, got {MAX_TERMS + 1}"),
     # an explicit list holds a_0 to a_19; its coefficient read is the one check
     ("coefficient", lambda: SERIES.coefficient(20), "no coefficient a_20: the series has 20"),
     ("coefficient negative", lambda: SERIES.coefficient(-1), "no coefficient a_-1"),
@@ -95,6 +99,11 @@ BOUNDS = [
      "order must be an integer, got 2.5"),
     ("IvpProblem order", lambda: ivp(order=5), "between 1 and 4"),
     ("IvpProblem order fraction", lambda: ivp(order=2.5), "truncation order must be an integer, got 2.5"),
+    # total_derivatives takes the problem's order bound, from the one check
+    *((f"total_derivatives order {order}", lambda order=order: total_derivatives(parse_expr("x + y"), order),
+       "between 1 and 4") for order in (-1, 0, 5, 1000)),
+    ("total_derivatives order fraction", lambda: total_derivatives(parse_expr("x + y"), 2.5),
+     "truncation order must be an integer, got 2.5"),
     ("IvpProblem steps", lambda: ivp(steps=0), "at least one step"),
     ("IvpProblem steps fraction", lambda: ivp(steps=1.5), "number of steps must be an integer, got 1.5"),
     ("IvpProblem steps too many", lambda: ivp(steps=MAX_STEPS + 1),
@@ -122,6 +131,12 @@ def test_the_order_bound_is_inclusive():
     s = taylor_series_of(parse_expr("x"), "x", T, MAX_ORDER)
     assert len(s.coeffs) == MAX_ORDER + 1
     assert s.coefficient(1) == singleton(1.0) and s.coefficient(MAX_ORDER) == singleton(0.0)
+
+
+def test_the_term_bound_is_inclusive():
+    # past n = 170, 1/n! folds to 0, so every sum of 171 terms or more is one value
+    s = FuzzyPowerSeries(singleton(0.0), parse_coeff_rule("1/n!"))
+    assert partial_sum(s, singleton(0.5), MAX_TERMS) == partial_sum(s, singleton(0.5), 180)
 
 
 def test_the_resolution_bound_is_inclusive():

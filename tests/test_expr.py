@@ -15,6 +15,7 @@ import pytest
 import fuzzcalc
 import fuzzcalc.core
 import fuzzcalc.expr
+import fuzzcalc.ivp
 from fuzzcalc._counters import counting
 from fuzzcalc.core import (
     AlphaGrid,
@@ -199,6 +200,26 @@ def test_deep_nodes_pickle_flat_and_unpickle_as_the_interned_node():
     assert pickle.loads(pickle.dumps([cube, mixed])) == [cube, mixed]
 
 
+def test_the_scale_node_renders_pickles_and_differentiates():
+    # the node the step and the Taylor coefficients scale their terms with:
+    # rendered as a product by its factor, keyed by the factor's bits
+    scale = fuzzcalc.expr._Scale
+    assert repr(scale(Var("x"), 0.5)) == "_Scale(0.5*x)"
+    assert to_text(Add(Var("y"), scale(Mul(Var("h1"), Var("x")), -0.25))) == "y + -0.25*(h1*x)"
+    assert scale(Var("x"), 0.0) is not scale(Var("x"), -0.0)
+    assert differentiate(scale(Var("x"), 0.5), "x") is CrispConst(0.5)
+    # a root of a kept family: the solve's last term, a scaled product
+    p = IvpProblem(parse_expr("x*y + 0.6875"), tri(0, 0.1, 0.2), tri(1, 1.1, 1.2), tri(0.01, 0.02, 0.03), order=2)
+    solve(p)
+    _, _, (_, y_next, last) = fuzzcalc.ivp._kept(fuzzcalc.ivp._step, p.rhs, p.order)
+    assert repr(last) == "_Scale(0.5*(h2*(y + x*(x*y + 0.6875))))"
+    assert repr(y_next) == "Add(y + 1*(h1*(x*y + 0.6875)) + 0.5*(h2*(y + x*(x*y + 0.6875))))"
+    for root in (last, y_next):
+        assert pickle.loads(pickle.dumps(root)) is root
+    assert differentiate(last, "h2") is scale(differentiate(last.operand, "h2"), 0.5)
+    assert differentiate(last, "x") is scale(differentiate(last.operand, "x"), 0.5)
+
+
 def test_deep_nodes_repr_without_recursion():
     text = " + ".join(["x"] * 2000)
     long_sum = parse_expr(text)
@@ -229,7 +250,7 @@ def test_nodes_refuse_a_child_that_is_not_a_node_when_built():
         for root in ([1], 2.0, "x"):
             with pytest.raises(TypeError, match="not an expression node"):
                 walk(root)
-    # and a class outside the twelve cannot be built, so a walk meets none
+    # and a class outside the thirteen cannot be built, so a walk meets none
     class Twice(Neg):
         pass
 

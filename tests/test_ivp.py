@@ -23,7 +23,7 @@ from fuzzcalc.core import (
     scalar_mul,
     singleton,
 )
-from fuzzcalc.errors import GridMismatch, ImproperOperand
+from fuzzcalc.errors import GridMismatch, ImproperOperand, InvalidArgument
 from fuzzcalc.expr import CrispConst, Env, Var, _evaluate, evaluate, parse_expr
 from fuzzcalc.ivp import IvpProblem, solve, total_derivatives
 
@@ -74,6 +74,18 @@ def test_total_derivatives_of_pure_y():
     assert all(d == Var("y") for d in derivs)
 
 
+def test_total_derivatives_checks_its_order_with_a_tower_kept():
+    # a slice of the kept tower of 4 would answer order -1 with three members
+    rhs = parse_expr("x*y + 0.5625")
+    assert len(total_derivatives(rhs, 4)) == 4
+    for order in (-1, 0, 5):
+        with pytest.raises(InvalidArgument, match="between 1 and 4"):
+            total_derivatives(rhs, order)
+    with pytest.raises(InvalidArgument, match="must be an integer, got 2.5"):
+        total_derivatives(rhs, 2.5)
+    assert total_derivatives(rhs, 2.0) == total_derivatives(rhs, 4)[:2]
+
+
 def test_total_derivatives_of_pure_x():
     d1, d2, d3 = total_derivatives(parse_expr("x"), 3)
     assert d2 == CrispConst(1.0)
@@ -92,12 +104,13 @@ WIDE_FORMS = (
 )
 
 
-def _reference_solve(p: IvpProblem) -> list:
-    # the per-root reference: one evaluate per D_k, and h^k formed again in
-    # each step
+def _reference_solve(p: IvpProblem) -> tuple[list, list]:
+    # the step as a hand loop of the public operations, the reference for the
+    # step's root family: one evaluate per D_k, h^k formed again in each
+    # step, and the last term's magnitude
     derivs = total_derivatives(p.rhs, p.order)
     x, y = p.x0, p.y0
-    trajectory = [(x, y)]
+    trajectory, magnitudes = [(x, y)], []
     for _ in range(p.steps):
         env = Env({"x": x, "y": y}, x.grid)
         y_next, h_pow = y, None
@@ -107,7 +120,8 @@ def _reference_solve(p: IvpProblem) -> list:
             y_next = add(y_next, term)
         x, y = add(x, p.h), y_next
         trajectory.append((x, y))
-    return trajectory
+        magnitudes.append(abs(max(float(term.upper.max()), -float(term.lower.min()))))
+    return trajectory, magnitudes
 
 
 @pytest.mark.parametrize("form", WIDE_FORMS)
@@ -120,36 +134,51 @@ def test_tower_in_one_walk_matches_the_per_root_loop(form, same_bytes):
     loop = [evaluate(dk, env) for dk in derivs]
     family = _evaluate(tuple(derivs), env)
     assert all(same_bytes(family[dk], w) for dk, w in zip(derivs, loop))
-    got = solve(p).trajectory
-    expect = _reference_solve(p)
-    assert all(same_bytes(a, b) for pair, ref in zip(got, expect) for a, b in zip(pair, ref))
+    got = solve(p)
+    expect, magnitudes = _reference_solve(p)
+    assert all(same_bytes(a, b) for pair, ref in zip(got.trajectory, expect) for a, b in zip(pair, ref))
+    assert got.truncation_magnitudes == tuple(magnitudes)
+
+
+def _families(p: IvpProblem) -> tuple:
+    """The powers family and the step family ``solve`` keeps for ``p``."""
+    return fuzzcalc.ivp._kept(fuzzcalc.ivp._step, p.rhs, p.order)[1:]
 
 
 def test_solve_runs_each_tower_node_once_per_step(distinct_nodes):
-    # a loop of evaluate per D_k runs 112 node evaluations here
+    # the powers h to h^4 once, then in each step the tower's 32 distinct
+    # nodes and the step's 17 around them (h1 to h4, and x + h1 and the four
+    # products, scalings and sums); a loop of evaluate per D_k runs 112 node
+    # evaluations per step here
     p = worked_problem(order=4, steps=2)
-    derivs = total_derivatives(p.rhs, p.order)
     with counting() as counts:
         solve(p)
-    assert counts["nodes"] == p.steps * len(distinct_nodes(*derivs)) == 64
+    powers, step = _families(p)
+    assert len(distinct_nodes(*total_derivatives(p.rhs, p.order))) == 32
+    assert counts["nodes"] == len(distinct_nodes(*powers)) + p.steps * len(distinct_nodes(*step)) == 4 + 2 * 49
 
 
-def test_solve_plans_its_tower_once_and_forms_step_powers_once(count_calls, monkeypatch):
-    # a constant no other test uses, so no plan for this tower is cached yet
+def test_solve_plans_its_tower_once_and_forms_step_powers_once(monkeypatch):
+    # a constant no other test uses, so no plan for this step family is cached yet
     p = worked_problem(rhs=parse_expr("x^2 + y^2 + 0.4375"), order=4, steps=3)
-    walked = []
-    real_walk = fuzzcalc.expr._walk
+    walked, evaluated = [], []
+    real_walk, real_evaluate = fuzzcalc.expr._walk, fuzzcalc.ivp._evaluate
 
     def walk(roots, *rest):
         walked.append(roots)
         return real_walk(roots, *rest)
 
+    def evaluate(roots, *rest):
+        evaluated.append(roots)
+        return real_evaluate(roots, *rest)
+
     monkeypatch.setattr(fuzzcalc.expr, "_walk", walk)
-    products = count_calls(fuzzcalc.ivp, "_mul")
+    monkeypatch.setattr(fuzzcalc.ivp, "_evaluate", evaluate)
     solve(p)
-    assert walked.count(tuple(total_derivatives(p.rhs, p.order))) == 1
-    # h^2, h^3, h^4 once, then h^k (x) D_k for each k in each step
-    assert products[0] == (p.order - 1) + p.order * p.steps
+    powers, step = _families(p)
+    assert walked.count(step) == 1
+    # h, h^2, h^3, h^4 in one evaluation, then the step's family once a step
+    assert evaluated == [powers] + [step] * p.steps
 
 
 def test_second_solve_of_one_rhs_builds_and_plans_nothing(count_calls):
@@ -192,7 +221,7 @@ def test_solve_gives_back_no_value_a_caller_holds(form, same_bytes):
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
     assert same_bytes(evaluate(rhs, env), value)
     # and the pooled solve is the per-root loop's, bit for bit
-    expect = _reference_solve(p)
+    expect, _ = _reference_solve(p)
     assert all(same_bytes(a, b) for pair, ref in zip(trajectory, expect) for a, b in zip(pair, ref))
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ import fuzzcalc.series
 from fuzzcalc._counters import counting
 from fuzzcalc.core import (
     AlphaGrid,
+    add,
     div,
     gh_difference,
     hausdorff_distance,
     make_triangular,
+    mul,
     scalar_mul,
     singleton,
 )
@@ -127,7 +130,10 @@ def test_a_warm_partial_sum_calls_no_guard(count_calls, same_bytes):
     improper = gh_difference(tri(0, 1, 1, grid), tri(0, 0.5, 2, grid))
     first = partial_sum(s, at, 9)
     proper, same_grid = (count_calls(fuzzcalc.core, name) for name in ("_require_proper", "_require_same_grid"))
+    walks = count_calls(fuzzcalc.expr, "_walk")
     again = partial_sum(s, at, 9)
+    # the offset's family and the kept family of 9 terms are planned already
+    assert walks[0] == 0
     assert same_bytes(first, again)
     assert not (again.lower.flags.writeable or again.upper.flags.writeable)
     with pytest.raises(ImproperOperand, match=r"^operand is an improper \(non-nested\) fuzzy number$"):
@@ -449,13 +455,26 @@ def _tower(f, order: int) -> list:
     return tower
 
 
+def _reference_partial_sum(s: FuzzyPowerSeries, x, n_terms: int):
+    # the sum as a hand loop of the public operations, the reference for the
+    # sum's root family
+    diff = gh_difference(x, s.center)
+    total, power = s.coefficient(0), None
+    for k in range(1, n_terms):
+        power = diff if power is None else mul(power, diff)
+        total = add(total, mul(s.coefficient(k), power))
+    return total
+
+
 @pytest.mark.parametrize("text, order", SWELL_SHAPES)
 def test_taylor_tower_in_one_walk_matches_the_per_root_loop(text, order, same_bytes):
-    # the loop of evaluate over f, f', ..., f^(order) is the reference
-    grid = AlphaGrid.uniform(11)
+    # the loop of evaluate over f, f', ..., f^(order), each scaled by 1/k!,
+    # is the coefficients' reference; the sum is taken at a point wider than
+    # the centre, so that point gH- centre is proper, as taylor-swell does
+    grid = AlphaGrid.uniform(101)
     f = parse_expr(text, grid)
     tower = _tower(f, order)
-    for centre in ((0.1, 0.2, 0.3), (-0.9, -0.7, -0.6)):
+    for centre, point in (((0.1, 0.2, 0.3), (0.12, 0.25, 0.38)), ((-0.9, -0.7, -0.6), (-0.98, -0.72, -0.57))):
         x0 = tri(*centre, grid)
         env = Env({"x": x0})
         loop = [evaluate(g, env) for g in tower]
@@ -464,6 +483,8 @@ def test_taylor_tower_in_one_walk_matches_the_per_root_loop(text, order, same_by
         for k, (g, w, c) in enumerate(zip(tower, loop, s.coeffs)):
             assert same_bytes(family[g], w)
             assert same_bytes(c, scalar_mul(1.0 / math.factorial(k), w))
+        at = tri(*point, grid)
+        assert same_bytes(partial_sum(s, at, order + 1), _reference_partial_sum(s, at, order + 1))
 
 
 def test_an_improper_tower_member_raises_the_operand_error(count_calls):
@@ -506,53 +527,64 @@ def test_taylor_tower_runs_each_distinct_node_once(
         for centre in ((0.1, 0.2, 0.3), (-0.9, -0.7, -0.6)):
             taylor_series_of(f, "x", tri(*centre, grid), order)
     assert rules[0] == differentiated
-    # the first call plans the tower's walk, the second reuses that plan
-    assert walked == [0] * order + [evaluated] + [0] * order
-    assert counts["nodes"] == 2 * len(distinct_nodes(*tower)) == 2 * evaluated
+    # the first call builds the family of the scaled members, which f keeps,
+    # and plans its walk; the second reuses both
+    family = fuzzcalc.series._kept(fuzzcalc.series._coefficients, f, "x", order)
+    assert len(distinct_nodes(*family)) == evaluated + order + 1
+    assert walked == [0] * order + [evaluated + order + 1]
+    assert counts["nodes"] == 2 * len(distinct_nodes(*family))
 
 
-# the kernel each kind of work count names, as fuzzcalc.series and fuzzcalc.ivp import it
-_KIND_KERNELS = {"add": "_add", "mul": "_mul", "scalar_mul": "_scalar_mul", "gh_difference": "_gh_difference"}
+# the kernel each kind of work count names
+_KIND_KERNELS = {kind: getattr(fuzzcalc.core, "_" + kind) for kind in (
+    "add", "mul", "div", "scalar_mul", "gh_difference", "pow_int", "singleton", "exp", "sin", "cos")}
 _RULE_SERIES = FuzzyPowerSeries(tri(-0.1, 0, 0.1), parse_coeff_rule("n / T(4,5,6)^(n-1)", GRID))
 _LIST_SERIES = FuzzyPowerSeries(tri(-0.1, 0, 0.1), [tri(k, k + 1, k + 3) for k in range(4)])
 _POINT = tri(0.2, 0.3, 0.5)
-# each call whose work counts are written by hand: its module, the kinds its
+# each call that runs its work as root families on the tape: the kinds its
 # count makes nonzero, and the call
-_HAND_COUNTED = {
-    "solve": (fuzzcalc.ivp, {"mul", "scalar_mul", "add"}, lambda: fuzzcalc.ivp.solve(fuzzcalc.ivp.IvpProblem(
-        parse_expr("x*y + -y"), tri(0, 0.1, 0.2), tri(1, 1.1, 1.2), tri(0.01, 0.02, 0.03), order=3, steps=2))),
-    "partial_sum, 1 term": (fuzzcalc.series, {"gh_difference"}, lambda: partial_sum(_LIST_SERIES, _POINT, 1)),
-    "partial_sum, 4 terms of a list": (fuzzcalc.series, {"gh_difference", "mul", "add"},
-                                       lambda: partial_sum(_LIST_SERIES, _POINT, 4)),
-    "partial_sum, 6 terms of a rule": (fuzzcalc.series, {"gh_difference", "mul", "add"},
-                                       lambda: partial_sum(_RULE_SERIES, _POINT, 6)),
-    "taylor_series_of": (fuzzcalc.series, {"scalar_mul"},
+_TAPE_COUNTED = {
+    "solve": ({"mul", "div", "scalar_mul", "add", "gh_difference", "pow_int", "singleton"}, lambda: fuzzcalc.ivp.solve(
+        fuzzcalc.ivp.IvpProblem(parse_expr("x*y + -y + 1/(2 + y)"), tri(0, 0.1, 0.2), tri(1, 1.1, 1.2),
+                                tri(0.01, 0.02, 0.03), order=3, steps=2))),
+    "partial_sum, 1 term": ({"gh_difference"}, lambda: partial_sum(_LIST_SERIES, _POINT, 1)),
+    "partial_sum, 4 terms of a list": ({"gh_difference", "mul", "add"}, lambda: partial_sum(_LIST_SERIES, _POINT, 4)),
+    "partial_sum, 6 terms of a rule": ({"gh_difference", "mul", "add"}, lambda: partial_sum(_RULE_SERIES, _POINT, 6)),
+    "taylor_series_of": ({"mul", "scalar_mul", "add", "sin", "cos", "singleton"},
                          lambda: taylor_series_of(parse_expr("-x*sin(x)"), "x", _POINT, 5)),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_HAND_COUNTED))
-def test_hand_written_work_counts_are_the_kernel_calls_made(case, count_calls, monkeypatch):
-    # each count, less what the tape counted in _evaluate, is the calls the
-    # module made to the kernel of its kind
-    module, named, call = _HAND_COUNTED[case]
-    calls = {kind: count_calls(module, name) for kind, name in _KIND_KERNELS.items() if hasattr(module, name)}
-    tape, real_evaluate = Counter(), module._evaluate
+@pytest.mark.parametrize("case", sorted(_TAPE_COUNTED))
+def test_hand_written_work_counts_are_the_kernel_calls_made(case):
+    # each kind's count is the calls the tape made to its kernel, directly or
+    # inside another kernel (div's and pow_int's products), on as many cells
+    # each as the grid has levels; a coefficient of the rule, which the
+    # series' public operations compute, is not the tape's work
+    named, call = _TAPE_COUNTED[case]
+    kinds = {kernel.__code__: kind for kind, kernel in _KIND_KERNELS.items()}
+    made = Counter()
 
-    def evaluate(*args):
-        with counting() as inner:
-            values = real_evaluate(*args)
-        tape.update(inner)
-        return values
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in kinds:
+            caller = frame.f_back
+            while caller.f_code in kinds:
+                caller = caller.f_back
+            if caller.f_code is fuzzcalc.expr._evaluate.__code__:
+                made[kinds[frame.f_code]] += 1
 
-    monkeypatch.setattr(module, "_evaluate", evaluate)
+    outer = sys.getprofile()
     with counting() as counts:
-        call()
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(outer)
     for kind in _KIND_KERNELS:
-        made = calls[kind][0] if kind in calls else 0
-        assert counts[kind] - tape[kind] == made, kind
-        assert (made > 0) == (kind in named), kind
-    assert case.startswith("partial_sum") or tape["nodes"] > 0
+        assert counts[kind] == made[kind], kind
+        assert counts[f"{kind}.cells"] == made[kind] * len(GRID), kind
+        assert (made[kind] > 0) == (kind in named), kind
+    assert counts["nodes"] > 0
 
 
 # -- rule text parsing --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports, at top level or inside a
 function, is read somewhere in that module, in the package and in the
-tests, tools and demos."""
+tests, tools and demos; only core handles envelope arrays; and only core
+and expr call the tape's kernels, so the work counts have one source."""
 
 import ast
 import pathlib
@@ -8,6 +9,7 @@ import pathlib
 import pytest
 
 import fuzzcalc
+import fuzzcalc.expr
 
 PACKAGE = pathlib.Path(fuzzcalc.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -67,3 +69,26 @@ def test_the_array_handling_check_matches_names_not_substrings():
                          ids=source_id)
 def test_only_core_takes_pools_seals_and_wraps_envelope_arrays(path):
     assert array_handling(path.read_text()) == []
+
+
+def imported_names(source: str) -> set[str]:
+    """The names ``source`` takes with ``from ... import``."""
+    return {a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+# the kernels the evaluation tape runs, by name
+TAPE_KERNELS = {kernel.__name__ for kernel, *_ in fuzzcalc.expr._TAPE.values()}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("core.py", "expr.py")],
+                         ids=source_id)
+def test_only_core_and_expr_import_the_tapes_kernels(path):
+    # the solver's step, the Taylor coefficients and the partial sums run as
+    # root families on the tape, so no module outside it calls a kernel
+    assert sorted(imported_names(path.read_text()) & TAPE_KERNELS) == []
+
+
+def test_only_the_tape_and_the_estimators_count_work():
+    # the tape counts every kernel call; the estimators count their blocks
+    counters = sorted(p.name for p in PACKAGE.glob("*.py") if "_counters" in imported_names(p.read_text()))
+    assert counters == ["calculus.py", "expr.py"]

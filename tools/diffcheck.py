@@ -16,6 +16,8 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
 * solves whose tower roots are a binding, a constant's value or an operand
   passed through, and one whose cos straddles zero, on 10001 levels: the
   values a solve's buffer pool must never give back;
+* a Taylor series and a solve whose tower has an improper first member and
+  a later member dividing by a crisp 0: which error each raises first;
 * the derive-fine texts at 16 points, through ``mh_derivative`` at three
   tolerances and ``continuity_probe``;
 * estimator inputs that stop just before, or raise at, a point whose
@@ -37,9 +39,10 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   ``cli.run`` in-process: exit code, stdout, stderr and the table it
   writes;
 * each library argument bound, given an argument past it, among them a
-  Taylor order past the float factorials, a grid resolution and a step
-  count past their bounds, negative indices of rule series, and trial
-  deltas that are not positive and finite;
+  Taylor order past the float factorials, a grid resolution, a step count
+  and a partial sum's terms past their bounds, tower orders outside the
+  problem's, negative indices of rule series, and trial deltas that are
+  not positive and finite;
 * the constructor's refusals and the package's exported names.
 
 Each entry records its result (envelope digests, properness, scalars) or
@@ -249,6 +252,16 @@ def _library_entries(workloads, fc):
                lambda text=text: solved(fc.ivp.IvpProblem(fc.expr.parse_expr(text, wide), **point,
                                                           order=4, steps=3)))
 
+    # an improper first member of a tower before a later member whose
+    # divisor, a crisp square that underflows to 0, holds zero: which error
+    # the call raises first
+    gap, at_gap = fc.expr.parse_expr(f"x/0.{'0' * 169}1 - T(0,0.5,2)"), core.make_triangular((0, 1e-170, 1e-170))
+    yield ("precedence:taylor of x/1e-170 - T(0,0.5,2) at T(0,1e-170,1e-170), order 2",
+           lambda: dict(enumerate(series.taylor_series_of(gap, "x", at_gap, 2).coeffs)))
+    yield ("precedence:y' = x/1e-170 - T(0,0.5,2) at x0 = T(0,1e-170,1e-170), order 2",
+           lambda: solved(fc.ivp.IvpProblem(gap, at_gap, core.make_triangular((1, 2, 3)),
+                                            core.make_triangular((0.01, 0.02, 0.03)), order=2)))
+
     def mh(expr, x0, **kw):
         est = fc.calculus.mh_derivative(expr, "x", x0, **kw)
         return {"value": est.value, "left_value": est.left_value, "h_final": est.h_final, "gap": est.gap}
@@ -369,6 +382,7 @@ def _library_entries(workloads, fc):
         "partial_sum of 0 terms": lambda: series.partial_sum(cases["[T(1,2,3)] * 40"](), tri[0], 0),
         "partial_sum of 12 terms of 11 coefficients":
             lambda: series.partial_sum(cases["taylor of exp(x) at T(-1,0,1), order 10"](), tri[0], 12),
+        "partial_sum of 257 terms of rule 1/n!": lambda: series.partial_sum(cases["rule 1/n!"](), tri[1], 257),
         "radius_four_quotient n=1": lambda: series.radius_four_quotient(cases["[T(1,2,3)] * 40"](), 1),
         "ratio_test n=1": lambda: series.ratio_test(cases["[T(1,2,3)] * 40"](), 1),
         "convergence_interval radius T(-1,0,1)": lambda: series.convergence_interval(zero, tri[1]),
@@ -379,6 +393,8 @@ def _library_entries(workloads, fc):
         "rule n*T(1,2,3)^(n) coefficient(-2)": lambda: series.FuzzyPowerSeries(
             tri[0], series.parse_coeff_rule("n*T(1,2,3)^(n)", grid)).coefficient(-2),
         "IvpProblem order=5": lambda: fc.ivp.IvpProblem(**ivp, order=5),
+        **{f"total_derivatives order {order}": lambda order=order: fc.ivp.total_derivatives(ivp["rhs"], order)
+           for order in (-1, 2.5, 5)},
         "IvpProblem steps=0": lambda: fc.ivp.IvpProblem(**ivp, steps=0),
         "IvpProblem steps=10001": lambda: fc.ivp.IvpProblem(**ivp, steps=10_001),
         "IvpProblem rhs x + z": lambda: fc.ivp.IvpProblem(**{**ivp, "rhs": parse("x + z", grid)}),
