@@ -12,8 +12,8 @@ Handlers import what they run when they run, and the options whose
 defaults and bounds other modules own (``--alphas``, ``--tol``) default
 to None and are checked by those modules, so ``eval`` loads no calculus,
 series or IVP code.  An error found in argv or problem-file text alone
-loads no numpy: argparse's usage errors, ``--help``, and ``solve-ivp``'s
-problem-file and field checks, which run before it imports the solver.
+loads no numpy: argparse's usage errors, ``--help``, and the option and
+problem-file checks of ``series`` and ``solve-ivp``, run before any import.
 """
 
 from __future__ import annotations
@@ -203,16 +203,11 @@ def _cmd_derive(args):
     return lines, est.value, args.out, {"expression": args.expr, "var": args.var}
 
 
-def _taylor_probe(order: int) -> int:
-    # probes at n and n/2 behave best when both indices fall at the same
-    # phase of the sin/cos derivative cycle, so prefer multiples of 8
-    avail = order - 1
-    if avail >= 8:
-        return (avail // 8) * 8
-    return (avail // 2) * 2
-
-
 def _cmd_series(args):
+    if bool(args.taylor_of) == bool(args.coeff_rule):
+        raise ProblemFileError("give exactly one of --taylor-of or --coeff-rule")
+    if args.taylor_of and not (args.var and args.center and args.order is not None):
+        raise ProblemFileError("--taylor-of needs --var, --center, and --order")
     from .core import singleton
     from .expr import parse_expr
     from .series import (
@@ -225,13 +220,8 @@ def _cmd_series(args):
     )
 
     grid = _grid_from(args.alphas)
-    if bool(args.taylor_of) == bool(args.coeff_rule):
-        raise ProblemFileError("give exactly one of --taylor-of or --coeff-rule")
-
     lines = []
     if args.taylor_of:
-        if not (args.var and args.center and args.order is not None):
-            raise ProblemFileError("--taylor-of needs --var, --center, and --order")
         center = _parse_fuzzy_value(args.center, grid)
         node = parse_expr(args.taylor_of, grid)
         s = taylor_series_of(node, args.var, center, args.order)
@@ -240,20 +230,16 @@ def _cmd_series(args):
             t = _triplet(s.coefficient(k), f"a_{k}")
             lines.append(f"  a_{k} triplet: ({', '.join(map(_fmt, t))})")
         mode = args.radius_mode or "four-quotient"
-        n_probe = _taylor_probe(args.order)
-        if mode == "four-quotient" and n_probe < 2:
-            raise ProblemFileError("order too small to probe coefficient quotients")
     else:
         rule = parse_coeff_rule(args.coeff_rule, grid)
         s = FuzzyPowerSeries(singleton(0.0, grid), rule)
         lines.append(f"coefficient rule: {args.coeff_rule}")
         mode = args.radius_mode or "symbolic"
-        n_probe = 16
 
     if mode == "symbolic":
         result = radius_symbolic_ratio(s)
     else:
-        result = radius_four_quotient(s, n_probe)
+        result = radius_four_quotient(s)
     lines.append(f"radius mode: {result.mode}")
     if result.is_infinite:
         lines.append("radius: infinite")
@@ -261,7 +247,7 @@ def _cmd_series(args):
         lines += _summary(result.R, "radius")
     lines.append(f"ratio-test values: L_lower={_fmt(result.L_lower)} L_upper={_fmt(result.L_upper)}")
     try:
-        lines.append(f"ratio test converges: {ratio_test(s, n_probe).converges}")
+        lines.append(f"ratio test converges: {ratio_test(s).converges}")
     except NoLimit:
         lines.append("ratio test: no limit declared at the probe indices")
     return lines, result.R, args.out, {"radius_mode": result.mode}

@@ -18,8 +18,9 @@ probes then report NoLimit).  The symbolic mode cancels first and recovers
 the base c exactly.  Both are exposed; neither is silently preferred.
 
 Both numeric tests share one probe of a_n, a_(n+1) at n = n_probe/2 and
-n_probe; the ratio-test limits L are those of |a_(n+1) / a_n| at alpha = 0,
-which the four-quotient radius reports beside its per-level R.  A limit is
+n_probe, which ``_probe`` alone picks from the series unless one is given;
+the ratio-test limits L are those of |a_(n+1) / a_n| at alpha = 0, which
+the four-quotient radius reports beside its per-level R.  A limit is
 declared from its two probes: agreement within 1e-6 relative declares the
 probed value, decay by a factor <= 0.75 per doubling declares 0, growth by
 >= 1.5 declares infinity, anything else (a probe not finite) raises NoLimit.
@@ -237,8 +238,18 @@ def _forward_quartet(n: int, a: FuzzyNumber, b: FuzzyNumber) -> np.ndarray:
     return np.abs(np.array([b_lo / a_lo, b_lo / a_hi, b_hi / a_lo, b_hi / a_hi]))
 
 
-def _probe(s: FuzzyPowerSeries, n_probe: int):
-    """(n, a_n, a_(n+1)) at n_probe // 2 and n_probe, and the declared ratio-test limits."""
+def _probe(s: FuzzyPowerSeries, n_probe: int | None):
+    """(n, a_n, a_(n+1)) at n_probe // 2 and n_probe, and the declared ratio-test limits.
+
+    The one owner of the default n_probe: 16 for a rule; for m explicit
+    coefficients, the largest multiple of 8 up to m - 2, else the largest even
+    number, so that n and n/2 fall at one phase of the sin/cos derivative cycle.
+    """
+    if n_probe is None:
+        last = 16 if isinstance(s.coeffs, CoefficientRule) else len(s.coeffs) - 2
+        if last < 2:
+            raise InvalidArgument(f"too short to probe: the series has {len(s.coeffs)} explicit coefficients")
+        n_probe = last // 8 * 8 or last // 2 * 2
     if n_probe < 2:
         raise InvalidArgument("n_probe must be at least 2")
     n_probe = _integer(n_probe, "n_probe")
@@ -256,11 +267,12 @@ def _backward_quartet(n: int, a: FuzzyNumber, b: FuzzyNumber) -> np.ndarray:
     )
 
 
-def radius_four_quotient(s: FuzzyPowerSeries, n_probe: int = 16) -> RadiusResult:
+def radius_four_quotient(s: FuzzyPowerSeries, n_probe: int | None = None) -> RadiusResult:
     """Radius from the four-pairing endpoint quotients.
 
     The four limits are estimated from probes at n_probe and n_probe/2; per
-    level the radius envelope is their min (lower) and max (upper).
+    level the radius envelope is their min (lower) and max (upper).  Given
+    no n_probe, the series' own probe index is used (see ``_probe``).
     """
     half, full, L_lo, L_hi = _probe(s, n_probe)
     limits = _declared_limits(_backward_quartet(*half), _backward_quartet(*full))  # 4 x L
@@ -320,11 +332,12 @@ class RatioTestResult:
         return self.L_upper == 0.0
 
 
-def ratio_test(s: FuzzyPowerSeries, n_probe: int = 16) -> RatioTestResult:
+def ratio_test(s: FuzzyPowerSeries, n_probe: int | None = None) -> RatioTestResult:
     """Forward-quotient convergence check at the support endpoints.
 
     Declares the four limits of |a_(n+1)/a_n| and reports convergence when
-    both the min and max stay below 1.
+    both the min and max stay below 1.  Given no n_probe, the series' own
+    probe index is used (see ``_probe``).
     """
     _, _, L_lo, L_hi = _probe(s, n_probe)
     return RatioTestResult(converges=bool(L_lo < 1.0 and L_hi < 1.0), L_lower=L_lo, L_upper=L_hi)

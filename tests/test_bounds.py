@@ -87,6 +87,9 @@ BOUNDS = [
     ("radius_four_quotient past the list", lambda: radius_four_quotient(SERIES, 19), "no coefficient a_20"),
     ("parse_coeff_rule degree", lambda: parse_coeff_rule("n^1025"), "got 1025"),
     ("parse_coeff_rule degree below the line", lambda: parse_coeff_rule("1/n^600/n^600"), "got 1200"),
+    # given no index the series picks one, and a list of 3 holds no a_n, a_(n+1) with n >= 2
+    *((f"{test.__name__} default on 3 coefficients", lambda test=test: test(FuzzyPowerSeries(T, [T] * 3)),
+       "too short to probe: the series has 3 explicit coefficients") for test in (radius_four_quotient, ratio_test)),
     ("radius_four_quotient", lambda: radius_four_quotient(SERIES, 1), "n_probe must be"),
     ("ratio_test", lambda: ratio_test(SERIES, 1), "n_probe must be"),
     ("ratio_test fraction", lambda: ratio_test(SERIES, 4.5), "n_probe must be an integer, got 4.5"),

@@ -393,19 +393,21 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
         bad.write_text(f"rhs = y\nx0 = 0\ny0 = 1\nh = 0.1\n{line}\n")
         assert run(["solve-ivp", "--file", str(bad)]) == 2
         assert error_line(capsys) == error
-    # a non-finite crisp value is a usage error wherever it is given, and a
-    # series order too small to probe fails before any coefficient is printed
+    # a non-finite crisp value is a usage error wherever it is given
     for argv in (
         ["eval", "--expr", "x^2", "--bind", "x=inf"],
         ["eval", "--expr", "x^2", "--bind", "x=1e400"],
         ["eval", "--expr", "x^2", "--bind", "x=nan"],
         ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "nan", "--order", "4"],
         ["solve-ivp", "--rhs", "x+y", "--x0", "0", "--y0", "inf", "--h", "0.1"],
-        ["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "2"],
     ):
         assert run(argv) == 2
         err = error_line(capsys)
         assert "ProblemFileError" in err and "Traceback" not in err
+    # a series order too small to probe is named by the series' own probe,
+    # before any coefficient is printed
+    assert run(["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "2"]) == 2
+    assert error_line(capsys) == "InvalidArgument: too short to probe: the series has 3 explicit coefficients\n"
     for tol in ("-1", "nan", "inf"):
         argv = ["derive", "--expr", "x^2", "--var", "x", "--bind", "x=T(1,2,3)", "--tol", tol]
         assert run(argv) == 2

@@ -16,6 +16,7 @@ import fuzzcalc.series
 from fuzzcalc._counters import counting
 from fuzzcalc.core import (
     AlphaGrid,
+    FuzzyNumber,
     add,
     div,
     gh_difference,
@@ -330,6 +331,35 @@ def test_both_numeric_tests_report_the_ratio_test_limits_of_one_probe(name):
         radius, ratio = (probe_outcome(test, s, n) for test in (radius_four_quotient, ratio_test))
         if "zero envelope endpoint" not in radius:  # the radius's own per-level quotients refuse
             assert radius == ratio
+
+
+def default_outcome(test, s, *n_probe):
+    """A numeric test's fields, envelopes as bytes and floats as repr, or its error."""
+    try:
+        out = test(s, *n_probe)
+    except (NoLimit, InvalidArgument) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return {k: (v.lower.tobytes(), v.upper.tobytes(), v.proper) if isinstance(v, FuzzyNumber) else repr(v)
+            for k, v in vars(out).items()}
+
+
+# Taylor series and the index the CLI probed them at for their order, before
+# the series picked it: m - 2 for m coefficients, to a multiple of 8 or of 2
+CLI_PROBED = [("exp(x)", 3, 2), ("exp(x)", 10, 8), ("exp(x)", 20, 16), ("sin(x)", 10, 8), ("cos(x)", 10, 8)]
+
+
+@pytest.mark.parametrize("numeric_test", [radius_four_quotient, ratio_test])
+@pytest.mark.parametrize("text, order, n", CLI_PROBED)
+def test_an_explicit_list_is_probed_by_default_where_its_length_allows(numeric_test, text, order, n):
+    s = taylor_series_of(parse_expr(text, GRID), "x", tri(-1, 0, 1), order)
+    assert default_outcome(numeric_test, s) == default_outcome(numeric_test, s, n)
+
+
+@pytest.mark.parametrize("numeric_test", [radius_four_quotient, ratio_test])
+@pytest.mark.parametrize("name", [name for name in PROBED if name.startswith("rule ")])
+def test_a_rule_is_probed_by_default_at_16(numeric_test, name):
+    s = PROBED[name]()
+    assert default_outcome(numeric_test, s) == default_outcome(numeric_test, s, 16)
 
 
 def test_the_shared_probe_declares_the_forward_quotient():

@@ -23,6 +23,8 @@ def loaded_after(code: str) -> set[str]:
 # problem-file text alone; "{file}" is that file
 TEXT_ERRORS = [
     (["no-such-command"], None),
+    (["series", "--var", "x"], None),
+    (["series", "--taylor-of", "exp(x)", "--var", "x"], None),
     (["solve-ivp", "--rhs", "y"], None),
     (["solve-ivp", "--file", "{file}"], None),
     (["solve-ivp", "--file", "{file}"], "rhs = y\nstep = 0.1\n"),
