@@ -46,7 +46,7 @@ def describe(value, label):
 def main():
     print("constant fuzzy coefficients T(1,2,3): both modes agree")
     s = FuzzyPowerSeries(singleton(0.0, GRID), [make_triangular((1, 2, 3), GRID)] * 40)
-    fq = radius_four_quotient(s, n_probe=16)
+    fq = radius_four_quotient(s)
     describe(fq.R, "four-quotient radius")
     sym = radius_symbolic_ratio(
         FuzzyPowerSeries(singleton(0.0, GRID), parse_coeff_rule("T(1,2,3)", GRID))
@@ -60,7 +60,7 @@ def main():
     out = radius_symbolic_ratio(s)
     describe(out.R, "symbolic radius (base recovered exactly)")
     try:
-        radius_four_quotient(s, n_probe=16)
+        radius_four_quotient(s)
         print("  four-quotient: unexpectedly declared a limit")
     except NoLimit as exc:
         print(f"  four-quotient: NoLimit ({exc})")
@@ -76,7 +76,7 @@ def main():
     for text in ("exp(x)", "sin(x)", "cos(x)"):
         series = taylor_series_of(parse_expr(text), "x", x0, order=10)
         cores = [series.coefficient(k).core.midpoint for k in range(6)]
-        out = ratio_test(series, n_probe=8)
+        out = ratio_test(series)
         print(f"  {text}: core coefficients {np.round(cores, 6).tolist()}")
         print(f"    ratio test: converges={out.converges}, "
               f"L=[{out.L_lower:.3g}, {out.L_upper:.3g}]"

@@ -42,8 +42,8 @@ Each operation's arithmetic is one private kernel (``_add``, ``_mul``, ...,
 and ``_exp``, ``_sin``, ``_cos``: the ranges over each cut that evaluation
 runs), which runs no guard and marks nothing read-only (``_value``).  The
 public name runs the guards once, then the kernel, then marks the result
-read-only (``_frozen``).  Evaluation plans check their inputs themselves
-and run the kernels, marking read-only only the values they hand out.
+read-only (``_frozen``).  The evaluation tape runs the kernels on inputs
+its callers checked, and seals every value it returns, pooled or not.
 
 A kernel takes a buffer pool or None: a plain list of envelope arrays that
 ``ivp.solve`` creates and drops within one call.  Given one, a kernel
@@ -51,11 +51,12 @@ writes its result and temporaries into arrays popped from it (numpy
 allocates when it is empty) and gives its temporaries back; the ufuncs are
 the same, so each result is the same bit for bit.  No kernel returns an
 operand's arrays (``u^1`` is a copy), and every value that may be held
-outside the pool's owner (one handed to a caller, a binding, a constant)
-is sealed, that is, read-only; so the seal alone decides recycling, and
-``_release`` gives a dead value's arrays back unless they are sealed.
-Only this module takes pool arrays, wraps arrays as values and seals
-them; the other modules route values between the kernels.
+outside the tape (one it returns, a binding, a constant) is sealed, that
+is, read-only; so ``_release`` takes back a dead value's arrays unless
+sealed, and a pool gets back only values that die inside the tape.  Only
+this module takes pool arrays, wraps arrays as values and seals them;
+only the tape calls ``_frozen`` and ``_release`` from outside it, and
+the other modules route values between the kernels.
 """
 
 from __future__ import annotations

@@ -600,32 +600,32 @@ def evaluate(e: Expr, env: Env | None = None) -> FuzzyNumber:
     left-to-right walk of the expanded tree would first complete it, and
     its value is dropped after its last use.
     """
-    return _evaluate((e,), env)[e]
+    env = env if env is not None else Env()
+    return _evaluate((e,), env.bindings, env.grid)[e]
 
 
-def _evaluate(roots: tuple[Expr, ...], env: Env | None, pool: list | None = None) -> dict[Expr, FuzzyNumber]:
+def _evaluate(roots: tuple[Expr, ...], bindings: dict, grid: AlphaGrid | None,
+              pool: list | None = None) -> dict[Expr, FuzzyNumber]:
     """The value of each root, by root, from one sweep of the family's tape
-    (see :func:`evaluate` and :func:`_plan`, with the family's first fuzzy
-    constant in place of the tree's).  Every node runs the kernel of the op
-    a loop of ``evaluate`` over the roots would run, on the same inputs, and
-    the first error raised is that loop's first.
+    (see :func:`evaluate` and :func:`_plan`; ``grid`` is the environment's).
+    Every node runs the kernel of the op a loop of ``evaluate`` over the
+    roots would run, on the same inputs, and the first error raised is that
+    loop's first.
 
-    The kernels run no guards: ``Env`` checked each binding, a fuzzy
-    constant checked its properness when built, and the sweep checks its
-    grid.  Only a GhSub's value may be improper, so only a GhSub operand is
-    checked, with the message of the guard it stands in for.  With no pool,
-    the roots' values, which leave, are marked read-only.
+    The kernels run no guards, nor does the sweep on ``bindings``: their
+    caller checked them (``Env`` does for user input; ``solve`` and
+    ``partial_sum`` bind values proper and on ``grid`` by construction).  A
+    fuzzy constant checked its properness when built, and the sweep checks
+    its grid.  Only a GhSub's value may be improper, so only a GhSub operand
+    is checked, with the message of the guard it stands in for.
 
     ``pool`` is a buffer pool its caller owns (see :mod:`fuzzcalc.core`):
     the kernels write into its arrays, and each child value that dies here
-    goes to ``_release``, which keeps the sealed ones (bindings and
-    constants) out.  The roots' values belong to the pool's owner and stay
-    writable, for it to release once it is done with them."""
-    env = env if env is not None else Env()
-    tape, (empty, consts), root_slots, grid, ops = _plan(roots)
-    if env.grid is not None:
-        grid = env.grid
-    values = [*empty, grid, env.bindings, *consts]
+    goes to ``_release``, which keeps the sealed ones out.  Every root
+    leaves sealed, pooled or not."""
+    tape, (empty, consts), root_slots, const_grid, ops = _plan(roots)
+    grid = grid if grid is not None else const_grid
+    values = [*empty, grid, bindings, *consts]
     for kernel, i, a, b, check, done in tape:
         if check is not None:
             message, improper = check
@@ -633,21 +633,16 @@ def _evaluate(roots: tuple[Expr, ...], env: Env | None, pool: list | None = None
                 if not values[j].proper:
                     raise ImproperOperand(message)
         values[i] = kernel(values[a], values[b], pool)
-        if done:
+        for j in done:
             if pool is not None:
-                for j in done:
-                    _release(pool, values[j])
-            for j in done:
-                values[j] = None
+                _release(pool, values[j])
+            values[j] = None
     if _counters.counts is not None:
         _counters.counts["nodes"] += len(tape)
-        cells = max((v.lower.size for v in env.bindings.values()), default=len(grid))
+        cells = max((v.lower.size for v in bindings.values()), default=len(grid))
         _counters.counts.update(ops)
         _counters.counts.update({kind + ".cells": n * cells for kind, n in ops.items()})
-    if pool is None:
-        for i in root_slots:
-            _frozen(values[i])
-    return {root: values[i] for root, i in zip(roots, root_slots)}
+    return {root: _frozen(values[i]) for root, i in zip(roots, root_slots)}
 
 
 # -- symbolic differentiation ----------------------------------------------------

@@ -17,14 +17,12 @@ The powers h^k are a family of their own, evaluated once per solve.  The
 right-hand side's node keeps its tower and both families, for each order,
 so a second solve of the same F builds and plans nothing.
 
-Each solve owns one buffer pool (see :mod:`fuzzcalc.core`): a list of
-envelope arrays created when the call starts and dropped when it returns.
-The tape's kernels write into its arrays, and the tape gives back each value
-that dies in a step (``solve`` the last term, once read), so a solve on wide
-grids reuses its memory instead of asking the allocator again.  A sealed
-(read-only) value is never given back, and every value held outside the
-solve is sealed: the trajectory's values, as they are made; x0, y0, h, the
-bindings and the constants' values; and the powers h^k.
+Each solve owns one buffer pool (see :mod:`fuzzcalc.core`), a list of
+envelope arrays that lives for one call: the tape's kernels write into its
+arrays and give back each value that dies inside a step, so a solve on
+wide grids reuses its memory.  The tape seals every value it returns (the
+trajectory, the last terms, the powers h^k), so none is given back, and a
+step binds its values with no ``Env``: they are proper and on one grid.
 
 Multi-step mode compounds the fuzzy step into x (x <- x (+) h), so the
 x-uncertainty accumulates step over step; single-step is the default.
@@ -36,9 +34,9 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import FuzzyNumber, _frozen, _integer, _release
+from .core import FuzzyNumber, _integer
 from .errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument
-from .expr import Add, Env, Expr, Mul, Var, _evaluate, _fadd, _fmul, _kept, _Scale, differentiate, free_variables
+from .expr import Add, Expr, Mul, Var, _evaluate, _fadd, _fmul, _kept, _Scale, differentiate, free_variables
 
 # The most steps a problem takes: the solution keeps every (x, y) pair of its
 # trajectory, four envelopes of 8 bytes per level each, so the bound keeps a
@@ -122,7 +120,7 @@ def solve(problem: IvpProblem) -> IvpSolution:
     """Iterate the Taylor step; deterministic, no step-size control."""
     grid = problem.h.grid
     _, powers, step = _kept(_step, problem.rhs, problem.order)
-    values = _evaluate(powers, Env({"h1": problem.h}, grid))
+    values = _evaluate(powers, {"h1": problem.h}, grid)
     h_pows = {f"h{k}": values[p] for k, p in enumerate(powers, start=1)}
     pool: list = []
     x, y = problem.x0, problem.y0
@@ -130,14 +128,13 @@ def solve(problem: IvpProblem) -> IvpSolution:
     magnitudes = []
     for i in range(problem.steps):
         try:
-            values = _evaluate(step, Env({"x": x, "y": y, **h_pows}, grid), pool)
+            values = _evaluate(step, {"x": x, "y": y, **h_pows}, grid, pool)
         except FuzzyError as exc:
             if exc.args:
                 exc.args = (f"step {i + 1}: {exc.args[0]}",) + exc.args[1:]
             raise
         x, y, term = (values[root] for root in step)
-        trajectory.append((_frozen(x), _frozen(y)))
+        trajectory.append((x, y))
         # the largest |endpoint| as lower <= upper; abs clears a -0.0's or NaN's sign
         magnitudes.append(abs(max(float(term.upper.max()), -float(term.lower.min()))))
-        _release(pool, term)
     return IvpSolution(tuple(trajectory), tuple(magnitudes))

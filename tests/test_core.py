@@ -79,6 +79,8 @@ def test_grid_validation():
         AlphaGrid([0.0, 0.5, 0.4, 1.0])
     g = AlphaGrid.uniform(11)
     assert len(g) == 11 and g.levels[0] == 0.0 and g.levels[-1] == 1.0
+    # a grid or a value is never equal to another type, either way round
+    assert (g == "grid") is False and (tri(0, 1, 2) == g) is False
 
 
 def test_triangular_support_and_core():
@@ -326,6 +328,7 @@ def test_improper_result_flagged_and_rejected():
             op()
     # gh_difference itself still accepts proper inputs and may emit improper
     assert gh_difference(good, good).proper
+    assert repr(bad) == "FuzzyNumber(support=[-1, 0], core=[0.5, 0.5], improper)"
 
 
 # -- metric ------------------------------------------------------------------------
@@ -362,6 +365,7 @@ def test_support_core_defuzz():
     assert a.core.lo == pytest.approx(2.3) and a.core.hi == pytest.approx(2.3)
     t = defuzz_triplet(a)
     assert type(t) is tuple and t == pytest.approx((2.1, 2.3, 2.5))
+    assert repr(a) == "FuzzyNumber(support=[2.1, 2.5], core=[2.3, 2.3])"
 
 
 def test_resample_affine_exact():

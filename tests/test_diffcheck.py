@@ -9,9 +9,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Corpus entries that still break the contract.  Mending one fails this test
 # until its entry is removed here.
 KNOWN_DEFECTS = {
-    # the crisp zeros of sin's even coefficients give an improper radius with
-    # an infinite support instead of NoLimit
-    "radius:four-quotient n=8:taylor of sin(x) at T(-1,0,1), order 10",
     # arithmetic overflow and NaN coefficients, not yet named by the package
     "cli:solve-ivp --rhs x^2 + y^2 --x0 T(0.7,1,1.2) --y0 T(2.1,2.3,2.5) --h T(0.07,0.1,0.12)"
     " --order 4 --steps 40",

@@ -241,8 +241,11 @@ def test_nodes_record_their_leading_child_fields_once():
 
 def test_nodes_refuse_a_child_that_is_not_a_node_when_built():
     before = len(fuzzcalc.expr._NODES)
-    for build in (lambda: Add(Var("x"), 5), lambda: Neg("x"), lambda: PowInt(2.0, 3)):
-        with pytest.raises(TypeError, match="not an expression node"):
+    for build, message in ((lambda: Add(Var("x"), 5), "not an expression node"),
+                           (lambda: Neg("x"), "not an expression node"),
+                           (lambda: PowInt(2.0, 3), "not an expression node"),
+                           (lambda: Add(Var("x")), "Add takes 2 positional fields")):
+        with pytest.raises(TypeError, match=message):
             build()
     assert len(fuzzcalc.expr._NODES) == before
     # a walk checks only the roots it is given, an unhashable one included
@@ -412,11 +415,11 @@ def test_family_walks_its_union_once_and_keeps_every_root(distinct_nodes, same_b
     loop = [evaluate(root, env) for root in family]
     assert not loop[3].proper
     with counting() as counts:
-        values = _evaluate(family, env)
+        values = _evaluate(family, env.bindings, env.grid)
     assert counts["nodes"] == len(distinct_nodes(*family))
     assert all(same_bytes(values[root], w) for root, w in zip(family, loop))
     # another family that ends in the same root gets its own plan
-    values = _evaluate((CrispConst(2.0), u), env)
+    values = _evaluate((CrispConst(2.0), u), env.bindings, env.grid)
     assert same_bytes(values[CrispConst(2.0)], singleton(2.0, GRID))
     assert same_bytes(values[u], loop[0])
 
@@ -463,23 +466,26 @@ def test_a_warm_evaluation_calls_no_guard(count_calls, same_bytes):
     text = "exp(x)*sin(x)/(2 + x^2) - cos(-x)*T(1,2,3) + (x - T(0,0.1,0.2))^3"
     env = Env({"x": tri(0.2, 0.4, 0.5)})
     roots = (parse_expr(text), parse_expr("x^0"))
-    first = _evaluate(roots, env)
+    first = _evaluate(roots, env.bindings, env.grid)
     proper, same_grid = (count_calls(fuzzcalc.core, name) for name in ("_require_proper", "_require_same_grid"))
-    again = _evaluate(roots, env)
+    again = _evaluate(roots, env.bindings, env.grid)
     assert (proper[0], same_grid[0]) == (0, 0)
     assert all(same_bytes(first[r], again[r]) for r in roots)
 
 
 def test_only_the_values_that_leave_are_read_only():
     # a kernel's result is writable; the roots an evaluation returns, a
-    # binding among them, are read-only
+    # binding among them, are read-only, pooled or not, so a pool's owner
+    # never gives them back: only values that die inside the tape go to it
     env = Env({"x": tri(0.2, 0.4, 0.5)})
     assert fuzzcalc.core._add(env.bindings["x"], env.bindings["x"], None).lower.flags.writeable
     roots = (parse_expr("sin(x)*exp(x)"), parse_expr("x"), parse_expr("2"), parse_expr("(x*x)^1"))
-    values = [*_evaluate(roots, env).values(), evaluate(parse_expr("x - 2*x"), env)]
-    assert len(values) == 5
-    for v in values:
-        assert not (v.lower.flags.writeable or v.upper.flags.writeable)
+    for pool in (None, []):
+        values = [*_evaluate(roots, env.bindings, env.grid, pool).values(), evaluate(parse_expr("x - 2*x"), env)]
+        assert len(values) == 5
+        for v in values:
+            assert not (v.lower.flags.writeable or v.upper.flags.writeable)
+        assert pool is None or pool  # sin(x), exp(x) and x*x died inside
 
 
 def test_family_raises_the_first_error_of_the_per_root_loop():
@@ -492,7 +498,7 @@ def test_family_raises_the_first_error_of_the_per_root_loop():
         with pytest.raises(FuzzyError) as loop:
             [evaluate(root, env) for root in family]
         with pytest.raises(FuzzyError) as walk:
-            _evaluate(family, env)
+            _evaluate(family, env.bindings, env.grid)
         assert type(loop.value) is first
         assert type(walk.value) is first
         assert str(walk.value) == str(loop.value)

@@ -132,7 +132,7 @@ def test_tower_in_one_walk_matches_the_per_root_loop(form, same_bytes):
     env = Env({"x": p.x0, "y": p.y0})
     derivs = total_derivatives(p.rhs, p.order)
     loop = [evaluate(dk, env) for dk in derivs]
-    family = _evaluate(tuple(derivs), env)
+    family = _evaluate(tuple(derivs), env.bindings, env.grid)
     assert all(same_bytes(family[dk], w) for dk, w in zip(derivs, loop))
     got = solve(p)
     expect, magnitudes = _reference_solve(p)

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports, at top level or inside a
 function, is read somewhere in that module, in the package and in the
-tests, tools and demos; only core handles envelope arrays; and only core
-and expr call the tape's kernels, so the work counts have one source."""
+tests, tools and demos; only core handles envelope arrays; only core and
+expr seal or release values; and only core and expr call the tape's
+kernels, so the work counts have one source."""
 
 import ast
 import pathlib
@@ -69,6 +70,27 @@ def test_the_array_handling_check_matches_names_not_substrings():
                          ids=source_id)
 def test_only_core_takes_pools_seals_and_wraps_envelope_arrays(path):
     assert array_handling(path.read_text()) == []
+
+
+def named(source: str) -> set[str]:
+    """Every name ``source`` reads, binds, imports or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("core.py", "expr.py")],
+                         ids=source_id)
+def test_only_core_and_expr_seal_or_release_values(path):
+    # the tape seals every value it returns and gives back those that die
+    # inside it, so the algorithms around it only route values
+    assert sorted(named(path.read_text()) & {"_frozen", "_release"}) == []
 
 
 def imported_names(source: str) -> set[str]:

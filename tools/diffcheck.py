@@ -34,7 +34,7 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   ``convergence_interval`` on the demo and test coefficient rules, a rule
   whose coefficients pass the float range, and Taylor series probed past
   their last coefficient; both numeric tests given no index, so that the
-  series picks it, on a rule, lists of 40 and 3 and two Taylor series;
+  series picks it, on a rule, lists of 40 and 3 and three Taylor series;
 * the cli-oneshot argvs, the error argvs of the failure contract, argv
   text with a line break in it and the help texts, each through
   ``cli.run`` in-process: exit code, stdout, stderr and the table it
@@ -188,10 +188,9 @@ ALIAS_POINT = {"x0": (1.4, 1.6, 1.8), "y0": (1.0, 1.2, 1.5), "h": (0.05, 0.1, 0.
 # last step
 OVERFLOW_SEEDS = (71, 1007)
 RULES = ("n / T(4,5,6)^(n-1)", "1/n!", "T(1,2,3)", "2^3*n!/n^2", "3 * n^2 / 2", "n^400")
-# the series whose numeric tests are also run with no index; sin's order-10
-# probe at 8 is a known defect, so it stays out
-DEFAULT_PROBED = ("[T(1,2,3)] * 40", "rule 1/n!", "taylor of exp(x) at T(-1,0,1), order 10",
-                  "taylor of cos(x) at T(-1,0,1), order 10")
+# the series whose numeric tests are also run with no index
+DEFAULT_PROBED = ("[T(1,2,3)] * 40", "rule 1/n!", *(f"taylor of {f} at T(-1,0,1), order 10"
+                                                      for f in ("exp(x)", "sin(x)", "cos(x)")))
 _ENVELOPE = re.compile(r"\.(lower|upper)$")
 
 
