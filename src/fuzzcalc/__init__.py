@@ -17,7 +17,7 @@ _EXPORTS = {
     "expr": ("Env", "Expr", "differentiate", "evaluate", "free_variables", "parse_expr", "to_text"),
     "ivp": ("IvpProblem", "IvpSolution", "solve", "total_derivatives"),
     "series": ("CoefficientRule", "FuzzyPowerSeries", "RadiusResult", "RatioTestResult",
-               "convergence_interval", "infinite_radius", "parse_coeff_rule", "partial_sum",
+               "convergence_interval", "parse_coeff_rule", "partial_sum",
                "radius_four_quotient", "radius_symbolic_ratio", "ratio_test", "taylor_series_of"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -337,6 +337,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with each value that begins with '-' glued to the option
+    before it, as ``--rhs=-y``, unless it is an option string or a prefix of
+    one (argparse's abbreviations, '-' and '--'): argparse would read
+    ``--rhs -y`` as an option that lacks its value."""
+    subparsers = next(a.choices.values() for a in parser._actions if isinstance(a.choices, dict))
+    actions = [a for p in (parser, *subparsers) for a in p._actions]
+    options = {s for a in actions for s in a.option_strings}
+    takes_value = {s for a in actions if a.nargs is None for s in a.option_strings}
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in takes_value and arg.startswith("-")
+                and not any(o.startswith(arg.partition("=")[0]) for o in options)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 _HANDLERS = {
     "eval": _cmd_eval,
     "derive": _cmd_derive,
@@ -357,7 +376,7 @@ def run(argv: list[str]) -> int:
     """
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_dash_values(parser, argv))
     except SystemExit as exc:
         if exc.code is None:
             return 0

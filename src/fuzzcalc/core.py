@@ -273,13 +273,6 @@ def _fresh(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray, proper: bool =
     return _frozen(_value(grid, lower, upper, proper))
 
 
-def _order_normalized(grid: AlphaGrid, a: np.ndarray, b: np.ndarray) -> FuzzyNumber:
-    """Per-level [min(a, b), max(a, b)]; proper only if the cuts still nest."""
-    lower = np.minimum(a, b)
-    upper = np.maximum(a, b)
-    return _fresh(grid, lower, upper, _nested(lower, upper))
-
-
 def _sign_class(v: FuzzyNumber) -> int:
     """+1 when every lower and upper value is > 0, -1 when every one is < 0,
     else 0; read once per value and kept in its ``_sign`` slot.

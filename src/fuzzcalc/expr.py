@@ -4,16 +4,19 @@ Parsing, evaluation, and symbolic differentiation for the grammar
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := '-' factor | power
+    factor := '-' factor | power          -- Scale(factor, -1.0)
     power  := atom ('^' uint)?
     atom   := number | 'T(' num ',' num ',' num ')' | ident
             | ident '(' expr ')' | '(' expr ')'
 
 with functions exp, sin, cos.  Binary '-' is the gH-difference throughout
 (ordinary subtraction is ``a + (-1)*b``), and '^' binds tighter than unary
-minus, so ``-x^2`` is ``-(x^2)``.  One reader, ``_Parser.number``, reads
-every number of this grammar and of coefficient-rule text; one that is not
-finite is an ExprSyntaxError at its position.
+minus, so ``-x^2`` is ``-(x^2)``.  Unary minus is the scale node by -1,
+which ``to_text`` prints as ``-u``, so the twelve node classes are the two
+constants, ``Var``, the four binary operations, ``PowInt``, ``Scale`` and
+the three functions.  One reader, ``_Parser.number``, reads every number
+of this grammar and of coefficient-rule text; one that is not finite is an
+ExprSyntaxError at its position.
 
 Evaluation is level-wise: each node runs a kernel of :mod:`fuzzcalc.core`,
 that of an interval operation or, for exp/sin/cos, the exact range of the
@@ -214,13 +217,9 @@ class PowInt(Expr):
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
-class Neg(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True, eq=False, init=False, repr=False)
-class _Scale(Expr):
-    """``operand`` times the crisp ``factor``, which is keyed by its bits."""
+class Scale(Expr):
+    """``operand`` times the crisp ``factor``, which is keyed by its bits;
+    unary minus is the factor -1."""
 
     operand: Expr
     factor: float
@@ -366,7 +365,7 @@ class _Parser:
             raise ExprSyntaxError("expression nested too deeply", self.peek()[2])
         if self.at_op("-"):
             self.take()
-            node = Neg(self.factor())
+            node = Scale(self.factor(), -1.0)
         else:
             node = self.power()
         self.depth -= 1
@@ -516,8 +515,7 @@ _TAPE = {
     Mul: (_mul, lambda e: e._kids, ("mul",), _IMPROPER_OPERAND),
     Div: (_div, lambda e: e._kids, ("div", "mul"), _IMPROPER_OPERAND),
     PowInt: (_pow_int, lambda e: (e.base, e.exponent), ("pow_int",), _IMPROPER_OPERAND),
-    Neg: (_scalar_mul, lambda e: (-1.0, e.operand), ("scalar_mul",), _IMPROPER_OPERAND),
-    _Scale: (_scalar_mul, lambda e: (e.factor, e.operand), ("scalar_mul",), _IMPROPER_OPERAND),
+    Scale: (_scalar_mul, lambda e: (e.factor, e.operand), ("scalar_mul",), _IMPROPER_OPERAND),
     Exp: (_exp, lambda e: (e.operand, _GRID), ("exp",), _ARGUMENT),
     Sin: (_sin, lambda e: (e.operand, _GRID), ("sin",), _ARGUMENT),
     Cos: (_cos, lambda e: (e.operand, _GRID), ("cos",), _ARGUMENT),
@@ -704,16 +702,10 @@ def _fpow(base: Expr, n: int) -> Expr:
     return PowInt(base, n)
 
 
-def _fneg(u: Expr) -> Expr:
-    if isinstance(u, CrispConst):
-        return CrispConst(-u.value)
-    return Neg(u)
-
-
 def _fscale(k: float, u: Expr) -> Expr:
     if isinstance(u, CrispConst):
         return CrispConst(k * u.value)
-    return _Scale(u, k)
+    return Scale(u, k)
 
 
 def differentiate(e: Expr, var: str) -> Expr:
@@ -752,15 +744,13 @@ def _derivative(e: Expr, var: str) -> Expr:
             return CrispConst(0.0)
         rule = _fmul(CrispConst(float(e.exponent)), _fpow(e.base, e.exponent - 1))
         return _fmul(rule, d[0])
-    if isinstance(e, Neg):
-        return _fneg(d[0])
-    if isinstance(e, _Scale):
+    if isinstance(e, Scale):
         return _fscale(e.factor, d[0])
     if isinstance(e, Exp):
         return _fmul(e, d[0])
     if isinstance(e, Sin):
         return _fmul(Cos(e.operand), d[0])
-    return _fneg(_fmul(Sin(e.operand), d[0]))  # cos, the last class
+    return _fscale(-1.0, _fmul(Sin(e.operand), d[0]))  # cos, the last class
 
 
 def free_variables(e: Expr) -> set[str]:
@@ -801,9 +791,9 @@ def _render(e: Expr, wrap) -> tuple[str, int]:
     if isinstance(e, (Add, GhSub, Mul, Div)):
         op, prec = _BINARY_TEXT[type(e)]
         return f"{wrap(e.left, prec)}{op}{wrap(e.right, prec + 1)}", prec
-    if isinstance(e, Neg):
-        return f"-{wrap(e.operand, 3)}", 3
-    if isinstance(e, _Scale):  # a product whose left operand is the crisp factor
+    if isinstance(e, Scale):  # unary minus, else a product whose left operand is the factor
+        if e.factor == -1.0:
+            return f"-{wrap(e.operand, 3)}", 3
         return f"{np.format_float_positional(e.factor, trim='-')}*{wrap(e.operand, 3)}", 2
     if isinstance(e, PowInt):
         return f"{wrap(e.base, 5)}^{e.exponent}", 4

@@ -36,7 +36,7 @@ from itertools import accumulate
 
 from .core import FuzzyNumber, _integer
 from .errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument
-from .expr import Add, Expr, Mul, Var, _evaluate, _fadd, _fmul, _kept, _Scale, differentiate, free_variables
+from .expr import Add, Expr, Mul, Scale, Var, _evaluate, _fadd, _fmul, _kept, differentiate, free_variables
 
 # The most steps a problem takes: the solution keeps every (x, y) pair of its
 # trajectory, four envelopes of 8 bytes per level each, so the bound keeps a
@@ -111,7 +111,7 @@ def _step(rhs: Expr, order: int) -> tuple:
         tower.append(_fadd(differentiate(current, "x"), _fmul(differentiate(current, "y"), rhs)))
     powers, y_next = tuple(accumulate([Var("h1")] * order, Mul)), Var("y")
     for k, dk in enumerate(tower, start=1):
-        term = _Scale(Mul(Var(f"h{k}"), dk), 1.0 / math.factorial(k))
+        term = Scale(Mul(Var(f"h{k}"), dk), 1.0 / math.factorial(k))
         y_next = Add(y_next, term)
     return tuple(tower), powers, (Add(Var("x"), powers[0]), y_next, term)
 

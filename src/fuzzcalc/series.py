@@ -45,8 +45,9 @@ from .core import (
     _fresh,
     _integer,
     _nested,
-    _order_normalized,
+    add,
     div,
+    gh_difference,
     make_triangular,
     pow_int,
     scalar_mul,
@@ -54,7 +55,7 @@ from .core import (
 )
 from .errors import (DivisorStraddlesZero, ExprSyntaxError, GridMismatch, ImproperOperand,
                      InvalidArgument, NoLimit, NotSimplifiable)
-from .expr import Add, Env, Expr, GhSub, Mul, Var, _evaluate, _kept, _Parser, _Scale, differentiate
+from .expr import Add, Env, Expr, GhSub, Mul, Scale, Var, _evaluate, _kept, _Parser, differentiate
 
 _AGREE_RTOL = 1e-6
 _DECAY_FACTOR = 0.75
@@ -227,11 +228,6 @@ class RadiusResult:
         return bool(np.isinf(self.R.lower).all() and np.isinf(self.R.upper).all())
 
 
-def infinite_radius(grid: AlphaGrid) -> FuzzyNumber:
-    """Distinguished marker: both envelopes +inf at every level."""
-    return singleton(np.inf, grid)
-
-
 def _forward_quartet(n: int, a: FuzzyNumber, b: FuzzyNumber) -> np.ndarray:
     """|a_(n+1) / a_n| for the four pairings at the alpha=0 endpoints."""
     a_lo, a_hi = float(a.lower[0]), float(a.upper[0])
@@ -275,7 +271,7 @@ def radius_four_quotient(s: FuzzyPowerSeries, n_probe: int | None = None) -> Rad
 
     The four limits are estimated from probes at n_probe and n_probe/2; per
     level the radius envelope is their min (lower) and max (upper).  If all
-    are infinite it is ``infinite_radius``; if only some are, NoLimit.
+    are infinite it is the marker ``singleton(inf)``; if only some are, NoLimit.
     Given no n_probe, the series' own probe index is used (see ``_probe``).
     """
     half, full, L_lo, L_hi = _probe(s, n_probe)
@@ -284,7 +280,7 @@ def radius_four_quotient(s: FuzzyPowerSeries, n_probe: int | None = None) -> Rad
     upper = limits.max(axis=0)
     grid = s.center.grid
     if np.isinf(limits).all():
-        R = infinite_radius(grid)
+        R = singleton(np.inf, grid)
     elif np.isinf(upper).any():
         raise NoLimit("quotient limits are infinite at some levels or pairings but not all")
     else:
@@ -310,7 +306,7 @@ def radius_symbolic_ratio(s: FuzzyPowerSeries) -> RadiusResult:
     grid = s.center.grid
 
     if rule.factorial_power < 0:
-        return RadiusResult(infinite_radius(grid), "symbolic-ratio", 0.0, 0.0)
+        return RadiusResult(singleton(np.inf, grid), "symbolic-ratio", 0.0, 0.0)
     if rule.factorial_power > 0:
         return RadiusResult(singleton(0.0, grid), "symbolic-ratio", np.inf, np.inf)
 
@@ -355,9 +351,11 @@ def convergence_interval(
     """Fuzzy bounds (B_lo, B_hi) such that the series converges for
     B_lo < x < B_hi level-wise.
 
-    B_lo is the standard interval subtraction center - R (lower endpoints
-    pair with the opposite radius endpoints); B_hi is the order-normalized
-    inner sum.  With R = 0 both collapse to the center.
+    B_lo = center + (-R), the standard interval subtraction center - R
+    (lower endpoints pair with the opposite radius endpoints), and B_hi =
+    center -gH (-R), the gH-difference, which is the inner sum
+    order-normalized and may be improper.  With R = 0 both collapse to the
+    center.
     """
     if not (center.proper and R.proper):
         raise ImproperOperand("bounds need proper center and radius")
@@ -365,12 +363,8 @@ def convergence_interval(
         raise GridMismatch("center and radius live on different grids")
     if R.lower[0] < 0:
         raise InvalidArgument("radius must be nonnegative")
-    g = center.grid
-    b_lo_lower = center.lower - R.upper
-    b_lo_upper = center.upper - R.lower
-    b_lo = _fresh(g, b_lo_lower, b_lo_upper, _nested(b_lo_lower, b_lo_upper))
-    b_hi = _order_normalized(g, center.upper + R.lower, center.lower + R.upper)
-    return b_lo, b_hi
+    m = scalar_mul(-1.0, R)
+    return add(center, m), gh_difference(center, m)
 
 
 def taylor_series_of(
@@ -404,7 +398,7 @@ def _coefficients(f: Expr, var: str, order: int) -> tuple[Expr, ...]:
     tower = [f]
     for _ in range(order):
         tower.append(differentiate(tower[-1], var))
-    return tuple(_Scale(g, 1.0 / math.factorial(k)) for k, g in enumerate(tower))
+    return tuple(Scale(g, 1.0 / math.factorial(k)) for k, g in enumerate(tower))
 
 
 # -- coefficient-rule text format ---------------------------------------------------

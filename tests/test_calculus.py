@@ -11,7 +11,8 @@ from fuzzcalc._counters import counting
 from fuzzcalc.core import (
     AlphaGrid,
     FuzzyNumber,
-    _order_normalized,
+    _fresh,
+    _nested,
     add,
     gh_difference,
     hausdorff_distance,
@@ -281,7 +282,8 @@ def _loop_estimate(f, x0, tol):
             step = _largest_deviation(ex[0], ex0[0])
         gap = _largest_deviation(ex[0], ex[1])
         if gap <= tol and step <= tol:
-            return [_order_normalized(x0.grid, *side) for side in ex], h, gap
+            lower, upper = np.minimum(ex[:, 0], ex[:, 1]), np.maximum(ex[:, 0], ex[:, 1])
+            return [_fresh(x0.grid, lo, hi, _nested(lo, hi)) for lo, hi in zip(lower, upper)], h, gap
         before, h = (q, pattern, ex), h * 0.5
     raise NotDifferentiable("did not settle")
 

@@ -331,6 +331,41 @@ def test_solve_ivp_flags_override_file(tmp_path, capsys):
     assert "step 2 truncation magnitude" in out
 
 
+# -- values that begin with '-' --------------------------------------------------------------
+
+# a value that begins with '-' as each argv's first option value, as the
+# decay ODE y' = -y
+LEADING_MINUS = [
+    (["solve-ivp", "--rhs", "-y", "--x0", "0", "--y0", "1", "--h", "0.1"], 0, "y triplet: (0.905, 0.905, 0.905)"),
+    (["eval", "--expr", "-x", "--bind", "x=T(1,2,3)"], 0, "value triplet: (-3.0, -2.0, -1.0)"),
+    (["derive", "--expr", "-x", "--var", "x", "--bind", "x=T(1,2,3)"], 0,
+     "derivative triplet (2dp): (-1.00, -1.00, -1.00)"),
+    (["series", "--taylor-of", "-exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "10"], 0,
+     "  a_2 triplet: (-1.3591409142295225, -0.5, -0.18393972058572117)"),
+    # read, and then refused by the radius probe: a_2 of -x is 0
+    (["series", "--taylor-of", "-x", "--var", "x", "--center", "T(-1,0,1)", "--order", "3"], 1,
+     "NoLimit: coefficient 2 has a zero support endpoint"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", LEADING_MINUS, ids=[" ".join(argv) for argv, *_ in LEADING_MINUS])
+def test_a_value_may_begin_with_a_minus(argv, code, line, capsys):
+    assert run(argv) == code
+    report = capsys.readouterr()
+    assert line in (report.out if code == 0 else report.err).splitlines()
+    # the same report as the option=value spelling, which argparse always read
+    assert run([argv[0], f"{argv[1]}={argv[2]}", *argv[3:]]) == code
+    assert capsys.readouterr() == report
+
+
+@pytest.mark.parametrize("value", ["--alphas", "-h", "--alp"])
+def test_an_option_string_is_not_read_as_a_value(value, capsys):
+    # nor is a prefix argparse reads as one: each is an option lacking its value
+    assert run(["eval", "--expr", value, "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fuzzcalc eval") and err.endswith("argument --expr: expected one argument\n")
+
+
 # -- exit codes ------------------------------------------------------------------------------
 
 

@@ -48,8 +48,8 @@ from fuzzcalc.expr import (
     FuzzyConst,
     GhSub,
     Mul,
-    Neg,
     PowInt,
+    Scale,
     Sin,
     Var,
     _evaluate,
@@ -90,8 +90,8 @@ def test_parse_precedence_and_associativity():
     assert parse_expr("a - b - c") == GhSub(GhSub(Var("a"), Var("b")), Var("c"))
     assert parse_expr("2 * x^3") == Mul(CrispConst(2.0), PowInt(Var("x"), 3))
     # '^' binds tighter than unary minus
-    assert parse_expr("-x^2") == Neg(PowInt(Var("x"), 2))
-    assert parse_expr("(-x)^2") == PowInt(Neg(Var("x")), 2)
+    assert parse_expr("-x^2") == Scale(PowInt(Var("x"), 2), -1.0)
+    assert parse_expr("(-x)^2") == PowInt(Scale(Var("x"), -1.0), 2)
 
 
 def test_parse_negative_triplet_components():
@@ -195,29 +195,30 @@ def test_deep_nodes_pickle_flat_and_unpickle_as_the_interned_node():
     assert pickle.loads(pickle.dumps(node)) is node
     # every leaf kind, an integer field that is not a child, a shared child
     cube = PowInt(FuzzyConst(tri(1, 2, 3)), 3)
-    mixed = Add(Mul(cube, cube), GhSub(CrispConst(-0.0), Neg(Sin(Var("x")))))
+    mixed = Add(Mul(cube, cube), GhSub(CrispConst(-0.0), Scale(Sin(Var("x")), -1.0)))
     assert pickle.loads(pickle.dumps(mixed)) is mixed
     assert pickle.loads(pickle.dumps([cube, mixed])) == [cube, mixed]
 
 
 def test_the_scale_node_renders_pickles_and_differentiates():
-    # the node the step and the Taylor coefficients scale their terms with:
-    # rendered as a product by its factor, keyed by the factor's bits
-    scale = fuzzcalc.expr._Scale
-    assert repr(scale(Var("x"), 0.5)) == "_Scale(0.5*x)"
-    assert to_text(Add(Var("y"), scale(Mul(Var("h1"), Var("x")), -0.25))) == "y + -0.25*(h1*x)"
-    assert scale(Var("x"), 0.0) is not scale(Var("x"), -0.0)
-    assert differentiate(scale(Var("x"), 0.5), "x") is CrispConst(0.5)
+    # the node of unary minus, and the one the step and the Taylor
+    # coefficients scale their terms with: rendered as a product by its
+    # factor, or as unary minus for -1, keyed by the factor's bits
+    assert repr(Scale(Var("x"), 0.5)) == "Scale(0.5*x)"
+    assert to_text(Add(Var("y"), Scale(Mul(Var("h1"), Var("x")), -0.25))) == "y + -0.25*(h1*x)"
+    assert Scale(Var("x"), 0.0) is not Scale(Var("x"), -0.0)
+    assert repr(Scale(Var("x"), -1.0)) == "Scale(-x)" and parse_expr("-x") is Scale(Var("x"), -1.0)
+    assert differentiate(Scale(Var("x"), 0.5), "x") is CrispConst(0.5)
     # a root of a kept family: the solve's last term, a scaled product
     p = IvpProblem(parse_expr("x*y + 0.6875"), tri(0, 0.1, 0.2), tri(1, 1.1, 1.2), tri(0.01, 0.02, 0.03), order=2)
     solve(p)
     _, _, (_, y_next, last) = fuzzcalc.ivp._kept(fuzzcalc.ivp._step, p.rhs, p.order)
-    assert repr(last) == "_Scale(0.5*(h2*(y + x*(x*y + 0.6875))))"
+    assert repr(last) == "Scale(0.5*(h2*(y + x*(x*y + 0.6875))))"
     assert repr(y_next) == "Add(y + 1*(h1*(x*y + 0.6875)) + 0.5*(h2*(y + x*(x*y + 0.6875))))"
     for root in (last, y_next):
         assert pickle.loads(pickle.dumps(root)) is root
-    assert differentiate(last, "h2") is scale(differentiate(last.operand, "h2"), 0.5)
-    assert differentiate(last, "x") is scale(differentiate(last.operand, "x"), 0.5)
+    assert differentiate(last, "h2") is Scale(differentiate(last.operand, "h2"), 0.5)
+    assert differentiate(last, "x") is Scale(differentiate(last.operand, "x"), 0.5)
 
 
 def test_deep_nodes_repr_without_recursion():
@@ -242,7 +243,7 @@ def test_nodes_record_their_leading_child_fields_once():
 def test_nodes_refuse_a_child_that_is_not_a_node_when_built():
     before = len(fuzzcalc.expr._NODES)
     for build, message in ((lambda: Add(Var("x"), 5), "not an expression node"),
-                           (lambda: Neg("x"), "not an expression node"),
+                           (lambda: Scale("x", -1.0), "not an expression node"),
                            (lambda: PowInt(2.0, 3), "not an expression node"),
                            (lambda: Add(Var("x")), "Add takes 2 positional fields")):
         with pytest.raises(TypeError, match=message):
@@ -253,12 +254,12 @@ def test_nodes_refuse_a_child_that_is_not_a_node_when_built():
         for root in ([1], 2.0, "x"):
             with pytest.raises(TypeError, match="not an expression node"):
                 walk(root)
-    # and a class outside the thirteen cannot be built, so a walk meets none
-    class Twice(Neg):
+    # and a class outside the twelve cannot be built, so a walk meets none
+    class Twice(Scale):
         pass
 
     with pytest.raises(KeyError):
-        Twice(Var("x"))
+        Twice(Var("x"), 2.0)
     # leaf fields are values, not children
     assert PowInt(Var("x"), 3).exponent == 3 and CrispConst(5.0).value == 5.0
 
@@ -546,7 +547,7 @@ def test_derivative_of_monomial_with_fuzzy_coefficient():
 
 def test_derivative_of_trig_and_exp():
     assert differentiate(parse_expr("sin(x)"), "x") == Cos(Var("x"))
-    assert differentiate(parse_expr("cos(x)"), "x") == Neg(Sin(Var("x")))
+    assert differentiate(parse_expr("cos(x)"), "x") == Scale(Sin(Var("x")), -1.0)
     assert differentiate(parse_expr("exp(x)"), "x") == Exp(Var("x"))
 
 
@@ -667,7 +668,7 @@ def test_derivatives_are_kept_per_variable():
         node = parse_expr(text)
         differentiate(node, first)
         assert differentiate(node, "y") is CrispConst(-0.0), text
-        assert differentiate(node, "x") is Neg(Sin(node.operand)), text
+        assert differentiate(node, "x") is Scale(Sin(node.operand), -1.0), text
 
 
 def test_kept_derivatives_are_neither_pickled_nor_copied():

@@ -40,7 +40,6 @@ from fuzzcalc.series import (
     CoefficientRule,
     FuzzyPowerSeries,
     convergence_interval,
-    infinite_radius,
     parse_coeff_rule,
     partial_sum,
     radius_four_quotient,
@@ -702,5 +701,7 @@ def test_parse_rule_rejects_garbage():
 
 
 def test_infinite_radius_marker():
-    marker = infinite_radius(GRID)
+    result = radius_symbolic_ratio(FuzzyPowerSeries(singleton(0.0, GRID), parse_coeff_rule("1/n!", GRID)))
+    marker = result.R
+    assert result.is_infinite and marker.proper
     assert np.isinf(marker.lower).all() and np.isinf(marker.upper).all()

@@ -1,11 +1,13 @@
 """Source hygiene: every name a module imports, at top level or inside a
 function, is read somewhere in that module, in the package and in the
 tests, tools and demos; only core handles envelope arrays; only core and
-expr seal or release values; and only core and expr call the tape's
-kernels, so the work counts have one source."""
+expr seal or release values; only core and expr call the tape's
+kernels, so the work counts have one source; and each kernel serves one
+node class."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -114,3 +116,10 @@ def test_only_the_tape_and_the_estimators_count_work():
     # the tape counts every kernel call; the estimators count their blocks
     counters = sorted(p.name for p in PACKAGE.glob("*.py") if "_counters" in imported_names(p.read_text()))
     assert counters == ["calculus.py", "expr.py"]
+
+
+def test_each_tape_kernel_serves_one_node_class():
+    # one node class per operation: unary minus is the scale node by -1, so
+    # no second class runs the scale kernel
+    served = Counter(kernel for kernel, *_ in fuzzcalc.expr._TAPE.values())
+    assert {kernel.__name__: n for kernel, n in served.items() if n != 1} == {}

@@ -26,6 +26,8 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   variable, a point with -0.0 in its envelopes, probes of unsorted,
   repeated, single and no trial deltas, and an estimate whose backward
   extrapolant is improper;
+* texts with unary minus, and cos: each node's repr and text, and its
+  value and derivative;
 * ``mul``, ``div`` and ``pow_int`` on operands whose sign class picks the
   kernel: zeros of either sign, infinite envelopes, NaN-bearing values and
   stacks whose rows share a sign or do not; and first powers, which copy
@@ -35,10 +37,11 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   whose coefficients pass the float range, and Taylor series probed past
   their last coefficient; both numeric tests given no index, so that the
   series picks it, on a rule, lists of 40 and 3 and three Taylor series;
+  and a ``convergence_interval`` whose lower bound nearly cancels;
 * the cli-oneshot argvs, the error argvs of the failure contract, argv
-  text with a line break in it and the help texts, each through
-  ``cli.run`` in-process: exit code, stdout, stderr and the table it
-  writes;
+  text with a line break in it, values that begin with '-' and the help
+  texts, each through ``cli.run`` in-process: exit code, stdout, stderr
+  and the table it writes;
 * each library argument bound, given an argument past it, among them a
   Taylor order past the float factorials, a grid resolution, a step count
   and a partial sum's terms past their bounds, tower orders outside the
@@ -125,6 +128,15 @@ EXTRA_ARGVS = (
     ["series", "--coeff-rule", "T(0.3,0.3,0.3)^(n)", "--radius-mode", "four-quotient"],
     ["series", "--coeff-rule", "n^400", "--radius-mode", "symbolic"],
     ["series", "--coeff-rule", "n^400", "--radius-mode", "four-quotient"],
+    # values that begin with '-' after their option, and option strings that
+    # are not values
+    ["solve-ivp", "--rhs", "-y", "--x0", "0", "--y0", "1", "--h", "0.1"],
+    ["eval", "--expr", "-x", "--bind", "x=T(1,2,3)"],
+    ["derive", "--expr", "-x", "--var", "x", "--bind", "x=T(1,2,3)"],
+    ["series", "--taylor-of", "-x", "--var", "x", "--center", "T(-1,0,1)", "--order", "3"],
+    ["series", "--taylor-of", "-exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "10"],
+    ["eval", "--expr", "--alphas", "3"],
+    ["eval", "--expr", "-h"],
     # the help texts, which name no default the parser leaves to the handlers
     ["--help"],
     *([command, "--help"] for command in ("eval", "derive", "series", "solve-ivp")),
@@ -177,6 +189,9 @@ KERNEL_INPUTS = {
                            "(exp(w)*0)*w", "(exp(w)*0)/w", "(exp(w)*0)^2"),
     "first powers": ("x^1", "(-x)^1", "(x*(-x))^1"),
 }
+# texts with unary minus, the scale node by -1, and cos, whose derivative
+# scales by -1
+UNARY_MINUS = ("-x^2", "(-x)^2", "-(-x)", "x - -y", "x*-y", "-2*x", "cos(x)")
 # right-hand sides whose D_k are a binding (x, y), a constant's value
 # (T(1,2,3)), a crisp constant, repeated roots (every D_k past the last
 # nonzero one is 0), operands that ^1 passes through (a binding and a
@@ -296,6 +311,15 @@ def _library_entries(workloads, fc):
         yield (f"kernel:{label}",
                lambda texts=texts: {t: fc.expr.evaluate(fc.expr.parse_expr(t, grid), env) for t in texts})
 
+    for text in UNARY_MINUS:
+        def unary(text=text):
+            node = fc.expr.parse_expr(text, grid)
+            d = fc.expr.differentiate(node, "x")
+            return {"repr": node, "to_text": fc.expr.to_text(node), "value": fc.expr.evaluate(node, env),
+                    "derivative.repr": d, "derivative.to_text": fc.expr.to_text(d),
+                    "derivative.value": fc.expr.evaluate(d, env)}
+        yield f"unary-minus:{text} with {KERNEL_BINDINGS}", unary
+
     # operands only the core builds: stacks, read flat (rows of one sign take
     # two products, mixed rows four), and a NaN in one envelope, which the
     # two products would keep out of the other
@@ -363,6 +387,10 @@ def _library_entries(workloads, fc):
                 b_lo, b_hi = series.convergence_interval(centre, radius())
                 return {"b_lo": b_lo, "b_hi": b_hi}
             yield f"convergence-interval:{radius_name} about {centre_name}", interval
+    # centre and radius about 1e6, so that B_lo = centre - R nearly cancels
+    near = [core.make_triangular(t, grid) for t in ((999999.9, 1e6, 1000000.3), (999999.7, 1000000.1, 1000000.2))]
+    yield ("convergence-interval:T(999999.7,1000000.1,1000000.2) about T(999999.9,1e6,1000000.3)",
+           lambda: dict(zip(("b_lo", "b_hi"), series.convergence_interval(*near))))
 
     # each argument bound, one argument past it: a bare ValueError is a breach
     one, parse, x = core.singleton(1.0, grid), fc.expr.parse_expr, fc.expr.parse_expr("x", grid)
