@@ -45,9 +45,7 @@ from .core import (
     _fresh,
     _integer,
     _nested,
-    add,
     div,
-    gh_difference,
     make_triangular,
     pow_int,
     scalar_mul,
@@ -349,13 +347,10 @@ def convergence_interval(
     center: FuzzyNumber, R: FuzzyNumber
 ) -> tuple[FuzzyNumber, FuzzyNumber]:
     """Fuzzy bounds (B_lo, B_hi) such that the series converges for
-    B_lo < x < B_hi level-wise.
-
-    B_lo = center + (-R), the standard interval subtraction center - R
-    (lower endpoints pair with the opposite radius endpoints), and B_hi =
-    center -gH (-R), the gH-difference, which is the inner sum
-    order-normalized and may be improper.  With R = 0 both collapse to the
-    center.
+    B_lo < x < B_hi level-wise: B_lo = center - R, the interval subtraction
+    [c_lo - R_hi, c_hi - R_lo], and B_hi = center -gH (-R), the inner sum,
+    per level the min and max of c_hi + R_lo and c_lo + R_hi.  Each is
+    improper where its cuts do not nest.  With R = 0 both are the center.
     """
     if not (center.proper and R.proper):
         raise ImproperOperand("bounds need proper center and radius")
@@ -363,8 +358,11 @@ def convergence_interval(
         raise GridMismatch("center and radius live on different grids")
     if R.lower[0] < 0:
         raise InvalidArgument("radius must be nonnegative")
-    m = scalar_mul(-1.0, R)
-    return add(center, m), gh_difference(center, m)
+    lo_lower, lo_upper = center.lower - R.upper, center.upper - R.lower
+    a, b = center.upper + R.lower, center.lower + R.upper
+    hi_lower, hi_upper = np.minimum(a, b), np.maximum(a, b)  # both keep b on a tie of 0.0 and -0.0
+    return (_fresh(center.grid, lo_lower, lo_upper, _nested(lo_lower, lo_upper)),
+            _fresh(center.grid, hi_lower, hi_upper, _nested(hi_lower, hi_upper)))
 
 
 def taylor_series_of(

@@ -444,6 +444,32 @@ def test_convergence_interval_crisp_case():
     assert hausdorff_distance(b_hi, singleton(1.0, GRID)) == 0.0
 
 
+def test_convergence_interval_flags_a_bound_whose_cuts_do_not_nest():
+    # an infinite radius: centre - inf and centre + inf have NaN level steps
+    infinite = radius_symbolic_ratio(FuzzyPowerSeries(singleton(0.0, GRID), parse_coeff_rule("1/n!", GRID))).R
+    for R in (singleton(math.inf, GRID), infinite):
+        b_lo, b_hi = convergence_interval(singleton(0.0, GRID), R)
+        assert np.isneginf(b_lo.lower).all() and np.isposinf(b_hi.upper).all()
+        assert not b_lo.proper and not b_hi.proper
+    # a centre that nests within the slack at 1e6 but not at the scale of 1,
+    # where B_lo = centre - 1e6 lands
+    t = tri(1e6, 1e6, 1e6 + 1)
+    lower = t.lower.copy()
+    lower[50] += 1e-8
+    b_lo, b_hi = convergence_interval(FuzzyNumber(GRID, lower, t.upper), singleton(1e6, GRID))
+    assert not b_lo.proper and b_hi.proper
+
+
+def test_convergence_interval_keeps_the_sign_of_a_tied_zero():
+    # at alpha = 0 both candidates of B_hi are zero: c_lo + R_hi = -1 + 1 = 0.0
+    # and c_hi + R_lo = -0.0 + -0.0 = -0.0; the bound keeps 0.0
+    levels = GRID.levels
+    center = FuzzyNumber(GRID, -1.0 + levels, np.full(levels.shape, -0.0))
+    R = FuzzyNumber(GRID, np.full(levels.shape, -0.0), 1.0 - 0.5 * levels)
+    _, b_hi = convergence_interval(center, R)
+    assert b_hi.lower[0] == 0.0 and not np.signbit(b_hi.lower[0]) and not np.signbit(b_hi.upper[0])
+
+
 # -- Taylor coefficients ----------------------------------------------------------------------
 
 

@@ -37,7 +37,9 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   whose coefficients pass the float range, and Taylor series probed past
   their last coefficient; both numeric tests given no index, so that the
   series picks it, on a rule, lists of 40 and 3 and three Taylor series;
-  and a ``convergence_interval`` whose lower bound nearly cancels;
+  and ``convergence_interval`` where its lower bound nearly cancels, where
+  that bound does not nest, about an infinite radius, and where the upper
+  bound ties 0.0 with -0.0;
 * the cli-oneshot argvs, the error argvs of the failure contract, argv
   text with a line break in it, values that begin with '-' and the help
   texts, each through ``cli.run`` in-process: exit code, stdout, stderr
@@ -391,6 +393,25 @@ def _library_entries(workloads, fc):
     near = [core.make_triangular(t, grid) for t in ((999999.9, 1e6, 1000000.3), (999999.7, 1000000.1, 1000000.2))]
     yield ("convergence-interval:T(999999.7,1000000.1,1000000.2) about T(999999.9,1e6,1000000.3)",
            lambda: dict(zip(("b_lo", "b_hi"), series.convergence_interval(*near))))
+    # a centre that nests within the slack at 1e6 but not at the scale of 1,
+    # where B_lo = centre - 1e6 lands, so that B_lo does not nest
+    t = core.make_triangular((1e6, 1e6, 1e6 + 1), grid)
+    wobble_lower = t.lower.copy()
+    wobble_lower[50] += 1e-8
+    wobble = core.FuzzyNumber(grid, wobble_lower, t.upper)
+    yield ("convergence-interval:1e6 about T(1e6,1e6,1e6+1) with lower[50] += 1e-8",
+           lambda: dict(zip(("b_lo", "b_hi"), series.convergence_interval(wobble, core.singleton(1e6, grid)))))
+    # the infinite radius: both bounds are infinite, and neither nests
+    yield ("convergence-interval:symbolic radius of 1/n! about 0",
+           lambda: dict(zip(("b_lo", "b_hi"), series.convergence_interval(
+               zero, series.radius_symbolic_ratio(cases["rule 1/n!"]()).R))))
+    # B_hi's two candidates tie at alpha = 0 as 0.0 (-1 + 1) and -0.0
+    # (-0.0 + -0.0): which sign the bound keeps
+    levels = grid.levels
+    signed = (core.FuzzyNumber(grid, -1.0 + levels, np.full(levels.shape, -0.0)),
+              core.FuzzyNumber(grid, np.full(levels.shape, -0.0), 1.0 - 0.5 * levels))
+    yield ("convergence-interval:[-0.0, 1 - alpha/2] about [-1 + alpha, -0.0]",
+           lambda: dict(zip(("b_lo", "b_hi"), series.convergence_interval(*signed))))
 
     # each argument bound, one argument past it: a bare ValueError is a breach
     one, parse, x = core.singleton(1.0, grid), fc.expr.parse_expr, fc.expr.parse_expr("x", grid)
