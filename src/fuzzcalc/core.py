@@ -94,6 +94,17 @@ MAX_RESOLUTION = 1_000_001
 _NEST_SLACK = 1e-12
 
 
+def _count(n, what: str, lo: int, hi: int | None = None) -> int:
+    """``n`` as an int: the one check of every count the package takes, an
+    integer from ``lo`` to ``hi`` (with no upper end when ``hi`` is None).
+    The range is checked before integrality, so a NaN, an infinity or a
+    huge int is refused before ``int`` reads it."""
+    if not (lo <= n and (hi is None or n <= hi) and n % 1 == 0):
+        span = f"of at least {lo}" if hi is None else f"from {lo} to {hi}"
+        raise InvalidArgument(f"{what} must be an integer {span}, got {n!r}")
+    return int(n)
+
+
 class AlphaGrid:
     """Strictly increasing alpha levels from 0 to 1 inclusive."""
 
@@ -112,11 +123,7 @@ class AlphaGrid:
 
     @classmethod
     def uniform(cls, resolution: int = DEFAULT_RESOLUTION) -> "AlphaGrid":
-        if not (resolution >= 2 and resolution % 1 == 0):
-            raise InvalidArgument(f"grid resolution must be >= 2 and an integer, got {resolution!r}")
-        if resolution > MAX_RESOLUTION:
-            raise InvalidArgument(f"grid resolution must be at most {MAX_RESOLUTION}, got {resolution!r}")
-        return cls(np.linspace(0.0, 1.0, int(resolution)))
+        return cls(np.linspace(0.0, 1.0, _count(resolution, "grid resolution", 2, MAX_RESOLUTION)))
 
     def __len__(self) -> int:
         return int(self.levels.size)
@@ -450,22 +457,6 @@ def mul(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     return _frozen(_mul(a, b, None))
 
 
-def _exponent(n) -> int:
-    """The one check of a power's exponent, for ``pow_int`` and ``PowInt``:
-    an integer from 0 to ``MAX_EXPONENT``, returned as an int."""
-    if not (0 <= n <= MAX_EXPONENT and int(n) == n):
-        raise InvalidArgument(f"exponent must be an integer from 0 to {MAX_EXPONENT}, got {n!r}")
-    return int(n)
-
-
-def _integer(n, what: str) -> int:
-    """``n`` as an int, after its owner checked its range; InvalidArgument
-    if it has a fraction."""
-    if n % 1 != 0:
-        raise InvalidArgument(f"{what} must be an integer, got {n!r}")
-    return int(n)
-
-
 def _pow_int(a: FuzzyNumber, n: int, pool: list | None) -> FuzzyNumber:
     if n == 0:
         return _singleton(1.0, a.grid, pool)
@@ -487,7 +478,7 @@ def pow_int(a: FuzzyNumber, n: int) -> FuzzyNumber:
     result equals the four-product result bit for bit, and for positive
     numbers it is the endpoint powers.
     """
-    n = _exponent(n)
+    n = _count(n, "exponent", 0, MAX_EXPONENT)
     _require_proper(a)
     return _frozen(_pow_int(a, n, None))
 

@@ -10,7 +10,10 @@ class FuzzyError(Exception):
 
 class InvalidArgument(FuzzyError, ValueError):
     """An argument outside its documented bound; checked once, by the
-    function or constructor that owns the bound."""
+    function or constructor that owns the bound.  Every count (a resolution,
+    an exponent, an order, an index, a number of terms or steps) is checked
+    by one function, so its message reads ``<what> must be an integer from
+    <lo> to <hi>, got <n>`` (``of at least <lo>`` with no upper end)."""
 
 
 class MalformedTriplet(FuzzyError):

@@ -69,13 +69,14 @@ from . import _counters
 from .core import (
     _IMPROPER_OPERAND,
     DEFAULT_GRID,
+    MAX_EXPONENT,
     AlphaGrid,
     FuzzyNumber,
     _add,
     _cos,
+    _count,
     _div,
     _exp,
-    _exponent,
     _frozen,
     _gh_difference,
     _mul,
@@ -213,7 +214,7 @@ class PowInt(Expr):
 
     def __new__(cls, base, exponent):
         # the exponent kept is the int, whichever spelling built the node
-        return super().__new__(cls, base, _exponent(exponent))
+        return super().__new__(cls, base, _count(exponent, "exponent", 0, MAX_EXPONENT))
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from fuzzcalc.calculus import continuity_probe, mh_derivative
-from fuzzcalc.cli import write_alpha_csv
+from fuzzcalc.cli import run, write_alpha_csv
 from fuzzcalc.core import (
     MAX_EXPONENT,
     MAX_RESOLUTION,
@@ -21,8 +21,10 @@ from fuzzcalc.core import (
 )
 from fuzzcalc.errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument, NotSimplifiable
 from fuzzcalc.expr import PowInt, Var, parse_expr
+from fuzzcalc.ivp import MAX_ORDER as MAX_IVP_ORDER
 from fuzzcalc.ivp import MAX_STEPS, IvpProblem, solve, total_derivatives
 from fuzzcalc.series import (
+    MAX_INDEX,
     MAX_ORDER,
     MAX_TERMS,
     FuzzyPowerSeries,
@@ -37,6 +39,8 @@ from fuzzcalc.series import (
 
 T = make_triangular((1, 2, 3))
 SERIES = FuzzyPowerSeries(singleton(0.0), [T] * 20)
+RULE = parse_coeff_rule("1/n!")
+RULE_SERIES = FuzzyPowerSeries(singleton(0.0), RULE)
 
 
 def ivp(**changes):
@@ -49,16 +53,14 @@ BOUNDS = [
     ("AlphaGrid levels", lambda: AlphaGrid([0.0]), "at least the levels 0 and 1"),
     ("AlphaGrid ends", lambda: AlphaGrid([0.0, 0.5]), "start at 0 and end at 1"),
     ("AlphaGrid order", lambda: AlphaGrid([0.0, 0.5, 0.5, 1.0]), "strictly increasing"),
-    ("AlphaGrid.uniform", lambda: AlphaGrid.uniform(1), "resolution must be >= 2"),
-    ("AlphaGrid.uniform fraction", lambda: AlphaGrid.uniform(2.5), "an integer, got 2.5"),
-    ("AlphaGrid.uniform too fine", lambda: AlphaGrid.uniform(MAX_RESOLUTION + 1),
-     f"at most {MAX_RESOLUTION}, got {MAX_RESOLUTION + 1}"),
     ("FuzzyNumber shape", lambda: FuzzyNumber(AlphaGrid.uniform(3), [0, 0], [1, 1]), "match the grid"),
-    ("pow_int negative", lambda: pow_int(T, -1), "got -1"),
-    ("pow_int fraction", lambda: pow_int(T, 2.5), "got 2.5"),
-    ("pow_int too large", lambda: pow_int(T, MAX_EXPONENT + 1), f"from 0 to {MAX_EXPONENT}"),
-    ("PowInt", lambda: PowInt(Var("x"), -1), "got -1"),
-    ("parse_expr power", lambda: parse_expr("x^99999999"), "got 99999999"),
+    # text holds only whole exponents, so a text's count can be past the top only
+    ("parse_expr power", lambda: parse_expr("x^99999999"),
+     f"^exponent must be an integer from 0 to {MAX_EXPONENT}, got 99999999$"),
+    ("parse_coeff_rule degree", lambda: parse_coeff_rule("n^1025"),
+     f"^exponent must be an integer from 0 to {MAX_EXPONENT}, got 1025$"),
+    ("parse_coeff_rule degree below the line", lambda: parse_coeff_rule("1/n^600/n^600"),
+     f"^exponent must be an integer from 0 to {MAX_EXPONENT}, got 1200$"),
     ("mh_derivative tol", lambda: mh_derivative(parse_expr("x"), "x", T, tol=0.0), "tol must be"),
     ("continuity_probe eps", lambda: continuity_probe(parse_expr("x"), "x", T, eps=0.0), "eps must be"),
     *((f"continuity_probe trial deltas {deltas}",
@@ -66,51 +68,15 @@ BOUNDS = [
        "trial deltas must be positive and finite")
       for deltas in ([math.nan], [1.0, math.nan], [0.0], [-1.0], [math.inf])),
     ("FuzzyPowerSeries", lambda: FuzzyPowerSeries(singleton(0.0), []), "must be nonempty"),
-    ("partial_sum", lambda: partial_sum(SERIES, T, 0), "at least one term"),
-    ("partial_sum fraction", lambda: partial_sum(SERIES, T, 2.5), "number of terms must be an integer, got 2.5"),
-    # checked before the coefficients are read, so a rule's too
-    ("partial_sum too many terms", lambda: partial_sum(FuzzyPowerSeries(T, parse_coeff_rule("1/n!")), T, MAX_TERMS + 1),
-     f"number of terms must be at most {MAX_TERMS}, got {MAX_TERMS + 1}"),
     # an explicit list holds a_0 to a_19; its coefficient read is the one check
     ("coefficient", lambda: SERIES.coefficient(20), "no coefficient a_20: the series has 20"),
-    ("coefficient negative", lambda: SERIES.coefficient(-1), "no coefficient a_-1"),
-    ("coefficient fraction", lambda: SERIES.coefficient(1.5), "coefficient index must be an integer, got 1.5"),
-    ("rule coefficient fraction", lambda: FuzzyPowerSeries(T, parse_coeff_rule("1/n!")).coefficient(1.5),
-     "coefficient index must be an integer, got 1.5"),
-    # a rule takes no negative index either: n! and c^n are not read there
-    ("rule coefficient negative", lambda: FuzzyPowerSeries(T, parse_coeff_rule("1/n!")).coefficient(-1),
-     "no coefficient a_-1"),
-    ("rule coefficient negative power",
-     lambda: FuzzyPowerSeries(T, parse_coeff_rule("n*T(1,2,3)^(n)")).coefficient(-2), "no coefficient a_-2"),
     ("partial_sum past the list", lambda: partial_sum(SERIES, T, 21), "no coefficient a_20"),
     ("ratio_test past the list", lambda: ratio_test(SERIES, 19), "no coefficient a_20"),
     ("radius_four_quotient past the list", lambda: radius_four_quotient(SERIES, 19), "no coefficient a_20"),
-    ("parse_coeff_rule degree", lambda: parse_coeff_rule("n^1025"), "got 1025"),
-    ("parse_coeff_rule degree below the line", lambda: parse_coeff_rule("1/n^600/n^600"), "got 1200"),
     # given no index the series picks one, and a list of 3 holds no a_n, a_(n+1) with n >= 2
     *((f"{test.__name__} default on 3 coefficients", lambda test=test: test(FuzzyPowerSeries(T, [T] * 3)),
        "too short to probe: the series has 3 explicit coefficients") for test in (radius_four_quotient, ratio_test)),
-    ("radius_four_quotient", lambda: radius_four_quotient(SERIES, 1), "n_probe must be"),
-    ("ratio_test", lambda: ratio_test(SERIES, 1), "n_probe must be"),
-    ("ratio_test fraction", lambda: ratio_test(SERIES, 4.5), "n_probe must be an integer, got 4.5"),
-    ("radius_four_quotient fraction", lambda: radius_four_quotient(SERIES, 4.5), "n_probe must be an integer, got 4.5"),
     ("convergence_interval", lambda: convergence_interval(T, make_triangular((-1, 0, 1))), "radius"),
-    ("taylor_series_of", lambda: taylor_series_of(parse_expr("x"), "x", T, -1), "order must be"),
-    ("taylor_series_of order past the float factorials",
-     lambda: taylor_series_of(parse_expr("x"), "x", T, MAX_ORDER + 1), f"at most {MAX_ORDER}, .* got 171"),
-    ("taylor_series_of fraction", lambda: taylor_series_of(parse_expr("x"), "x", T, 2.5),
-     "order must be an integer, got 2.5"),
-    ("IvpProblem order", lambda: ivp(order=5), "between 1 and 4"),
-    ("IvpProblem order fraction", lambda: ivp(order=2.5), "truncation order must be an integer, got 2.5"),
-    # total_derivatives takes the problem's order bound, from the one check
-    *((f"total_derivatives order {order}", lambda order=order: total_derivatives(parse_expr("x + y"), order),
-       "between 1 and 4") for order in (-1, 0, 5, 1000)),
-    ("total_derivatives order fraction", lambda: total_derivatives(parse_expr("x + y"), 2.5),
-     "truncation order must be an integer, got 2.5"),
-    ("IvpProblem steps", lambda: ivp(steps=0), "at least one step"),
-    ("IvpProblem steps fraction", lambda: ivp(steps=1.5), "number of steps must be an integer, got 1.5"),
-    ("IvpProblem steps too many", lambda: ivp(steps=MAX_STEPS + 1),
-     f"number of steps must be at most {MAX_STEPS}, got {MAX_STEPS + 1}"),
     ("IvpProblem rhs", lambda: ivp(rhs=parse_expr("x + z")), "only use x and y"),
     ("IvpProblem step", lambda: ivp(h=make_triangular((-0.1, 0, 0.1))), "nonnegative support"),
 ]
@@ -121,6 +87,86 @@ def test_an_argument_out_of_its_bound_is_an_invalid_argument(call, message):
     with pytest.raises(InvalidArgument, match=message) as exc:
         call()
     assert isinstance(exc.value, ValueError) and isinstance(exc.value, FuzzyError)
+
+
+# Every count the package takes, with the call that takes it (returning what
+# it made of the count), what the count is, its lowest value and its highest
+# (None: no upper end).  One check owns them all, so each is refused with one
+# message shape.
+COUNTS = [
+    ("AlphaGrid.uniform", AlphaGrid.uniform, "grid resolution", 2, MAX_RESOLUTION),
+    ("pow_int", lambda n: pow_int(singleton(1.0), n), "exponent", 0, MAX_EXPONENT),
+    ("PowInt", lambda n: PowInt(Var("x"), n).exponent, "exponent", 0, MAX_EXPONENT),
+    ("taylor_series_of", lambda n: taylor_series_of(parse_expr("x"), "x", T, n).coeffs, "order", 0, MAX_ORDER),
+    # a rule holds every a_n, so the count is checked before any is read
+    ("partial_sum", lambda n: partial_sum(RULE_SERIES, singleton(0.5), n), "number of terms", 1, MAX_TERMS),
+    ("coefficient", SERIES.coefficient, "coefficient index", 0, None),
+    # a rule's index is checked by its value: n! and c^n are not read past it
+    ("rule coefficient", RULE_SERIES.coefficient, "coefficient index", 0, MAX_INDEX),
+    ("CoefficientRule.value", RULE.value, "coefficient index", 0, MAX_INDEX),
+    ("ratio_test", lambda n: ratio_test(SERIES, n), "n_probe", 2, None),
+    ("radius_four_quotient", lambda n: radius_four_quotient(SERIES, n), "n_probe", 2, None),
+    ("IvpProblem order", lambda n: ivp(order=n).order, "truncation order", 1, MAX_IVP_ORDER),
+    ("total_derivatives", lambda n: total_derivatives(parse_expr("x + y"), n), "truncation order", 1, MAX_IVP_ORDER),
+    ("IvpProblem steps", lambda n: ivp(steps=n).steps, "number of steps", 1, MAX_STEPS),
+]
+
+
+def count_message(what, lo, hi, n) -> str:
+    span = f"of at least {lo}" if hi is None else f"from {lo} to {hi}"
+    return f"{what} must be an integer {span}, got {n!r}"
+
+
+@pytest.mark.parametrize("call, what, lo, hi", [c[1:] for c in COUNTS], ids=[c[0] for c in COUNTS])
+def test_a_count_out_of_its_range_is_refused_with_one_message(call, what, lo, hi):
+    for n in (lo - 1, lo + 0.5, *(() if hi is None else (hi + 1,))):
+        with pytest.raises(InvalidArgument) as exc:
+            call(n)
+        assert str(exc.value) == count_message(what, lo, hi, n)
+
+
+@pytest.mark.parametrize("call, lo, hi", [(c[1], *c[3:]) for c in COUNTS], ids=[c[0] for c in COUNTS])
+def test_a_count_in_its_range_is_taken_and_a_whole_float_as_its_int(call, lo, hi):
+    for n in (lo, *(() if hi is None else (hi,))):
+        call(n)
+    # the check returns the int, so a count's value, not its type, decides
+    taken, expected = call(3.0), call(3)
+    assert taken == expected and type(taken) is type(expected)
+
+
+def test_a_count_is_checked_for_its_range_before_int_reads_it():
+    for n in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(InvalidArgument, match=f"got {n!r}$"):
+            AlphaGrid.uniform(n)
+    # with no upper end, the integrality test refuses what has no int
+    for n in (math.nan, math.inf):
+        with pytest.raises(InvalidArgument, match=f"of at least 0, got {n!r}$"):
+            SERIES.coefficient(n)
+
+
+# (the CLI's count option, an argv taking it, what the count is, lowest, highest)
+CLI_COUNTS = [
+    ("--alphas", ["eval", "--expr", "x", "--bind", "x=1", "--alphas"], "grid resolution", 2, MAX_RESOLUTION),
+    ("series --order", ["series", "--taylor-of", "x", "--var", "x", "--center", "T(-1,0,1)", "--order"],
+     "order", 0, MAX_ORDER),
+    ("solve-ivp --order", ["solve-ivp", "--rhs", "y", "--x0", "0", "--y0", "1", "--h", "0.1", "--order"],
+     "truncation order", 1, MAX_IVP_ORDER),
+    # order 1 on two levels, so that the longest solve stays short
+    ("--steps", ["solve-ivp", "--rhs", "y", "--x0", "0", "--y0", "1", "--h", "1e-5", "--alphas", "2",
+                 "--order", "1", "--steps"], "number of steps", 1, MAX_STEPS),
+]
+
+
+@pytest.mark.parametrize("argv, what, lo, hi", [c[1:] for c in CLI_COUNTS], ids=[c[0] for c in CLI_COUNTS])
+def test_a_cli_count_is_checked_by_its_library_owner(argv, what, lo, hi, capsys):
+    # argparse reads only whole numbers, so the range alone is left to check
+    for n in (lo - 1, hi + 1):
+        assert run([*argv, str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"InvalidArgument: {count_message(what, lo, hi, n)}\n")
+    for n in (lo, hi):
+        run([*argv, str(n)])
+        assert "must be an integer" not in capsys.readouterr().err
 
 
 def test_the_exponent_bound_is_inclusive():
@@ -156,18 +202,6 @@ def test_the_step_bound_is_inclusive():
     solution = solve(problem)
     assert len(solution.trajectory) == MAX_STEPS + 1 and len(solution.truncation_magnitudes) == MAX_STEPS
     assert solution.final[1].proper
-
-
-def test_a_whole_float_count_is_taken_as_its_int():
-    # the integrality check returns the int, so a count's value, not its
-    # type, decides
-    p = ivp(order=2.0, steps=3.0)
-    assert (p.order, p.steps) == (2, 3) and type(p.order) is type(p.steps) is int
-    assert partial_sum(SERIES, T, 3.0) == partial_sum(SERIES, T, 3)
-    f = parse_expr("x^2")
-    assert taylor_series_of(f, "x", T, 2.0).coeffs == taylor_series_of(f, "x", T, 2).coeffs
-    assert ratio_test(SERIES, 8.0) == ratio_test(SERIES, 8)
-    assert SERIES.coefficient(3.0) is SERIES.coefficient(3)
 
 
 IMPROPER = gh_difference(make_triangular((0, 1, 2)), make_triangular((0, 0.5, 3)))

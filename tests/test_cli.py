@@ -419,12 +419,12 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
     assert run(["solve-ivp", "--file", str(bad)]) == 2
     assert "ProblemFileError" in error_line(capsys)
     # an argument out of its bound is named by the library check that owns it
-    order_error = "InvalidArgument: truncation order must be between 1 and 4\n"
+    order_error = "InvalidArgument: truncation order must be an integer from 1 to 4, got 7\n"
     fields = ["--rhs", "y", "--x0", "0", "--y0", "1", "--h", "0.1"]
     assert run(["solve-ivp", *fields, "--order", "7"]) == 2
     assert error_line(capsys) == order_error
     for line, error in (("order = 7", order_error),
-                        ("steps = 0", "InvalidArgument: need at least one step\n")):
+                        ("steps = 0", "InvalidArgument: number of steps must be an integer from 1 to 10000, got 0\n")):
         bad.write_text(f"rhs = y\nx0 = 0\ny0 = 1\nh = 0.1\n{line}\n")
         assert run(["solve-ivp", "--file", str(bad)]) == 2
         assert error_line(capsys) == error
@@ -456,20 +456,20 @@ def test_exit_2_on_usage_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["series", "--taylor-of", "exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "-1"],
-     "order must be nonnegative"),
+     "order must be an integer from 0 to 170, got -1"),
     (["series", "--taylor-of", "x", "--var", "x", "--center", "T(-1,0,1)", "--order", "171"],
-     "order must be at most 170, the largest k whose k! is a float, got 171"),
-    (["eval", "--expr", "x", "--bind", "x=1", "--alphas", "1"], "grid resolution must be >= 2 and an integer, got 1"),
+     "order must be an integer from 0 to 170, got 171"),
+    (["eval", "--expr", "x", "--bind", "x=1", "--alphas", "1"], "grid resolution must be an integer from 2 to 1000001, got 1"),
     (["eval", "--expr", "x^1025", "--bind", "x=T(1,1,1)"],
      "exponent must be an integer from 0 to 1024, got 1025"),
     # the probe at n = 8 takes the base to the power 8 + 1017
     (["series", "--coeff-rule", "T(1,2,3)^(n+1017)", "--radius-mode", "symbolic"],
      "exponent must be an integer from 0 to 1024, got 1025"),
     (["eval", "--expr", "x", "--bind", "x=T(1,2,3)", "--alphas", "1000000000000"],
-     "grid resolution must be at most 1000001, got 1000000000000"),
+     "grid resolution must be an integer from 2 to 1000001, got 1000000000000"),
     (["solve-ivp", "--rhs", "x + y", "--x0", "T(0,0.1,0.2)", "--y0", "T(1,1.1,1.2)", "--h",
       "T(0.001,0.002,0.003)", "--order", "2", "--steps", "10001"],
-     "number of steps must be at most 10000, got 10001"),
+     "number of steps must be an integer from 1 to 10000, got 10001"),
 ], ids=["series order", "series order past the float factorials", "alphas", "expression power",
         "rule power shift", "alphas past the resolution bound", "steps past the step bound"])
 def test_exit_2_on_an_argument_out_of_its_bound(argv, message, capsys):

@@ -79,9 +79,9 @@ def test_total_derivatives_checks_its_order_with_a_tower_kept():
     rhs = parse_expr("x*y + 0.5625")
     assert len(total_derivatives(rhs, 4)) == 4
     for order in (-1, 0, 5):
-        with pytest.raises(InvalidArgument, match="between 1 and 4"):
+        with pytest.raises(InvalidArgument, match="from 1 to 4"):
             total_derivatives(rhs, order)
-    with pytest.raises(InvalidArgument, match="must be an integer, got 2.5"):
+    with pytest.raises(InvalidArgument, match="must be an integer from 1 to 4, got 2.5"):
         total_derivatives(rhs, 2.5)
     assert total_derivatives(rhs, 2.0) == total_derivatives(rhs, 4)[:2]
 

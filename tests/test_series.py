@@ -37,6 +37,7 @@ from fuzzcalc.errors import (
 )
 from fuzzcalc.expr import Env, _evaluate, differentiate, evaluate, parse_expr
 from fuzzcalc.series import (
+    MAX_INDEX,
     CoefficientRule,
     FuzzyPowerSeries,
     convergence_interval,
@@ -408,6 +409,19 @@ def test_rule_coefficient_past_the_float_range_folds_to_infinity():
     # the probe's quotients inf / inf are not finite: no limit is declared
     with pytest.raises(NoLimit, match="not finite"):
         ratio_test(FuzzyPowerSeries(singleton(0.0, GRID), power))
+
+
+def test_a_rule_checks_its_own_index():
+    # value is public and does the rule's work, so it takes only the indices
+    # 0 to MAX_INDEX: a fraction or a negative n is no a_n, and past the bound
+    # n! alone would grow the work without end
+    for text in ("1/n!", "n^2", "n / T(4,5,6)^(n-1)"):
+        rule = parse_coeff_rule(text, GRID)
+        for n in (-1, 2.5, MAX_INDEX + 1):
+            with pytest.raises(InvalidArgument, match=f"^coefficient index must be an integer from 0 to "
+                                                      f"{MAX_INDEX}, got {n!r}$"):
+                rule.value(n, GRID)
+    assert parse_coeff_rule("1/n!", GRID).value(MAX_INDEX, GRID) == singleton(0.0, GRID)
 
 
 def test_finite_rule_coefficients_are_the_closed_form_bits():

@@ -2,8 +2,9 @@
 function, is read somewhere in that module, in the package and in the
 tests, tools and demos; only core handles envelope arrays; only core and
 expr seal or release values; only core and expr call the tape's
-kernels, so the work counts have one source; and each kernel serves one
-node class."""
+kernels, so the work counts have one source; each kernel serves one
+node class; and only core's ``_count`` tests a count for integrality and
+names one that is not an integer."""
 
 import ast
 import pathlib
@@ -123,3 +124,58 @@ def test_each_tape_kernel_serves_one_node_class():
     # no second class runs the scale kernel
     served = Counter(kernel for kernel, *_ in fuzzcalc.expr._TAPE.values())
     assert {kernel.__name__: n for kernel, n in served.items() if n != 1} == {}
+
+
+def integrality_tests(source: str) -> list[str]:
+    """Where ``source`` tests a number for a fraction itself: ``x % 1``, or
+    ``int(x)`` compared with ``x``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Constant) and node.right.value == 1):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Compare):
+            sides = [ast.dump(side) for side in (node.left, *node.comparators)]
+            if any(isinstance(side, ast.Call) and isinstance(side.func, ast.Name) and side.func.id == "int"
+                   and len(side.args) == 1 and sides.count(ast.dump(side.args[0]))
+                   for side in (node.left, *node.comparators)):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_integrality_check_matches_tests_not_names():
+    source = "a = n % 1 == 0\nb = int(x) == x\nc = y != int(y)\n"
+    assert len(integrality_tests(source)) == 3
+    assert integrality_tests("a = n % 10\nb = int(x) == y\nc = n % 1.5\nd = int(n)\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "core.py"],
+                         ids=source_id)
+def test_only_core_tests_a_number_for_a_fraction(path):
+    # every count goes through core._count, which tests integrality after its range
+    assert integrality_tests(path.read_text()) == []
+
+
+def integer_messages(source: str) -> list[str | None]:
+    """Where ``source`` raises an error saying a value "must be an integer":
+    for each such raise, the innermost function holding it (None at top
+    level)."""
+    tree = ast.parse(source)
+    # ast.walk goes outside in, so the last function holding a line is the innermost
+    spans = [(f.lineno, f.end_lineno, f.name) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    return [([name for lo, hi, name in spans if lo <= node.lineno <= hi] or [None])[-1]
+            for node in ast.walk(tree) if isinstance(node, ast.Raise)
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, str) and "must be an integer" in c.value
+                    for c in ast.walk(node))]
+
+
+def test_the_integer_message_check_names_where_each_text_is():
+    source = ('"""n must be an integer"""\nraise V("n must be an integer")\n'
+              'def f():\n    def g():\n        raise V(f"{w} must be an integer")\n')
+    assert integer_messages(source) == [None, "g"]
+
+
+def test_only_count_says_a_value_must_be_an_integer():
+    # one message shape for every count: the one check's
+    found = {path.name: integer_messages(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {"core.py": ["_count"]}

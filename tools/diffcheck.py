@@ -47,8 +47,9 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
 * each library argument bound, given an argument past it, among them a
   Taylor order past the float factorials, a grid resolution, a step count
   and a partial sum's terms past their bounds, tower orders outside the
-  problem's, negative indices of rule series, and trial deltas that are
-  not positive and finite;
+  problem's, negative indices of rule series, a rule's own index check at
+  -1, 2.5 and past its bound, and trial deltas that are not positive and
+  finite; and each count's owner given a whole float such as 3.0;
 * the constructor's refusals and the package's exported names.
 
 Each entry records its result (envelope digests, properness, scalars) or
@@ -457,9 +458,33 @@ def _library_entries(workloads, fc):
         "IvpProblem steps=10001": lambda: fc.ivp.IvpProblem(**ivp, steps=10_001),
         "IvpProblem rhs x + z": lambda: fc.ivp.IvpProblem(**{**ivp, "rhs": parse("x + z", grid)}),
         "IvpProblem h T(-1,0,1)": lambda: fc.ivp.IvpProblem(**{**ivp, "h": tri[1]}),
+        # a rule's own index check: no fraction, no negative n, no n past its bound
+        **{f"rule {rule} value({n})": lambda rule=rule, n=n: series.parse_coeff_rule(rule, grid).value(n, grid)
+           for rule in ("1/n!", "n^2") for n in (-1, 2.5)},
+        "rule 1/n! value(10001)": lambda: series.parse_coeff_rule("1/n!", grid).value(10_001, grid),
     }
     for name, call in bounds.items():
         yield f"bound:{name}", lambda call=call: {"value": call()}
+
+    # each count's owner given a whole float, which it takes as its int
+    series_40, rule = cases["[T(1,2,3)] * 40"], cases["rule 1/n!"]
+    whole = {
+        "AlphaGrid.uniform(3.0)": lambda: {"levels": core.AlphaGrid.uniform(3.0).levels.tolist()},
+        "pow_int(T(1,2,3), 3.0)": lambda: {"value": core.pow_int(tri[0], 3.0)},
+        "PowInt(x, 3.0)": lambda: {"exponent": fc.expr.PowInt(fc.expr.Var("x"), 3.0).exponent},
+        "taylor_series_of exp(x) order 3.0": lambda: {f"a_{k}": c for k, c in enumerate(
+            series.taylor_series_of(parse("exp(x)", grid), "x", tri[1], 3.0).coeffs)},
+        "partial_sum of 3.0 terms of rule 1/n!": lambda: {"sum": series.partial_sum(rule(), tri[1], 3.0)},
+        "coefficient(3.0) of [T(1,2,3)] * 40": lambda: {"value": series_40().coefficient(3.0)},
+        "rule 1/n! value(3.0)": lambda: {"value": rule().coeffs.value(3.0, grid)},
+        "ratio_test n=8.0 of [T(1,2,3)] * 40": lambda: vars(series.ratio_test(series_40(), 8.0)),
+        "IvpProblem order=3.0 steps=3.0": lambda: {
+            k: getattr(fc.ivp.IvpProblem(**ivp, order=3.0, steps=3.0), k) for k in ("order", "steps")},
+        "total_derivatives order 3.0": lambda: {
+            f"D_{k}": fc.expr.to_text(d) for k, d in enumerate(fc.ivp.total_derivatives(ivp["rhs"], 3.0), 1)},
+    }
+    for name, call in whole.items():
+        yield f"count:{name}", call
 
     g3 = core.AlphaGrid([0.0, 0.5, 1.0])
     yield "core:crossed envelopes", lambda: {"value": core.FuzzyNumber(g3, [3, 3, 3], [1, 1, 1])}
