@@ -62,6 +62,8 @@ the other modules route values between the kernels.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,6 +95,9 @@ MAX_RESOLUTION = 1_000_001
 # results are exact up to a few ulps, so this never masks real defects.
 _NEST_SLACK = 1e-12
 
+_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # every live grid, by its levels' bytes
+_GRIDS_LOCK = threading.Lock()
+
 
 def _count(n, what: str, lo: int, hi: int | None = None) -> int:
     """``n`` as an int: the one check of every count the package takes, an
@@ -106,20 +111,28 @@ def _count(n, what: str, lo: int, hi: int | None = None) -> int:
 
 
 class AlphaGrid:
-    """Strictly increasing alpha levels from 0 to 1 inclusive."""
+    """Strictly increasing alpha levels from 0 to 1 inclusive, interned under
+    a lock: equal levels (``-0.0`` read as 0.0) are one object, so grids
+    compare and hash by identity, and no two threads build two equal grids."""
 
-    __slots__ = ("levels",)
+    __slots__ = ("levels", "__weakref__")
 
-    def __init__(self, levels: Sequence[float]):
-        arr = np.array(levels, dtype=float)
+    def __new__(cls, levels: Sequence[float]):
+        arr = np.asarray(levels, dtype=float) + 0.0  # a fresh array, with no -0.0
         if arr.ndim != 1 or arr.size < 2:
             raise InvalidArgument("alpha grid needs at least the levels 0 and 1")
         if arr[0] != 0.0 or arr[-1] != 1.0:
             raise InvalidArgument("alpha grid must start at 0 and end at 1")
         if not np.all(np.diff(arr) > 0.0):
             raise InvalidArgument("alpha levels must be strictly increasing")
-        arr.flags.writeable = False
-        self.levels = arr
+        key = arr.tobytes()
+        with _GRIDS_LOCK:
+            grid = _GRIDS.get(key)
+            if grid is None:
+                arr.flags.writeable = False
+                grid = _GRIDS[key] = object.__new__(cls)
+                grid.levels = arr
+        return grid
 
     @classmethod
     def uniform(cls, resolution: int = DEFAULT_RESOLUTION) -> "AlphaGrid":
@@ -128,20 +141,8 @@ class AlphaGrid:
     def __len__(self) -> int:
         return int(self.levels.size)
 
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if not isinstance(other, AlphaGrid):
-            return NotImplemented
-        return self.levels.shape == other.levels.shape and bool(
-            np.array_equal(self.levels, other.levels)
-        )
-
-    __hash__ = None  # arrays inside; identity is by level values
-
     def __reduce__(self):
-        # pickles and deep copies are rebuilt by the constructor, so their
-        # levels are checked and read-only
+        # pickles and deep copies come back through the constructor: checked, and interned
         return AlphaGrid, (self.levels,)
 
     def __repr__(self) -> str:
@@ -234,7 +235,7 @@ class FuzzyNumber:
         if not isinstance(other, FuzzyNumber):
             return NotImplemented
         return (
-            self.grid == other.grid
+            self.grid is other.grid
             and bool(np.array_equal(self.lower, other.lower))
             and bool(np.array_equal(self.upper, other.upper))
             and self.proper == other.proper
@@ -319,7 +320,7 @@ def _require_proper(*values: FuzzyNumber) -> None:
 
 
 def _require_same_grid(a: FuzzyNumber, b: FuzzyNumber) -> None:
-    if a.grid != b.grid:
+    if a.grid is not b.grid:
         raise GridMismatch(_OTHER_GRID)
 
 
@@ -359,8 +360,8 @@ def singleton(value: float, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
 def resample(a: FuzzyNumber, grid: AlphaGrid) -> FuzzyNumber:
     """Move ``a`` onto another grid by linear interpolation of its envelopes.
 
-    This is the only sanctioned way to mix grids; arithmetic never
-    resamples implicitly.
+    This is the only sanctioned way to mix grids, that is, grids of
+    different levels; arithmetic never resamples implicitly.
     """
     _require_proper(a)
     lower = np.interp(grid.levels, a.grid.levels, a.lower)

@@ -29,7 +29,7 @@ class NotNested(FuzzyError):
 
 
 class GridMismatch(FuzzyError):
-    """Operands live on different alpha grids; resample explicitly first."""
+    """Operands live on alpha grids of different levels; resample explicitly first."""
 
 
 class DivisorStraddlesZero(FuzzyError):

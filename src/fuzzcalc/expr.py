@@ -29,8 +29,8 @@ a power's exponent, a fuzzy constant's properness), so a walk checks only
 its roots, and evaluation checks only a constant's grid and the
 properness of a gH-difference's value where an operation reads it.  Leaves are
 equal bit-exactly: a crisp constant by its float's bits (``0.0`` and
-``-0.0`` are two nodes), a fuzzy constant by its grid's levels and
-envelope bytes.  ``evaluate`` handles each distinct node once per call;
+``-0.0`` are two nodes), a fuzzy constant by its grid and envelope
+bytes.  ``evaluate`` handles each distinct node once per call;
 ``differentiate`` runs each node's rule once per node and variable, for
 the node's lifetime, since a node keeps its derivatives as it keeps its
 plan.  It returns a DAG in which equal subtrees share one derivative: the
@@ -165,9 +165,7 @@ class CrispConst(Expr):
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class FuzzyConst(Expr):
     """A proper fuzzy value; an improper one is refused (ImproperOperand)
-    when the node is built.  Interned by level and envelope bytes, so the
-    node returned may hold an earlier equal value, on an equal grid object
-    other than the one passed."""
+    when the node is built.  Interned by its grid and envelope bytes."""
 
     value: FuzzyNumber
 
@@ -175,7 +173,7 @@ class FuzzyConst(Expr):
     def _intern_key(cls, v) -> tuple:
         if not v.proper:
             raise ImproperOperand("fuzzy constant is improper")
-        return (cls, v.grid.levels.tobytes(), v.lower.tobytes(), v.upper.tobytes())
+        return (cls, v.grid, v.lower.tobytes(), v.upper.tobytes())
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -276,7 +274,7 @@ class Env:
     def _bind(self, name: str, value: FuzzyNumber) -> None:
         if self.grid is None:
             self.grid = value.grid
-        elif value.grid != self.grid:
+        elif value.grid is not self.grid:
             raise GridMismatch(f"binding for {name!r} sampled on a different grid")
         if not value.proper:
             raise ImproperOperand(f"binding for {name!r} is improper")
@@ -485,7 +483,7 @@ def _walk(roots: tuple[Expr, ...], skip=None) -> list[Expr]:
 
 
 def _constant(v: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
-    if v.grid != grid:
+    if v.grid is not grid:
         raise GridMismatch("fuzzy constant sampled on a different grid")
     return v
 

@@ -68,7 +68,7 @@ class IvpProblem:
         for name, v in (("x0", self.x0), ("y0", self.y0), ("h", self.h)):
             if not v.proper:
                 raise ImproperOperand(f"{name} is improper")
-        if self.x0.grid != self.y0.grid or self.x0.grid != self.h.grid:
+        if self.x0.grid is not self.y0.grid or self.x0.grid is not self.h.grid:
             raise GridMismatch("x0, y0, and h must share one alpha grid")
         if self.h.lower[0] < 0:
             raise InvalidArgument("step must have nonnegative support")

@@ -102,9 +102,12 @@ class CoefficientRule:
         return crisp
 
     def value(self, n: int, grid: AlphaGrid = DEFAULT_GRID) -> FuzzyNumber:
-        """a_n for n from 0 to ``MAX_INDEX``; past the float range the crisp
-        factor is exact, so a_n folds to +-inf or 0, not NaN."""
+        """a_n on ``grid``, which must be the base's, for n from 0 to
+        ``MAX_INDEX``; past the float range the crisp factor is exact, so a_n
+        folds to +-inf or 0, not NaN."""
         n = _count(n, "coefficient index", 0, MAX_INDEX)
+        if self.base is not None and self.base.grid is not grid:
+            raise GridMismatch("rule base lives on a different grid")
         try:
             crisp, shift = self._crisp(n, float), 0
         except OverflowError:
@@ -136,7 +139,7 @@ class FuzzyPowerSeries:
             raise ImproperOperand("series center is improper")
         self.center = center
         if isinstance(coeffs, CoefficientRule):
-            if coeffs.base is not None and coeffs.base.grid != center.grid:
+            if coeffs.base is not None and coeffs.base.grid is not center.grid:
                 raise GridMismatch("rule base and center live on different grids")
             self.coeffs = coeffs
         else:
@@ -144,7 +147,7 @@ class FuzzyPowerSeries:
             if not coeffs:
                 raise InvalidArgument("explicit coefficient list must be nonempty")
             for c in coeffs:
-                if c.grid != center.grid:
+                if c.grid is not center.grid:
                     raise GridMismatch("coefficient grids must match the center")
                 if not c.proper:
                     raise ImproperOperand("coefficient is improper")
@@ -184,7 +187,7 @@ def partial_sum(s: FuzzyPowerSeries, x: FuzzyNumber, n_terms: int) -> FuzzyNumbe
     n_terms = _count(n_terms, "number of terms", 1, MAX_TERMS)
     if not x.proper:
         raise ImproperOperand(_IMPROPER_OPERAND)
-    if x.grid != s.center.grid:
+    if x.grid is not s.center.grid:
         raise GridMismatch(_OTHER_GRID)
     diff = _evaluate((_OFFSET,), {"point": x, "center": s.center}, x.grid)[_OFFSET]
     if not diff.proper:
@@ -351,13 +354,16 @@ def convergence_interval(
     [c_lo - R_hi, c_hi - R_lo], and B_hi = center -gH (-R), the inner sum,
     per level the min and max of c_hi + R_lo and c_lo + R_hi.  Each is
     improper where its cuts do not nest.  With R = 0 both are the center.
+    R's support must be finite and nonnegative (InvalidArgument).
     """
     if not (center.proper and R.proper):
         raise ImproperOperand("bounds need proper center and radius")
-    if center.grid != R.grid:
+    if center.grid is not R.grid:
         raise GridMismatch("center and radius live on different grids")
     if R.lower[0] < 0:
         raise InvalidArgument("radius must be nonnegative")
+    if not (math.isfinite(R.lower[0]) and math.isfinite(R.upper[0])):
+        raise InvalidArgument("radius must be finite")
     lo_lower, lo_upper = center.lower - R.upper, center.upper - R.lower
     a, b = center.upper + R.lower, center.lower + R.upper
     hi_lower, hi_upper = np.minimum(a, b), np.maximum(a, b)  # both keep b on a tie of 0.0 and -0.0

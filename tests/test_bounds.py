@@ -77,6 +77,10 @@ BOUNDS = [
     *((f"{test.__name__} default on 3 coefficients", lambda test=test: test(FuzzyPowerSeries(T, [T] * 3)),
        "too short to probe: the series has 3 explicit coefficients") for test in (radius_four_quotient, ratio_test)),
     ("convergence_interval", lambda: convergence_interval(T, make_triangular((-1, 0, 1))), "radius"),
+    ("convergence_interval infinite radius",
+     lambda: convergence_interval(T, singleton(math.inf)), "radius must be finite"),
+    ("convergence_interval symbolic radius of 1/n!",
+     lambda: convergence_interval(singleton(0.0), radius_symbolic_ratio(RULE_SERIES).R), "radius must be finite"),
     ("IvpProblem rhs", lambda: ivp(rhs=parse_expr("x + z")), "only use x and y"),
     ("IvpProblem step", lambda: ivp(h=make_triangular((-0.1, 0, 0.1))), "nonnegative support"),
 ]
@@ -213,6 +217,8 @@ GUARDS = [
     ("FuzzyPowerSeries improper center", lambda: FuzzyPowerSeries(IMPROPER, [T]), ImproperOperand),
     ("FuzzyPowerSeries rule base grid",
      lambda: FuzzyPowerSeries(singleton(0.0), parse_coeff_rule("T(1,2,3)^(n)", AlphaGrid.uniform(3))),
+     GridMismatch),
+    ("CoefficientRule value grid", lambda: parse_coeff_rule("T(1,2,3)^(n)", AlphaGrid.uniform(3)).value(2),
      GridMismatch),
     ("FuzzyPowerSeries coefficient grid", lambda: FuzzyPowerSeries(singleton(0.0), [OTHER_GRID]), GridMismatch),
     ("FuzzyPowerSeries improper coefficient", lambda: FuzzyPowerSeries(singleton(0.0), [IMPROPER]), ImproperOperand),

@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from fuzzcalc.core import (
     _NEST_SLACK,
+    DEFAULT_GRID,
     AlphaGrid,
     FuzzyNumber,
     Interval,
@@ -81,6 +83,35 @@ def test_grid_validation():
     assert len(g) == 11 and g.levels[0] == 0.0 and g.levels[-1] == 1.0
     # a grid or a value is never equal to another type, either way round
     assert (g == "grid") is False and (tri(0, 1, 2) == g) is False
+
+
+def test_equal_levels_are_one_grid():
+    assert AlphaGrid.uniform(101) is DEFAULT_GRID
+    assert AlphaGrid(list(np.linspace(0, 1, 3))) is AlphaGrid.uniform(3)
+    # -0.0 is read as 0.0, so values on the two grids still add
+    signed = AlphaGrid([-0.0, 0.5, 1.0])
+    assert signed is AlphaGrid.uniform(3) and not np.signbit(signed.levels[0])
+    assert add(tri(0, 1, 2, signed), tri(1, 2, 3, AlphaGrid.uniform(3))) == tri(1, 3, 5, signed)
+    # grids hash by identity, so they are dict keys
+    names = {GRID: "default", SMALL: "small"}
+    assert names[AlphaGrid.uniform(21)] == "small" and names[AlphaGrid(GRID.levels)] == "default"
+    assert AlphaGrid.uniform(11) is not AlphaGrid.uniform(12)
+
+
+def test_threads_racing_to_build_one_grid_build_one_object():
+    levels = [0.0, 0.125, 0.375, 1.0]  # levels no other test builds
+    barrier, built = threading.Barrier(4), []
+
+    def build():
+        barrier.wait()
+        built.append(AlphaGrid(levels))
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(built) == 4 and all(g is built[0] for g in built)
 
 
 def test_triangular_support_and_core():
@@ -649,7 +680,7 @@ def test_pickled_and_copied_grids_are_rebuilt_read_only():
     rebuilt = (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid),
                pickle.loads(pickle.dumps(value)).grid, copy.deepcopy(value).grid)
     for g in rebuilt:
-        assert g == grid and type(g) is AlphaGrid
+        assert g is grid and type(g) is AlphaGrid
         assert not g.levels.flags.writeable
         with pytest.raises(ValueError):
             g.levels[1] = 0.9

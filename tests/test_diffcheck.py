@@ -21,8 +21,6 @@ KNOWN_DEFECTS = {
     # the workload's a*y^3 + x overflows to inf in its last step on these seeds
     "ivp-wide:71:y' = 0.7964*y^3 + x",
     "ivp-wide:1007:y' = 0.7632*y^3 + x",
-    # the bounds about an infinite radius are infinite (and flagged improper)
-    "convergence-interval:symbolic radius of 1/n! about 0",
 }
 
 

@@ -169,6 +169,13 @@ def test_nodes_hash_structurally_with_bit_exact_leaves():
     assert Add(Var("x"), Var("y")) != Mul(Var("x"), Var("y"))
 
 
+def test_a_constant_parsed_on_a_grid_built_apart_holds_that_grid():
+    first = parse_expr("T(1,2,3)", AlphaGrid.uniform(7))
+    apart = AlphaGrid(np.linspace(0.0, 1.0, 7))
+    node = parse_expr("T(1,2,3)", apart)
+    assert node is first and node.value.grid is apart
+
+
 def test_nodes_unpickle_with_another_hash_seed():
     # str hashes are salted per process, so a node pickled elsewhere must
     # still unpickle as the node built here

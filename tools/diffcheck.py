@@ -50,6 +50,9 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   problem's, negative indices of rule series, a rule's own index check at
   -1, 2.5 and past its bound, and trial deltas that are not positive and
   finite; and each count's owner given a whole float such as 3.0;
+* a sum of values on ``AlphaGrid([-0.0, 0.5, 1.0])`` and on
+  ``AlphaGrid.uniform(3)``, and a rule's ``value`` on a grid other than its
+  base's;
 * the constructor's refusals and the package's exported names.
 
 Each entry records its result (envelope digests, properness, scalars) or
@@ -490,6 +493,12 @@ def _library_entries(workloads, fc):
     yield "core:crossed envelopes", lambda: {"value": core.FuzzyNumber(g3, [3, 3, 3], [1, 1, 1])}
     yield "core:core wider than support", lambda: {"value": core.FuzzyNumber(g3, [5, 3, 0], [6, 8, 10])}
     yield "core:non-finite triplet", lambda: {"value": core.make_triangular((1, 2, float("inf")), grid)}
+    # levels given as -0.0 make the grid of 0.0; a rule's value lies on its base's grid only
+    signed = core.make_triangular((0, 1, 2), core.AlphaGrid([-0.0, 0.5, 1.0]))
+    yield ("grid:T(0,1,2) on levels [-0.0, 0.5, 1] plus T(1,2,3) on AlphaGrid.uniform(3)",
+           lambda: {"sum": core.add(signed, core.make_triangular((1, 2, 3), core.AlphaGrid.uniform(3)))})
+    yield ("grid:rule T(1,2,3)^(n) on 3 levels, value(2) on 101",
+           lambda: {"value": series.parse_coeff_rule("T(1,2,3)^(n)", g3).value(2, grid)})
     yield "api:package exports", lambda: {n: "exported" for n in dir(fuzzcalc) if n[0] != "_"}
 
 
