@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _counters
-from .core import FuzzyNumber, _fresh, _nested, hausdorff_distance
-from .errors import ImproperOperand, InvalidArgument, NotDifferentiable
+from .core import FuzzyNumber, _fresh, _nested, _require_proper, hausdorff_distance
+from .errors import InvalidArgument, NotDifferentiable
 from .expr import Env, Expr, evaluate
 
 _H0_SCALE = 0.125
@@ -244,8 +244,7 @@ def mh_derivative(
     """
     if not 0.0 < tol < math.inf:
         raise InvalidArgument(f"tol must be positive and finite, got {tol!r}")
-    if not x0.proper:
-        raise ImproperOperand("expansion point is improper")
+    _require_proper(x0, what="expansion point")
     grid = x0.grid
     base = Env(env.bindings if env is not None else {}, grid)
     offsets = _H0_SCALE * (1.0 + abs(x0.support.midpoint)) * _OFFSETS
@@ -262,10 +261,10 @@ def mh_derivative(
                 upper = np.maximum(ex[k, :, 0], ex[k, :, 1])
                 proper = (True, True) if _nested(lower, upper) else (
                     _nested(lower[0], upper[0]), _nested(lower[1], upper[1]))
-                if not proper[0]:
-                    raise ImproperOperand("difference quotient stayed improper through convergence")
+                value = _fresh(grid, lower[0], upper[0], proper[0])
+                _require_proper(value, what="converged difference quotient")
                 return DerivativeEstimate(
-                    value=_fresh(grid, lower[0], upper[0]),
+                    value=value,
                     left_value=_fresh(grid, lower[1], upper[1], proper[1]),
                     h_final=float(h[k]),
                     gap=float(gaps[k]),

@@ -28,7 +28,6 @@ import warnings
 from .errors import (
     ExprSyntaxError,
     FuzzyError,
-    ImproperOperand,
     InvalidArgument,
     NoLimit,
     ProblemFileError,
@@ -63,8 +62,9 @@ def write_alpha_csv(value, path, metadata: dict | None = None) -> None:
     open can, for the old rows to reach the disk.  A path that is not a
     regular file, such as ``/dev/stdout``, is written as a stream.
     """
-    if not value.proper:
-        raise ImproperOperand("refusing to serialize an improper fuzzy number")
+    from .core import _require_proper
+
+    _require_proper(value, what="value to write")
     lines = []
     for key, val in (metadata or {}).items():
         lines.append(f"# {key}: {str(val).translate(_LINE_BREAKS)}")
@@ -152,8 +152,9 @@ def _truncate2(x: float) -> float:
 
 def _triplet(value, label: str) -> tuple[float, float, float]:
     """A printed value's (support lo, core midpoint, support hi); the one check that it is proper."""
-    if not value.proper:
-        raise ImproperOperand(f"{label} is an improper fuzzy number (its alpha-cuts do not nest)")
+    from .core import _require_proper
+
+    _require_proper(value, what=label)
     return value.support.lo, value.core.midpoint, value.support.hi
 
 

@@ -308,20 +308,16 @@ def _sign_class(v: FuzzyNumber) -> int:
 # -- guards ------------------------------------------------------------------
 
 
-# the guards' messages, raised too by callers of the kernels that check operands
-_IMPROPER_OPERAND = "operand is an improper (non-nested) fuzzy number"
-_OTHER_GRID = "operands live on different alpha grids; resample first"
-
-
-def _require_proper(*values: FuzzyNumber) -> None:
+def _require_proper(*values: FuzzyNumber, what: str = "operand") -> None:
     for v in values:
         if not v.proper:
-            raise ImproperOperand(_IMPROPER_OPERAND)
+            raise ImproperOperand(f"{what} is an improper (non-nested) fuzzy number")
 
 
-def _require_same_grid(a: FuzzyNumber, b: FuzzyNumber) -> None:
-    if a.grid is not b.grid:
-        raise GridMismatch(_OTHER_GRID)
+def _require_same_grid(grid: AlphaGrid, *values: FuzzyNumber, what: str = "operands") -> None:
+    for v in values:
+        if v.grid is not grid:
+            raise GridMismatch(f"{what} live on different alpha grids; resample first")
 
 
 # -- constructors -------------------------------------------------------------
@@ -398,7 +394,7 @@ def _add(a: FuzzyNumber, b: FuzzyNumber, pool: list | None) -> FuzzyNumber:
 def add(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """Level-wise endpoint sums."""
     _require_proper(a, b)
-    _require_same_grid(a, b)
+    _require_same_grid(a.grid, b)
     return _frozen(_add(a, b, None))
 
 
@@ -454,7 +450,7 @@ def mul(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     bit for bit.
     """
     _require_proper(a, b)
-    _require_same_grid(a, b)
+    _require_same_grid(a.grid, b)
     return _frozen(_mul(a, b, None))
 
 
@@ -511,7 +507,7 @@ def div(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     The divisor's support must exclude zero.
     """
     _require_proper(a, b)
-    _require_same_grid(a, b)
+    _require_same_grid(a.grid, b)
     return _frozen(_div(a, b, None))
 
 
@@ -534,7 +530,7 @@ def gh_difference(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     ``proper=False`` and is rejected by every other operation.
     """
     _require_proper(a, b)
-    _require_same_grid(a, b)
+    _require_same_grid(a.grid, b)
     return _frozen(_gh_difference(a, b, None))
 
 
@@ -592,7 +588,7 @@ def _cos(x: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
 def hausdorff_distance(a: FuzzyNumber, b: FuzzyNumber) -> float:
     """Supremum over the grid of the larger endpoint deviation."""
     _require_proper(a, b)
-    _require_same_grid(a, b)
+    _require_same_grid(a.grid, b)
     dev = np.maximum(np.abs(a.lower - b.lower), np.abs(a.upper - b.upper))
     return float(np.max(dev))
 

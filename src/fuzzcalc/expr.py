@@ -48,7 +48,7 @@ Derivatives*, 2nd ed., SIAM 2008): one entry per distinct node, each a
 kernel from a per-class table with its operands' slot indices, so an
 evaluation is one loop over a list of slots.  The tape only routes values:
 its kernels, all core's, run no guards, and it checks only what a node may
-break (see :func:`_evaluate`).
+break, calling core's guards only to raise (see :func:`_evaluate`).
 
 Pickling writes a node's DAG flat, without recursion or kept state, and
 unpickling re-interns it.
@@ -67,7 +67,6 @@ import numpy as np
 
 from . import _counters
 from .core import (
-    _IMPROPER_OPERAND,
     DEFAULT_GRID,
     MAX_EXPONENT,
     AlphaGrid,
@@ -82,18 +81,14 @@ from .core import (
     _mul,
     _pow_int,
     _release,
+    _require_proper,
+    _require_same_grid,
     _scalar_mul,
     _sin,
     _singleton,
     make_triangular,
 )
-from .errors import (
-    ExprSyntaxError,
-    GridMismatch,
-    ImproperOperand,
-    UnboundVariable,
-    UnknownFunction,
-)
+from .errors import ExprSyntaxError, UnboundVariable, UnknownFunction
 
 
 class Expr:
@@ -171,8 +166,7 @@ class FuzzyConst(Expr):
 
     @classmethod
     def _intern_key(cls, v) -> tuple:
-        if not v.proper:
-            raise ImproperOperand("fuzzy constant is improper")
+        _require_proper(v, what="fuzzy constant")
         return (cls, v.grid, v.lower.tobytes(), v.upper.tobytes())
 
 
@@ -274,10 +268,8 @@ class Env:
     def _bind(self, name: str, value: FuzzyNumber) -> None:
         if self.grid is None:
             self.grid = value.grid
-        elif value.grid is not self.grid:
-            raise GridMismatch(f"binding for {name!r} sampled on a different grid")
-        if not value.proper:
-            raise ImproperOperand(f"binding for {name!r} is improper")
+        _require_same_grid(self.grid, value, what=f"the environment and its binding for {name!r}")
+        _require_proper(value, what=f"binding for {name!r}")
         self.bindings[name] = value
 
     def with_binding(self, name: str, value: FuzzyNumber) -> "Env":
@@ -483,8 +475,8 @@ def _walk(roots: tuple[Expr, ...], skip=None) -> list[Expr]:
 
 
 def _constant(v: FuzzyNumber, grid: AlphaGrid, pool: list | None) -> FuzzyNumber:
-    if v.grid is not grid:
-        raise GridMismatch("fuzzy constant sampled on a different grid")
+    if v.grid is not grid:  # the guard only raises, so that a warm tape calls none
+        _require_same_grid(grid, v, what="the evaluation and a fuzzy constant")
     return v
 
 
@@ -498,26 +490,24 @@ def _binding(name: str, bindings: dict, pool: list | None) -> FuzzyNumber:
 # the two slots an evaluation fills before its tape runs
 _GRID = object()
 _BINDINGS = object()
-_ARGUMENT = "function argument is improper"
 
 # For each node class: its tape kernel, run as kernel(first, second, pool);
 # its two operands (a child, _GRID, _BINDINGS or a constant); the kinds of
-# operation it runs, for the work counts; and the message with which a
-# GhSub child (the one node whose value may be improper) is refused, that
-# of the guard of the operation reading it.
+# operation it runs, for the work counts; and how the guard names a GhSub
+# child (the one node whose value may be improper) that it refuses.
 _TAPE = {
     CrispConst: (_singleton, lambda e: (e.value, _GRID), ("singleton",), None),
     FuzzyConst: (_constant, lambda e: (e.value, _GRID), (), None),
     Var: (_binding, lambda e: (e.name, _BINDINGS), (), None),
-    Add: (_add, lambda e: e._kids, ("add",), _IMPROPER_OPERAND),
-    GhSub: (_gh_difference, lambda e: e._kids, ("gh_difference",), _IMPROPER_OPERAND),
-    Mul: (_mul, lambda e: e._kids, ("mul",), _IMPROPER_OPERAND),
-    Div: (_div, lambda e: e._kids, ("div", "mul"), _IMPROPER_OPERAND),
-    PowInt: (_pow_int, lambda e: (e.base, e.exponent), ("pow_int",), _IMPROPER_OPERAND),
-    Scale: (_scalar_mul, lambda e: (e.factor, e.operand), ("scalar_mul",), _IMPROPER_OPERAND),
-    Exp: (_exp, lambda e: (e.operand, _GRID), ("exp",), _ARGUMENT),
-    Sin: (_sin, lambda e: (e.operand, _GRID), ("sin",), _ARGUMENT),
-    Cos: (_cos, lambda e: (e.operand, _GRID), ("cos",), _ARGUMENT),
+    Add: (_add, lambda e: e._kids, ("add",), "operand"),
+    GhSub: (_gh_difference, lambda e: e._kids, ("gh_difference",), "operand"),
+    Mul: (_mul, lambda e: e._kids, ("mul",), "operand"),
+    Div: (_div, lambda e: e._kids, ("div", "mul"), "operand"),
+    PowInt: (_pow_int, lambda e: (e.base, e.exponent), ("pow_int",), "operand"),
+    Scale: (_scalar_mul, lambda e: (e.factor, e.operand), ("scalar_mul",), "operand"),
+    Exp: (_exp, lambda e: (e.operand, _GRID), ("exp",), "function argument"),
+    Sin: (_sin, lambda e: (e.operand, _GRID), ("sin",), "function argument"),
+    Cos: (_cos, lambda e: (e.operand, _GRID), ("cos",), "function argument"),
 }
 
 
@@ -528,7 +518,7 @@ def _plan(roots: tuple[Expr, ...]) -> tuple:
     Slots 0 to n - 1 hold the distinct nodes' values in :func:`_walk`
     order, n the grid, n + 1 the bindings, and the rest the constants the
     kernels read.  Each node is one entry: (kernel, its slot, its two
-    operands' slots, None or (message, the slots of its GhSub children),
+    operands' slots, None or (what, the slots of its GhSub children),
     the slots of the children it reads last).  A root is never read last,
     so its value lasts.
 
@@ -565,10 +555,10 @@ def _plan(roots: tuple[Expr, ...]) -> tuple:
     tape = []
     ops: Counter = Counter()
     for i, (node, done) in enumerate(zip(order, last_reads)):
-        kernel, operands, kinds, message = _TAPE[type(node)]
+        kernel, operands, kinds, what = _TAPE[type(node)]
         a, b = map(operand, operands(node))
         improper = tuple(slot[k] for k in node._kids if isinstance(k, GhSub))
-        tape.append((kernel, i, a, b, (message, improper) if improper else None, tuple(slot[c] for c in done)))
+        tape.append((kernel, i, a, b, (what, improper) if improper else None, tuple(slot[c] for c in done)))
         ops.update(kinds)
         if isinstance(node, PowInt):  # its n - 1 products, or the 1 of n = 0
             ops.update(mul=max(node.exponent - 1, 0), singleton=int(node.exponent == 0))
@@ -614,7 +604,7 @@ def _evaluate(roots: tuple[Expr, ...], bindings: dict, grid: AlphaGrid | None,
     ``partial_sum`` bind values proper and on ``grid`` by construction).  A
     fuzzy constant checked its properness when built, and the sweep checks
     its grid.  Only a GhSub's value may be improper, so only a GhSub operand
-    is checked, with the message of the guard it stands in for.
+    is checked, inline; the guard is called only to raise.
 
     ``pool`` is a buffer pool its caller owns (see :mod:`fuzzcalc.core`):
     the kernels write into its arrays, and each child value that dies here
@@ -625,10 +615,10 @@ def _evaluate(roots: tuple[Expr, ...], bindings: dict, grid: AlphaGrid | None,
     values = [*empty, grid, bindings, *consts]
     for kernel, i, a, b, check, done in tape:
         if check is not None:
-            message, improper = check
+            what, improper = check
             for j in improper:
                 if not values[j].proper:
-                    raise ImproperOperand(message)
+                    _require_proper(values[j], what=what)
         values[i] = kernel(values[a], values[b], pool)
         for j in done:
             if pool is not None:

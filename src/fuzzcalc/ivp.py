@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import FuzzyNumber, _count
-from .errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument
+from .core import FuzzyNumber, _count, _require_proper, _require_same_grid
+from .errors import FuzzyError, InvalidArgument
 from .expr import Add, Expr, Mul, Scale, Var, _evaluate, _fadd, _fmul, _kept, differentiate, free_variables
 
 # The most steps a problem takes: the solution keeps every (x, y) pair of its
@@ -65,11 +65,9 @@ class IvpProblem:
         extra = free_variables(self.rhs) - {"x", "y"}
         if extra:
             raise InvalidArgument(f"right-hand side may only use x and y, got {sorted(extra)}")
-        for name, v in (("x0", self.x0), ("y0", self.y0), ("h", self.h)):
-            if not v.proper:
-                raise ImproperOperand(f"{name} is improper")
-        if self.x0.grid is not self.y0.grid or self.x0.grid is not self.h.grid:
-            raise GridMismatch("x0, y0, and h must share one alpha grid")
+        for name in ("x0", "y0", "h"):
+            _require_proper(getattr(self, name), what=name)
+        _require_same_grid(self.x0.grid, self.y0, self.h, what="x0, y0 and h")
         if self.h.lower[0] < 0:
             raise InvalidArgument("step must have nonnegative support")
 

@@ -36,8 +36,6 @@ from itertools import accumulate
 import numpy as np
 
 from .core import (
-    _IMPROPER_OPERAND,
-    _OTHER_GRID,
     DEFAULT_GRID,
     MAX_EXPONENT,
     AlphaGrid,
@@ -45,14 +43,15 @@ from .core import (
     _count,
     _fresh,
     _nested,
+    _require_proper,
+    _require_same_grid,
     div,
     make_triangular,
     pow_int,
     scalar_mul,
     singleton,
 )
-from .errors import (DivisorStraddlesZero, ExprSyntaxError, GridMismatch, ImproperOperand,
-                     InvalidArgument, NoLimit, NotSimplifiable)
+from .errors import DivisorStraddlesZero, ExprSyntaxError, InvalidArgument, NoLimit, NotSimplifiable
 from .expr import Add, Env, Expr, GhSub, Mul, Scale, Var, _evaluate, _kept, _Parser, differentiate
 
 _AGREE_RTOL = 1e-6
@@ -106,8 +105,8 @@ class CoefficientRule:
         ``MAX_INDEX``; past the float range the crisp factor is exact, so a_n
         folds to +-inf or 0, not NaN."""
         n = _count(n, "coefficient index", 0, MAX_INDEX)
-        if self.base is not None and self.base.grid is not grid:
-            raise GridMismatch("rule base lives on a different grid")
+        if self.base is not None:
+            _require_same_grid(grid, self.base, what="rule base and coefficient")
         try:
             crisp, shift = self._crisp(n, float), 0
         except OverflowError:
@@ -135,22 +134,19 @@ class FuzzyPowerSeries:
     """Center plus coefficients (explicit list or CoefficientRule)."""
 
     def __init__(self, center: FuzzyNumber, coeffs):
-        if not center.proper:
-            raise ImproperOperand("series center is improper")
+        _require_proper(center, what="series center")
         self.center = center
         if isinstance(coeffs, CoefficientRule):
-            if coeffs.base is not None and coeffs.base.grid is not center.grid:
-                raise GridMismatch("rule base and center live on different grids")
+            if coeffs.base is not None:
+                _require_same_grid(center.grid, coeffs.base, what="rule base and series center")
             self.coeffs = coeffs
         else:
             coeffs = tuple(coeffs)
             if not coeffs:
                 raise InvalidArgument("explicit coefficient list must be nonempty")
             for c in coeffs:
-                if c.grid is not center.grid:
-                    raise GridMismatch("coefficient grids must match the center")
-                if not c.proper:
-                    raise ImproperOperand("coefficient is improper")
+                _require_same_grid(center.grid, c, what="coefficient and series center")
+                _require_proper(c, what="coefficient")
             self.coeffs = coeffs
 
     def coefficient(self, n: int) -> FuzzyNumber:
@@ -185,13 +181,10 @@ def partial_sum(s: FuzzyPowerSeries, x: FuzzyNumber, n_terms: int) -> FuzzyNumbe
     life of the process: about 380 * n^2 bytes for the counts 1 to n
     together, 24.7 MB up to ``MAX_TERMS``."""
     n_terms = _count(n_terms, "number of terms", 1, MAX_TERMS)
-    if not x.proper:
-        raise ImproperOperand(_IMPROPER_OPERAND)
-    if x.grid is not s.center.grid:
-        raise GridMismatch(_OTHER_GRID)
+    _require_proper(x)
+    _require_same_grid(s.center.grid, x)
     diff = _evaluate((_OFFSET,), {"point": x, "center": s.center}, x.grid)[_OFFSET]
-    if not diff.proper:
-        raise ImproperOperand("x gH- center is improper; partial sums undefined")
+    _require_proper(diff, what="x gH- center")
     (total,) = _kept(_terms, _D, n_terms)
     coeffs = {f"a{k}": s.coefficient(k) for k in range(n_terms)}
     return _evaluate((total,), {**coeffs, "d": diff}, x.grid)[total]
@@ -356,10 +349,9 @@ def convergence_interval(
     improper where its cuts do not nest.  With R = 0 both are the center.
     R's support must be finite and nonnegative (InvalidArgument).
     """
-    if not (center.proper and R.proper):
-        raise ImproperOperand("bounds need proper center and radius")
-    if center.grid is not R.grid:
-        raise GridMismatch("center and radius live on different grids")
+    _require_proper(center, what="series center")
+    _require_proper(R, what="radius")
+    _require_same_grid(center.grid, R, what="series center and radius")
     if R.lower[0] < 0:
         raise InvalidArgument("radius must be nonnegative")
     if not (math.isfinite(R.lower[0]) and math.isfinite(R.upper[0])):

@@ -164,7 +164,7 @@ def test_nodes_hash_structurally_with_bit_exact_leaves():
     assert parse_expr("T(1,2,3)", GRID) != parse_expr("T(1,2,3)", AlphaGrid.uniform(11))
     improper = gh_difference(tri(0, 1, 1), tri(0, 0.5, 2))
     assert not improper.proper
-    with pytest.raises(ImproperOperand, match="fuzzy constant is improper"):
+    with pytest.raises(ImproperOperand, match=r"^fuzzy constant is an improper \(non-nested\) fuzzy number$"):
         FuzzyConst(improper)
     assert Add(Var("x"), Var("y")) != Mul(Var("x"), Var("y"))
 
@@ -369,7 +369,7 @@ def test_eval_errors():
 
 def test_eval_refuses_a_function_of_an_improper_value():
     env = Env({"x": tri(0, 1, 1), "y": tri(0, 0.5, 2)})
-    with pytest.raises(ImproperOperand, match="function argument is improper"):
+    with pytest.raises(ImproperOperand, match=r"^function argument is an improper \(non-nested\) fuzzy number$"):
         evaluate(parse_expr("exp(x - y)"), env)
 
 
@@ -434,7 +434,7 @@ def test_family_walks_its_union_once_and_keeps_every_root(distinct_nodes, same_b
 
 # the messages of the parent's guards: an operation's, and exp, sin and cos's
 _IMPROPER_OPERAND = "operand is an improper (non-nested) fuzzy number"
-_IMPROPER_ARGUMENT = "function argument is improper"
+_IMPROPER_ARGUMENT = "function argument is an improper (non-nested) fuzzy number"
 
 
 @pytest.mark.parametrize("text, error, message", [
@@ -457,15 +457,17 @@ _IMPROPER_ARGUMENT = "function argument is improper"
     ("z + (x - y)*x", UnboundVariable, "variable 'z' is not bound"),
 ])
 def test_an_improper_gh_difference_operand_raises_its_consumers_error(text, error, message, count_calls):
-    # the tape checks a GhSub operand itself, with the message of the guard
-    # of the operation that reads it, and calls no guard
+    # the tape checks a GhSub operand itself, and calls the guard only to
+    # raise, naming the operand as the operation that reads it would; it
+    # runs no operation's guard
     env = Env({"x": tri(0, 1, 1), "y": tri(0, 0.5, 2)})
     assert not evaluate(parse_expr("x - y"), env).proper
     guards = count_calls(fuzzcalc.core, "_require_proper")
+    raised = count_calls(fuzzcalc.expr, "_require_proper")
     with pytest.raises(error) as exc:
         evaluate(parse_expr(text), env)
     assert str(exc.value) == message
-    assert guards[0] == 0
+    assert (guards[0], raised[0]) == (0, int(error is ImproperOperand))
 
 
 def test_a_warm_evaluation_calls_no_guard(count_calls, same_bytes):
