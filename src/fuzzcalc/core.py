@@ -21,7 +21,15 @@ read once, in place, and kept on the value: its envelopes never change.
 
 The gH-difference is the one operation that can break nestedness (alpha-cuts
 must shrink as alpha grows); such results carry ``proper=False`` and every
-other operation rejects them with :class:`ImproperOperand`.
+other operation rejects them.
+
+Two guards check the two value invariants for the whole package, and no
+other code raises their errors: ``_require_proper`` (each value's cuts
+nest; else :class:`ImproperOperand`, "<what> is an improper (non-nested)
+fuzzy number") and ``_require_same_grid`` (each value lies on the one
+grid; else :class:`GridMismatch`, "<what> live on different alpha grids;
+resample first").  ``what`` names the refused argument; the defaults,
+"operand" and "operands", are the public operations'.
 
 Operation results wrap the arrays they have just computed without a copy
 (``_value``); only :class:`FuzzyNumber` called directly copies and checks,
@@ -309,12 +317,17 @@ def _sign_class(v: FuzzyNumber) -> int:
 
 
 def _require_proper(*values: FuzzyNumber, what: str = "operand") -> None:
+    """The one check that each value is proper (its cuts nest); the first
+    that is not is refused, named by ``what``."""
     for v in values:
         if not v.proper:
             raise ImproperOperand(f"{what} is an improper (non-nested) fuzzy number")
 
 
 def _require_same_grid(grid: AlphaGrid, *values: FuzzyNumber, what: str = "operands") -> None:
+    """The one check that each value lies on ``grid``, the same object, since
+    grids are interned; the first that does not is refused, ``what`` naming
+    the values."""
     for v in values:
         if v.grid is not grid:
             raise GridMismatch(f"{what} live on different alpha grids; resample first")

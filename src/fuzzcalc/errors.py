@@ -29,7 +29,10 @@ class NotNested(FuzzyError):
 
 
 class GridMismatch(FuzzyError):
-    """Operands live on alpha grids of different levels; resample explicitly first."""
+    """Operands live on alpha grids of different levels; resample explicitly
+    first.  Every grid is checked by one function, so its message reads
+    ``<what> live on different alpha grids; resample first``, where ``what``
+    names the values (``operands`` for the public operations)."""
 
 
 class DivisorStraddlesZero(FuzzyError):
@@ -40,7 +43,10 @@ class ImproperOperand(FuzzyError):
     """An operation received a non-nested (improper) fuzzy number.
 
     Improper values are only ever produced by the gH-difference; everything
-    else refuses to compute with them.
+    else refuses to compute with them.  Every value is checked by one
+    function, so its message reads ``<what> is an improper (non-nested)
+    fuzzy number``, where ``what`` names the value (``operand`` for the
+    public operations).
     """
 
 

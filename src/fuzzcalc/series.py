@@ -139,6 +139,7 @@ class FuzzyPowerSeries:
         if isinstance(coeffs, CoefficientRule):
             if coeffs.base is not None:
                 _require_same_grid(center.grid, coeffs.base, what="rule base and series center")
+                _require_proper(coeffs.base, what="rule base")
             self.coeffs = coeffs
         else:
             coeffs = tuple(coeffs)

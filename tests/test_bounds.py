@@ -1,7 +1,8 @@
 """Argument bounds: each is checked once, by the function or constructor
 that owns it, and refused with InvalidArgument, a FuzzyError and a
 ValueError.  The operand guards (a proper value, one grid, a structure to
-cancel) raise their own named errors."""
+cancel) raise their own named errors, the first two each with one message
+shape that names the refused value."""
 
 import math
 
@@ -14,19 +15,27 @@ from fuzzcalc.core import (
     MAX_RESOLUTION,
     AlphaGrid,
     FuzzyNumber,
+    add,
+    defuzz_triplet,
+    div,
     gh_difference,
+    hausdorff_distance,
     make_triangular,
+    mul,
     pow_int,
+    resample,
+    scalar_mul,
     singleton,
 )
 from fuzzcalc.errors import FuzzyError, GridMismatch, ImproperOperand, InvalidArgument, NotSimplifiable
-from fuzzcalc.expr import PowInt, Var, parse_expr
+from fuzzcalc.expr import Env, FuzzyConst, PowInt, Var, evaluate, parse_expr
 from fuzzcalc.ivp import MAX_ORDER as MAX_IVP_ORDER
 from fuzzcalc.ivp import MAX_STEPS, IvpProblem, solve, total_derivatives
 from fuzzcalc.series import (
     MAX_INDEX,
     MAX_ORDER,
     MAX_TERMS,
+    CoefficientRule,
     FuzzyPowerSeries,
     convergence_interval,
     parse_coeff_rule,
@@ -211,29 +220,109 @@ def test_the_step_bound_is_inclusive():
 IMPROPER = gh_difference(make_triangular((0, 1, 2)), make_triangular((0, 0.5, 3)))
 OTHER_GRID = make_triangular((1, 2, 3), AlphaGrid.uniform(3))
 
-# (entry, call with an operand its guard refuses, the error it names)
+
+# the two guards' message shapes, each naming the refused value
+def improper(what):
+    return f"{what} is an improper (non-nested) fuzzy number"
+
+
+def other_grid(what):
+    return f"{what} live on different alpha grids; resample first"
+
+
+# each public operation, given a second operand (scalar_mul, pow_int,
+# resample and defuzz_triplet take one fuzzy operand) and whether it takes two
+OPERATIONS = {
+    "resample": (lambda v: resample(v, AlphaGrid.uniform(11)), False),
+    "add": (lambda v: add(T, v), True),
+    "scalar_mul": (lambda v: scalar_mul(2.0, v), False),
+    "mul": (lambda v: mul(T, v), True),
+    "pow_int": (lambda v: pow_int(v, 2), False),
+    "div": (lambda v: div(T, v), True),
+    "gh_difference": (lambda v: gh_difference(T, v), True),
+    "hausdorff_distance": (lambda v: hausdorff_distance(T, v), True),
+    "defuzz_triplet": (lambda v: defuzz_triplet(v), False),
+}
+# x gH- center is improper, though x and the center are proper
+GH_IMPROPER_SERIES = FuzzyPowerSeries(make_triangular((0, 0.5, 3)), [T])
+ENV_XY = Env({"x": make_triangular((0, 1, 2)), "y": make_triangular((0, 0.5, 3))})
+# a rule whose base is improper: its radius was read (infinite with 1/n!) though its coefficients raise
+IMPROPER_RULE = CoefficientRule(factorial_power=-1, base=IMPROPER, base_coeff=1)
+
+# (entry, call with an operand its guard refuses, the error it names, its message)
 GUARDS = [
-    ("write_alpha_csv improper", lambda: write_alpha_csv(IMPROPER, "unwritten.csv"), ImproperOperand),
-    ("FuzzyPowerSeries improper center", lambda: FuzzyPowerSeries(IMPROPER, [T]), ImproperOperand),
+    *((f"{name} improper", lambda op=op: op(IMPROPER), ImproperOperand, improper("operand"))
+      for name, (op, _) in OPERATIONS.items()),
+    *((f"{name} grid", lambda op=op: op(OTHER_GRID), GridMismatch, other_grid("operands"))
+      for name, (op, binary) in OPERATIONS.items() if binary),
+    ("write_alpha_csv improper", lambda: write_alpha_csv(IMPROPER, "unwritten.csv"), ImproperOperand,
+     improper("value to write")),
+    ("eval of an improper value", lambda: run(["eval", "--expr", "x - y", "--bind", "x=T(0,1,2)",
+                                               "--bind", "y=T(0,0.5,3)"]), ImproperOperand, improper("value")),
+    ("Env improper binding", lambda: Env({"x": T, "y": IMPROPER}), ImproperOperand, improper("binding for 'y'")),
+    ("Env binding grid", lambda: Env({"x": T, "y": OTHER_GRID}), GridMismatch,
+     other_grid("the environment and its binding for 'y'")),
+    ("Env binding grid given", lambda: Env(grid=AlphaGrid.uniform(3)).with_binding("x", T), GridMismatch,
+     other_grid("the environment and its binding for 'x'")),
+    ("FuzzyConst improper", lambda: FuzzyConst(IMPROPER), ImproperOperand, improper("fuzzy constant")),
+    ("evaluate constant grid", lambda: evaluate(parse_expr("T(1,2,3) + x", AlphaGrid.uniform(3)), Env({"x": T})),
+     GridMismatch, other_grid("the evaluation and a fuzzy constant")),
+    ("evaluate improper operand", lambda: evaluate(parse_expr("(x - y)*x"), ENV_XY), ImproperOperand,
+     improper("operand")),
+    ("evaluate improper argument", lambda: evaluate(parse_expr("exp(x - y)"), ENV_XY), ImproperOperand,
+     improper("function argument")),
+    ("FuzzyPowerSeries improper center", lambda: FuzzyPowerSeries(IMPROPER, [T]), ImproperOperand,
+     improper("series center")),
     ("FuzzyPowerSeries rule base grid",
      lambda: FuzzyPowerSeries(singleton(0.0), parse_coeff_rule("T(1,2,3)^(n)", AlphaGrid.uniform(3))),
-     GridMismatch),
+     GridMismatch, other_grid("rule base and series center")),
+    ("FuzzyPowerSeries improper rule base", lambda: FuzzyPowerSeries(singleton(0.0), IMPROPER_RULE),
+     ImproperOperand, improper("rule base")),
+    ("radius_symbolic_ratio improper rule base",
+     lambda: radius_symbolic_ratio(FuzzyPowerSeries(singleton(0.0), IMPROPER_RULE)), ImproperOperand,
+     improper("rule base")),
     ("CoefficientRule value grid", lambda: parse_coeff_rule("T(1,2,3)^(n)", AlphaGrid.uniform(3)).value(2),
-     GridMismatch),
-    ("FuzzyPowerSeries coefficient grid", lambda: FuzzyPowerSeries(singleton(0.0), [OTHER_GRID]), GridMismatch),
-    ("FuzzyPowerSeries improper coefficient", lambda: FuzzyPowerSeries(singleton(0.0), [IMPROPER]), ImproperOperand),
+     GridMismatch, other_grid("rule base and coefficient")),
+    ("FuzzyPowerSeries coefficient grid", lambda: FuzzyPowerSeries(singleton(0.0), [OTHER_GRID]), GridMismatch,
+     other_grid("coefficient and series center")),
+    ("FuzzyPowerSeries improper coefficient", lambda: FuzzyPowerSeries(singleton(0.0), [IMPROPER]),
+     ImproperOperand, improper("coefficient")),
+    ("partial_sum improper x", lambda: partial_sum(SERIES, IMPROPER, 2), ImproperOperand, improper("operand")),
+    ("partial_sum x grid", lambda: partial_sum(SERIES, OTHER_GRID, 2), GridMismatch, other_grid("operands")),
+    ("partial_sum improper offset", lambda: partial_sum(GH_IMPROPER_SERIES, make_triangular((0, 1, 2)), 1),
+     ImproperOperand, improper("x gH- center")),
     ("radius_symbolic_ratio zero numerator",
-     lambda: radius_symbolic_ratio(FuzzyPowerSeries(singleton(0.0), parse_coeff_rule("0*n"))), NotSimplifiable),
-    ("convergence_interval improper", lambda: convergence_interval(IMPROPER, T), ImproperOperand),
-    ("convergence_interval grid", lambda: convergence_interval(T, OTHER_GRID), GridMismatch),
-    ("IvpProblem improper x0", lambda: ivp(x0=IMPROPER), ImproperOperand),
-    ("mh_derivative improper x0", lambda: mh_derivative(parse_expr("x"), "x", IMPROPER), ImproperOperand),
+     lambda: radius_symbolic_ratio(FuzzyPowerSeries(singleton(0.0), parse_coeff_rule("0*n"))), NotSimplifiable,
+     "rule numerator is identically zero"),
+    ("convergence_interval improper", lambda: convergence_interval(IMPROPER, T), ImproperOperand,
+     improper("series center")),
+    ("convergence_interval improper radius", lambda: convergence_interval(T, IMPROPER), ImproperOperand,
+     improper("radius")),
+    ("convergence_interval grid", lambda: convergence_interval(T, OTHER_GRID), GridMismatch,
+     other_grid("series center and radius")),
+    ("IvpProblem improper x0", lambda: ivp(x0=IMPROPER), ImproperOperand, improper("x0")),
+    ("IvpProblem improper y0", lambda: ivp(y0=IMPROPER), ImproperOperand, improper("y0")),
+    ("IvpProblem improper h", lambda: ivp(h=IMPROPER), ImproperOperand, improper("h")),
+    ("IvpProblem grid", lambda: ivp(y0=OTHER_GRID), GridMismatch, other_grid("x0, y0 and h")),
+    ("mh_derivative improper x0", lambda: mh_derivative(parse_expr("x"), "x", IMPROPER), ImproperOperand,
+     improper("expansion point")),
+    ("mh_derivative improper quotient",
+     lambda: mh_derivative(parse_expr("x - cos(x)"), "x", make_triangular((-1.154, -0.424, 0.398))),
+     ImproperOperand, improper("converged difference quotient")),
+    ("continuity_probe improper x0", lambda: continuity_probe(parse_expr("x"), "x", IMPROPER), ImproperOperand,
+     improper("binding for 'x'")),
 ]
 
 
-@pytest.mark.parametrize("call, error", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
-def test_an_operand_its_guard_refuses_raises_a_named_error(call, error, tmp_path, monkeypatch):
+@pytest.mark.parametrize("call, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
+def test_an_operand_its_guard_refuses_raises_a_named_error(call, error, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # a table that is written lands here
-    with pytest.raises(error):
-        call()
+    try:
+        code = call()
+    except FuzzyError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    else:  # a command prints its error as its one stderr line, and exits 1
+        assert code == 1
+        got = capsys.readouterr().err.removesuffix("\n")
+    assert got == f"{error.__name__}: {message}"
     assert not (tmp_path / "unwritten.csv").exists()

@@ -3,8 +3,9 @@ function, is read somewhere in that module, in the package and in the
 tests, tools and demos; only core handles envelope arrays; only core and
 expr seal or release values; only core and expr call the tape's
 kernels, so the work counts have one source; each kernel serves one
-node class; and only core's ``_count`` tests a count for integrality and
-names one that is not an integer."""
+node class; only core's ``_count`` tests a count for integrality and
+names one that is not an integer; and only core's two value guards raise
+``ImproperOperand`` and ``GridMismatch``."""
 
 import ast
 import pathlib
@@ -156,15 +157,21 @@ def test_only_core_tests_a_number_for_a_fraction(path):
     assert integrality_tests(path.read_text()) == []
 
 
+def innermost_function(tree: ast.AST):
+    """``where(node)``: the innermost function of ``tree`` holding ``node``,
+    None at top level."""
+    # ast.walk goes outside in, so the last function holding a line is the innermost
+    spans = [(f.lineno, f.end_lineno, f.name) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    return lambda node: ([name for lo, hi, name in spans if lo <= node.lineno <= hi] or [None])[-1]
+
+
 def integer_messages(source: str) -> list[str | None]:
     """Where ``source`` raises an error saying a value "must be an integer":
     for each such raise, the innermost function holding it (None at top
     level)."""
     tree = ast.parse(source)
-    # ast.walk goes outside in, so the last function holding a line is the innermost
-    spans = [(f.lineno, f.end_lineno, f.name) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
-    return [([name for lo, hi, name in spans if lo <= node.lineno <= hi] or [None])[-1]
-            for node in ast.walk(tree) if isinstance(node, ast.Raise)
+    where = innermost_function(tree)
+    return [where(node) for node in ast.walk(tree) if isinstance(node, ast.Raise)
             and any(isinstance(c, ast.Constant) and isinstance(c.value, str) and "must be an integer" in c.value
                     for c in ast.walk(node))]
 
@@ -179,3 +186,39 @@ def test_only_count_says_a_value_must_be_an_integer():
     # one message shape for every count: the one check's
     found = {path.name: integer_messages(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: where for name, where in found.items() if where} == {"core.py": ["_count"]}
+
+
+# the errors of the two value invariants, each raised by one guard
+GUARDED_ERRORS = ("ImproperOperand", "GridMismatch")
+
+
+def guarded_errors(source: str) -> list[tuple[str, str | None]]:
+    """Where ``source`` constructs ``ImproperOperand`` or ``GridMismatch``,
+    by name or as an attribute: for each call, the class and the innermost
+    function holding it (None at top level)."""
+    tree = ast.parse(source)
+    where = innermost_function(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in GUARDED_ERRORS:
+                found.append((name, where(node)))
+    return found
+
+
+def test_the_guarded_error_check_names_where_each_call_is():
+    source = ('raise ImproperOperand("m")\ndef f():\n    def g():\n        raise errors.GridMismatch(m)\n'
+              '    return ImproperOperand, issubclass(e, GridMismatch), ImproperOperands(m)\n')
+    assert guarded_errors(source) == [("ImproperOperand", None), ("GridMismatch", "g")]
+
+
+def test_only_the_guards_construct_their_errors():
+    # one message shape per value invariant: each error has one raiser, in
+    # core, and no other module imports either class
+    found = {path.name: guarded_errors(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {
+        "core.py": [("ImproperOperand", "_require_proper"), ("GridMismatch", "_require_same_grid")]}
+    importers = sorted(p.name for p in PACKAGE.glob("*.py") if imported_names(p.read_text()) & set(GUARDED_ERRORS))
+    assert importers == ["core.py"]

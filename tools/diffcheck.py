@@ -53,6 +53,16 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
 * a sum of values on ``AlphaGrid([-0.0, 0.5, 1.0])`` and on
   ``AlphaGrid.uniform(3)``, and a rule's ``value`` on a grid other than its
   base's;
+* each call of the two value guards, given an improper value or one on a
+  grid of 3 levels: the public operations, ``write_alpha_csv``,
+  ``FuzzyConst``, an ``Env`` binding, a constant on another grid and a
+  gH-difference read by an operation and by ``exp`` at ``evaluate``,
+  ``IvpProblem``'s x0, y0, h and grid, ``mh_derivative``'s x0 and its
+  converged quotient, ``continuity_probe``'s x0, a series' center, rule
+  base (its grid, its properness, and the symbolic radius of a rule whose
+  base is improper) and coefficients, ``partial_sum``'s x, its grid and x
+  gH- center, and ``convergence_interval``'s center, radius and grid;
+  ``cli._triplet``'s is the ``eval`` of ``x - y`` among the argvs;
 * the constructor's refusals and the package's exported names.
 
 Each entry records its result (envelope digests, properness, scalars) or
@@ -499,6 +509,57 @@ def _library_entries(workloads, fc):
            lambda: {"sum": core.add(signed, core.make_triangular((1, 2, 3), core.AlphaGrid.uniform(3)))})
     yield ("grid:rule T(1,2,3)^(n) on 3 levels, value(2) on 101",
            lambda: {"value": series.parse_coeff_rule("T(1,2,3)^(n)", g3).value(2, grid)})
+
+    # each call of a value guard, given an improper value or one on another
+    # grid; a constructor that takes its input records its type
+    bad = core.gh_difference(core.make_triangular((0, 1, 2), grid), core.make_triangular((0, 0.5, 3), grid))
+    far = core.make_triangular((1, 2, 3), g3)
+    xy = {"x": core.make_triangular((0, 1, 2), grid), "y": core.make_triangular((0, 0.5, 3), grid)}
+    bad_rule = {m: series.CoefficientRule(factorial_power=m, base=bad, base_coeff=1) for m in (-1, 1)}
+    guards = {
+        **{f"{op} T(1,2,3), improper": lambda op=op: getattr(core, op)(tri[0], bad)
+           for op in ("add", "mul", "div", "gh_difference", "hausdorff_distance")},
+        **{f"{op} T(1,2,3), T(1,2,3) on 3 levels": lambda op=op: getattr(core, op)(tri[0], far)
+           for op in ("add", "mul", "div", "gh_difference", "hausdorff_distance")},
+        "resample improper": lambda: core.resample(bad, g3),
+        "scalar_mul 2, improper": lambda: core.scalar_mul(2.0, bad),
+        "pow_int improper, 2": lambda: core.pow_int(bad, 2),
+        "defuzz_triplet improper": lambda: core.defuzz_triplet(bad),
+        "write_alpha_csv improper": lambda: fuzzcalc.cli.write_alpha_csv(bad, os.devnull),
+        "FuzzyConst improper": lambda: fc.expr.FuzzyConst(bad),
+        "Env binding y improper": lambda: fc.expr.Env({"x": tri[0], "y": bad}),
+        "Env binding y on 3 levels": lambda: fc.expr.Env({"x": tri[0], "y": far}),
+        "evaluate T(1,2,3) on 3 levels + x": lambda: fc.expr.evaluate(parse("T(1,2,3) + x", g3), fc.expr.Env(xy)),
+        "evaluate (x - y)*x": lambda: fc.expr.evaluate(parse("(x - y)*x", grid), fc.expr.Env(xy)),
+        "evaluate exp(x - y)": lambda: fc.expr.evaluate(parse("exp(x - y)", grid), fc.expr.Env(xy)),
+        **{f"IvpProblem {name} improper": lambda name=name: fc.ivp.IvpProblem(**{**ivp, name: bad})
+           for name in ("x0", "y0", "h")},
+        "IvpProblem y0 on 3 levels": lambda: fc.ivp.IvpProblem(**{**ivp, "y0": far}),
+        "mh_derivative x0 improper": lambda: fc.calculus.mh_derivative(x, "x", bad),
+        "mh_derivative of x - cos(x) at T(-1.154,-0.424,0.398)": lambda: mh(
+            parse("x - cos(x)", grid), core.make_triangular((-1.154, -0.424, 0.398), grid))["value"],
+        "continuity_probe x0 improper": lambda: fc.calculus.continuity_probe(x, "x", bad),
+        "FuzzyPowerSeries center improper": lambda: series.FuzzyPowerSeries(bad, [tri[0]]),
+        "FuzzyPowerSeries rule base on 3 levels":
+            lambda: series.FuzzyPowerSeries(zero, series.parse_coeff_rule("T(1,2,3)^(n)", g3)),
+        "FuzzyPowerSeries rule base improper": lambda: series.FuzzyPowerSeries(zero, bad_rule[-1]),
+        **{f"radius_symbolic_ratio of rule base improper, factorial power {m}":
+           lambda m=m: series.radius_symbolic_ratio(series.FuzzyPowerSeries(zero, bad_rule[m])).R for m in (-1, 1)},
+        "FuzzyPowerSeries coefficient on 3 levels": lambda: series.FuzzyPowerSeries(zero, [far]),
+        "FuzzyPowerSeries coefficient improper": lambda: series.FuzzyPowerSeries(zero, [bad]),
+        "partial_sum x improper": lambda: series.partial_sum(cases["[T(1,2,3)] * 40"](), bad, 3),
+        "partial_sum x on 3 levels": lambda: series.partial_sum(cases["[T(1,2,3)] * 40"](), far, 3),
+        "partial_sum T(0,1,2) about T(0,0.5,3), x gH- center improper": lambda: series.partial_sum(
+            series.FuzzyPowerSeries(xy["y"], [tri[0]]), xy["x"], 1),
+        "convergence_interval center improper": lambda: series.convergence_interval(bad, tri[0]),
+        "convergence_interval radius improper": lambda: series.convergence_interval(zero, bad),
+        "convergence_interval radius on 3 levels": lambda: series.convergence_interval(zero, far),
+    }
+    for name, call in guards.items():
+        def guarded(call=call):
+            v = call()
+            return {"value": v if isinstance(v, (core.FuzzyNumber, float, tuple)) else type(v).__name__}
+        yield f"guard:{name}", guarded
     yield "api:package exports", lambda: {n: "exported" for n in dir(fuzzcalc) if n[0] != "_"}
 
 
