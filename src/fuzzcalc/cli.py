@@ -378,10 +378,8 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_glue_dash_values(parser, argv))
-    except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit as exc:  # help exits with 0, a usage error with 2
+        return exc.code
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

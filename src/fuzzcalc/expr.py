@@ -23,34 +23,35 @@ that of an interval operation or, for exp/sin/cos, the exact range of the
 function over each alpha-cut (sin and cos account for interior critical
 points, not just endpoint values).
 
-Nodes are interned when built, so equal nodes are one object and compare
-and hash by identity.  A node is checked when it is built (its children,
-a power's exponent, a fuzzy constant's properness), so a walk checks only
-its roots, and evaluation checks only a constant's grid and the
-properness of a gH-difference's value where an operation reads it.  Leaves are
-equal bit-exactly: a crisp constant by its float's bits (``0.0`` and
-``-0.0`` are two nodes), a fuzzy constant by its grid and envelope
-bytes.  ``evaluate`` handles each distinct node once per call;
-``differentiate`` runs each node's rule once per node and variable, for
-the node's lifetime, since a node keeps its derivatives as it keeps its
-plan.  It returns a DAG in which equal subtrees share one derivative: the
-expanded tree of the k-th derivative of ``sin(x)*exp(x)`` doubles with k,
-its distinct nodes grow about quadratically.
+Nodes are interned when built, so equal nodes are one object and compare and
+hash by identity.  A node is checked when it is built (its children, a
+power's exponent, a fuzzy constant's properness), so a walk checks only its
+roots, and evaluation checks only a constant's grid and the properness of a
+gH-difference's value where an operation reads it.  Leaves are equal
+bit-exactly: a crisp constant by its float's bits (``0.0`` and ``-0.0`` are
+two nodes), a fuzzy constant by its grid and envelope bytes.  A node is
+immutable, so what is built from it lives in its one memo (``_kept``), keyed
+by builder and arguments, for the node's lifetime: its derivative by each
+variable, the plan of each family whose last root it is, and the Taylor and
+IVP families built from it.  ``evaluate`` handles each distinct node once
+per call; ``differentiate`` runs each node's rule once per node and
+variable.  It returns a DAG in which equal subtrees share one derivative:
+the expanded tree of the k-th derivative of ``sin(x)*exp(x)`` doubles with
+k, its distinct nodes grow about quadratically.
 
 A sum of fuzzy products (the Taylor coefficients, the IVP step, a partial
 sum) is one root family: a DAG with many roots, evaluated in one walk over
 their union, so a subtree the roots share is computed once.  The walk is
-planned once per family (one root, for ``evaluate``) and cached on its last
-root, and a node keeps the families built from it (``_kept``), as it keeps
-its derivatives, so a family evaluated many times is built and walked once.
-The plan is a flat tape (after Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., SIAM 2008): one entry per distinct node, each a
-kernel from a per-class table with its operands' slot indices, so an
-evaluation is one loop over a list of slots.  The tape only routes values:
-its kernels, all core's, run no guards, and it checks only what a node may
-break, calling core's guards only to raise (see :func:`_evaluate`).
+planned once per family (one root, for ``evaluate``), so a family evaluated
+many times is built and walked once.  The plan is a flat tape (after
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008): one entry
+per distinct node, each a kernel from a per-class table with its operands'
+slot indices, so an evaluation is one loop over a list of slots.  The tape
+only routes values: its kernels, all core's, run no guards, and it checks
+only what a node may break, calling core's guards only to raise (see
+:func:`_evaluate`).
 
-Pickling writes a node's DAG flat, without recursion or kept state, and
+Pickling writes a node's DAG flat, without recursion or its memo, and
 unpickling re-interns it.
 """
 
@@ -108,15 +109,10 @@ class Expr:
         if node is None:
             # the child nodes, in field order, for every walk; a hit has the
             # live children of the node found, so only a new node is checked
-            kids = fields[: _N_KIDS[cls]]
-            for kid in kids:
-                if not isinstance(kid, Expr):
-                    raise TypeError(f"not an expression node: {kid!r}")
+            kids = _nodes(fields[: _N_KIDS[cls]])
             node = _NODES[key] = object.__new__(cls)
-            node.__dict__.update(zip(names, fields))
-            node.__dict__["_kids"] = kids
-            # its derivative by each variable, kept by differentiate
-            node.__dict__["_d"] = {}
+            # its fields, its children, and the memo of what is built from it
+            node.__dict__.update(zip(names, fields), _kids=kids, _kept={})
         return node
 
     @classmethod
@@ -451,18 +447,23 @@ def parse_expr(text: str, grid: AlphaGrid = DEFAULT_GRID) -> Expr:
 # -- evaluation ----------------------------------------------------------------
 
 
+def _nodes(items: tuple) -> tuple:
+    """``items``; TypeError names the first that is not an expression node."""
+    for item in items:
+        if not isinstance(item, Expr):
+            raise TypeError(f"not an expression node: {item!r}")
+    return items
+
+
 def _walk(roots: tuple[Expr, ...], skip=None) -> list[Expr]:
     """The distinct nodes under ``roots``, children first, left to right,
     each where a walk of the expanded trees, one root after the other,
     first completes it.  The walk does not enter a node where ``skip(node)``
     is true.  Equal nodes are one object (nodes are interned when built), so
     the walk visits each node object once.  Only the roots are checked."""
-    for root in roots:
-        if not isinstance(root, Expr):
-            raise TypeError(f"not an expression node: {root!r}")
     seen: set[int] = set()
     order: list[Expr] = []
-    stack = [(root, False) for root in reversed(roots)]
+    stack = [(root, False) for root in reversed(_nodes(roots))]
     while stack:
         node, children_done = stack.pop()
         if children_done:
@@ -511,9 +512,9 @@ _TAPE = {
 }
 
 
-def _plan(roots: tuple[Expr, ...]) -> tuple:
-    """How to evaluate a family of roots: their union walked once, as a
-    flat tape over a list of slots.
+def _plan(last: Expr, roots: tuple[Expr, ...]) -> tuple:
+    """How to evaluate a family of roots, ``last`` the last of them: their
+    union walked once, as a flat tape over a list of slots.
 
     Slots 0 to n - 1 hold the distinct nodes' values in :func:`_walk`
     order, n the grid, n + 1 the bindings, and the rest the constants the
@@ -525,14 +526,10 @@ def _plan(roots: tuple[Expr, ...]) -> tuple:
     Returned: the tape; the n empty slots and the constants; the roots'
     slots; the first fuzzy constant's grid, else the default grid; and the
     operations the tape runs, by kind.  The plan knows structure and
-    liveness only, not whose arrays a value holds, so it is cached on the
-    last root, keyed by the roots: a family evaluated at many points (as by
-    ``solve``) is walked once while it lives (see :func:`_kept`).
+    liveness only, not whose arrays a value holds, so the last root keeps
+    it for the family (see :func:`_kept`): a family evaluated at many
+    points (as by ``solve``) is walked once while it lives.
     """
-    last = roots[-1]
-    cached = last.__dict__.get("_plan") if isinstance(last, Expr) else None
-    if cached is not None and cached[0] == roots:
-        return cached[1]
     order = _walk(roots)
     n = len(order)
     slot = {node: i for i, node in enumerate(order)}
@@ -563,19 +560,19 @@ def _plan(roots: tuple[Expr, ...]) -> tuple:
         if isinstance(node, PowInt):  # its n - 1 products, or the 1 of n = 0
             ops.update(mul=max(node.exponent - 1, 0), singleton=int(node.exponent == 0))
     start = ((None,) * n, tuple(consts))
-    plan = (tuple(tape), start, tuple(slot[r] for r in roots), const_grid, ops)
-    last.__dict__["_plan"] = (roots, plan)
-    return plan
+    return (tuple(tape), start, tuple(slot[r] for r in roots), const_grid, ops)
 
 
-def _kept(build, node: Expr, *args) -> tuple:
-    """``build(node, *args)``, root families built once per node, builder and
-    arguments and kept on ``node``, so their nodes and plans live as long."""
-    kept = node.__dict__.setdefault("_kept", {})
+def _kept(build, node: Expr, *args):
+    """``build(node, *args)``, built once per node, builder and arguments and
+    kept in the node's one memo for the node's lifetime: its derivatives, its
+    families' plans, and the Taylor and IVP root families built from it."""
+    memo = node._kept
     key = (build, *args)
-    if key not in kept:
-        kept[key] = build(node, *args)
-    return kept[key]
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(node, *args)
+    return value
 
 
 def evaluate(e: Expr, env: Env | None = None) -> FuzzyNumber:
@@ -610,7 +607,7 @@ def _evaluate(roots: tuple[Expr, ...], bindings: dict, grid: AlphaGrid | None,
     the kernels write into its arrays, and each child value that dies here
     goes to ``_release``, which keeps the sealed ones out.  Every root
     leaves sealed, pooled or not."""
-    tape, (empty, consts), root_slots, const_grid, ops = _plan(roots)
+    tape, (empty, consts), root_slots, const_grid, ops = _kept(_plan, roots[-1], _nodes(roots))
     grid = grid if grid is not None else const_grid
     values = [*empty, grid, bindings, *consts]
     for kernel, i, a, b, check, done in tape:
@@ -699,17 +696,17 @@ def _fscale(k: float, u: Expr) -> Expr:
 
 def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic derivative with the crisp sum/product/chain rules applied
-    formally; the power rule is d(u^n) = n*u^(n-1)*du.  A node is immutable,
-    so it keeps its derivative by each variable: each node's rule runs once
-    per node and variable, for the node's lifetime, and equal subtrees share
-    one derivative node.  The walk stops at a node that has its derivative
-    by ``var`` already (its children have theirs too)."""
-    order = _walk((e,), lambda node: var in node._d)
+    formally; the power rule is d(u^n) = n*u^(n-1)*du.  Each node keeps its
+    derivative by ``var`` in its memo (:func:`_kept`), so each node's rule
+    runs once per node and variable, for the node's lifetime, and equal
+    subtrees share one derivative node.  The walk stops at a node that has
+    its derivative by ``var`` already (its children have theirs too)."""
+    order = _walk((e,), lambda node: (_derivative, var) in node._kept)
     for node in order:
-        node._d[var] = _derivative(node, var)
+        _kept(_derivative, node, var)
     if _counters.counts is not None:
         _counters.counts["rules"] += len(order)
-    return e._d[var]
+    return e._kept[_derivative, var]
 
 
 def _derivative(e: Expr, var: str) -> Expr:
@@ -718,7 +715,7 @@ def _derivative(e: Expr, var: str) -> Expr:
         return CrispConst(0.0)
     if isinstance(e, Var):
         return CrispConst(1.0 if e.name == var else 0.0)
-    d = [kid._d[var] for kid in e._kids]
+    d = [kid._kept[_derivative, var] for kid in e._kids]
     if isinstance(e, Add):
         return _fadd(d[0], d[1])
     if isinstance(e, GhSub):

@@ -3,6 +3,7 @@ does not use the package's own DAG walk, and a bitwise comparison of fuzzy
 numbers."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -12,7 +13,10 @@ from fuzzcalc.expr import Expr
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(module, name)`` replaces ``module.name`` with a wrapper
-    that counts its calls, and returns the count as a one-element list."""
+    that counts its calls, and returns the count as a one-element list.  The
+    wrapper replaces the function in every loaded ``fuzzcalc`` module that
+    binds it, as the modules import it by name, so a call through any of
+    them is counted."""
 
     def install(module, name: str) -> list[int]:
         calls = [0]
@@ -22,7 +26,9 @@ def count_calls(monkeypatch):
             calls[0] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+        for key, loaded in list(sys.modules.items()):
+            if key.partition(".")[0] == "fuzzcalc" and vars(loaded).get(name) is real:
+                monkeypatch.setattr(loaded, name, counting)
         return calls
 
     return install

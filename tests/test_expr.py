@@ -261,6 +261,9 @@ def test_nodes_refuse_a_child_that_is_not_a_node_when_built():
         for root in ([1], 2.0, "x"):
             with pytest.raises(TypeError, match="not an expression node"):
                 walk(root)
+    # a family names its first root that is not a node before it looks up its plan
+    with pytest.raises(TypeError, match=r"^not an expression node: \[1\]$"):
+        _evaluate((Var("x"), [1], 2.0), {}, None)
     # and a class outside the twelve cannot be built, so a walk meets none
     class Twice(Scale):
         pass
@@ -414,6 +417,20 @@ def test_eval_evaluates_equal_subtrees_once():
     assert out.upper.tobytes() == expect.upper.tobytes()
 
 
+def test_a_nested_count_reaches_both_counters_and_restores_the_outer():
+    env = Env({"x": tri(0.2, 0.4, 0.5)})
+    assert fuzzcalc._counters.counts is None
+    with counting() as outer:
+        evaluate(parse_expr("x*x"), env)
+        with counting() as inner:
+            evaluate(parse_expr("x + x"), env)
+        assert fuzzcalc._counters.counts is outer
+        evaluate(parse_expr("exp(x)"), env)
+    assert fuzzcalc._counters.counts is None
+    assert (inner["nodes"], inner["add"], inner["mul"], inner["exp"]) == (2, 1, 0, 0)
+    assert (outer["nodes"], outer["add"], outer["mul"], outer["exp"]) == (6, 1, 1, 1)
+
+
 def test_family_walks_its_union_once_and_keeps_every_root(distinct_nodes, same_bytes):
     # roots that share subtrees, a root under another root, a repeated root
     # and an improper root; each value is the one evaluate gives it alone
@@ -462,12 +479,11 @@ def test_an_improper_gh_difference_operand_raises_its_consumers_error(text, erro
     # runs no operation's guard
     env = Env({"x": tri(0, 1, 1), "y": tri(0, 0.5, 2)})
     assert not evaluate(parse_expr("x - y"), env).proper
-    guards = count_calls(fuzzcalc.core, "_require_proper")
-    raised = count_calls(fuzzcalc.expr, "_require_proper")
+    proper, same_grid = (count_calls(fuzzcalc.core, name) for name in ("_require_proper", "_require_same_grid"))
     with pytest.raises(error) as exc:
         evaluate(parse_expr(text), env)
     assert str(exc.value) == message
-    assert (guards[0], raised[0]) == (0, int(error is ImproperOperand))
+    assert (proper[0], same_grid[0]) == (int(error is ImproperOperand), 0)
 
 
 def test_a_warm_evaluation_calls_no_guard(count_calls, same_bytes):

@@ -424,11 +424,12 @@ def test_an_improper_gh_difference_term_names_its_step(order, count_calls):
     # D_1 raises, at order 2 the evaluation of D_2 = 1 + (-1)*(x - y) does
     p = IvpProblem(rhs=parse_expr("x - y"), x0=tri(0, 1, 1), y0=tri(0, 0.5, 2), h=tri(0.05, 0.1, 0.12),
                    order=order)
-    guards = count_calls(fuzzcalc.core, "_require_proper")
+    proper, same_grid = (count_calls(fuzzcalc.core, name) for name in ("_require_proper", "_require_same_grid"))
     with pytest.raises(ImproperOperand) as exc:
         solve(p)
     assert str(exc.value) == "step 1: operand is an improper (non-nested) fuzzy number"
-    assert guards[0] == 0
+    # the problem checked its values when built; the guard is called once, to raise
+    assert (proper[0], same_grid[0]) == (1, 0)
 
 
 def test_problem_validation():

@@ -2,6 +2,8 @@
 
 import gc
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -122,7 +124,8 @@ def test_partial_sum_rejects_improper_offset():
 
 def test_a_warm_partial_sum_calls_no_guard(count_calls, same_bytes):
     # partial_sum checks its point once, with the guards' messages, and runs
-    # the kernels; a loop of public ops would call the guards per product
+    # the kernels, which call no guard; a loop of public ops would call the
+    # guards per product
     grid = AlphaGrid.uniform(11)
     s = taylor_series_of(parse_expr("1.5*sin(x)*exp(x)", grid), "x", tri(0.1, 0.2, 0.3, grid), 8)
     at = tri(0.05, 0.2, 0.4, grid)
@@ -131,15 +134,48 @@ def test_a_warm_partial_sum_calls_no_guard(count_calls, same_bytes):
     proper, same_grid = (count_calls(fuzzcalc.core, name) for name in ("_require_proper", "_require_same_grid"))
     walks = count_calls(fuzzcalc.expr, "_walk")
     again = partial_sum(s, at, 9)
-    # the offset's family and the kept family of 9 terms are planned already
+    # the offset's family and the kept family of 9 terms are planned already;
+    # the guards run only on x (proper, then its grid) and on x gH- center
     assert walks[0] == 0
+    assert (proper[0], same_grid[0]) == (2, 1)
     assert same_bytes(first, again)
     assert not (again.lower.flags.writeable or again.upper.flags.writeable)
     with pytest.raises(ImproperOperand, match=r"^operand is an improper \(non-nested\) fuzzy number$"):
         partial_sum(s, improper, 3)
     with pytest.raises(GridMismatch, match="^operands live on different alpha grids; resample first$"):
         partial_sum(s, tri(0.05, 0.2, 0.4), 3)
-    assert (proper[0], same_grid[0]) == (0, 0)
+
+
+# partial_sum's docstring: the counts 1 to n together keep about 380 * n^2
+# bytes; "about" is this slack over it (CPython 3.11 measures 397 KB for
+# n = 32 from a fresh interpreter, 1.02 times 380 * 32^2)
+RETAINED_PER_SQUARED_COUNT, RETAINED_SLACK = 380, 1.05
+
+_RETAINED_PROBE = """
+import gc, tracemalloc
+from fuzzcalc import AlphaGrid, FuzzyPowerSeries, make_triangular, partial_sum
+grid = AlphaGrid.uniform(11)
+s = FuzzyPowerSeries(make_triangular((0, 0.1, 0.2), grid), [make_triangular((0.9, 1, 1.1), grid)] * 32)
+x = make_triangular((0.05, 0.1, 0.15), grid)
+gc.collect()
+tracemalloc.start()
+for n in range(1, 33):
+    partial_sum(s, x, n)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_partial_sums_of_every_count_to_32_retain_the_documented_memory():
+    # what partial_sum keeps is _D's memo: one family per count, each with
+    # its plan on its last root; a fresh interpreter, since this session's
+    # tests have kept families of their own
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _RETAINED_PROBE], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    retained = int(proc.stdout)
+    assert 0.5 * RETAINED_PER_SQUARED_COUNT * 32**2 < retained
+    assert retained <= RETAINED_SLACK * RETAINED_PER_SQUARED_COUNT * 32**2
 
 
 # -- four-quotient radius -----------------------------------------------------------
@@ -562,11 +598,14 @@ def test_taylor_tower_in_one_walk_matches_the_per_root_loop(text, order, same_by
 def test_an_improper_tower_member_raises_the_operand_error(count_calls):
     # f itself is an improper gH-difference at x0; taylor_series_of checks each
     # member before scaling it, with scalar_mul's guard message
-    guards = count_calls(fuzzcalc.core, "_require_proper")
+    f, x0 = parse_expr("x - T(0,0.5,2)"), tri(0, 1, 1)
+    proper, same_grid = (count_calls(fuzzcalc.core, name) for name in ("_require_proper", "_require_same_grid"))
     with pytest.raises(ImproperOperand) as exc:
-        taylor_series_of(parse_expr("x - T(0,0.5,2)"), "x", tri(0, 1, 1), 2)
+        taylor_series_of(f, "x", x0, 2)
     assert str(exc.value) == "operand is an improper (non-nested) fuzzy number"
-    assert guards[0] == 0
+    # x0's binding is checked for its grid and properness, and the tape
+    # calls the guard once, to raise
+    assert (proper[0], same_grid[0]) == (2, 1)
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,9 @@ tests, tools and demos; only core handles envelope arrays; only core and
 expr seal or release values; only core and expr call the tape's
 kernels, so the work counts have one source; each kernel serves one
 node class; only core's ``_count`` tests a count for integrality and
-names one that is not an integer; and only core's two value guards raise
-``ImproperOperand`` and ``GridMismatch``."""
+names one that is not an integer; only core's two value guards raise
+``ImproperOperand`` and ``GridMismatch``; and only ``Expr.__new__`` writes
+a node's ``__dict__`` and only ``expr._kept`` stores into a node's memo."""
 
 import ast
 import pathlib
@@ -157,20 +158,29 @@ def test_only_core_tests_a_number_for_a_fraction(path):
     assert integrality_tests(path.read_text()) == []
 
 
-def innermost_function(tree: ast.AST):
-    """``where(node)``: the innermost function of ``tree`` holding ``node``,
-    None at top level."""
-    # ast.walk goes outside in, so the last function holding a line is the innermost
-    spans = [(f.lineno, f.end_lineno, f.name) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+def innermost_scope(tree: ast.AST):
+    """``where(node)``: the dotted name of the innermost function or class
+    of ``tree`` holding ``node`` (``Expr.__new__``), None at top level."""
+    spans = []
+
+    def visit(parent: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(parent):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                spans.append((child.lineno, child.end_lineno, prefix + child.name))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    # spans are listed outside in, so the last one holding a line is the innermost
     return lambda node: ([name for lo, hi, name in spans if lo <= node.lineno <= hi] or [None])[-1]
 
 
 def integer_messages(source: str) -> list[str | None]:
     """Where ``source`` raises an error saying a value "must be an integer":
-    for each such raise, the innermost function holding it (None at top
-    level)."""
+    for each such raise, the scope holding it (see :func:`innermost_scope`)."""
     tree = ast.parse(source)
-    where = innermost_function(tree)
+    where = innermost_scope(tree)
     return [where(node) for node in ast.walk(tree) if isinstance(node, ast.Raise)
             and any(isinstance(c, ast.Constant) and isinstance(c.value, str) and "must be an integer" in c.value
                     for c in ast.walk(node))]
@@ -179,7 +189,7 @@ def integer_messages(source: str) -> list[str | None]:
 def test_the_integer_message_check_names_where_each_text_is():
     source = ('"""n must be an integer"""\nraise V("n must be an integer")\n'
               'def f():\n    def g():\n        raise V(f"{w} must be an integer")\n')
-    assert integer_messages(source) == [None, "g"]
+    assert integer_messages(source) == [None, "f.g"]
 
 
 def test_only_count_says_a_value_must_be_an_integer():
@@ -194,10 +204,10 @@ GUARDED_ERRORS = ("ImproperOperand", "GridMismatch")
 
 def guarded_errors(source: str) -> list[tuple[str, str | None]]:
     """Where ``source`` constructs ``ImproperOperand`` or ``GridMismatch``,
-    by name or as an attribute: for each call, the class and the innermost
-    function holding it (None at top level)."""
+    by name or as an attribute: for each call, the class and the scope
+    holding it (see :func:`innermost_scope`)."""
     tree = ast.parse(source)
-    where = innermost_function(tree)
+    where = innermost_scope(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -211,7 +221,7 @@ def guarded_errors(source: str) -> list[tuple[str, str | None]]:
 def test_the_guarded_error_check_names_where_each_call_is():
     source = ('raise ImproperOperand("m")\ndef f():\n    def g():\n        raise errors.GridMismatch(m)\n'
               '    return ImproperOperand, issubclass(e, GridMismatch), ImproperOperands(m)\n')
-    assert guarded_errors(source) == [("ImproperOperand", None), ("GridMismatch", "g")]
+    assert guarded_errors(source) == [("ImproperOperand", None), ("GridMismatch", "f.g")]
 
 
 def test_only_the_guards_construct_their_errors():
@@ -222,3 +232,77 @@ def test_only_the_guards_construct_their_errors():
         "core.py": [("ImproperOperand", "_require_proper"), ("GridMismatch", "_require_same_grid")]}
     importers = sorted(p.name for p in PACKAGE.glob("*.py") if imported_names(p.read_text()) & set(GUARDED_ERRORS))
     assert importers == ["core.py"]
+
+
+# the dict methods that change a dict
+MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def node_state_writes(source: str) -> list[tuple[str, str | None]]:
+    """Where ``source`` handles a node's state itself: each use of an
+    object's ``__dict__``, reads included (a read of a cache is half of its
+    write), and each store into a memo (``<x>._kept``, or a name bound to
+    one in the same scope) by a subscript assignment or ``del``, or by a
+    dict method that changes it.  For each: ``"__dict__"`` or ``"memo"``,
+    and the scope holding it (see :func:`innermost_scope`)."""
+    tree = ast.parse(source)
+    where = innermost_scope(tree)
+
+    def is_memo(node: ast.AST) -> bool:
+        return ((isinstance(node, ast.Attribute) and node.attr == "_kept")
+                or (isinstance(node, ast.Name) and (where(node), node.id) in aliases))
+
+    aliases = {(where(node), target.id) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "_kept"
+               for target in node.targets if isinstance(target, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append(("__dict__", where(node)))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) and is_memo(node.value):
+            found.append(("memo", where(node)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS and is_memo(node.func.value)):
+            found.append(("memo", where(node)))
+    return sorted(found, key=str)
+
+
+def test_the_node_state_check_names_each_write_and_its_scope():
+    source = (
+        "class Expr:\n    def __new__(cls):\n        node.__dict__.update(a=1)\n"
+        "def _kept(node):\n    memo = node._kept\n    value = memo[key] = build(node)\n"
+        "def f(node):\n    node._kept[k] = v\n    node._kept.setdefault(k, v)\n    del node._kept[k]\n"
+        "    m = node._kept\n    m.update(x)\n    m[k] += 1\n    cached = node.__dict__.get('_plan')\n"
+        "    # reads, and stores into other dicts, are not matched\n"
+        "    v, w = node._kept[k], node._kept.get(k)\n    other[k] = memo.pop(k)\n    node.kept[k] = v\n"
+        "def g(memo):\n    memo[k] = v\n"
+    )
+    assert node_state_writes(source) == sorted(
+        [("__dict__", "Expr.__new__"), ("memo", "_kept"), ("__dict__", "f")] + [("memo", "f")] * 5, key=str)
+
+
+def test_only_new_writes_a_nodes_dict_and_only_kept_stores_into_its_memo():
+    # a node holds its fields, its children and one memo: Expr.__new__ sets
+    # them, and _kept alone keeps what is built from a node (derivatives,
+    # plans, root families), so no other place caches on a node
+    found = {path.name: node_state_writes(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {
+        "expr.py": [("__dict__", "Expr.__new__"), ("memo", "_kept")]}
+
+
+def test_a_node_holds_its_fields_its_children_and_one_memo():
+    # after every kind of work that keeps something on a node: derivatives
+    # by two variables, an evaluation, a Taylor series, a solve, a partial sum
+    from fuzzcalc import Env, IvpProblem, differentiate, evaluate, make_triangular, parse_expr, partial_sum
+    from fuzzcalc import solve, taylor_series_of
+
+    x, y = make_triangular((0.7, 1, 1.2)), make_triangular((2.1, 2.3, 2.5))
+    f = parse_expr("sin(x)*exp(y) + T(0,0.1,0.2)*x^2 + -y")
+    g = parse_expr("(x - y)*x/(2 + cos(x))")
+    differentiate(differentiate(g, "x"), "y")
+    evaluate(g, Env({"x": x, "y": y}))
+    partial_sum(taylor_series_of(f, "x", x, 4, Env({"y": y})), x, 3)
+    solve(IvpProblem(f, x, y, make_triangular((0.07, 0.1, 0.12)), order=2, steps=1))
+    nodes = fuzzcalc.expr._walk(tuple(fuzzcalc.expr._NODES.values()))
+    assert {type(node) for node in nodes} == set(fuzzcalc.expr._TAPE)
+    assert all(set(vars(node)) == {*node.__dataclass_fields__, "_kids", "_kept"} for node in nodes)
