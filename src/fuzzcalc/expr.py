@@ -35,9 +35,9 @@ by builder and arguments, for the node's lifetime: its derivative by each
 variable, the plan of each family whose last root it is, and the Taylor and
 IVP families built from it.  ``evaluate`` handles each distinct node once
 per call; ``differentiate`` runs each node's rule once per node and
-variable.  It returns a DAG in which equal subtrees share one derivative:
-the expanded tree of the k-th derivative of ``sin(x)*exp(x)`` doubles with
-k, its distinct nodes grow about quadratically.
+variable.  It returns a DAG in which equal subtrees share one derivative,
+with negation kept outermost: the expanded tree of the k-th derivative of
+``sin(x)*exp(x)`` doubles with k, its distinct nodes grow by three per order.
 
 A sum of fuzzy products (the Taylor coefficients, the IVP step, a partial
 sum) is one root family: a DAG with many roots, evaluated in one walk over
@@ -631,13 +631,25 @@ def _evaluate(roots: tuple[Expr, ...], bindings: dict, grid: AlphaGrid | None,
 
 # -- symbolic differentiation ----------------------------------------------------
 
-# Folding builders: crisp-constant arithmetic plus exact 0/1 identities.
-# Used by differentiate to keep derivative towers compact; the parser never
-# folds, so parse trees stay auditable.
+# Folding builders: crisp-constant arithmetic, exact 0/1 identities, and a
+# negation (Scale(u, -1.0)) kept outermost: -(-u) is u, a scale of a scale
+# with either factor -1 is one scale by their product (by 1, u itself), a
+# crisp -1 factor is a negation, (-u)*v and u*(-v) are -(u*v), and
+# (-u) + (-v) is -(u + v).  Each is exact under round-to-nearest: negation
+# mirrors an interval, (-j)*x is -(j*x), and the product or sum of mirrored
+# operands is the mirrored product or sum.  So a value keeps the unfolded
+# tree's bits, except that a zero may change sign (0.0 for -0.0), in an
+# envelope or in a derivative that folds to a crisp zero.  Used by
+# differentiate to keep derivative towers compact; the parser never folds,
+# so parse trees stay auditable.
 
 
 def _is_const(e: Expr, value: float | None = None) -> bool:
     return isinstance(e, CrispConst) and (value is None or e.value == value)
+
+
+def _is_neg(e: Expr) -> bool:
+    return isinstance(e, Scale) and e.factor == -1.0
 
 
 def _fadd(l: Expr, r: Expr) -> Expr:
@@ -647,6 +659,8 @@ def _fadd(l: Expr, r: Expr) -> Expr:
         return r
     if _is_const(r, 0.0):
         return l
+    if _is_neg(l) and _is_neg(r):
+        return _fscale(-1.0, _fadd(l.operand, r.operand))
     return Add(l, r)
 
 
@@ -667,6 +681,14 @@ def _fmul(l: Expr, r: Expr) -> Expr:
         return r
     if _is_const(r, 1.0):
         return l
+    if _is_const(l, -1.0):
+        return _fscale(-1.0, r)
+    if _is_const(r, -1.0):
+        return _fscale(-1.0, l)
+    if _is_neg(l):
+        return _fscale(-1.0, _fmul(l.operand, r))
+    if _is_neg(r):
+        return _fscale(-1.0, _fmul(l, r.operand))
     return Mul(l, r)
 
 
@@ -689,18 +711,24 @@ def _fpow(base: Expr, n: int) -> Expr:
 
 
 def _fscale(k: float, u: Expr) -> Expr:
+    if isinstance(u, Scale) and -1.0 in (k, u.factor):
+        k, u = k * u.factor, u.operand
     if isinstance(u, CrispConst):
         return CrispConst(k * u.value)
-    return Scale(u, k)
+    return u if k == 1.0 else Scale(u, k)
 
 
 def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic derivative with the crisp sum/product/chain rules applied
-    formally; the power rule is d(u^n) = n*u^(n-1)*du.  Each node keeps its
-    derivative by ``var`` in its memo (:func:`_kept`), so each node's rule
-    runs once per node and variable, for the node's lifetime, and equal
-    subtrees share one derivative node.  The walk stops at a node that has
-    its derivative by ``var`` already (its children have theirs too)."""
+    formally; the power rule is d(u^n) = n*u^(n-1)*du.  Every rule builds
+    through the folding builders, which keep a negation outermost, so the
+    fourth derivative of sin(x) is sin(x) itself and d/dx (-x)^2 is 2*x; a
+    value differs from the unfolded rule's only in the sign of a zero (see
+    the builders).  Each node keeps its derivative by ``var`` in its memo
+    (:func:`_kept`), so each node's rule runs once per node and variable,
+    for the node's lifetime, and equal subtrees share one derivative node.
+    The walk stops at a node that has its derivative by ``var`` already
+    (its children have theirs too)."""
     order = _walk((e,), lambda node: (_derivative, var) in node._kept)
     for node in order:
         _kept(_derivative, node, var)

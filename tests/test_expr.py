@@ -11,6 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fuzzcalc
 import fuzzcalc.core
@@ -593,6 +595,86 @@ def test_derivatives_fold_crisp_constants(text, derivative):
     assert to_text(differentiate(parse_expr(text), "x")) == derivative
 
 
+def test_trig_towers_close_and_negations_cancel():
+    # d/dx cos(x) is -sin(x) and d/dx -sin(x) is -cos(x), so the fourth
+    # derivative is the node itself, not a chain of negations
+    for text in ("sin(x)", "cos(x)"):
+        node = derivative = parse_expr(text)
+        for _ in range(4):
+            derivative = differentiate(derivative, "x")
+        assert derivative is node, text
+    # 2*(-x) times d(-x) = -1: the two negations cancel
+    assert differentiate(parse_expr("(-x)^2"), "x") is Mul(CrispConst(2.0), Var("x"))
+
+
+def _negation_rules(x: Expr, y: Expr) -> list:
+    """Each way the folding builders move a negation: the builder, its
+    operands, the node they would build unfolded, and the node they build."""
+    fscale, fmul, fadd = fuzzcalc.expr._fscale, fuzzcalc.expr._fmul, fuzzcalc.expr._fadd
+    minus_x, minus_y, minus_one = Scale(x, -1.0), Scale(y, -1.0), CrispConst(-1.0)
+    return [
+        (fscale, (-1.0, minus_x), Scale(minus_x, -1.0), x),
+        (fscale, (2.5, minus_x), Scale(minus_x, 2.5), Scale(x, -2.5)),
+        (fscale, (-1.0, Scale(x, 2.5)), Scale(Scale(x, 2.5), -1.0), Scale(x, -2.5)),
+        (fmul, (minus_x, y), Mul(minus_x, y), Scale(Mul(x, y), -1.0)),
+        (fmul, (x, minus_y), Mul(x, minus_y), Scale(Mul(x, y), -1.0)),
+        (fmul, (minus_x, minus_y), Mul(minus_x, minus_y), Mul(x, y)),
+        (fmul, (minus_one, x), Mul(minus_one, x), minus_x),
+        (fmul, (x, minus_one), Mul(x, minus_one), minus_x),
+        (fadd, (minus_x, minus_y), Add(minus_x, minus_y), Scale(Add(x, y), -1.0)),
+    ]
+
+
+def test_folding_builders_keep_negation_outermost():
+    x, y = Var("x"), Var("y")
+    for build, operands, _, folded in _negation_rules(x, y):
+        assert build(*operands) is folded, (build.__name__, operands)
+    # a product of two factors other than -1 is not folded: it would round
+    assert fuzzcalc.expr._fscale(0.5, Scale(x, 3.0)) is Scale(Scale(x, 3.0), 0.5)
+
+
+@st.composite
+def _signed_operand(draw, levels: int, rows: int):
+    """A proper value on ``levels`` levels, or a (rows, levels) stack when
+    ``rows``: each row triangular and positive, negative, straddling zero
+    or with an endpoint at zero."""
+    grid = AlphaGrid.uniform(levels)
+    size = st.floats(min_value=0.01, max_value=50.0)
+    values = []
+    for _ in range(max(rows, 1)):
+        kind = draw(st.sampled_from(("positive", "negative", "straddling", "zero end")))
+        a, b, c = draw(size), draw(size), draw(size)
+        if kind == "straddling":
+            b = draw(st.floats(min_value=-a, max_value=c))
+        triple = {"positive": (a, a + b, a + b + c), "negative": (-a - b - c, -a - b, -a),
+                  "straddling": (-a, b, c), "zero end": (0.0, b, b + c)}[kind]
+        values.append(make_triangular(triple, grid))
+    if not rows:
+        return values[0]
+    return _fresh(grid, np.stack([v.lower for v in values]), np.stack([v.upper for v in values]))
+
+
+@st.composite
+def _operand_pairs(draw):
+    levels, rows = draw(st.sampled_from((11, 101))), draw(st.integers(0, 3))
+    return draw(_signed_operand(levels, rows)), draw(_signed_operand(levels, rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operand_pairs())
+def test_prop_negation_rules_are_exact_on_the_tape(pair):
+    # each rule's node has the unfolded node's value: bit for bit where no
+    # endpoint is zero, and equal as floats where one is (a zero's sign may
+    # flip: -(0*c) is -0.0 where (-0)*c may be 0.0)
+    env = Env({"x": pair[0], "y": pair[1]})
+    for _, _, unfolded, folded in _negation_rules(Var("x"), Var("y")):
+        want, got = evaluate(unfolded, env), evaluate(folded, env)
+        for w, g in ((want.lower, got.lower), (want.upper, got.upper)):
+            assert w.shape == g.shape and np.array_equal(w, g), to_text(unfolded)
+            nonzero = w != 0
+            assert w[nonzero].tobytes() == g[nonzero].tobytes(), to_text(unfolded)
+
+
 def test_a_power_keeps_an_int_exponent_whichever_spelling_is_built_first():
     for name, spellings in (("float_first", (2.0, 2)), ("int_first", (2, 2.0))):
         first, second = (PowInt(Var(name), n) for n in spellings)
@@ -624,15 +706,15 @@ def test_second_derivative_of_cubic():
 
 
 def test_repeated_derivative_work_is_bounded_by_distinct_nodes(distinct_nodes):
-    # the 20th derivative of sin(x)*exp(x) is about 11 million nodes as a
-    # tree but a few hundred distinct ones; each distinct product is
-    # evaluated once
+    # the 20th derivative of sin(x)*exp(x) is about 6.8 million nodes as a
+    # tree but 64 distinct ones (negation kept outermost); each distinct
+    # product is evaluated once
     grid = AlphaGrid.uniform(11)
     node = parse_expr("sin(x)*exp(x)")
     for _ in range(20):
         node = differentiate(node, "x")
     distinct = distinct_nodes(node)
-    assert len(distinct) <= 300
+    assert len(distinct) == 64
     assert free_variables(node) == {"x"}
     with counting() as counts:
         out = evaluate(node, Env({"x": tri(0.1, 0.2, 0.3, grid)}))
@@ -648,7 +730,7 @@ def test_dropped_derivative_leaves_the_intern_table_in_one_collection():
     gc.collect()
     before = len(fuzzcalc.expr._NODES)
     node = parse_expr("sin(x)*exp(x)")
-    for _ in range(20):
+    for _ in range(80):  # its 244 distinct nodes
         node = differentiate(node, "x")
     evaluate(node, Env({"x": tri(0.1, 0.2, 0.3, AlphaGrid.uniform(11))}))
     assert len(fuzzcalc.expr._NODES) > before + 200

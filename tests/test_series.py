@@ -610,7 +610,8 @@ def test_an_improper_tower_member_raises_the_operand_error(count_calls):
 
 @pytest.mark.parametrize(
     "text, order, evaluated, differentiated",
-    [("sin(x)*exp(x)", 10, 79, 67), ("exp(sin(x))", 7, 94, 65)],
+    [("sin(x)*exp(x)", 10, 34, 31), ("exp(sin(x))", 7, 74, 55)],
+    ids=["sin(x)*exp(x)", "exp(sin(x))"],
 )
 def test_taylor_tower_runs_each_distinct_node_once(
     text, order, evaluated, differentiated, count_calls, distinct_nodes, monkeypatch
@@ -618,7 +619,7 @@ def test_taylor_tower_runs_each_distinct_node_once(
     # each node keeps its derivative by x while it lives: building the tower
     # runs each distinct node's rule once, and a series of the same f builds
     # the same tower, so it runs no rule and, once planned, no walk; a loop
-    # of evaluate and differentiate per member runs 374 and 295 (sin*exp)
+    # of evaluate and differentiate per member runs 209 and 175 (sin*exp)
     gc.collect()  # no node of an earlier test's tower is left alive
     grid = AlphaGrid.uniform(11)
     f = parse_expr(text, grid)
@@ -662,7 +663,7 @@ _TAPE_COUNTED = {
     "partial_sum, 4 terms of a list": ({"gh_difference", "mul", "add"}, lambda: partial_sum(_LIST_SERIES, _POINT, 4)),
     "partial_sum, 6 terms of a rule": ({"gh_difference", "mul", "add"}, lambda: partial_sum(_RULE_SERIES, _POINT, 6)),
     "taylor_series_of": ({"mul", "scalar_mul", "add", "sin", "cos", "singleton"},
-                         lambda: taylor_series_of(parse_expr("-x*sin(x)"), "x", _POINT, 5)),
+                         lambda: taylor_series_of(parse_expr("-2*x*sin(x)"), "x", _POINT, 5)),
 }
 
 

@@ -6,7 +6,9 @@ kernels, so the work counts have one source; each kernel serves one
 node class; only core's ``_count`` tests a count for integrality and
 names one that is not an integer; only core's two value guards raise
 ``ImproperOperand`` and ``GridMismatch``; and only ``Expr.__new__`` writes
-a node's ``__dict__`` and only ``expr._kept`` stores into a node's memo."""
+a node's ``__dict__`` and only ``expr._kept`` stores into a node's memo;
+and a derivative rule builds arithmetic nodes only through the folding
+builders."""
 
 import ast
 import pathlib
@@ -306,3 +308,45 @@ def test_a_node_holds_its_fields_its_children_and_one_memo():
     nodes = fuzzcalc.expr._walk(tuple(fuzzcalc.expr._NODES.values()))
     assert {type(node) for node in nodes} == set(fuzzcalc.expr._TAPE)
     assert all(set(vars(node)) == {*node.__dataclass_fields__, "_kids", "_kept"} for node in nodes)
+
+
+# the node classes a folding builder builds, which a derivative rule must
+# not build itself
+FOLDED_CLASSES = {"Add", "GhSub", "Mul", "Div", "PowInt", "Scale"}
+
+
+def rule_calls(source: str) -> list[str]:
+    """The names ``expr._derivative`` in ``source`` calls, by name or as an
+    attribute, each with its line, in line order: its builders and its
+    constructors."""
+    tree = ast.parse(source)
+    where = innermost_scope(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (where(node) or "").split(".")[0] == "_derivative":
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            found.append((node.lineno, name))
+    return [f"{name}:{line}" for line, name in sorted(found, key=lambda call: call[0])]
+
+
+def direct_builds(source: str) -> list[str]:
+    """Where ``expr._derivative`` builds a folded node class itself."""
+    return [call for call in rule_calls(source) if call.partition(":")[0] in FOLDED_CLASSES]
+
+
+def test_the_rule_build_check_names_each_direct_construction():
+    source = ("def _derivative(e, var):\n    if e:\n        return _fmul(Cos(e.operand), d[0])\n"
+              "    def rule():\n        return expr.Scale(d[0], 2.0)\n    return Mul(e.left, d[1])\n"
+              "def other():\n    return Mul(a, b)\n")
+    assert direct_builds(source) == ["Scale:5", "Mul:6"]
+    assert direct_builds("def _derivative(e, var):\n    return _fadd(_fmul(a, b), Sin(c))\n") == []
+
+
+def test_every_derivative_rule_builds_through_the_folding_builders():
+    # so the builders' folds, negation kept outermost among them, see every
+    # node a derivative is made of; the function nodes a chain rule needs
+    # (Cos, Sin) and crisp constants are built directly
+    source = (PACKAGE / "expr.py").read_text()
+    assert direct_builds(source) == []
+    assert {call.partition(":")[0] for call in rule_calls(source)} >= {"_fadd", "_fmul", "_fscale"}

@@ -28,6 +28,10 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   extrapolant is improper;
 * texts with unary minus, and cos: each node's repr and text, and its
   value and derivative;
+* negation-heavy texts: derivatives 1 to 4 (repr, text and value) at a
+  point whose cuts touch zero and at straddling and negative points, Taylor
+  series of trig products about T(-1,0,1), whose cuts hold 0, and a solve
+  whose right-hand side holds cos, on 10001 levels;
 * ``mul``, ``div`` and ``pow_int`` on operands whose sign class picks the
   kernel: zeros of either sign, infinite envelopes, NaN-bearing values and
   stacks whose rows share a sign or do not; and first powers, which copy
@@ -208,6 +212,14 @@ KERNEL_INPUTS = {
 # texts with unary minus, the scale node by -1, and cos, whose derivative
 # scales by -1
 UNARY_MINUS = ("-x^2", "(-x)^2", "-(-x)", "x - -y", "x*-y", "-2*x", "cos(x)")
+# texts whose derivatives the folding builders keep a negation outermost in,
+# differentiated 1 to 4 times by x, bound as KERNEL_BINDINGS and as below;
+# trig products expanded about T(-1,0,1) to order 12; and a solve of y' =
+# NEGATION_RHS at ALIAS_POINT, where cos straddles zero
+NEGATION_TEXTS = ("cos(x)*exp(x)", "-x*-y", "-(-x)", "-x + -y")
+NEGATION_BINDINGS = {"x": (-0.5, 0.2, 1), "y": (-3, -2, -1)}
+NEGATION_SERIES = ("cos(x)*exp(x)", "sin(x)*cos(x)")
+NEGATION_RHS = "cos(x)*y + x"
 # right-hand sides whose D_k are a binding (x, y), a constant's value
 # (T(1,2,3)), a crisp constant, repeated roots (every D_k past the last
 # nonzero one is 0), operands that ^1 passes through (a binding and a
@@ -286,6 +298,8 @@ def _library_entries(workloads, fc):
         yield (f"ivp-alias:y' = {text} at {ALIAS_POINT}",
                lambda text=text: solved(fc.ivp.IvpProblem(fc.expr.parse_expr(text, wide), **point,
                                                           order=4, steps=3)))
+    yield (f"negation:y' = {NEGATION_RHS} at {ALIAS_POINT}",
+           lambda: solved(fc.ivp.IvpProblem(fc.expr.parse_expr(NEGATION_RHS, wide), **point, order=4, steps=3)))
 
     # an improper first member of a tower before a later member whose
     # divisor, a crisp square that underflows to 0, holds zero: which error
@@ -335,6 +349,23 @@ def _library_entries(workloads, fc):
                     "derivative.repr": d, "derivative.to_text": fc.expr.to_text(d),
                     "derivative.value": fc.expr.evaluate(d, env)}
         yield f"unary-minus:{text} with {KERNEL_BINDINGS}", unary
+
+    signed = fc.expr.Env({v: core.make_triangular(t, grid) for v, t in NEGATION_BINDINGS.items()}, grid)
+    for text in NEGATION_TEXTS:
+        for bindings, at in ((KERNEL_BINDINGS, env), (NEGATION_BINDINGS, signed)):
+            def tower(text=text, at=at):
+                d, out = fc.expr.parse_expr(text, grid), {}
+                for k in range(1, 5):
+                    d = fc.expr.differentiate(d, "x")
+                    out.update({f"d{k}.repr": d, f"d{k}.to_text": fc.expr.to_text(d),
+                                f"d{k}.value": fc.expr.evaluate(d, at)})
+                return out
+            yield f"negation:derivatives 1-4 of {text} with {bindings}", tower
+    about = core.make_triangular((-1, 0, 1), grid)
+    for text in NEGATION_SERIES:
+        yield (f"negation:taylor of {text} at T(-1,0,1), order 12",
+               lambda text=text: dict(enumerate(series.taylor_series_of(
+                   fc.expr.parse_expr(text, grid), "x", about, 12).coeffs)))
 
     # operands only the core builds: stacks, read flat (rows of one sign take
     # two products, mixed rows four), and a NaN in one envelope, which the
