@@ -15,24 +15,28 @@ switches between iterations the extrapolation restarts at that level
 (extrapolating across a branch switch is invalid).
 
 Both estimators evaluate their shifted points in blocks: the points of a
-block are the rows of one (rows, levels) stack, bound to the variable for
-one ``evaluate`` call.  A block of ``mh_derivative`` is 12 steps of its
-schedule, x0 + h and x0 - h for each, after x0 itself in the first block:
-186 of derive-fine's 192 estimates at seed 7 settle within the first 12
-of the 40 steps.  The schedule and each block's offsets are slices of one
-table of halvings times h0, and a block's tableau writes its deltas,
-quotients and extrapolants into arrays allocated once per block, so that
-it costs its arithmetic and not copies.  ``continuity_probe`` has one block, x0 and all
-its shifts: a probe reads a shift of every trial delta it rejects, so its
-reads usually reach the last rows, and one comparison over the (delta,
-shift) table of distances finds the first delta it accepts.  Stacks are
-internal to this module; every result is one fuzzy number, bit for bit the
-one a point-by-point loop gives.  Errors come in that loop's order: when a
-block's evaluation raises, meets a floating-point fault that the caller
-does not ignore, or (in the probe) has an improper row, the block is
-redone one point at a time through the same steps, so the first error a
-point-by-point loop would meet is raised, with its class and message, and
-a point past where the loop stops neither raises nor changes a result.
+block are the rows of one (rows, levels) stack, bound to the variable
+for one ``evaluate`` call, which returns f in the stack's shape, one row
+per point, even where f does not read the variable.  One helper,
+``_at``, evaluates a block, a single point and f(x0) alike.  A block of
+``mh_derivative`` is 12 steps of its schedule, x0 + h and x0 - h for
+each, after x0 itself in the first block: 186 of derive-fine's 192
+estimates at seed 7 settle within the first 12 of the 40 steps.  The
+schedule and each block's offsets are slices of one table of halvings
+times h0, and a block's tableau writes its deltas, quotients and
+extrapolants into arrays allocated once per block, so that it costs its
+arithmetic and not copies.  ``continuity_probe`` has one block, x0 in
+row 0 and all its shifts: a probe reads a shift of every trial delta it
+rejects, so its reads usually reach the last rows, and one comparison
+over the (delta, shift) table of distances finds the first delta it
+accepts.  Stacks are internal to this module; every result is one fuzzy
+number, bit for bit the one a point-by-point loop gives.  Errors come in
+that loop's order: when a block's evaluation raises, meets a
+floating-point fault that the caller does not ignore, or (in the probe)
+has an improper row, the block is redone one row at a time through the
+same steps, so the first error a point-by-point loop would meet is
+raised, with its class and message, and a point past where the loop
+stops neither raises nor changes a result.
 """
 
 from __future__ import annotations
@@ -83,29 +87,18 @@ def _points(x0: FuzzyNumber, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x0.lower + o, x0.upper + o
 
 
-def _evaluate_stack(f: Expr, var: str, base: Env, lower: np.ndarray, upper: np.ndarray):
-    """f at every row of a point stack in one evaluation: its envelope stacks,
-    of the points' shape, and whether every row is proper.  A value of that
-    shape is returned as it is; only one that does not read the variable,
-    one row for all, is broadcast."""
-    v = evaluate(f, base.with_binding(var, _fresh(base.grid, lower, upper)))
-    lo, hi = v.lower, v.upper
-    if lo.shape != lower.shape:
-        lo, hi = np.broadcast_to(lo, lower.shape), np.broadcast_to(hi, lower.shape)
-    return lo, hi, v.proper
-
-
-def _evaluate_row(f: Expr, var: str, base: Env, lower: np.ndarray, upper: np.ndarray, i: int) -> FuzzyNumber:
-    """f at row ``i`` of a point stack, evaluated on its own."""
-    return evaluate(f, base.with_binding(var, _fresh(base.grid, lower[i], upper[i])))
+def _at(f: Expr, var: str, base: Env, lower: np.ndarray, upper: np.ndarray) -> FuzzyNumber:
+    """f at one point, or at each row of a (rows, levels) point stack, in
+    one evaluation; the value has the points' shape."""
+    return evaluate(f, base.with_binding(var, _fresh(base.grid, lower, upper)))
 
 
 def _redo(f: Expr, var: str, base: Env, lower: np.ndarray, upper: np.ndarray, tally: dict):
     """f at each row of a point stack in turn, each evaluated on its own and
     counted in ``tally`` as it is."""
-    for i in range(len(lower)):
+    for row in zip(lower, upper):
         tally["rows"] += 1
-        yield _evaluate_row(f, var, base, lower, upper, i)
+        yield _at(f, var, base, *row)
 
 
 def _faults_raise() -> np.errstate:
@@ -200,8 +193,8 @@ def _runs(f: Expr, var: str, base: Env, x0: FuzzyNumber, offsets: np.ndarray, ta
         tally["rows"] += len(rows)
         try:
             with _faults_raise():
-                lo, hi, _ = _evaluate_stack(f, var, base, lower, upper)
-                c = center
+                v = _at(f, var, base, lower, upper)
+                lo, hi, c = v.lower, v.upper, center
                 if c is None:
                     c, lo, hi = (lo[0], hi[0]), lo[1:], hi[1:]
                 q, pattern, ex, gap, step = _tableau(c, lo, hi, h, last)
@@ -307,10 +300,9 @@ def continuity_probe(
     deltas = sorted(trial_deltas, reverse=True)
     if not all(0.0 < d < math.inf for d in deltas):
         raise InvalidArgument(f"trial deltas must be positive and finite, got {deltas!r}")
+    # refused before any evaluation, as binding x0 for f(x0) refuses it point by point
+    _require_proper(x0, what=f"binding for {var!r}")
     base = Env(env.bindings if env is not None else {}, x0.grid)
-    # an improper x0 raises ImproperOperand here, before any evaluation, as
-    # binding it for f(x0) does point by point
-    at_x0 = base.with_binding(var, x0)
     # row 0 is x0 itself, then each shift in the order it is tried.  One
     # stack, no blocks: on derive-fine's probes, which reject every trial
     # delta, the last shift read is shift 48 to 54 of 56
@@ -321,7 +313,8 @@ def continuity_probe(
     try:
         try:
             with _faults_raise():
-                lo, hi, proper = _evaluate_stack(f, var, base, lower, upper)
+                v = _at(f, var, base, lower, upper)
+                lo, hi, proper = v.lower, v.upper, v.proper
                 # each shift's Hausdorff distance from f(x0), the passes in place
                 dev, dev_hi = np.subtract(lo[1:], lo[0]), np.subtract(hi[1:], hi[0])
                 dev = np.maximum(np.abs(dev, out=dev), np.abs(dev_hi, out=dev_hi), out=dev)
@@ -332,13 +325,13 @@ def continuity_probe(
             # the first shift that moves f by eps or more rejects its delta
             accepted = np.flatnonzero(~(dist.reshape(shifts.shape) >= eps).any(axis=1))
             return float(deltas[accepted[0]]) if len(accepted) else None
-        # point by point, each value checked as hausdorff_distance checks it
+        # point by point, f(x0) first (row 0), each value checked as hausdorff_distance checks it
         tally["rows"] += 1
-        f0 = evaluate(f, at_x0)
+        f0 = _at(f, var, base, lower[0], upper[0])
 
         def distance(i: int) -> float:
             tally["rows"] += 1
-            return hausdorff_distance(_evaluate_row(f, var, base, lower, upper, i + 1), f0)
+            return hausdorff_distance(_at(f, var, base, lower[i + 1], upper[i + 1]), f0)
 
         n = len(_PROBE_SHIFTS)
         for i, delta in enumerate(deltas):

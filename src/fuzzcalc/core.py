@@ -39,12 +39,15 @@ Envelopes may also be stacks: (rows, levels) arrays holding one fuzzy
 number per row, which the operations broadcast against plain envelopes.
 Stacks are internal: only :mod:`fuzzcalc.calculus` builds them, with
 ``_fresh``, to evaluate many points at once, and every public result is
-one fuzzy number.  Each row's result equals the one-row result bit for
-bit.  Where an operation decides, it decides per row: ``div`` raises when
-some row's divisor support holds zero, naming the first such row;
-``_nested`` checks each row at its own scale, and a stack is proper only
-if every row is; ``_sign_class`` reads the stack flat, so a stack whose
-rows differ in sign takes ``mul``'s four products.
+one fuzzy number.  The evaluation tape returns every root in its
+bindings' shape: a root that reads no stack is spread to it (``_spread``,
+read-only views of its one row).  Each row's result equals the one-row
+result bit for bit.  Where an operation decides, it decides per row, and
+reads a plain value as one row: ``div`` raises when some row's divisor
+support holds zero, naming the first such row; ``_nested`` checks each
+row at its own scale, and a stack is proper only if every row is;
+``_sign_class`` reads the stack flat, so a stack whose rows differ in
+sign takes ``mul``'s four products.
 
 Each operation's arithmetic is one private kernel (``_add``, ``_mul``, ...,
 and ``_exp``, ``_sin``, ``_cos``: the ranges over each cut that evaluation
@@ -289,6 +292,13 @@ def _fresh(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray, proper: bool =
     return _frozen(_value(grid, lower, upper, proper))
 
 
+def _spread(v: FuzzyNumber, shape: tuple | None) -> FuzzyNumber:
+    """``v`` in ``shape`` (None: its own): itself, or read-only views repeating its one row."""
+    if shape is None or v.lower.shape == shape:
+        return v
+    return _value(v.grid, np.broadcast_to(v.lower, shape), np.broadcast_to(v.upper, shape), v.proper)
+
+
 def _sign_class(v: FuzzyNumber) -> int:
     """+1 when every lower and upper value is > 0, -1 when every one is < 0,
     else 0; read once per value and kept in its ``_sign`` slot.
@@ -494,15 +504,11 @@ def pow_int(a: FuzzyNumber, n: int) -> FuzzyNumber:
 
 
 def _div(a: FuzzyNumber, b: FuzzyNumber, pool: list | None) -> FuzzyNumber:
-    if b.lower.ndim == 1:
-        lo, hi = b.lower[0], b.upper[0]
-    else:
-        # a stack is tested per row: the first row whose support holds zero
-        # (row 0 when none does)
-        k = np.argmax((b.lower[:, 0] <= 0.0) & (0.0 <= b.upper[:, 0]))
-        lo, hi = b.lower[k, 0], b.upper[k, 0]
-    if lo <= 0.0 <= hi:
-        raise DivisorStraddlesZero(f"divisor support [{lo:.6g}, {hi:.6g}] contains zero")
+    # the first row whose support holds zero (row 0 if none), a plain value being one row
+    lo, hi = b.lower[..., 0].reshape(-1), b.upper[..., 0].reshape(-1)
+    k = np.argmax((lo <= 0.0) & (0.0 <= hi))
+    if lo[k] <= 0.0 <= hi[k]:
+        raise DivisorStraddlesZero(f"divisor support [{lo[k]:.6g}, {hi[k]:.6g}] contains zero")
     r1 = np.divide(1.0, b.lower, out=pool.pop() if pool else None)
     r2 = np.divide(1.0, b.upper, out=pool.pop() if pool else None)
     lower = np.minimum(r1, r2, out=pool.pop() if pool else None)

@@ -227,6 +227,12 @@ def test_eval_prints_a_value_too_large_to_scale_to_2dp(capsys):
     assert f"value triplet (2dp): ({1e307:.2f}, {1e307:.2f}, {1e307:.2f})" in out
 
 
+def test_eval_reads_numbers_with_an_exponent(capsys):
+    assert run(["eval", "--expr", "2.5e-3*x", "--bind", "x=T(1e-5,2e-5,3e-5)"]) == 0
+    core = float("2.5e-3") * float("2e-5")
+    assert f"value core: [{core!r}, {core!r}]" in capsys.readouterr().out
+
+
 def test_eval_writes_table(tmp_path, capsys):
     out = tmp_path / "v.csv"
     code = run(["eval", "--expr", "x^2", "--bind", "x=T(1,2,3)",

@@ -128,6 +128,23 @@ def test_parse_refuses_a_crisp_literal_that_is_not_finite():
     assert exc.value.position == 9
 
 
+def test_a_number_may_carry_an_exponent():
+    # read as float reads it, in a literal and in a triplet's components
+    assert parse_expr("T(1e-5,2e-5,3e-5)", GRID) == FuzzyConst(tri(float("1e-5"), float("2e-5"), float("3e-5")))
+    assert parse_expr("2.5e-3*x") == Mul(CrispConst(float("2.5e-3")), Var("x"))
+    assert parse_expr(".5E+2") == CrispConst(50.0)
+    with pytest.raises(ExprSyntaxError, match="too large"):
+        parse_expr("1e400*x")
+    # an 'e' with no digits after it is a name, which no number may touch
+    for text in ("2exp(x)", "2e+x"):
+        with pytest.raises(ExprSyntaxError, match="^unexpected trailing input"):
+            parse_expr(text)
+    # the exponent after '^' is all digits
+    with pytest.raises(ExprSyntaxError, match="^nonnegative integer expected") as exc:
+        parse_expr("x^1e1")
+    assert exc.value.position == 2
+
+
 def test_to_text_round_trips():
     long_sum = " + ".join(f"x{i}" for i in range(600))
     for text in ("x^2 + y^2", "T(1,2,3)*sin(x)", "-x^2", "(x - y)/z", "exp(x)*cos(x)", "x + 2*2.5",
@@ -788,6 +805,22 @@ def test_kept_derivatives_are_neither_pickled_nor_copied():
     assert copy.deepcopy(f) is f and copy.copy(f) is f
 
 
+def test_an_evaluated_node_dies_with_its_last_reference():
+    # its plan is kept in its memo under the family's other roots, so the
+    # node does not hold itself and dies without a collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        e = parse_expr("x*y + 2.0625")
+        evaluate(e, Env({"x": tri(1, 2, 3), "y": tri(0, 1, 2)}))
+        alive = weakref.ref(e)
+        del e
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -- stacks: envelopes with a leading row axis --------------------------------------
 
 POS, NEG, STRADDLE, WIDE = (0.5, 0.8, 1.2), (-2.0, -1.5, -0.7), (-0.5, 0.2, 1.0), (-4.0, 1.0, 7.0)
@@ -839,3 +872,28 @@ def test_stack_of_gh_differences_is_improper_iff_some_row_is():
     assert upper.tobytes() == np.stack([w.upper for w in want]).tobytes()
     assert not proper
     assert stack_and_rows("x - T(0,0.5,2)", [(0, 1, 3), (-1, 1, 4)])[1]
+
+
+def stack_of(values) -> fuzzcalc.core.FuzzyNumber:
+    return _fresh(GRID, np.stack([v.lower for v in values]), np.stack([v.upper for v in values]))
+
+
+# derive-fine's texts, three that read no stack, and a division by it
+@pytest.mark.parametrize("text", ["x^2", "x^3 + 2*x", "sin(x)*exp(x)", "exp(x)/T(1,2,3)",
+                                  "T(1,2,3)", "2", "exp(y)", "1/x"])
+def test_every_root_of_a_stacked_evaluation_has_the_stacks_shape(text):
+    f, y = parse_expr(text), tri(0.1, 0.2, 0.4)
+    xs = [tri(0.5, 0.8, 1.2), tri(0.6, 0.9, 1.1), tri(1.0, 1.3, 1.4)]
+    values = _evaluate((f, Var("y")), {"x": stack_of(xs), "y": y}, GRID)
+    assert [(v.lower.shape, v.upper.shape) for v in values.values()] == [((3, len(GRID)),) * 2] * 2
+    for i, x in enumerate(xs):
+        want = evaluate(f, Env({"x": x, "y": y}))
+        assert values[f].lower[i].tobytes() == want.lower.tobytes()
+        assert values[f].upper[i].tobytes() == want.upper.tobytes()
+    # rows 1 and 2 divide by a support holding zero: row 1 is refused, as alone
+    g, bad = Div(f, Var("x")), [tri(-0.5, 0.2, 1.0), tri(-2, 0.1, 3)]
+    with pytest.raises(DivisorStraddlesZero) as alone:
+        evaluate(g, Env({"x": bad[0], "y": y}))
+    with pytest.raises(DivisorStraddlesZero) as stacked:
+        _evaluate((g,), {"x": stack_of([xs[0], *bad]), "y": y}, GRID)
+    assert str(stacked.value) == str(alone.value) == "divisor support [-0.5, 1] contains zero"

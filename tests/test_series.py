@@ -748,6 +748,13 @@ def test_parse_rule_refuses_numbers_that_are_not_finite():
     assert parse_coeff_rule("1" + "0" * 200 + " / 1" + "0" * 200 + " * n").poly_num == (0.0, 1e200)
 
 
+def test_parse_rule_reads_an_exponent_but_not_after_a_caret():
+    assert parse_coeff_rule("1e3 * n", GRID).poly_num == (0.0, float("1e3"))
+    with pytest.raises(ExprSyntaxError, match="^nonnegative integer expected") as exc:
+        parse_coeff_rule("n^1e1", GRID)
+    assert exc.value.position == 2
+
+
 def test_parse_rule_refuses_a_zero_below_the_line():
     # the rule's denominator would vanish at every n; refused at the literal
     # that zeroes it, be it a zero or a product that underflows

@@ -28,6 +28,10 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   extrapolant is improper;
 * texts with unary minus, and cos: each node's repr and text, and its
   value and derivative;
+* numbers with an exponent (``2.5e-3*x``, ``T(1e-5,2e-5,3e-5)``), through
+  ``parse_expr`` and ``evaluate`` and as an ``eval`` argv, a coefficient
+  rule's literal (``1e3 * n``), and an exponent after '^' (``x^1e1``,
+  ``n^1e1``), which is refused;
 * negation-heavy texts: derivatives 1 to 4 (repr, text and value) at a
   point whose cuts touch zero and at straddling and negative points, Taylor
   series of trig products about T(-1,0,1), whose cuts hold 0, and a solve
@@ -157,6 +161,8 @@ EXTRA_ARGVS = (
     ["series", "--taylor-of", "-exp(x)", "--var", "x", "--center", "T(-1,0,1)", "--order", "10"],
     ["eval", "--expr", "--alphas", "3"],
     ["eval", "--expr", "-h"],
+    # numbers with an exponent, in a literal and in a binding's triplet
+    ["eval", "--expr", "2.5e-3*x", "--bind", "x=T(1e-5,2e-5,3e-5)"],
     # the help texts, which name no default the parser leaves to the handlers
     ["--help"],
     *([command, "--help"] for command in ("eval", "derive", "series", "solve-ivp")),
@@ -230,6 +236,11 @@ ALIAS_POINT = {"x0": (1.4, 1.6, 1.8), "y0": (1.0, 1.2, 1.5), "h": (0.05, 0.1, 0.
 # ivp-wide seeds whose a*y^3 + x overflows to an infinite envelope in its
 # last step
 OVERFLOW_SEEDS = (71, 1007)
+# numbers with an exponent, read as float reads them, evaluated with
+# KERNEL_BINDINGS, and the same after '^', which takes only digits
+EXPONENT_TEXTS = ("T(1e-5,2e-5,3e-5)", "2.5e-3*x", ".5E+2 + x", "1e3*y")
+EXPONENT_RULE = "1e3 * n"
+EXPONENT_REFUSED = ("x^1e1", "n^1e1")
 RULES = ("n / T(4,5,6)^(n-1)", "1/n!", "T(1,2,3)", "2^3*n!/n^2", "3 * n^2 / 2", "n^400")
 # the series whose numeric tests are also run with no index
 DEFAULT_PROBED = ("[T(1,2,3)] * 40", "rule 1/n!", *(f"taylor of {f} at T(-1,0,1), order 10"
@@ -349,6 +360,15 @@ def _library_entries(workloads, fc):
                     "derivative.repr": d, "derivative.to_text": fc.expr.to_text(d),
                     "derivative.value": fc.expr.evaluate(d, env)}
         yield f"unary-minus:{text} with {KERNEL_BINDINGS}", unary
+
+    for text in EXPONENT_TEXTS:
+        yield (f"exponent:{text} with {KERNEL_BINDINGS}",
+               lambda text=text: {"value": fc.expr.evaluate(fc.expr.parse_expr(text, grid), env)})
+    yield (f"exponent:rule {EXPONENT_RULE}",
+           lambda: {"a_3": series.parse_coeff_rule(EXPONENT_RULE, grid).value(3, grid)})
+    yield f"exponent:parse_expr {EXPONENT_REFUSED[0]}", lambda: {"node": fc.expr.parse_expr(EXPONENT_REFUSED[0])}
+    yield (f"exponent:parse_coeff_rule {EXPONENT_REFUSED[1]}",
+           lambda: {"rule": series.parse_coeff_rule(EXPONENT_REFUSED[1])})
 
     signed = fc.expr.Env({v: core.make_triangular(t, grid) for v, t in NEGATION_BINDINGS.items()}, grid)
     for text in NEGATION_TEXTS:
