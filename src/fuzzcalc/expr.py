@@ -33,11 +33,11 @@ bit-exactly: a crisp constant by its float's bits (``0.0`` and ``-0.0`` are
 two nodes), a fuzzy constant by its grid and envelope bytes.  A node is
 immutable, so what is built from it lives in its one memo (``_kept``), keyed
 by builder and arguments, for the node's lifetime: its derivative by each
-variable, the plan of each family whose last root it is, and the Taylor and
-IVP families built from it.  A plan is keyed by the family's other roots,
-not by its own node; a derivative that is or contains the node (d/dx
-``exp(x)``, d/dx ``x*exp(x)``) and the Taylor and IVP families, which start
-with it, do hold it, so they keep it until the cycle collector runs.
+variable, and the plan of each root family built from it (its own
+evaluation, the Taylor coefficients, the IVP step, the partial sums).  A
+plan holds no node, so only a derivative that is or contains the node (d/dx
+``exp(x)``, d/dx ``x*exp(x)``) holds it, and keeps it until the cycle
+collector runs.
 ``evaluate`` handles each distinct node once per call; ``differentiate``
 runs each node's rule once per node and variable.  It returns a DAG in
 which equal subtrees share one derivative, with negation kept outermost:
@@ -518,9 +518,9 @@ _TAPE = {
 }
 
 
-def _plan(last: Expr, others: tuple[Expr, ...]) -> tuple:
-    """How to evaluate a family of roots, ``others`` then ``last``: their
-    union walked once, as a flat tape over a list of slots.
+def _plan(*roots: Expr) -> tuple:
+    """How to evaluate a family of roots: their union walked once, as a flat
+    tape over a list of slots.  The walk checks the roots.
 
     Slots 0 to n - 1 hold the distinct nodes' values in :func:`_walk`
     order, n the grid, n + 1 the bindings, and the rest the constants the
@@ -531,13 +531,12 @@ def _plan(last: Expr, others: tuple[Expr, ...]) -> tuple:
 
     Returned: the tape; the n empty slots and the constants; the roots'
     slots; the first fuzzy constant's grid, else the default grid; and the
-    operations the tape runs, by kind.  The plan knows structure and
-    liveness only, not whose arrays a value holds, so the last root keeps
-    it for the family (see :func:`_kept`), keyed by the other roots, not
-    by itself: a family evaluated at many points (as by ``solve``) is
-    walked once while it lives.
+    operations the tape runs, by kind.  The plan holds slots, kernels,
+    names and constants' values, never a node, so the node it is built
+    from keeps it (see :func:`_kept`) without holding itself: a family
+    evaluated at many points (as by ``solve``) is walked once while that
+    node lives.
     """
-    roots = (*others, last)
     order = _walk(roots)
     n = len(order)
     slot = {node: i for i, node in enumerate(order)}
@@ -567,14 +566,13 @@ def _plan(last: Expr, others: tuple[Expr, ...]) -> tuple:
         ops.update(kinds)
         if isinstance(node, PowInt):  # its n - 1 products, or the 1 of n = 0
             ops.update(mul=max(node.exponent - 1, 0), singleton=int(node.exponent == 0))
-    start = ((None,) * n, tuple(consts))
-    return (tuple(tape), start, tuple(slot[r] for r in roots), const_grid, ops)
+    return (tuple(tape), ((None,) * n, tuple(consts)), tuple(slot[r] for r in roots), const_grid, ops)
 
 
 def _kept(build, node: Expr, *args):
     """``build(node, *args)``, built once per node, builder and arguments and
-    kept in the node's one memo for the node's lifetime: its derivatives, its
-    families' plans, and the Taylor and IVP root families built from it."""
+    kept in the node's one memo for the node's lifetime: its derivatives,
+    and the plan of each root family built from it, one entry a family."""
     memo = node._kept
     key = (build, *args)
     value = memo.get(key)
@@ -593,16 +591,16 @@ def evaluate(e: Expr, env: Env | None = None) -> FuzzyNumber:
     its value is dropped after its last use.
     """
     env = env if env is not None else Env()
-    return _evaluate((e,), env.bindings, env.grid)[e]
+    _nodes((e,))
+    return _evaluate(_kept(_plan, e), env.bindings, env.grid)[0]
 
 
-def _evaluate(roots: tuple[Expr, ...], bindings: dict, grid: AlphaGrid | None,
-              pool: list | None = None) -> dict[Expr, FuzzyNumber]:
-    """The value of each root, by root, from one sweep of the family's tape
-    (see :func:`evaluate` and :func:`_plan`; ``grid`` is the environment's).
-    Every node runs the kernel of the op a loop of ``evaluate`` over the
-    roots would run, on the same inputs, and the first error raised is that
-    loop's first.
+def _evaluate(plan: tuple, bindings: dict, grid: AlphaGrid | None, pool: list | None = None) -> tuple:
+    """The value of each root of ``plan``'s family, in root order, from one
+    sweep of its tape (see :func:`evaluate` and :func:`_plan`; ``grid`` is
+    the environment's).  Every node runs the kernel of the op a loop of
+    ``evaluate`` over the roots would run, on the same inputs, and the
+    first error raised is that loop's first.
 
     The kernels run no guards, nor does the sweep on ``bindings``: their
     caller checked them (``Env`` does for user input; ``solve`` and
@@ -616,7 +614,7 @@ def _evaluate(roots: tuple[Expr, ...], bindings: dict, grid: AlphaGrid | None,
     goes to ``_release``, which keeps the sealed ones out.  Every root
     leaves sealed, pooled or not, and in the shape of a (rows, levels)
     stack bound here, if any: a root that reads none is spread to it."""
-    tape, (empty, consts), root_slots, const_grid, ops = _kept(_plan, roots[-1], _nodes(roots)[:-1])
+    tape, (empty, consts), root_slots, const_grid, ops = plan
     grid = grid if grid is not None else const_grid
     values = [*empty, grid, bindings, *consts]
     for kernel, i, a, b, check, done in tape:
@@ -640,7 +638,7 @@ def _evaluate(roots: tuple[Expr, ...], bindings: dict, grid: AlphaGrid | None,
         cells = math.prod(shape) if shape else len(grid)
         _counters.counts.update(ops)
         _counters.counts.update({kind + ".cells": n * cells for kind, n in ops.items()})
-    return {root: _spread(_frozen(values[i]), shape) for root, i in zip(roots, root_slots)}
+    return tuple(_spread(_frozen(values[i]), shape) for i in root_slots)
 
 
 # -- symbolic differentiation ----------------------------------------------------

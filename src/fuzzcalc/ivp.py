@@ -14,8 +14,8 @@ sets the cap.  A step is one evaluation of a root family on the expression
 tape: x (+) h, y_next (the sum taken left to right, h^k bound as hk, a name
 F cannot read) and its last term, whose magnitude the solution reports.
 The powers h^k are a family of their own, evaluated once per solve.  The
-right-hand side's node keeps its tower and both families, for each order,
-so a second solve of the same F builds and plans nothing.
+right-hand side's node keeps both plans, for each order, so a second solve
+of the same F builds and plans nothing; a plan holds no node, F included.
 
 Each solve owns one buffer pool (see :mod:`fuzzcalc.core`), a list of
 envelope arrays that lives for one call: the tape's kernels write into its
@@ -36,7 +36,8 @@ from itertools import accumulate
 
 from .core import FuzzyNumber, _count, _require_proper, _require_same_grid
 from .errors import FuzzyError, InvalidArgument
-from .expr import Add, Expr, Mul, Scale, Var, _evaluate, _fadd, _fmul, _kept, differentiate, free_variables
+from .expr import (Add, Expr, Mul, Scale, Var, _evaluate, _fadd, _fmul, _kept, _nodes, _plan, differentiate,
+                   free_variables)
 
 # The most steps a problem takes: the solution keeps every (x, y) pair of its
 # trajectory, four envelopes of 8 bytes per level each, so the bound keeps a
@@ -87,43 +88,43 @@ class IvpSolution:
 
 def total_derivatives(rhs: Expr, order: int) -> list[Expr]:
     """[D_1, ..., D_order] with D_1 = F and D_(k+1) = dD_k/dx + dD_k/dy * F,
-    differentiated once per node and variable, for the node's lifetime;
-    ``rhs`` keeps its tower of each order, so each D_k is built once."""
-    return list(_kept(_step, rhs, _count(order, "truncation order", 1, MAX_ORDER))[0])
-
-
-def _step(rhs: Expr, order: int) -> tuple:
-    """The tower D_1 ... D_order and the step's root families: the powers
-    h, h*h, (h*h)*h, ..., and x + h, y + sum_k (1/k!) (hk D_k), its last term."""
-    tower = [rhs]
+    built on each call from the derivatives each node keeps (each rule runs
+    once per node and variable, for the node's lifetime); the tower itself
+    is not kept."""
+    order = _count(order, "truncation order", 1, MAX_ORDER)
+    tower = list(_nodes((rhs,)))
     while len(tower) < order:
         current = tower[-1]
         tower.append(_fadd(differentiate(current, "x"), _fmul(differentiate(current, "y"), rhs)))
+    return tower
+
+
+def _step(rhs: Expr, order: int) -> tuple:
+    """The plans of the step's two root families: the powers h, h*h,
+    (h*h)*h, ..., and x + h, y + sum_k (1/k!) (hk D_k), its last term."""
     powers, y_next = tuple(accumulate([Var("h1")] * order, Mul)), Var("y")
-    for k, dk in enumerate(tower, start=1):
+    for k, dk in enumerate(total_derivatives(rhs, order), start=1):
         term = Scale(Mul(Var(f"h{k}"), dk), 1.0 / math.factorial(k))
         y_next = Add(y_next, term)
-    return tuple(tower), powers, (Add(Var("x"), powers[0]), y_next, term)
+    return _plan(*powers), _plan(Add(Var("x"), powers[0]), y_next, term)
 
 
 def solve(problem: IvpProblem) -> IvpSolution:
     """Iterate the Taylor step; deterministic, no step-size control."""
     grid = problem.h.grid
-    _, powers, step = _kept(_step, problem.rhs, problem.order)
-    values = _evaluate(powers, {"h1": problem.h}, grid)
-    h_pows = {f"h{k}": values[p] for k, p in enumerate(powers, start=1)}
+    powers, step = _kept(_step, problem.rhs, problem.order)
+    h_pows = {f"h{k}": v for k, v in enumerate(_evaluate(powers, {"h1": problem.h}, grid), start=1)}
     pool: list = []
     x, y = problem.x0, problem.y0
     trajectory = [(x, y)]
     magnitudes = []
     for i in range(problem.steps):
         try:
-            values = _evaluate(step, {"x": x, "y": y, **h_pows}, grid, pool)
+            x, y, term = _evaluate(step, {"x": x, "y": y, **h_pows}, grid, pool)
         except FuzzyError as exc:
             if exc.args:
                 exc.args = (f"step {i + 1}: {exc.args[0]}",) + exc.args[1:]
             raise
-        x, y, term = (values[root] for root in step)
         trajectory.append((x, y))
         # the largest |endpoint| as lower <= upper; abs clears a -0.0's or NaN's sign
         magnitudes.append(abs(max(float(term.upper.max()), -float(term.lower.min()))))

@@ -29,6 +29,7 @@ probed value, decay by a factor <= 0.75 per doubling declares 0, growth by
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -52,7 +53,7 @@ from .core import (
     singleton,
 )
 from .errors import DivisorStraddlesZero, ExprSyntaxError, InvalidArgument, NoLimit, NotSimplifiable
-from .expr import Add, Env, Expr, GhSub, Mul, Scale, Var, _evaluate, _kept, _Parser, differentiate
+from .expr import Add, Env, Expr, GhSub, Mul, Scale, Var, _evaluate, _kept, _Parser, _plan, differentiate
 
 _AGREE_RTOL = 1e-6
 _DECAY_FACTOR = 0.75
@@ -62,7 +63,7 @@ _TINY = 1e-300
 # a float holds, so 1 / k! is a float for every coefficient it scales.
 MAX_ORDER = 170
 # The most terms ``partial_sum`` takes: a sum of n terms runs 2n - 3 products,
-# and its family of 3n - 2 nodes and their plan are kept for each n given, so
+# and the plan of its family of 3n - 2 nodes is kept for each n given, so
 # the bound bounds both; it is above the 171 coefficients of order MAX_ORDER.
 MAX_TERMS = 256
 # The largest index ``CoefficientRule.value`` takes: past the float range a_n
@@ -167,29 +168,30 @@ _OFFSET = GhSub(Var("point"), Var("center"))
 _D = Var("d")
 
 
-def _terms(d: Expr, n_terms: int) -> tuple[Expr]:
-    """a0 + a1*d + a2*(d*d) + ..., n_terms terms summed left to right."""
+def _terms(d: Expr, n_terms: int) -> tuple:
+    """The plan of a0 + a1*d + a2*(d*d) + ..., n_terms terms summed left to right."""
     total = Var("a0")
     for k, power in enumerate(accumulate([d] * (n_terms - 1), Mul), start=1):
-        total = Add(total, Mul(Var(f"a{k}"), power))
-    return (total,)
+        # one name object per k for every count's plan, which holds the names
+        total = Add(total, Mul(Var(sys.intern(f"a{k}")), power))
+    return _plan(total)
 
 
 def partial_sum(s: FuzzyPowerSeries, x: FuzzyNumber, n_terms: int) -> FuzzyNumber:
     """Sum of the first ``n_terms`` terms a_k * (x gH- center)^k, at most
     ``MAX_TERMS``.  Only ``x`` is checked: the series checked the rest when
     built.  What it keeps is ``_D``'s memo, for the life of the process:
-    the family of each distinct ``n_terms``, whose last root keeps its plan.
-    The counts 1 to n together take about 380 * n^2 bytes (397 KB to 32 and
-    24.7 MB to ``MAX_TERMS`` on CPython 3.11), which is accepted."""
+    the plan of each distinct ``n_terms``'s family, whose nodes are freed.
+    The counts 1 to n together take about 320 * n^2 bytes at 32, rising to
+    370 * n^2 at ``MAX_TERMS`` (321 KB and 24.2 MB on CPython 3.11), which
+    is accepted."""
     n_terms = _count(n_terms, "number of terms", 1, MAX_TERMS)
     _require_proper(x)
     _require_same_grid(s.center.grid, x)
-    diff = _evaluate((_OFFSET,), {"point": x, "center": s.center}, x.grid)[_OFFSET]
+    (diff,) = _evaluate(_kept(_plan, _OFFSET), {"point": x, "center": s.center}, x.grid)
     _require_proper(diff, what="x gH- center")
-    (total,) = _kept(_terms, _D, n_terms)
     coeffs = {f"a{k}": s.coefficient(k) for k in range(n_terms)}
-    return _evaluate((total,), {**coeffs, "d": diff}, x.grid)[total]
+    return _evaluate(_kept(_terms, _D, n_terms), {**coeffs, "d": diff}, x.grid)[0]
 
 
 # -- limit declaration -----------------------------------------------------------
@@ -374,24 +376,22 @@ def taylor_series_of(
 ) -> FuzzyPowerSeries:
     """Series with coefficients f^(k)(x0) / k! for k = 0..order, centered at
     x0; derivatives are symbolic, evaluation is level-wise.  The scaled
-    members f^(k) / k! are one root family, which ``f`` keeps for each
+    members f^(k) / k! are one root family, whose plan ``f`` keeps for each
     variable and order, so a repeated call builds and plans nothing; it is
     evaluated in one walk over its nodes, and each member, which may be an
     improper gH-difference, is checked as scaled.  ``order`` is at most
     ``MAX_ORDER``."""
     order = _count(order, "order", 0, MAX_ORDER)
     at_x0 = Env(env.bindings if env is not None else {}, x0.grid).with_binding(var, x0)
-    family = _kept(_coefficients, f, var, order)
-    values = _evaluate(family, at_x0.bindings, at_x0.grid)
-    return FuzzyPowerSeries(x0, [values[c] for c in family])
+    return FuzzyPowerSeries(x0, _evaluate(_kept(_coefficients, f, var, order), at_x0.bindings, at_x0.grid))
 
 
-def _coefficients(f: Expr, var: str, order: int) -> tuple[Expr, ...]:
-    """f, f', ..., f^(order) by ``var``, each scaled by 1/k!."""
+def _coefficients(f: Expr, var: str, order: int) -> tuple:
+    """The plan of f, f', ..., f^(order) by ``var``, each scaled by 1/k!."""
     tower = [f]
     for _ in range(order):
         tower.append(differentiate(tower[-1], var))
-    return tuple(Scale(g, 1.0 / math.factorial(k)) for k, g in enumerate(tower))
+    return _plan(*(Scale(g, 1.0 / math.factorial(k)) for k, g in enumerate(tower)))
 
 
 # -- coefficient-rule text format ---------------------------------------------------

@@ -52,6 +52,26 @@ def distinct_nodes():
 
 
 @pytest.fixture
+def families():
+    """``families(build, *args)``: the roots of each family ``build(*args)``
+    plans, in order.  ``build`` is a builder of a node's memo (``_step``,
+    ``_coefficients``, ``_terms``), run here directly, so it plans its
+    families whatever the memo holds; its module's ``_plan`` is wrapped for
+    the call."""
+
+    def run(build, *args) -> list[tuple]:
+        planned = []
+        module = sys.modules[build.__module__]
+        real = module._plan
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "_plan", lambda *roots: planned.append(roots) or real(*roots))
+            build(*args)
+        return planned
+
+    return run
+
+
+@pytest.fixture
 def same_bytes():
     """``same_bytes(a, b)``: the two fuzzy numbers agree bit for bit."""
 

@@ -55,13 +55,14 @@ from fuzzcalc.expr import (
     Sin,
     Var,
     _evaluate,
+    _plan,
     differentiate,
     evaluate,
     free_variables,
     parse_expr,
     to_text,
 )
-from fuzzcalc.ivp import IvpProblem, solve
+from fuzzcalc.ivp import IvpProblem, solve, total_derivatives
 from fuzzcalc.series import taylor_series_of
 
 GRID = AlphaGrid.uniform()
@@ -226,7 +227,7 @@ def test_deep_nodes_pickle_flat_and_unpickle_as_the_interned_node():
     assert pickle.loads(pickle.dumps([cube, mixed])) == [cube, mixed]
 
 
-def test_the_scale_node_renders_pickles_and_differentiates():
+def test_the_scale_node_renders_pickles_and_differentiates(families):
     # the node of unary minus, and the one the step and the Taylor
     # coefficients scale their terms with: rendered as a product by its
     # factor, or as unary minus for -1, keyed by the factor's bits
@@ -235,10 +236,9 @@ def test_the_scale_node_renders_pickles_and_differentiates():
     assert Scale(Var("x"), 0.0) is not Scale(Var("x"), -0.0)
     assert repr(Scale(Var("x"), -1.0)) == "Scale(-x)" and parse_expr("-x") is Scale(Var("x"), -1.0)
     assert differentiate(Scale(Var("x"), 0.5), "x") is CrispConst(0.5)
-    # a root of a kept family: the solve's last term, a scaled product
+    # a root of a planned family: the solve's last term, a scaled product
     p = IvpProblem(parse_expr("x*y + 0.6875"), tri(0, 0.1, 0.2), tri(1, 1.1, 1.2), tri(0.01, 0.02, 0.03), order=2)
-    solve(p)
-    _, _, (_, y_next, last) = fuzzcalc.ivp._kept(fuzzcalc.ivp._step, p.rhs, p.order)
+    _, (_, y_next, last) = families(fuzzcalc.ivp._step, p.rhs, p.order)
     assert repr(last) == "Scale(0.5*(h2*(y + x*(x*y + 0.6875))))"
     assert repr(y_next) == "Add(y + 1*(h1*(x*y + 0.6875)) + 0.5*(h2*(y + x*(x*y + 0.6875))))"
     for root in (last, y_next):
@@ -280,9 +280,9 @@ def test_nodes_refuse_a_child_that_is_not_a_node_when_built():
         for root in ([1], 2.0, "x"):
             with pytest.raises(TypeError, match="not an expression node"):
                 walk(root)
-    # a family names its first root that is not a node before it looks up its plan
+    # a family's plan names its first root that is not a node
     with pytest.raises(TypeError, match=r"^not an expression node: \[1\]$"):
-        _evaluate((Var("x"), [1], 2.0), {}, None)
+        _plan(Var("x"), [1], 2.0)
     # and a class outside the twelve cannot be built, so a walk meets none
     class Twice(Scale):
         pass
@@ -459,13 +459,14 @@ def test_family_walks_its_union_once_and_keeps_every_root(distinct_nodes, same_b
     loop = [evaluate(root, env) for root in family]
     assert not loop[3].proper
     with counting() as counts:
-        values = _evaluate(family, env.bindings, env.grid)
+        values = _evaluate(_plan(*family), env.bindings, env.grid)
     assert counts["nodes"] == len(distinct_nodes(*family))
-    assert all(same_bytes(values[root], w) for root, w in zip(family, loop))
-    # another family that ends in the same root gets its own plan
-    values = _evaluate((CrispConst(2.0), u), env.bindings, env.grid)
-    assert same_bytes(values[CrispConst(2.0)], singleton(2.0, GRID))
-    assert same_bytes(values[u], loop[0])
+    assert len(values) == len(family)
+    assert all(same_bytes(v, w) for v, w in zip(values, loop))
+    # the same root in another family, in another place
+    two, again = _evaluate(_plan(CrispConst(2.0), u), env.bindings, env.grid)
+    assert same_bytes(two, singleton(2.0, GRID))
+    assert same_bytes(again, loop[0])
 
 
 # the messages of the parent's guards: an operation's, and exp, sin and cos's
@@ -510,12 +511,12 @@ def test_a_warm_evaluation_calls_no_guard(count_calls, same_bytes):
     # in for the ops' guards
     text = "exp(x)*sin(x)/(2 + x^2) - cos(-x)*T(1,2,3) + (x - T(0,0.1,0.2))^3"
     env = Env({"x": tri(0.2, 0.4, 0.5)})
-    roots = (parse_expr(text), parse_expr("x^0"))
-    first = _evaluate(roots, env.bindings, env.grid)
+    plan = _plan(parse_expr(text), parse_expr("x^0"))
+    first = _evaluate(plan, env.bindings, env.grid)
     proper, same_grid = (count_calls(fuzzcalc.core, name) for name in ("_require_proper", "_require_same_grid"))
-    again = _evaluate(roots, env.bindings, env.grid)
+    again = _evaluate(plan, env.bindings, env.grid)
     assert (proper[0], same_grid[0]) == (0, 0)
-    assert all(same_bytes(first[r], again[r]) for r in roots)
+    assert len(first) == 2 and all(same_bytes(a, b) for a, b in zip(first, again))
 
 
 def test_only_the_values_that_leave_are_read_only():
@@ -526,7 +527,7 @@ def test_only_the_values_that_leave_are_read_only():
     assert fuzzcalc.core._add(env.bindings["x"], env.bindings["x"], None).lower.flags.writeable
     roots = (parse_expr("sin(x)*exp(x)"), parse_expr("x"), parse_expr("2"), parse_expr("(x*x)^1"))
     for pool in (None, []):
-        values = [*_evaluate(roots, env.bindings, env.grid, pool).values(), evaluate(parse_expr("x - 2*x"), env)]
+        values = [*_evaluate(_plan(*roots), env.bindings, env.grid, pool), evaluate(parse_expr("x - 2*x"), env)]
         assert len(values) == 5
         for v in values:
             assert not (v.lower.flags.writeable or v.upper.flags.writeable)
@@ -543,7 +544,7 @@ def test_family_raises_the_first_error_of_the_per_root_loop():
         with pytest.raises(FuzzyError) as loop:
             [evaluate(root, env) for root in family]
         with pytest.raises(FuzzyError) as walk:
-            _evaluate(family, env.bindings, env.grid)
+            _evaluate(_plan(*family), env.bindings, env.grid)
         assert type(loop.value) is first
         assert type(walk.value) is first
         assert str(walk.value) == str(loop.value)
@@ -741,9 +742,10 @@ def test_repeated_derivative_work_is_bounded_by_distinct_nodes(distinct_nodes):
 
 
 def test_dropped_derivative_leaves_the_intern_table_in_one_collection():
-    # each cached plan makes the last root of its family a reference cycle
-    # that holds the other roots; were nodes interned under keys holding
-    # their children, one collection would free only the top layer of the DAG
+    # a derivative that contains its node (exp(x) is its own) makes that node
+    # a reference cycle that holds the DAG under it; were nodes interned under
+    # keys holding their children, one collection would free only the top
+    # layer of the DAG
     gc.collect()
     before = len(fuzzcalc.expr._NODES)
     node = parse_expr("sin(x)*exp(x)")
@@ -766,14 +768,18 @@ def test_dropped_derivative_leaves_the_intern_table_in_one_collection():
 
 def test_a_node_keeps_its_derivatives_only_while_it_lives():
     # the tower of a series hangs off f, so dropping f and the series frees
-    # it in one collection; CrispConst(0.0), every constant's derivative, is
-    # held, so that a constant some other live tree holds cannot keep a new one
+    # it in one collection (exp(u) is its own derivative); CrispConst(0.0),
+    # every constant's derivative, is held, so that a constant some other
+    # live tree holds cannot keep a new one
     zero = CrispConst(0.0)
     gc.collect()
     before = len(fuzzcalc.expr._NODES)
     f = parse_expr("sin(u)*exp(u) + T(1,2,5)*u^3")
     s = taylor_series_of(f, "u", tri(0.1, 0.2, 0.3), 8)
-    assert len(fuzzcalc.expr._NODES) > before + 50
+    # what stays is what the derivatives kept: the 45 new distinct nodes of
+    # f, f', ..., f^(8), and d/du u = 1 and d/du cos(u) = -sin(u), which the
+    # tower folds away; the scaled coefficients' family is a plan, no node
+    assert len(fuzzcalc.expr._NODES) == before + 47
     alive = weakref.ref(f)
     del f, s
     gc.collect()
@@ -806,8 +812,8 @@ def test_kept_derivatives_are_neither_pickled_nor_copied():
 
 
 def test_an_evaluated_node_dies_with_its_last_reference():
-    # its plan is kept in its memo under the family's other roots, so the
-    # node does not hold itself and dies without a collection
+    # its plan is kept in its memo and holds no node, so the node does not
+    # hold itself and dies without a collection
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -815,6 +821,40 @@ def test_an_evaluated_node_dies_with_its_last_reference():
         evaluate(e, Env({"x": tri(1, 2, 3), "y": tri(0, 1, 2)}))
         alive = weakref.ref(e)
         del e
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_node_that_keeps_only_plans_dies_at_del():
+    # a family's plan holds no node, so with the collector off a right-hand
+    # side is freed after solve and after total_derivatives, and an f whose
+    # derivatives do not contain it after taylor_series_of; a derivative
+    # that is its node (d/dx exp(x + c) is exp(x + c)) keeps it until a
+    # collection, the one path left open
+    grid = AlphaGrid.uniform(11)
+    point, step = tri(0.1, 0.2, 0.3, grid), tri(0.01, 0.02, 0.03, grid)
+    uses = {
+        "x*y + 0.5390625": lambda rhs: solve(IvpProblem(rhs, point, point, step, order=3, steps=2)),
+        "x*y + 0.5546875": lambda rhs: total_derivatives(rhs, 3),
+        "x^2*y + 0.5703125": lambda f: taylor_series_of(f, "x", point, 4, Env({"y": point})),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text, use in uses.items():
+            node = parse_expr(text, grid)
+            use(node)
+            alive = weakref.ref(node)
+            del node
+            assert alive() is None, text
+        node = parse_expr("exp(x + 0.5859375)")
+        assert differentiate(node, "x") is node
+        alive = weakref.ref(node)
+        del node
+        assert alive() is not None
+        gc.collect()
         assert alive() is None
     finally:
         if enabled:
@@ -884,16 +924,16 @@ def stack_of(values) -> fuzzcalc.core.FuzzyNumber:
 def test_every_root_of_a_stacked_evaluation_has_the_stacks_shape(text):
     f, y = parse_expr(text), tri(0.1, 0.2, 0.4)
     xs = [tri(0.5, 0.8, 1.2), tri(0.6, 0.9, 1.1), tri(1.0, 1.3, 1.4)]
-    values = _evaluate((f, Var("y")), {"x": stack_of(xs), "y": y}, GRID)
-    assert [(v.lower.shape, v.upper.shape) for v in values.values()] == [((3, len(GRID)),) * 2] * 2
+    values = _evaluate(_plan(f, Var("y")), {"x": stack_of(xs), "y": y}, GRID)
+    assert [(v.lower.shape, v.upper.shape) for v in values] == [((3, len(GRID)),) * 2] * 2
     for i, x in enumerate(xs):
         want = evaluate(f, Env({"x": x, "y": y}))
-        assert values[f].lower[i].tobytes() == want.lower.tobytes()
-        assert values[f].upper[i].tobytes() == want.upper.tobytes()
+        assert values[0].lower[i].tobytes() == want.lower.tobytes()
+        assert values[0].upper[i].tobytes() == want.upper.tobytes()
     # rows 1 and 2 divide by a support holding zero: row 1 is refused, as alone
     g, bad = Div(f, Var("x")), [tri(-0.5, 0.2, 1.0), tri(-2, 0.1, 3)]
     with pytest.raises(DivisorStraddlesZero) as alone:
         evaluate(g, Env({"x": bad[0], "y": y}))
     with pytest.raises(DivisorStraddlesZero) as stacked:
-        _evaluate((g,), {"x": stack_of([xs[0], *bad]), "y": y}, GRID)
+        _evaluate(_plan(g), {"x": stack_of([xs[0], *bad]), "y": y}, GRID)
     assert str(stacked.value) == str(alone.value) == "divisor support [-0.5, 1] contains zero"

@@ -24,7 +24,7 @@ from fuzzcalc.core import (
     singleton,
 )
 from fuzzcalc.errors import GridMismatch, ImproperOperand, InvalidArgument
-from fuzzcalc.expr import CrispConst, Env, Var, _evaluate, evaluate, parse_expr
+from fuzzcalc.expr import CrispConst, Env, Var, _evaluate, _plan, evaluate, parse_expr
 from fuzzcalc.ivp import IvpProblem, solve, total_derivatives
 
 GRID = AlphaGrid.uniform()
@@ -132,20 +132,15 @@ def test_tower_in_one_walk_matches_the_per_root_loop(form, same_bytes):
     env = Env({"x": p.x0, "y": p.y0})
     derivs = total_derivatives(p.rhs, p.order)
     loop = [evaluate(dk, env) for dk in derivs]
-    family = _evaluate(tuple(derivs), env.bindings, env.grid)
-    assert all(same_bytes(family[dk], w) for dk, w in zip(derivs, loop))
+    family = _evaluate(_plan(*derivs), env.bindings, env.grid)
+    assert len(family) == p.order and all(same_bytes(v, w) for v, w in zip(family, loop))
     got = solve(p)
     expect, magnitudes = _reference_solve(p)
     assert all(same_bytes(a, b) for pair, ref in zip(got.trajectory, expect) for a, b in zip(pair, ref))
     assert got.truncation_magnitudes == tuple(magnitudes)
 
 
-def _families(p: IvpProblem) -> tuple:
-    """The powers family and the step family ``solve`` keeps for ``p``."""
-    return fuzzcalc.ivp._kept(fuzzcalc.ivp._step, p.rhs, p.order)[1:]
-
-
-def test_solve_runs_each_tower_node_once_per_step(distinct_nodes):
+def test_solve_runs_each_tower_node_once_per_step(distinct_nodes, families):
     # the powers h to h^4 once, then in each step the tower's 32 distinct
     # nodes and the step's 17 around them (h1 to h4, and x + h1 and the four
     # products, scalings and sums); a loop of evaluate per D_k runs 112 node
@@ -153,12 +148,12 @@ def test_solve_runs_each_tower_node_once_per_step(distinct_nodes):
     p = worked_problem(order=4, steps=2)
     with counting() as counts:
         solve(p)
-    powers, step = _families(p)
+    powers, step = families(fuzzcalc.ivp._step, p.rhs, p.order)
     assert len(distinct_nodes(*total_derivatives(p.rhs, p.order))) == 32
     assert counts["nodes"] == len(distinct_nodes(*powers)) + p.steps * len(distinct_nodes(*step)) == 4 + 2 * 49
 
 
-def test_solve_plans_its_tower_once_and_forms_step_powers_once(monkeypatch):
+def test_solve_plans_its_tower_once_and_forms_step_powers_once(monkeypatch, families):
     # a constant no other test uses, so no plan for this step family is cached yet
     p = worked_problem(rhs=parse_expr("x^2 + y^2 + 0.4375"), order=4, steps=3)
     walked, evaluated = [], []
@@ -168,16 +163,20 @@ def test_solve_plans_its_tower_once_and_forms_step_powers_once(monkeypatch):
         walked.append(roots)
         return real_walk(roots, *rest)
 
-    def evaluate(roots, *rest):
-        evaluated.append(roots)
-        return real_evaluate(roots, *rest)
+    def evaluate(plan, *rest):
+        evaluated.append(plan)
+        return real_evaluate(plan, *rest)
 
     monkeypatch.setattr(fuzzcalc.expr, "_walk", walk)
     monkeypatch.setattr(fuzzcalc.ivp, "_evaluate", evaluate)
     solve(p)
-    powers, step = _families(p)
-    assert walked.count(step) == 1
+    # the recorded walks hold the solve's roots, so the roots built again
+    # here are those interned nodes
+    in_solve = list(walked)
+    power_roots, step_roots = families(fuzzcalc.ivp._step, p.rhs, p.order)
+    assert in_solve.count(power_roots) == in_solve.count(step_roots) == 1
     # h, h^2, h^3, h^4 in one evaluation, then the step's family once a step
+    powers, step = fuzzcalc.ivp._kept(fuzzcalc.ivp._step, p.rhs, p.order)
     assert evaluated == [powers] + [step] * p.steps
 
 

@@ -37,7 +37,7 @@ from fuzzcalc.errors import (
     NoLimit,
     NotSimplifiable,
 )
-from fuzzcalc.expr import Env, _evaluate, differentiate, evaluate, parse_expr
+from fuzzcalc.expr import Env, _evaluate, _plan, differentiate, evaluate, parse_expr
 from fuzzcalc.series import (
     MAX_INDEX,
     CoefficientRule,
@@ -146,10 +146,10 @@ def test_a_warm_partial_sum_calls_no_guard(count_calls, same_bytes):
         partial_sum(s, tri(0.05, 0.2, 0.4), 3)
 
 
-# partial_sum's docstring: the counts 1 to n together keep about 380 * n^2
-# bytes; "about" is this slack over it (CPython 3.11 measures 397 KB for
-# n = 32 from a fresh interpreter, 1.02 times 380 * 32^2)
-RETAINED_PER_SQUARED_COUNT, RETAINED_SLACK = 380, 1.05
+# partial_sum's docstring: the counts 1 to 32 together keep about 320 * n^2
+# bytes; "about" is this slack over it (CPython 3.11 measures 321 KB for
+# n = 32 from a fresh interpreter, 0.98 times 320 * 32^2)
+RETAINED_PER_SQUARED_COUNT, RETAINED_SLACK = 320, 1.05
 
 _RETAINED_PROBE = """
 import gc, tracemalloc
@@ -586,10 +586,11 @@ def test_taylor_tower_in_one_walk_matches_the_per_root_loop(text, order, same_by
         x0 = tri(*centre, grid)
         env = Env({"x": x0})
         loop = [evaluate(g, env) for g in tower]
-        family = _evaluate(tuple(tower), env.bindings, env.grid)
+        family = _evaluate(_plan(*tower), env.bindings, env.grid)
         s = taylor_series_of(f, "x", x0, order)
-        for k, (g, w, c) in enumerate(zip(tower, loop, s.coeffs)):
-            assert same_bytes(family[g], w)
+        assert len(family) == len(s.coeffs) == order + 1
+        for k, (v, w, c) in enumerate(zip(family, loop, s.coeffs)):
+            assert same_bytes(v, w)
             assert same_bytes(c, scalar_mul(1.0 / math.factorial(k), w))
         at = tri(*point, grid)
         assert same_bytes(partial_sum(s, at, order + 1), _reference_partial_sum(s, at, order + 1))
@@ -614,7 +615,7 @@ def test_an_improper_tower_member_raises_the_operand_error(count_calls):
     ids=["sin(x)*exp(x)", "exp(sin(x))"],
 )
 def test_taylor_tower_runs_each_distinct_node_once(
-    text, order, evaluated, differentiated, count_calls, distinct_nodes, monkeypatch
+    text, order, evaluated, differentiated, count_calls, distinct_nodes, monkeypatch, families
 ):
     # each node keeps its derivative by x while it lives: building the tower
     # runs each distinct node's rule once, and a series of the same f builds
@@ -639,11 +640,11 @@ def test_taylor_tower_runs_each_distinct_node_once(
         for centre in ((0.1, 0.2, 0.3), (-0.9, -0.7, -0.6)):
             taylor_series_of(f, "x", tri(*centre, grid), order)
     assert rules[0] == differentiated
-    # the first call builds the family of the scaled members, which f keeps,
-    # and plans its walk; the second reuses both
-    family = fuzzcalc.series._kept(fuzzcalc.series._coefficients, f, "x", order)
-    assert len(distinct_nodes(*family)) == evaluated + order + 1
+    # the first call builds the family of the scaled members and plans its
+    # walk, and f keeps the plan; the second reuses it
     assert walked == [0] * order + [evaluated + order + 1]
+    (family,) = families(fuzzcalc.series._coefficients, f, "x", order)
+    assert len(distinct_nodes(*family)) == evaluated + order + 1
     assert counts["nodes"] == 2 * len(distinct_nodes(*family))
 
 

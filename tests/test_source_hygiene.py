@@ -7,17 +7,22 @@ node class; only core's ``_count`` tests a count for integrality and
 names one that is not an integer; only core's two value guards raise
 ``ImproperOperand`` and ``GridMismatch``; and only ``Expr.__new__`` writes
 a node's ``__dict__`` and only ``expr._kept`` stores into a node's memo;
+a root family's plan holds no node, so only derivatives keep nodes alive;
 and a derivative rule builds arithmetic nodes only through the folding
 builders."""
 
 import ast
+import gc
 import pathlib
+import types
 from collections import Counter
 
 import pytest
 
 import fuzzcalc
 import fuzzcalc.expr
+import fuzzcalc.ivp
+import fuzzcalc.series
 
 PACKAGE = pathlib.Path(fuzzcalc.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -308,6 +313,65 @@ def test_a_node_holds_its_fields_its_children_and_one_memo():
     nodes = fuzzcalc.expr._walk(tuple(fuzzcalc.expr._NODES.values()))
     assert {type(node) for node in nodes} == set(fuzzcalc.expr._TAPE)
     assert all(set(vars(node)) == {*node.__dataclass_fields__, "_kids", "_kept"} for node in nodes)
+
+
+# what a holding check does not enter: a function's globals, a class's
+# namespace and a module reach every node the package keeps
+OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def nodes_held(value) -> list:
+    """The expression nodes ``value`` holds at any depth, through every
+    object it refers to (containers, instances, arrays) except the
+    ``OPAQUE`` ones; a node found is not entered."""
+    seen, found, stack = set(), [], [value]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, OPAQUE):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, fuzzcalc.expr.Expr):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_the_node_holding_check_finds_a_node_at_any_depth():
+    x, y = fuzzcalc.expr.Var("x"), fuzzcalc.expr.Var("y")
+
+    class Box:
+        def __init__(self, content):
+            self.content = content
+
+    assert nodes_held(((1.5, [{"k": Box(frozenset({x}))}]),)) == [x]
+    assert nodes_held(({y: 1}, Box(None), "x")) == [y]
+    # a module's namespace holds its nodes; its functions, classes and the
+    # module itself are not entered
+    assert set(nodes_held(vars(fuzzcalc.series))) == {fuzzcalc.series._OFFSET, fuzzcalc.series._D}
+    assert nodes_held((fuzzcalc.series.partial_sum, fuzzcalc.expr.Var, fuzzcalc.series)) == []
+
+
+def test_a_family_plan_holds_no_node():
+    # each builder of a root family returns its plan (slots, kernels, names,
+    # constants' values), so what a node keeps holds a node only where it
+    # is a derivative
+    from fuzzcalc import Env, IvpProblem, differentiate, evaluate, make_triangular, parse_expr, partial_sum
+    from fuzzcalc import solve, taylor_series_of
+
+    x, y = make_triangular((0.7, 1, 1.2)), make_triangular((2.1, 2.3, 2.5))
+    f = parse_expr("sin(x)*exp(y) + T(0,0.1,0.2)*x^2 + -y")
+    built = [fuzzcalc.series._coefficients(f, "x", 4), fuzzcalc.series._terms(fuzzcalc.series._D, 5),
+             fuzzcalc.ivp._step(f, 3)]
+    assert [nodes_held(value) for value in built] == [[]] * 3
+    assert nodes_held(fuzzcalc.expr._plan(f, fuzzcalc.expr.Var("x"), f)) == []
+    differentiate(f, "y")
+    evaluate(f, Env({"x": x, "y": y}))
+    partial_sum(taylor_series_of(f, "x", x, 4, Env({"y": y})), x, 3)
+    solve(IvpProblem(f, x, y, make_triangular((0.07, 0.1, 0.12)), order=2, steps=1))
+    holders = {key[0] for node in list(fuzzcalc.expr._NODES.values())
+               for key, value in node._kept.items() if nodes_held(value)}
+    assert holders == {fuzzcalc.expr._derivative}
 
 
 # the node classes a folding builder builds, which a derivative rule must

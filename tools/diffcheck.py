@@ -315,7 +315,7 @@ def _library_entries(workloads, fc):
     # an improper first member of a tower before a later member whose
     # divisor, a crisp square that underflows to 0, holds zero: which error
     # the call raises first
-    gap, at_gap = fc.expr.parse_expr(f"x/0.{'0' * 169}1 - T(0,0.5,2)"), core.make_triangular((0, 1e-170, 1e-170))
+    gap, at_gap = fc.expr.parse_expr("x/1e-170 - T(0,0.5,2)"), core.make_triangular((0, 1e-170, 1e-170))
     yield ("precedence:taylor of x/1e-170 - T(0,0.5,2) at T(0,1e-170,1e-170), order 2",
            lambda: dict(enumerate(series.taylor_series_of(gap, "x", at_gap, 2).coeffs)))
     yield ("precedence:y' = x/1e-170 - T(0,0.5,2) at x0 = T(0,1e-170,1e-170), order 2",
