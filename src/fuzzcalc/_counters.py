@@ -13,10 +13,11 @@ operation (``add``, ``mul``, ``div``, ``scalar_mul``, ``gh_difference``,
 products inside ``div`` and ``pow_int`` as ``mul`` too; each kind's
 ``.cells``, its calls times the rows times levels they work on (an
 evaluation counts every operation at its widest binding's rows); the
-estimators' stacked ``blocks``, the ``rows`` they evaluate (a stack's rows,
-and each point a redo evaluates on its own), and the schedule's
-``tableau_steps`` the derivative runs.  The switch is one per process:
-count from one thread at a time.
+estimators' stacked ``blocks`` (the probe's one or two stacks among them),
+the ``rows`` they evaluate (a stack's rows, and each point a redo
+evaluates on its own), and the schedule's ``tableau_steps`` the
+derivative runs.  The switch is one per process: count from one thread
+at a time.
 """
 
 from __future__ import annotations

@@ -25,18 +25,21 @@ estimates at seed 7 settle within the first 12 of the 40 steps.  The
 schedule and each block's offsets are slices of one table of halvings
 times h0, and a block's tableau writes its deltas, quotients and
 extrapolants into arrays allocated once per block, so that it costs its
-arithmetic and not copies.  ``continuity_probe`` has one block, x0 in
-row 0 and all its shifts: a probe reads a shift of every trial delta it
-rejects, so its reads usually reach the last rows, and one comparison
-over the (delta, shift) table of distances finds the first delta it
-accepts.  Stacks are internal to this module; every result is one fuzzy
-number, bit for bit the one a point-by-point loop gives.  Errors come in
-that loop's order: when a block's evaluation raises, meets a
-floating-point fault that the caller does not ignore, or (in the probe)
-has an improper row, the block is redone one row at a time through the
-same steps, so the first error a point-by-point loop would meet is
-raised, with its class and message, and a point past where the loop
-stops neither raises nor changes a result.
+arithmetic and not copies.  ``continuity_probe`` evaluates at most two
+stacks, which together hold every shift its loop can read: x0 in row 0
+and each trial delta's first shift, which rejects most deltas (on
+derive-fine every one but at most the last), then, only if some delta is
+left open, the other shifts of each open delta.  A probe evaluates 1 + d
+rows when the first stack rejects all d deltas, where one stack of every
+shift held 1 + 8d, and 8 + 7 = 15 when one of 7 deltas is left open.
+Stacks are internal to this module; every result is one fuzzy number,
+bit for bit the one a point-by-point loop gives.  Errors come in that
+loop's order: when a block's evaluation raises, meets a floating-point
+fault that the caller does not ignore, or (in the probe) has an improper
+row, the block, or the whole probe, is redone one point at a time
+through the same steps, so the first error a point-by-point loop would
+meet is raised, with its class and message, and a point past where the
+loop stops neither raises nor changes a result.
 """
 
 from __future__ import annotations
@@ -303,39 +306,51 @@ def continuity_probe(
     # refused before any evaluation, as binding x0 for f(x0) refuses it point by point
     _require_proper(x0, what=f"binding for {var!r}")
     base = Env(env.bindings if env is not None else {}, x0.grid)
-    # row 0 is x0 itself, then each shift in the order it is tried.  One
-    # stack, no blocks: on derive-fine's probes, which reject every trial
-    # delta, the last shift read is shift 48 to 54 of 56
+    # each delta's shifts in the order they are tried: point by point, a
+    # delta's later shifts are read only if its first does not reject it
     shifts = np.multiply.outer(np.array(deltas, dtype=float), _PROBE_SHIFTS)
-    lower, upper = _points(x0, np.concatenate(((0.0,), shifts.ravel())))
-    lower[0], upper[0] = x0.lower, x0.upper
-    tally = {"blocks": 1, "rows": len(lower)}
+    tally = {"blocks": 0, "rows": 0}
+
+    def distances(offsets: np.ndarray, center=None) -> tuple[np.ndarray, tuple]:
+        """One stack of x0 shifted by each offset: each row's Hausdorff
+        distance from f(x0), row 0 being x0 itself when ``center`` (f(x0)'s
+        (lower, upper)) is None, and that center."""
+        lower, upper = _points(x0, offsets)
+        if center is None:
+            lower[0], upper[0] = x0.lower, x0.upper
+        tally["blocks"] += 1
+        tally["rows"] += len(offsets)
+        v = _at(f, var, base, lower, upper)
+        _require_proper(v)
+        lo, hi = v.lower, v.upper
+        if center is None:
+            center, lo, hi = (lo[0], hi[0]), lo[1:], hi[1:]
+        # as hausdorff_distance takes it, the passes in place
+        dev, dev_hi = np.subtract(lo, center[0]), np.subtract(hi, center[1])
+        dev = np.maximum(np.abs(dev, out=dev), np.abs(dev_hi, out=dev_hi), out=dev)
+        return np.maximum.reduce(dev, axis=-1), center
+
     try:
         try:
             with _faults_raise():
-                v = _at(f, var, base, lower, upper)
-                lo, hi, proper = v.lower, v.upper, v.proper
-                # each shift's Hausdorff distance from f(x0), the passes in place
-                dev, dev_hi = np.subtract(lo[1:], lo[0]), np.subtract(hi[1:], hi[0])
-                dev = np.maximum(np.abs(dev, out=dev), np.abs(dev_hi, out=dev_hi), out=dev)
-                dist = np.maximum.reduce(dev, axis=-1)
+                # x0, then each delta's first shift
+                dist, center = distances(np.concatenate(((0.0,), shifts[:, 0])))
+                # the first shift that moves f by eps or more rejects its delta
+                open_ = np.flatnonzero(~(dist >= eps))
+                if len(open_):
+                    # the other shifts of each delta left open, against the first stack's f(x0)
+                    dist, _ = distances(shifts[open_, 1:].ravel(), center)
+                    open_ = open_[~(dist.reshape(len(open_), -1) >= eps).any(axis=1)]
         except Exception:  # any, even a MemoryError: the redo meets a real error again
-            proper = False
-        if proper:
-            # the first shift that moves f by eps or more rejects its delta
-            accepted = np.flatnonzero(~(dist.reshape(shifts.shape) >= eps).any(axis=1))
-            return float(deltas[accepted[0]]) if len(accepted) else None
-        # point by point, f(x0) first (row 0), each value checked as hausdorff_distance checks it
+            pass
+        else:
+            return float(deltas[open_[0]]) if len(open_) else None
+        # point by point, f(x0) first, each value checked as hausdorff_distance checks it
         tally["rows"] += 1
-        f0 = _at(f, var, base, lower[0], upper[0])
-
-        def distance(i: int) -> float:
-            tally["rows"] += 1
-            return hausdorff_distance(_at(f, var, base, lower[i + 1], upper[i + 1]), f0)
-
-        n = len(_PROBE_SHIFTS)
-        for i, delta in enumerate(deltas):
-            if not any(distance(k) >= eps for k in range(i * n, (i + 1) * n)):
+        f0 = _at(f, var, base, x0.lower, x0.upper)
+        for delta, row in zip(deltas, shifts):
+            lower, upper = _points(x0, row)
+            if not any(hausdorff_distance(v, f0) >= eps for v in _redo(f, var, base, lower, upper, tally)):
                 return float(delta)
         return None
     finally:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fuzzcalc.calculus
 from fuzzcalc.calculus import continuity_probe, mh_derivative
@@ -166,8 +168,17 @@ def test_block_is_one_evaluation(count_calls):
     f, x0 = parse_expr("sin(x)*exp(x)"), tri(0.6, 0.8, 1.0)
     mh_derivative(f, "x", x0)
     assert calls[0] == 1
+    # the probe: x0 and each delta's first shift, then the open delta's others
     continuity_probe(f, "x", x0)
-    assert calls[0] == 2
+    assert calls[0] == 3
+
+
+def test_a_probe_that_rejects_every_delta_at_its_first_shift_is_one_evaluation(count_calls):
+    calls = count_calls(fuzzcalc.calculus, "evaluate")
+    with counting() as counts:
+        assert continuity_probe(parse_expr("1000 * x"), "x", tri(0, 1, 2)) is None
+    assert calls[0] == 1
+    assert (counts["blocks"], counts["rows"], counts["tableau_steps"]) == (1, 1 + 7, 0)
 
 
 def test_estimate_converges_before_the_step_whose_points_straddle_zero(count_calls):
@@ -238,8 +249,9 @@ def test_underflow_leaves_a_block_whole_unless_the_caller_raises_on_it(count_cal
     f, x0 = parse_expr("exp(x)"), tri(-760, -750, -740)
     est = mh_derivative(f, "x", x0)
     assert est.h_final == 46.9375
+    # the probe rejects no delta at its first shift, and accepts 1.0 after the others
     assert continuity_probe(f, "x", x0) == 1.0
-    assert calls[0] == 2
+    assert calls[0] == 3
     with np.errstate(under="raise"):
         for estimate in (mh_derivative, continuity_probe):
             with pytest.raises(FloatingPointError, match="underflow encountered in exp"):
@@ -347,6 +359,37 @@ def test_a_probe_is_the_point_by_point_loop(text, x0, kw, delta):
     assert got is None or type(got) is float
 
 
+def _outcome(run):
+    try:
+        return run()
+    except Exception as err:
+        return type(err), str(err)
+
+
+# divisors a shift takes across zero (near x = 0.03 only a small delta's
+# shifts do), cuts that stop nesting at some shifts, and f flat in x (x - x
+# keeps its width wherever x is)
+PROBE_TEXTS = ("x", "x^2", "1/x", "1/(x - 0.5)", "exp(exp(x))", "x - x", "T(1,2,3)",
+               "sin(x)*exp(x)", "x^2 - T(0,1,1.5)", "x + 0*(1/x)")
+DELTAS = st.sampled_from((1.0, 0.5, 0.1, 0.05, 0.01, 0.001)) | st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(PROBE_TEXTS), st.sampled_from((0.03, 0.8, -1.5)) | st.floats(-2.0, 2.0),
+       st.sampled_from((0.0, 0.01, 0.2, 0.5)),
+       st.sampled_from((1e-6, 1e-3, 0.1, 1.0, 10.0)), st.none() | st.lists(DELTAS, max_size=8))
+# delta 1 is rejected only at its second shift, x0 - 0.25, which nears the pole
+@example("1/(x - 0.5)", 0.76, 0.0, 10.0, None)
+# the second stack raises, or does not nest, only past the delta the loop accepts
+@example("x + 0*(1/x)", 0.03, 0.01, 1.0, None)
+@example("x^2 - T(0,1,1.5)", -1.5, 0.1, 1.0, None)
+def test_prop_a_probe_is_the_point_by_point_loop(text, centre, width, eps, deltas):
+    # the answer, or the first error's class and message; deltas unsorted and repeated
+    f, x0 = parse_expr(text), tri(centre - width, centre, centre + width)
+    kw = {"eps": eps} if deltas is None else {"eps": eps, "trial_deltas": deltas}
+    assert _outcome(lambda: continuity_probe(f, "x", x0, **kw)) == _outcome(lambda: _loop_probe(f, x0, **kw))
+
+
 def test_an_estimate_that_stays_improper_through_convergence_raises():
     # the mirror of cos(x) - x above: here the converged quotient itself does not nest
     message = r"^converged difference quotient is an improper \(non-nested\) fuzzy number$"
@@ -363,7 +406,8 @@ def test_the_estimators_count_their_blocks_rows_and_steps():
         "blocks": 1, "rows": 25, "tableau_steps": 12}
     with counting() as counts:
         continuity_probe(f, "x", x0)
-    assert (counts["blocks"], counts["rows"], counts["tableau_steps"]) == (1, 1 + 7 * 8, 0)
+    # x0 and the 7 deltas' first shifts, then the one delta left open's other 7
+    assert (counts["blocks"], counts["rows"], counts["tableau_steps"]) == (2, 1 + 7 + 7, 0)
     # the block raises and is redone: x0 and two steps, one point at a time
     with counting() as counts:
         mh_derivative(parse_expr(GUARDED), "x", tri(0.02, 0.03, 0.05))

@@ -181,8 +181,9 @@ def test_solve_plans_its_tower_once_and_forms_step_powers_once(monkeypatch, fami
 
 
 def test_second_solve_of_one_rhs_builds_and_plans_nothing(count_calls):
-    # the right-hand side keeps its tower, so a cycle collection between two
-    # solves frees no D_k: the second runs no derivative rule and no walk
+    # the right-hand side keeps its step's plans, which hold no node, so a
+    # cycle collection between two solves frees nothing the second reads:
+    # it runs no derivative rule and no walk
     p = worked_problem(rhs=parse_expr("x*y^2 + 0.8125"), order=4, steps=2)
     first = solve(p)
     gc.collect()

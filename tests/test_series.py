@@ -167,9 +167,9 @@ print(tracemalloc.get_traced_memory()[0])
 
 
 def test_partial_sums_of_every_count_to_32_retain_the_documented_memory():
-    # what partial_sum keeps is _D's memo: one family per count, each with
-    # its plan on its last root; a fresh interpreter, since this session's
-    # tests have kept families of their own
+    # what partial_sum keeps is _D's memo: one plan per count, whose
+    # family's nodes are freed; a fresh interpreter, since this session's
+    # tests have kept plans of their own
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _RETAINED_PROBE], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)

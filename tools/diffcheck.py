@@ -25,7 +25,10 @@ checkout.  The corpus draws its inputs from the benchmark's builders in
   converge and one whose values underflow; functions that do not read the
   variable, a point with -0.0 in its envelopes, probes of unsorted,
   repeated, single and no trial deltas, and an estimate whose backward
-  extrapolant is improper;
+  extrapolant is improper; probes whose second stack, of the deltas the
+  first shifts leave open, accepts a delta, holds a shift past that delta
+  that raises or one that does not nest, or follows a first stack that
+  rejects no delta;
 * texts with unary minus, and cos: each node's repr and text, and its
   value and derivative;
 * numbers with an exponent (``2.5e-3*x``, ``T(1e-5,2e-5,3e-5)``), through
@@ -200,6 +203,14 @@ ESTIMATOR_INPUTS = (
     ("x", (0, 1, 2), "continuity_probe", {"trial_deltas": ()}),
     # converges with an improper backward extrapolant
     ("cos(x) - x", (-1.154, -0.424, 0.398), "mh_derivative", {"tol": 0.01}),
+    # the probe's second stack, of the deltas its first leaves open: a delta
+    # accepted after two open ones are rejected there; a shift of a later
+    # delta that raises, and one that does not nest while the loop reads it,
+    # so the loop decides; and a first stack that rejects nothing
+    ("x^2", (1, 2, 3), "continuity_probe", {"eps": 0.1, "trial_deltas": (0.1, 0.05, 0.02, 0.017, 0.01, 0.005)}),
+    ("x + 0*(1/(x - 0.076))", (0, 0.001, 0.002), "continuity_probe", {"eps": 1.0}),
+    ("x^2 - T(0,1,1.5)", (-1.6, -1.5, -1.4), "continuity_probe", {"eps": 10}),
+    ("x", (0, 1, 2), "continuity_probe", {"eps": 10}),
 )
 # operands whose sign class picks mul's kernel, and so div's and pow_int's,
 # bound as x = T(0,1,2), y = T(700,705,720) and w = T(700,800,900): zeros of
